@@ -89,6 +89,41 @@
 //! the same batch are submitted once, and the [`Applier`] deduplicates
 //! across batches.
 //!
+//! # Maintenance
+//!
+//! Keeping a long-running replica bounded and caught up is a protocol
+//! decision like any other, so it lives here and not in the harnesses.
+//! [`ReplicaEngine::enable_maintenance`] (before [`EngineEvent::Start`])
+//! arms the reserved [`MAINTENANCE`] timer in the ordinary timer table,
+//! so [`Self::next_deadline`] / [`Self::fire_due`] carry it into every
+//! harness with no clock of its own. Each firing, [`MAINT_PERIOD`] apart:
+//!
+//! * **Truncate.** A leader with `truncate_every` or more commands
+//!   applied above its log base submits an [`Op::Truncate`] at its
+//!   applied watermark to itself, as [`MAINT_CLIENT`] with
+//!   `req_id = watermark` — monotone for the applier's session dedup
+//!   across leader changes and restarts, idempotent when re-proposed.
+//!   The reply to that identity is swallowed like a batch source's.
+//! * **Catch up.** An apply gap ([`EngineStats::gap_backlog`]) that
+//!   outlives [`GAP_PATIENCE`] cannot be assumed replay-fillable — the
+//!   missing prefix may be truncated on every peer — so the engine asks
+//!   one peer for a snapshot. The patience re-arms with every request
+//!   and the donor cursor rotates (staggered by node id + shard), so a
+//!   lost request or a donor with nothing newer costs one window.
+//! * **Boot probe.** `Start` itself issues one request (`have = 0`), so
+//!   a restarted replica rejoins warm without waiting for traffic; on a
+//!   fresh cluster every donor refuses it.
+//!
+//! Requests leave through a side queue, not an [`EngineEffect`]: the
+//! harness drains [`ReplicaEngine::take_snapshot_request`] after `Start`
+//! and after firing timers, carries `(donor, have)` over its own
+//! transport, and feeds what the donor's
+//! [`ReplicaEngine::serve_snapshot`] offers (only if strictly newer) to
+//! [`ReplicaEngine::install_snapshot`]. The threaded runtime always
+//! enables maintenance; the simulator and `TestNet` only when
+//! [`EngineConfig::truncate_every`] is set, so their default runs keep
+//! an unchanged timer table and effect stream.
+//!
 //! # Fault injection
 //!
 //! [`Self::set_blocked`] is the uniform slow-core hook: a blocked engine
@@ -129,6 +164,26 @@ use crate::types::{Command, Instance, Nanos, NodeId, Op};
 /// must not arm it (they own [`Timer::Tick`] and the low `Custom` ids);
 /// the engine intercepts it before protocol dispatch.
 pub const BATCH_FLUSH: Timer = Timer::Custom(u8::MAX);
+
+/// The engine-internal timer driving background maintenance (see the
+/// [module docs](self#maintenance)). Reserved like [`BATCH_FLUSH`].
+pub const MAINTENANCE: Timer = Timer::Custom(u8::MAX - 1);
+
+/// Interval between [`MAINTENANCE`] firings: coarse, so truncation and
+/// catch-up stay background work next to the message-driven hot path.
+pub const MAINT_PERIOD: Nanos = 5_000_000;
+
+/// How long an apply gap must persist before the engine treats it as
+/// unfillable by replay and requests a snapshot. Transient reorder gaps
+/// close well inside this window; it also paces re-requests while a
+/// transfer is in flight.
+pub const GAP_PATIENCE: Nanos = 15_000_000;
+
+/// The client identity under which engines propose agreed truncations:
+/// the last id below the batch-source namespace, owned by no process.
+/// One identity per group (not per node) keeps `req_id = watermark`
+/// monotone across leader changes.
+pub const MAINT_CLIENT: NodeId = NodeId(NodeId::BATCH_SOURCE_BASE - 1);
 
 /// Command-batching policy (off by default; see the
 /// [module docs](self#batching)).
@@ -303,14 +358,19 @@ pub struct EngineConfig {
     /// Engine-level command batching, `None` for off (see
     /// [`BatchConfig`]).
     pub batching: Option<BatchConfig>,
+    /// Periodic agreed truncation threshold, `None` for never (see the
+    /// [module docs](self#maintenance)).
+    pub truncate_every: Option<u64>,
 }
 
 impl EngineConfig {
-    /// The default deployment: one consensus group, batching off.
+    /// The default deployment: one consensus group, batching off,
+    /// nothing ever truncated.
     pub fn new() -> Self {
         EngineConfig {
             shards: 1,
             batching: None,
+            truncate_every: None,
         }
     }
 
@@ -335,6 +395,18 @@ impl EngineConfig {
     /// `batching(BatchConfig::Adaptive(cfg))`).
     pub fn adaptive_batching(mut self, cfg: AdaptiveBatch) -> Self {
         self.batching = Some(BatchConfig::Adaptive(cfg));
+        self
+    }
+
+    /// Enables **periodic agreed truncation**: whenever a shard group's
+    /// leader sees `every` (at least 1) or more commands applied above
+    /// the group's log base, it orders an [`Op::Truncate`] at its
+    /// applied watermark through the group's own log, and every replica
+    /// drops its applied log, retired outputs and learner state below
+    /// it at the same point in the command sequence. A replica that
+    /// falls behind a truncation catches up by snapshot install.
+    pub fn truncate_every(mut self, every: u64) -> Self {
+        self.truncate_every = Some(every.max(1));
         self
     }
 }
@@ -401,6 +473,10 @@ pub struct EngineStats {
     pub gap_backlog: usize,
     /// Retained applied-log suffix length (since the last truncation).
     pub applied_log_len: usize,
+    /// Times the applier's log base advanced: agreed truncations
+    /// applied plus snapshot installs (installing implies truncating
+    /// below the watermark).
+    pub truncations: u64,
     /// Cached at-most-once outputs (bounded at one per live client).
     pub outputs_len: usize,
     /// Finished-transaction outcomes retained by the state machine
@@ -440,6 +516,7 @@ impl EngineStats {
         // the aggregate sizes are the sums.
         self.gap_backlog += other.gap_backlog;
         self.applied_log_len += other.applied_log_len;
+        self.truncations += other.truncations;
         self.outputs_len += other.outputs_len;
         self.finished_len += other.finished_len;
     }
@@ -789,6 +866,24 @@ impl LocalRead for crate::kv::KvStore {
     }
 }
 
+/// Per-group state of the background maintenance policy; see the
+/// [module docs](self#maintenance).
+#[derive(Debug)]
+struct Maintenance {
+    /// The snapshot donor pool: every group member but this node.
+    peers: Vec<NodeId>,
+    /// Truncation threshold; `None` watches gaps only.
+    truncate_every: Option<u64>,
+    /// When the current apply gap was first seen or last asked about
+    /// (`None` while there is none).
+    gap_since: Option<Nanos>,
+    /// Rotating donor cursor, so retries and concurrent catch-ups spread
+    /// over the group.
+    donor_rr: usize,
+    /// The catch-up request waiting for the harness: `(donor, have)`.
+    request: Option<(NodeId, Instance)>,
+}
+
 /// One protocol node plus all of its deployment plumbing; see the
 /// [module docs](self) for the Event/Effect contract.
 #[derive(Debug)]
@@ -830,6 +925,9 @@ pub struct ReplicaEngine<P: Protocol, S: StateMachine> {
     /// Batches advocated but not yet committed-and-fanned-out, so a
     /// re-decided batch cannot fan its replies out twice.
     inflight_batches: BTreeSet<u64>,
+    /// Background maintenance; `None` until
+    /// [`Self::enable_maintenance`] switches it on.
+    maint: Option<Maintenance>,
     /// The consensus group this engine belongs to in a sharded
     /// deployment, if any; diagnostics only (safety-violation panics name
     /// the shard so multi-group harness failures localize).
@@ -867,6 +965,7 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
             stats: EngineStats::default(),
             batch_seq: 0,
             inflight_batches: BTreeSet::new(),
+            maint: None,
             shard: None,
             outbox: Outbox::new(),
             action_scratch: Vec::new(),
@@ -999,20 +1098,20 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
             EngineEvent::Start => {
                 self.node.on_start(now, &mut self.outbox);
                 self.absorb(now, effects);
+                if self.maint.is_some() {
+                    // Boot probe: a (re)joining replica asks a peer for a
+                    // snapshot outright, so it rejoins warm even when no
+                    // client traffic is flowing.
+                    self.request_snapshot();
+                    self.timers.insert(MAINTENANCE, now + MAINT_PERIOD);
+                }
             }
             EngineEvent::Message { from, msg } => {
                 self.node.on_message(from, msg, now, &mut self.outbox);
                 self.absorb(now, effects);
             }
             EngineEvent::ClientRequest { client, req_id, op } => {
-                // Pre-built batches bypass the accumulator (never nest).
-                if self.batch.is_some() && !matches!(op, Op::Batch(_)) {
-                    self.enqueue_batched(client, req_id, op, now, effects);
-                } else {
-                    self.node
-                        .on_client_request(client, req_id, op, now, &mut self.outbox);
-                    self.absorb(now, effects);
-                }
+                self.submit(client, req_id, op, now, effects);
             }
             EngineEvent::TimerDue { timer } => {
                 self.fire_one(timer, now, effects);
@@ -1020,6 +1119,26 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
             EngineEvent::Tick => {
                 self.fire_due(now, effects);
             }
+        }
+    }
+
+    /// Takes one client request: into the batch accumulator when
+    /// batching is on, else straight to the protocol.
+    fn submit(
+        &mut self,
+        client: NodeId,
+        req_id: u64,
+        op: Op,
+        now: Nanos,
+        effects: &mut Vec<EngineEffect<P::Msg, S::Output>>,
+    ) {
+        // Pre-built batches bypass the accumulator (never nest).
+        if self.batch.is_some() && !matches!(op, Op::Batch(_)) {
+            self.enqueue_batched(client, req_id, op, now, effects);
+        } else {
+            self.node
+                .on_client_request(client, req_id, op, now, &mut self.outbox);
+            self.absorb(now, effects);
         }
     }
 
@@ -1049,19 +1168,9 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
             .map(|(&t, _)| t)
             .collect();
         let mut fired = 0;
-        for &t in &due {
-            match self.timers.get(&t) {
-                Some(&at) if at <= now => {}
-                _ => continue, // cancelled or pushed out by an earlier handler
-            }
-            self.timers.remove(&t);
-            if t == BATCH_FLUSH {
-                self.flush_batch(FlushTrigger::Deadline, now, effects);
-            } else {
-                self.node.on_timer(t, now, &mut self.outbox);
-                self.absorb(now, effects);
-            }
-            fired += 1;
+        for t in due {
+            // Skips one an earlier handler cancelled or pushed out.
+            fired += usize::from(self.fire_one(t, now, effects));
         }
         fired
     }
@@ -1080,13 +1189,79 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
             _ => return false, // cancelled, re-armed later, or never armed
         }
         self.timers.remove(&timer);
-        if timer == BATCH_FLUSH {
-            self.flush_batch(FlushTrigger::Deadline, now, effects);
-        } else {
-            self.node.on_timer(timer, now, &mut self.outbox);
-            self.absorb(now, effects);
+        match timer {
+            BATCH_FLUSH => self.flush_batch(FlushTrigger::Deadline, now, effects),
+            MAINTENANCE => self.maintain(now, effects),
+            _ => {
+                self.node.on_timer(timer, now, &mut self.outbox);
+                self.absorb(now, effects);
+            }
         }
         true
+    }
+
+    // ----------------------------------------------------------------
+    // Maintenance (see the module docs).
+    // ----------------------------------------------------------------
+
+    /// Switches background maintenance on for this group: gap watching
+    /// and the boot probe always, leader-driven agreed truncation when
+    /// `truncate_every` is set. `members` is the group's membership;
+    /// everyone but this node is a snapshot donor. Call before
+    /// [`EngineEvent::Start`], which arms the [`MAINTENANCE`] timer.
+    pub fn enable_maintenance(&mut self, members: &[NodeId], truncate_every: Option<u64>) {
+        let me = self.node.node_id();
+        self.maint = Some(Maintenance {
+            peers: members.iter().copied().filter(|&p| p != me).collect(),
+            truncate_every,
+            gap_since: None,
+            donor_rr: me.index() + self.shard.map_or(0, |s| s.index()),
+            request: None,
+        });
+    }
+
+    /// The first instance this replica has not applied yet.
+    fn applied_next(&self) -> Instance {
+        self.applier.applied_up_to().map_or(0, |i| i + 1)
+    }
+
+    /// Queues a catch-up request to the next donor in rotation (none in
+    /// a single-member group).
+    fn request_snapshot(&mut self) {
+        let have = self.applied_next();
+        let m = self.maint.as_mut().expect("maintenance enabled");
+        if !m.peers.is_empty() {
+            m.request = Some((m.peers[m.donor_rr % m.peers.len()], have));
+            m.donor_rr += 1;
+        }
+    }
+
+    /// One [`MAINTENANCE`] firing: re-arm, watch the apply gap, and — as
+    /// leader — propose the next agreed truncation.
+    fn maintain(&mut self, now: Nanos, effects: &mut Vec<EngineEffect<P::Msg, S::Output>>) {
+        self.timers.insert(MAINTENANCE, now + MAINT_PERIOD);
+        let m = self.maint.as_mut().expect("armed only when enabled");
+        let truncate_every = m.truncate_every;
+        if self.applier.gap_backlog() == 0 {
+            m.gap_since = None;
+        } else if now - *m.gap_since.get_or_insert(now) >= GAP_PATIENCE {
+            m.gap_since = Some(now);
+            self.request_snapshot();
+        }
+        let next = self.applied_next();
+        if truncate_every.is_some_and(|every| next - self.applier.log_base() >= every)
+            && self.node.is_leader()
+        {
+            let op = Op::Truncate { watermark: next };
+            self.submit(MAINT_CLIENT, next, op, now, effects);
+        }
+    }
+
+    /// Takes the pending catch-up request `(donor, have)`, if any: the
+    /// harness sends it to `donor`, which answers through
+    /// [`Self::serve_snapshot`].
+    pub fn take_snapshot_request(&mut self) -> Option<(NodeId, Instance)> {
+        self.maint.as_mut()?.request.take()
     }
 
     // ----------------------------------------------------------------
@@ -1221,6 +1396,7 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
                         // the new base.
                         self.node.truncate(base_after);
                         self.commits = self.commits.split_off(&base_after);
+                        self.stats.truncations += 1;
                     }
                     // A committed batch that *this* engine advocated fans
                     // back out into per-client replies, exactly once (a
@@ -1258,11 +1434,12 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
         instance: Instance,
         effects: &mut Vec<EngineEffect<P::Msg, S::Output>>,
     ) {
-        if client.is_batch_source() {
+        if client.is_batch_source() || client == MAINT_CLIENT {
             // The protocol acknowledging a batch to its synthetic
             // advocate (possibly another engine's): per-client replies
             // are fanned out at commit time by the advocating engine, so
-            // this must never reach a real wire or the records.
+            // this must never reach a real wire or the records. Nobody
+            // waits for a maintenance-proposed truncation either.
             return;
         }
         let value = self.applier.output_of(client, req_id).cloned();
@@ -1338,10 +1515,12 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
     // Snapshots & catch-up (see `Applier::snapshot`).
     // ----------------------------------------------------------------
 
-    /// Captures this replica's applied prefix as an installable snapshot
-    /// (state machine + session table at the current apply watermark).
-    pub fn snapshot(&self) -> crate::rsm::ApplierSnapshot<S> {
-        self.applier.snapshot()
+    /// The donor side of catch-up: a snapshot for a peer that has
+    /// applied everything below `have` — but only one strictly past it,
+    /// so stale requests and boot probes against an empty group go
+    /// unanswered instead of bouncing state the requester already has.
+    pub fn serve_snapshot(&self, have: Instance) -> Option<crate::rsm::ApplierSnapshot<S>> {
+        (self.applied_next() > have).then(|| self.applier.snapshot())
     }
 
     /// Installs a peer's snapshot, fast-forwarding the applier *and* the
@@ -1355,6 +1534,10 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
         }
         self.node.truncate(watermark);
         self.commits = self.commits.split_off(&watermark);
+        self.stats.truncations += 1;
+        if let Some(m) = &mut self.maint {
+            m.gap_since = None; // whatever gap remains starts a fresh window
+        }
         // Drop replies parked for instances the snapshot covers: their
         // clients re-send, and the retry is answered from the installed
         // session table (at-most-once) instead of re-applying.

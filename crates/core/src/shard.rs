@@ -42,7 +42,11 @@
 //! message or timer belongs to, and every emitted effect is tagged with
 //! the shard that produced it, so one transport link can multiplex all S
 //! groups. [`ShardedEngine::next_deadline`] merges the per-shard timer
-//! tables for sleep-until-deadline schedulers.
+//! tables for sleep-until-deadline schedulers. Background maintenance
+//! (see [`crate::engine`]) is per group too:
+//! [`ShardedEngine::enable_maintenance`] switches it on everywhere and
+//! [`ShardedEngine::take_snapshot_requests`] drains the groups' catch-up
+//! requests, shard-tagged like everything else.
 //!
 //! # Example
 //!
@@ -71,7 +75,8 @@
 use std::fmt;
 
 use crate::engine::{
-    BatchConfig, EngineEffect, EngineEvent, EngineStats, LocalRead, ReplicaEngine,
+    BatchConfig, EngineConfig, EngineEffect, EngineEvent, EngineStats, LocalRead, ReplicaEngine,
+    ReplyMode,
 };
 use crate::protocol::Protocol;
 use crate::rsm::{ApplierSnapshot, StateMachine};
@@ -372,39 +377,32 @@ impl<P: Protocol, S: StateMachine> ShardedEngine<P, S> {
         }
     }
 
-    /// Proposes an agreed truncation of shard `s` at this replica's
-    /// applied watermark, as an ordinary client command through the
-    /// shard's own log (the same shape as the `Op::TxnStatus` probe).
-    /// Returns the proposed watermark. `client`/`req_id` must follow the
-    /// session rules of any other client (monotone ids per client).
-    pub fn propose_truncate(
-        &mut self,
-        s: ShardId,
-        client: NodeId,
-        req_id: u64,
-        now: Nanos,
-        effects: &mut ShardedEffects<P::Msg, S::Output>,
-    ) -> Instance {
-        let watermark = self.shards[s.index()]
-            .applier()
-            .applied_up_to()
-            .map_or(0, |i| i + 1);
-        self.handle(
-            s,
-            EngineEvent::ClientRequest {
-                client,
-                req_id,
-                op: Op::Truncate { watermark },
-            },
-            now,
-            effects,
-        );
-        watermark
+    /// Switches background maintenance on for every shard group (see
+    /// [`ReplicaEngine::enable_maintenance`]); call before
+    /// [`Self::start`].
+    pub fn enable_maintenance(&mut self, members: &[NodeId], truncate_every: Option<u64>) {
+        for e in &mut self.shards {
+            e.enable_maintenance(members, truncate_every);
+        }
     }
 
-    /// Captures shard `s`'s applied prefix as an installable snapshot.
-    pub fn snapshot_shard(&self, s: ShardId) -> ApplierSnapshot<S> {
-        self.shards[s.index()].snapshot()
+    /// Drains the catch-up requests the shard groups' maintenance has
+    /// queued, as `(shard, donor, have)` — for the harness to carry to
+    /// `donor` after [`Self::start`] and [`Self::fire_due`].
+    pub fn take_snapshot_requests(
+        &mut self,
+    ) -> impl Iterator<Item = (ShardId, NodeId, Instance)> + '_ {
+        self.shards.iter_mut().enumerate().filter_map(|(i, e)| {
+            let (donor, have) = e.take_snapshot_request()?;
+            Some((ShardId(i as u16), donor, have))
+        })
+    }
+
+    /// Answers a peer's catch-up request for shard `s`: a snapshot only
+    /// if strictly newer than `have` (see
+    /// [`ReplicaEngine::serve_snapshot`]).
+    pub fn serve_snapshot(&self, s: ShardId, have: Instance) -> Option<ApplierSnapshot<S>> {
+        self.shards[s.index()].serve_snapshot(have)
     }
 
     /// Installs a peer's snapshot into shard `s` (see
@@ -444,6 +442,27 @@ impl<P: Protocol, S: StateMachine> ShardedEngine<P, S> {
 }
 
 impl<P: Protocol> ShardedEngine<P, crate::kv::KvStore> {
+    /// One node's engines in the deployment shape `config` describes —
+    /// what every harness runs: a KV replica per shard group around
+    /// `node()`, batching as configured, and per-command history off
+    /// (harnesses keep their own oracles and counters, and a long run
+    /// must not grow with its length). Background maintenance stays off:
+    /// whether to run it is the harness's one
+    /// [`Self::enable_maintenance`] call.
+    pub fn deploy(
+        config: EngineConfig,
+        reply_mode: ReplyMode,
+        mut node: impl FnMut() -> P,
+    ) -> Self {
+        let mut e = ShardedEngine::new(config.shards, |shard| {
+            ReplicaEngine::with_reply_mode(node(), crate::kv::KvStore::new(), reply_mode)
+                .with_history(false)
+                .with_shard(shard)
+        });
+        e.set_batching(config.batching);
+        e
+    }
+
     /// Reads `key` from its owning shard's applied replica, ungated (for
     /// harness oracles and tests; clients go through
     /// [`Self::local_read`]).

@@ -19,7 +19,8 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use crate::engine::{
-    AdaptiveBatch, BatchConfig, EngineConfig, EngineEffect, EngineEvent, EngineStats, ReplicaEngine,
+    AdaptiveBatch, BatchConfig, EngineConfig, EngineEffect, EngineEvent, EngineStats,
+    ReplicaEngine, ReplyMode,
 };
 use crate::kv::KvStore;
 use crate::protocol::Protocol;
@@ -49,6 +50,20 @@ pub struct ReplyRecord {
 
 /// The tagged effect stream produced by a `TestNet` node's engines.
 type Effects<P> = ShardedEffects<<P as Protocol>::Msg, Option<u64>>;
+
+/// One node's engines. Maintenance runs only when the config carries
+/// `truncate_every`, so default nets keep an untouched timer table.
+fn deploy<P: Protocol>(
+    config: EngineConfig,
+    members: &[NodeId],
+    node: impl FnMut() -> P,
+) -> ShardedEngine<P, KvStore> {
+    let mut e = ShardedEngine::deploy(config, ReplyMode::Immediate, node);
+    if config.truncate_every.is_some() {
+        e.enable_maintenance(members, config.truncate_every);
+    }
+    e
+}
 
 /// One directed link's FIFO: shard-tagged protocol messages.
 type LinkQueue<P> = VecDeque<(ShardId, <P as Protocol>::Msg)>;
@@ -104,7 +119,7 @@ impl<P: Protocol> TestNetBuilder<P> {
     /// Builds the net: `make(members, me)` is invoked once per
     /// `(shard, node)` and every node's `on_start` runs.
     pub fn build(self, make: impl FnMut(&[NodeId], NodeId) -> P) -> TestNet<P> {
-        TestNet::build_with(self.nodes, self.config.shards, self.config.batching, make)
+        TestNet::build_with(self.nodes, self.config, make)
     }
 }
 
@@ -128,8 +143,9 @@ impl<P: Protocol> TestNetBuilder<P> {
 /// ```
 pub struct TestNet<P: Protocol> {
     engines: Vec<ShardedEngine<P, KvStore>>,
-    /// Number of consensus groups per node (1 unless built sharded).
-    shards: u16,
+    /// The deployment shape (shard groups, batching, truncation),
+    /// remembered so a [`Self::reset_node`] rebuild keeps it.
+    config: EngineConfig,
     /// Per-link FIFO queues, mirroring the paper's per-pair message
     /// queues. One FIFO per directed pair carries **all** shard groups'
     /// messages, each tagged with its group — the multiplexing a real
@@ -144,9 +160,8 @@ pub struct TestNet<P: Protocol> {
     commits: BTreeMap<(NodeId, ShardId), BTreeMap<Instance, Command>>,
     replies: Vec<ReplyRecord>,
     delivered: u64,
-    /// Engine-level command batching, if enabled; remembered here so a
-    /// [`Self::reset_node`] rebuild keeps the same configuration.
-    batching: Option<BatchConfig>,
+    /// Every catch-up request carried so far, as `(requester, donor)`.
+    snapshot_requests: Vec<(NodeId, NodeId)>,
     /// Rebuilds per node, so each engine incarnation advocates batches
     /// in a fresh sequence epoch (recycled batch ids would be dropped as
     /// already-decided duplicates by surviving peers).
@@ -189,7 +204,7 @@ impl<P: Protocol> TestNet<P> {
     }
 
     /// Starts a builder for an `n`-node net. Every deployment knob —
-    /// shard groups, batching — arrives through the same
+    /// shard groups, batching, truncation — arrives through the same
     /// [`EngineConfig`] the simulator's `SimBuilder` and the runtime's
     /// `ClusterBuilder` accept, so a deployment shape moves between
     /// harnesses unchanged.
@@ -221,46 +236,43 @@ impl<P: Protocol> TestNet<P> {
 
     fn build_with(
         n: u16,
-        shards: u16,
-        batching: Option<BatchConfig>,
+        config: EngineConfig,
         mut make: impl FnMut(&[NodeId], NodeId) -> P,
     ) -> Self {
         let members: Vec<NodeId> = (0..n).map(NodeId).collect();
         let mut net = TestNet {
-            // Engine-level history is off: the harness records commits
-            // and replies itself (below), so that the records survive
-            // node resets.
+            // Replies are immediate; commits and replies are recorded by
+            // the harness itself, so the records survive node resets.
             engines: members
                 .iter()
-                .map(|&me| {
-                    let mut e = ShardedEngine::new(shards, |shard| {
-                        ReplicaEngine::new(make(&members, me), KvStore::new())
-                            .with_history(false)
-                            .with_shard(shard)
-                    });
-                    e.set_batching(batching);
-                    e
-                })
+                .map(|&me| deploy(config, &members, || make(&members, me)))
                 .collect(),
-            shards,
+            config,
             links: BTreeMap::new(),
             now: 0,
             commits: BTreeMap::new(),
             replies: Vec::new(),
             delivered: 0,
-            batching,
+            snapshot_requests: Vec::new(),
             resets: BTreeMap::new(),
             probe_reqs: 0,
             scratch: Vec::new(),
         };
-        for i in 0..net.engines.len() {
-            let now = net.now;
-            let mut effects = std::mem::take(&mut net.scratch);
-            net.engines[i].start(now, &mut effects);
-            net.absorb(NodeId(i as u16), &mut effects);
-            net.scratch = effects;
+        for &id in &members {
+            net.start_node(id);
         }
         net
+    }
+
+    /// Bootstraps node `id`'s engines and routes the fallout (boot
+    /// probes included).
+    fn start_node(&mut self, id: NodeId) {
+        let now = self.now;
+        let mut effects = std::mem::take(&mut self.scratch);
+        self.engines[id.index()].start(now, &mut effects);
+        self.absorb(id, &mut effects);
+        self.scratch = effects;
+        self.carry_snapshots(id);
     }
 
     /// Current virtual time.
@@ -276,7 +288,7 @@ impl<P: Protocol> TestNet<P> {
     /// Number of consensus groups per node (1 unless built
     /// [`sharded`](Self::sharded)).
     pub fn shards(&self) -> u16 {
-        self.shards
+        self.config.shards
     }
 
     /// Immutable access to a node's shard-0 protocol instance (the only
@@ -339,12 +351,8 @@ impl<P: Protocol> TestNet<P> {
     /// (the whole core went away), each into a fresh batch epoch.
     pub fn reset_node(&mut self, id: NodeId, mut fresh: impl FnMut() -> P) {
         let was_blocked = self.engines[id.index()].is_blocked();
-        self.engines[id.index()] = ShardedEngine::new(self.shards, |shard| {
-            ReplicaEngine::new(fresh(), KvStore::new())
-                .with_history(false)
-                .with_shard(shard)
-        });
-        self.engines[id.index()].set_batching(self.batching);
+        let members: Vec<NodeId> = (0..self.engines.len() as u16).map(NodeId).collect();
+        self.engines[id.index()] = deploy(self.config, &members, &mut fresh);
         // A rebuilt engine must not reuse its predecessor's batch
         // identities (surviving peers deduplicate them forever).
         let epoch = self.resets.entry(id).or_insert(0);
@@ -352,11 +360,7 @@ impl<P: Protocol> TestNet<P> {
         let floor = *epoch * ReplicaEngine::<P, KvStore>::BATCH_EPOCH;
         self.engines[id.index()].set_batch_seq_floor(floor);
         self.engines[id.index()].set_blocked(was_blocked);
-        let now = self.now;
-        let mut effects = std::mem::take(&mut self.scratch);
-        self.engines[id.index()].start(now, &mut effects);
-        self.absorb(id, &mut effects);
-        self.scratch = effects;
+        self.start_node(id);
     }
 
     /// Reboots `id` like [`Self::reset_node`], then immediately installs
@@ -371,9 +375,10 @@ impl<P: Protocol> TestNet<P> {
     /// the plain reset behaviour.
     pub fn reset_node_warm(&mut self, id: NodeId, donor: NodeId, fresh: impl FnMut() -> P) {
         self.reset_node(id, fresh);
-        for s in 0..self.shards {
-            let snap = self.engines[donor.index()].snapshot_shard(ShardId(s));
-            self.engines[id.index()].install_shard_snapshot(ShardId(s), snap);
+        for s in (0..self.config.shards).map(ShardId) {
+            if let Some(snap) = self.engines[donor.index()].serve_snapshot(s, 0) {
+                self.engines[id.index()].install_shard_snapshot(s, snap);
+            }
         }
     }
 
@@ -387,16 +392,17 @@ impl<P: Protocol> TestNet<P> {
     /// [`Self::advance_and_settle`]) like any other request.
     pub fn propose_truncate(&mut self, target: NodeId, shard: ShardId) -> Instance {
         self.probe_reqs += 1;
-        let req_id = self.probe_reqs;
-        let now = self.now;
+        let engine = &mut self.engines[target.index()];
+        let applied = engine.shard(shard).applier().applied_up_to();
+        let watermark = applied.map_or(0, |i| i + 1);
+        // Keyless, so handed to its shard directly instead of routed.
+        let event = EngineEvent::ClientRequest {
+            client: Self::PROBE_CLIENT,
+            req_id: self.probe_reqs,
+            op: Op::Truncate { watermark },
+        };
         let mut effects = std::mem::take(&mut self.scratch);
-        let watermark = self.engines[target.index()].propose_truncate(
-            shard,
-            Self::PROBE_CLIENT,
-            req_id,
-            now,
-            &mut effects,
-        );
+        engine.handle(shard, event, self.now, &mut effects);
         self.absorb(target, &mut effects);
         self.scratch = effects;
         watermark
@@ -714,7 +720,8 @@ impl<P: Protocol> TestNet<P> {
 
     /// Advances virtual time by `delta`, firing every due timer of every
     /// unblocked node (in node order, shards within a node in shard
-    /// order), then returns. Does not deliver messages.
+    /// order), then returns. Does not deliver messages (snapshot
+    /// catch-up, when maintenance is on, is handed across directly).
     pub fn advance(&mut self, delta: Nanos) {
         self.now += delta;
         let now = self.now;
@@ -723,6 +730,24 @@ impl<P: Protocol> TestNet<P> {
             self.engines[i].fire_due(now, &mut effects);
             self.absorb(NodeId(i as u16), &mut effects);
             self.scratch = effects;
+            self.carry_snapshots(NodeId(i as u16));
+        }
+    }
+
+    /// The catch-up transport: hands each request `me`'s maintenance
+    /// queued straight to its donor and the donor's snapshot straight
+    /// back, bypassing the link FIFOs. A blocked donor (a slow core)
+    /// answers nothing — the request is lost and the policy must retry.
+    fn carry_snapshots(&mut self, me: NodeId) {
+        let requests: Vec<_> = self.engines[me.index()].take_snapshot_requests().collect();
+        for (shard, donor, have) in requests {
+            self.snapshot_requests.push((me, donor));
+            if self.is_blocked(donor) {
+                continue;
+            }
+            if let Some(snap) = self.engines[donor.index()].serve_snapshot(shard, have) {
+                self.engines[me.index()].install_shard_snapshot(shard, snap);
+            }
         }
     }
 
@@ -753,6 +778,13 @@ impl<P: Protocol> TestNet<P> {
     /// All recorded client replies, in emission order.
     pub fn replies(&self) -> &[ReplyRecord] {
         &self.replies
+    }
+
+    /// Every catch-up request the engines' maintenance emitted, as
+    /// `(requester, donor)` in emission order (empty unless the config
+    /// set `truncate_every`).
+    pub fn snapshot_requests(&self) -> &[(NodeId, NodeId)] {
+        &self.snapshot_requests
     }
 
     /// Asserts the Appendix B *consistency* property across all nodes,

@@ -1,12 +1,11 @@
 //! Offline stand-ins for the `crossbeam` utilities this crate leans on.
 //!
-//! The build environment cannot fetch crates.io dependencies, so the three
-//! pieces of `crossbeam` the queues use — `utils::CachePadded`,
-//! `utils::Backoff` and `queue::SegQueue` — are re-implemented here with
-//! the same paths and call shapes. The queue modules compile unchanged;
-//! deleting this module and adding the real `crossbeam` dependency
-//! restores the upstream implementations (whose `SegQueue` is lock-free
-//! where this one takes a mutex).
+//! The build environment cannot fetch crates.io dependencies, so the two
+//! pieces of `crossbeam` the queues use — `utils::CachePadded` and
+//! `utils::Backoff` — are re-implemented here with the same paths and
+//! call shapes. The queue modules compile unchanged; deleting this module
+//! and adding the real `crossbeam` dependency restores the upstream
+//! implementations.
 
 pub(crate) mod utils {
     //! Cache-line padding and spin backoff.
@@ -81,51 +80,6 @@ pub(crate) mod utils {
         #[allow(dead_code)]
         pub fn is_completed(&self) -> bool {
             self.step.get() > YIELD_LIMIT
-        }
-    }
-}
-
-pub(crate) mod queue {
-    //! Unbounded MPMC queue.
-
-    use std::collections::VecDeque;
-    use std::sync::Mutex;
-
-    /// Unbounded FIFO queue with the `crossbeam::queue::SegQueue` surface.
-    /// A mutexed `VecDeque` rather than a lock-free segment list: the only
-    /// user is the §3 measurement harness, where the queue is not on the
-    /// path being measured.
-    #[derive(Debug, Default)]
-    pub struct SegQueue<T> {
-        inner: Mutex<VecDeque<T>>,
-    }
-
-    impl<T> SegQueue<T> {
-        /// An empty queue.
-        pub fn new() -> Self {
-            SegQueue {
-                inner: Mutex::new(VecDeque::new()),
-            }
-        }
-
-        /// Enqueues `value`; never blocks beyond the internal lock.
-        pub fn push(&self, value: T) {
-            self.inner.lock().expect("queue poisoned").push_back(value);
-        }
-
-        /// Dequeues the oldest value, if any.
-        pub fn pop(&self) -> Option<T> {
-            self.inner.lock().expect("queue poisoned").pop_front()
-        }
-
-        /// Number of queued values.
-        pub fn len(&self) -> usize {
-            self.inner.lock().expect("queue poisoned").len()
-        }
-
-        /// Whether the queue is empty.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
         }
     }
 }

@@ -1,19 +1,18 @@
 //! Lock-free shared-memory message passing for many-core machines — the
 //! QC-libtask analogue from *"Consensus Inside"* (MIDDLEWARE 2014), §6.
 //!
-//! The paper's framework has three layers, mirrored here:
+//! What is here is what the rest of the workspace calls:
 //!
-//! * **Message queuing** ([`spsc`], [`duplex`]): per-pair unidirectional
-//!   queues of 128-byte cache-aligned slots (seven per queue by default),
-//!   with the head pointer moved by the reader and the tail by the writer
-//!   — no locks, no system calls on the fast path (§6.1, Fig 6).
-//! * **Message delivery** ([`mailbox`], [`scheduler`]): a process talking
-//!   to *n* peers polls *n* read queues; a cooperative scheduler gives
-//!   handlers a blocking-read programming model over the asynchronous
-//!   back-end (§6.2, Fig 7).
-//! * **Measurement hooks**: queue counters used by the §3
+//! * **Message queuing** ([`spsc`]): per-pair unidirectional queues of
+//!   128-byte cache-aligned slots (seven per queue by default), with the
+//!   head pointer moved by the reader and the tail by the writer — no
+//!   locks, no system calls on the fast path (§6.1, Fig 6). The queue
+//!   counters double as the measurement hooks of the §3
 //!   transmission/propagation-delay experiments (`tab_net` in the bench
-//!   crate), plus the [`unbounded`] queue the §3 sender measurement uses.
+//!   crate).
+//! * **Message delivery** ([`mailbox`]): a process talking to *n* peers
+//!   polls *n* read queues, round-robin (§6.2) — the receive side of the
+//!   runtime's shared-memory transport.
 //! * **The road not taken** ([`broadcast`]): a ZIMP-style one-to-many
 //!   ring (§8), implemented so the unicast-vs-broadcast trade-off can be
 //!   measured rather than argued.
@@ -21,12 +20,12 @@
 //! # Quickstart
 //!
 //! ```
-//! use qc_channel::duplex;
+//! use qc_channel::spsc;
 //!
-//! // One duplex channel per pair of cores (Fig 6).
-//! let (core0, core1) = duplex::pair_default::<u64>();
-//! core0.try_send(42).unwrap();
-//! assert_eq!(core1.try_recv(), Some(42));
+//! // One queue per direction per pair of cores (Fig 6).
+//! let (to_core1, at_core1) = spsc::channel::<u64>(qc_channel::DEFAULT_SLOTS);
+//! to_core1.try_send(42).unwrap();
+//! assert_eq!(at_core1.try_recv(), Some(42));
 //! ```
 
 #![warn(missing_docs)]
@@ -36,15 +35,10 @@
 mod crossbeam;
 
 pub mod broadcast;
-pub mod duplex;
 pub mod mailbox;
-pub mod scheduler;
 pub mod spsc;
-pub mod unbounded;
 
-pub use duplex::Endpoint;
 pub use mailbox::Mailbox;
-pub use scheduler::{Scheduler, TaskControl};
 pub use spsc::{channel, Full, Receiver, Sender, DEFAULT_SLOTS, SLOT_BYTES};
 
 #[cfg(test)]
@@ -56,7 +50,6 @@ mod tests {
         fn assert_send<T: Send>() {}
         assert_send::<Sender<u64>>();
         assert_send::<Receiver<u64>>();
-        assert_send::<Endpoint<u64>>();
     }
 
     #[test]

@@ -5,18 +5,22 @@
 //!
 //! A replica thread owns a [`ShardedEngine`] (one consensus group unless
 //! [`ClusterBuilder::shards`] raises it) and does nothing but IO: poll
-//! its transport, feed events to the engines, push [`EngineEffect`]s
-//! back onto the wire (transports buffer instead of blocking, so a busy
-//! link never wedges the loop). Timers, commits, replies and the state
-//! machines all live in the engines — the same engines the simulator and
-//! `TestNet` deploy.
+//! its transport, feed events to the engines, push what they emit —
+//! [`EngineEffect`]s and queued catch-up requests — back onto the wire
+//! (transports buffer instead of blocking, so a busy link never wedges
+//! the loop). Timers, commits, replies, the state machines and every
+//! background decision (when to truncate, when a gap means "fetch a
+//! snapshot", from whom) live in the engines — the same engines the
+//! simulator and `TestNet` deploy.
 //!
 //! The transport is chosen at spawn time and nothing else changes:
 //! [`ClusterBuilder::spawn`] wires the processes over qc-channel shared
-//! memory ([`MemTransport`], §6.1's pairwise SPSC queues), while
-//! [`ClusterBuilder::spawn_tcp`] puts the identical loop on loopback TCP
-//! sockets ([`TcpTransport`]) with every message in the
-//! `onepaxos::wire` framed binary format.
+//! memory ([`MemTransport`], §6.1's pairwise SPSC queues),
+//! [`ClusterBuilder::spawn_tcp`] over loopback TCP sockets
+//! ([`TcpTransport`], every message an `onepaxos::wire` frame). Both,
+//! and [`Cluster::restart_replica`], start replica threads through the
+//! same private launcher and differ only in the transport factory they
+//! hand it.
 //!
 //! Sharding keeps **one OS thread per core**: each replica thread hosts
 //! every shard group's member for its slot, and each group gets its own
@@ -29,19 +33,17 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use onepaxos::engine::{
-    BatchConfig, EngineConfig, EngineEffect, EngineStats, ReplicaEngine, ReplyMode,
-};
+use onepaxos::engine::{BatchConfig, EngineConfig, EngineEffect, ReplyMode};
 use onepaxos::kv::KvStore;
 use onepaxos::rsm::ApplierSnapshot;
 use onepaxos::shard::{ShardId, ShardRouter, ShardedEffects, ShardedEngine};
 use onepaxos::txn::{Fragment, TxnCoordinator, TxnStep};
 use onepaxos::wire::{decode_exact, encode_to_vec, Codec};
-use onepaxos::{EngineEvent, Instance, Nanos, NodeId, Op, Protocol, TxnOutcome};
+use onepaxos::{EngineEvent, Nanos, NodeId, Op, Protocol, TxnOutcome};
 use qc_channel::{spsc, Receiver, Sender};
 
 use crate::affinity;
@@ -79,7 +81,8 @@ pub struct NodeMetrics {
     /// over shard groups.
     pub committed: AtomicU64,
     /// Batches flushed to the protocols, summed over shard groups (the
-    /// replica loop republishes its engines' [`EngineStats`] snapshot
+    /// replica loop republishes its engines'
+    /// [`EngineStats`](onepaxos::engine::EngineStats) snapshot
     /// whenever it makes progress; zero with batching off).
     pub batch_flushes: AtomicU64,
     /// Commands those flushes carried, summed over shard groups.
@@ -103,9 +106,9 @@ pub struct NodeMetrics {
     /// fast-forward past log entries agreed truncation made
     /// unreplayable.
     pub snapshots_installed: AtomicU64,
-    /// Agreed truncations this replica applied, observed as log-base
-    /// advances (snapshot installs count too: installing implies
-    /// truncating below the watermark).
+    /// Agreed truncations this replica applied, counted by its engines
+    /// as log-base advances (snapshot installs count too: installing
+    /// implies truncating below the watermark).
     pub truncations: AtomicU64,
     /// Decided commands parked above an apply gap, summed over shard
     /// groups — the signal that this replica is missing a decided
@@ -126,11 +129,9 @@ pub struct NodeMetrics {
 pub struct ClusterBuilder<P, F> {
     replicas: usize,
     clients: usize,
-    shards: u16,
+    config: EngineConfig,
     factory: F,
     pin_cores: bool,
-    batching: Option<BatchConfig>,
-    truncate_every: Option<u64>,
     faults: Option<FaultPlan>,
     _marker: std::marker::PhantomData<fn() -> P>,
 }
@@ -140,7 +141,7 @@ impl<P, F> std::fmt::Debug for ClusterBuilder<P, F> {
         f.debug_struct("ClusterBuilder")
             .field("replicas", &self.replicas)
             .field("clients", &self.clients)
-            .field("shards", &self.shards)
+            .field("shards", &self.config.shards)
             .field("pin_cores", &self.pin_cores)
             .finish_non_exhaustive()
     }
@@ -157,11 +158,9 @@ where
         ClusterBuilder {
             replicas,
             clients: 1,
-            shards: 1,
+            config: EngineConfig::new(),
             factory,
             pin_cores: false,
-            batching: None,
-            truncate_every: None,
             faults: None,
             _marker: std::marker::PhantomData,
         }
@@ -181,19 +180,18 @@ where
     ///
     /// # Panics
     ///
-    /// `spawn` panics if `s` is zero.
+    /// Panics if `s` is zero.
     pub fn shards(mut self, s: u16) -> Self {
-        self.shards = s;
+        self.config = self.config.shards(s);
         self
     }
 
-    /// Applies a shared [`EngineConfig`] — the same shard-count/batching
-    /// shape accepted by `TestNet::builder` and the simulator's
-    /// `SimBuilder`, so one config value can describe a deployment
-    /// across all three harnesses.
+    /// Replaces the deployment shape with a shared [`EngineConfig`] —
+    /// shard count, batching and truncation, the same value accepted by
+    /// `TestNet::builder` and the simulator's `SimBuilder`, so one
+    /// config describes a deployment across all three harnesses.
     pub fn config(mut self, cfg: EngineConfig) -> Self {
-        self.shards = cfg.shards;
-        self.batching = cfg.batching;
+        self.config = cfg;
         self
     }
 
@@ -224,23 +222,20 @@ where
     /// own load (watch it move via [`NodeMetrics::batch_depth`]). The
     /// flush deadline runs on the replica loop's wall clock. Default off.
     pub fn batching(mut self, cfg: BatchConfig) -> Self {
-        self.batching = Some(cfg);
+        self.config = self.config.batching(cfg);
         self
     }
 
-    /// Enables **periodic agreed truncation**: whenever a shard group's
-    /// leader sees `every` or more commands applied above the group's
-    /// log base, it orders an [`Op::Truncate`] at its applied watermark
-    /// through the group's own log. Every replica applies the same
-    /// truncation at the same point in the command sequence, dropping
-    /// its applied log, retired outputs and learner state below the
-    /// watermark — which is what keeps a long-running replica's memory
-    /// bounded (watch [`NodeMetrics::applied_log_len`] stay flat). A
-    /// replica that falls behind a truncation catches up by snapshot
-    /// install instead of replay (see [`NodeMetrics::snapshots_installed`]).
-    /// Default off: nothing is ever dropped.
+    /// Enables **periodic agreed truncation**
+    /// ([`EngineConfig::truncate_every`]): every replica applies the
+    /// same truncation at the same point in the command sequence, which
+    /// is what keeps a long-running replica's memory bounded (watch
+    /// [`NodeMetrics::applied_log_len`] stay flat). A replica that falls
+    /// behind a truncation catches up by snapshot install instead of
+    /// replay (see [`NodeMetrics::snapshots_installed`]). Default off:
+    /// nothing is ever dropped.
     pub fn truncate_every(mut self, every: u64) -> Self {
-        self.truncate_every = Some(every.max(1));
+        self.config = self.config.truncate_every(every);
         self
     }
 
@@ -248,16 +243,12 @@ where
     /// returns the cluster handle plus one [`ClientHandle`] per
     /// requested client.
     pub fn spawn(mut self) -> (Cluster, Vec<ClientHandle<P::Msg>>) {
-        transport::tighten_timer_slack();
-        let r = self.replicas;
-        let c = self.clients;
-        let shards = self.shards;
-        assert!(shards >= 1, "need at least one shard");
+        let launcher = Launcher::new(&self);
+        let (r, c, shards) = (self.replicas, self.clients, self.config.shards);
         // Endpoints: r replicas, c clients, plus one control endpoint
         // (the cluster handle itself) that exists only to fan out
         // shutdown — which is what lets `Cluster` stay non-generic.
         let total = r + c + 1;
-        let members: Vec<NodeId> = (0..r as u16).map(NodeId).collect();
 
         // Full mesh of SPSC queues: senders[i][(j, t)] sends i → j on
         // shard-group topic t. Replica pairs get one topic per group;
@@ -283,78 +274,27 @@ where
                 }
             }
         }
-
-        let metrics: Vec<Arc<NodeMetrics>> =
-            (0..r).map(|_| Arc::new(NodeMetrics::default())).collect();
-        let core_ids = if self.pin_cores {
-            affinity::get_core_ids().unwrap_or_default()
-        } else {
-            Vec::new()
-        };
-
-        let mut threads = Vec::new();
-        let mut receivers_iter = receivers.into_iter();
-        let mut node_receivers: Vec<PeerReceivers<P::Msg>> = Vec::new();
-        for _ in 0..r {
-            node_receivers.push(receivers_iter.next().expect("replica slot"));
-        }
-        let mut endpoint_receivers: Vec<PeerReceivers<P::Msg>> = receivers_iter.collect();
-        let control_receivers = endpoint_receivers.pop().expect("control slot");
-
-        for (i, rxs) in node_receivers.into_iter().enumerate() {
-            let me = members[i];
-            // One protocol instance per shard group, all hosted on this
-            // slot's single OS thread.
-            let nodes: Vec<P> = (0..shards).map(|_| (self.factory)(&members, me)).collect();
-            let io = MemTransport::new(std::mem::take(&mut senders[i]), rxs);
-            let m = Arc::clone(&metrics[i]);
-            let core = core_ids.get(i % core_ids.len().max(1)).copied();
-            let opts = LoopOpts {
-                batching: self.batching,
-                truncate_every: self.truncate_every,
-                members: members.clone(),
-            };
-            let faults = self.faults.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("replica-{}", me))
-                .spawn(move || {
-                    if let Some(core) = core {
-                        let _ = affinity::set_for_current(core);
-                    }
-                    match faults {
-                        Some(plan) => {
-                            replica_loop(nodes, FaultTransport::new(io, plan.for_node(me)), m, opts)
-                        }
-                        None => replica_loop(nodes, io, m, opts),
-                    }
-                })
-                .expect("spawn replica thread");
-            threads.push(Some(handle));
-        }
-
-        let clients = endpoint_receivers
+        let mut endpoints = senders
             .into_iter()
-            .enumerate()
-            .map(|(j, rxs)| {
-                ClientHandle::with_transport(
-                    NodeId((r + j) as u16),
-                    members.clone(),
-                    MemTransport::new(std::mem::take(&mut senders[r + j]), rxs),
-                    shards,
-                )
+            .zip(receivers)
+            .map(|(txs, rxs)| MemTransport::new(txs, rxs));
+
+        // The factory runs here, on the caller's thread, so it need not
+        // be `Send`; only the finished queue endpoints cross over.
+        let threads = (0..r)
+            .map(|i| {
+                let io = endpoints.next().expect("replica slot");
+                launcher.launch(i, &mut self.factory, move || io)
             })
             .collect();
-
-        let control = MemTransport::new(std::mem::take(&mut senders[r + c]), control_receivers);
-        (
-            Cluster {
-                threads,
-                metrics,
-                fan_shutdown: shutdown_fan(control, members),
-                respawn: None,
-            },
-            clients,
-        )
+        let clients = (r..r + c)
+            .map(|j| {
+                let io = endpoints.next().expect("client slot");
+                ClientHandle::with_transport(NodeId(j as u16), launcher.members.clone(), io, shards)
+            })
+            .collect();
+        let control = endpoints.next().expect("control slot");
+        (launcher.into_cluster(threads, control, None), clients)
     }
 
     /// Spawns the replica threads over loopback TCP sockets — the same
@@ -373,168 +313,192 @@ where
     /// Returns any socket-setup error (bind/connect/accept); once setup
     /// succeeds, runtime socket failures degrade to dropped peers, which
     /// the protocols absorb through their timeout paths.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
     #[allow(clippy::type_complexity)]
     pub fn spawn_tcp(
-        self,
+        mut self,
     ) -> std::io::Result<(Cluster, Vec<ClientHandle<P::Msg, TcpTransport<P::Msg>>>)>
     where
         P::Msg: Codec,
         F: Send + 'static,
     {
-        transport::tighten_timer_slack();
-        let r = self.replicas;
-        let c = self.clients;
-        let shards = self.shards;
-        assert!(shards >= 1, "need at least one shard");
-        let members: Vec<NodeId> = (0..r as u16).map(NodeId).collect();
-
+        let launcher = Launcher::new(&self);
+        let (r, c, shards) = (self.replicas, self.clients, self.config.shards);
         let (listeners, addrs) = transport::bind_replicas(r)?;
-        let replica_addrs: Vec<(NodeId, std::net::SocketAddr)> = members
-            .iter()
-            .zip(addrs.iter())
-            .map(|(&m, &a)| (m, a))
+        let replica_addrs: Vec<(NodeId, std::net::SocketAddr)> =
+            launcher.members.iter().copied().zip(addrs).collect();
+
+        // Boot: a pre-bound listener plus a deterministic blocking
+        // handshake — replica `i` dials every lower slot and accepts
+        // every higher replica, every client, and control.
+        let threads = listeners
+            .into_iter()
+            .enumerate()
+            .map(|(i, listener)| {
+                let me = launcher.members[i];
+                let lower = replica_addrs[..i].to_vec();
+                let expect_accepts = (r - 1 - i) + c + 1;
+                launcher.launch(i, &mut self.factory, move || {
+                    transport::replica_transport::<P::Msg>(me, listener, &lower, expect_accepts)
+                        .expect("tcp replica setup")
+                })
+            })
             .collect();
 
-        let metrics: Vec<Arc<NodeMetrics>> =
-            (0..r).map(|_| Arc::new(NodeMetrics::default())).collect();
-        let core_ids = if self.pin_cores {
-            affinity::get_core_ids().unwrap_or_default()
-        } else {
-            Vec::new()
-        };
-
-        // One spawner serves both the initial boot (a pre-bound
-        // listener plus a deterministic blocking handshake) and a
-        // restart (`Cluster::restart_replica`: rebind the same address,
-        // rejoin lazily through the reconnect lifecycle). The factory
-        // moves behind a mutex so restarts can mint fresh engines long
-        // after this builder is gone.
-        let factory = Arc::new(Mutex::new(self.factory));
-        let batching = self.batching;
-        let truncate_every = self.truncate_every;
-        let faults = self.faults;
-        let spawn_replica = {
-            let members = members.clone();
-            let replica_addrs = replica_addrs.clone();
-            let metrics = metrics.clone();
-            let core_ids = core_ids.clone();
-            move |i: usize, listener: Option<(std::net::TcpListener, usize)>| -> JoinHandle<()> {
-                let me = members[i];
-                let nodes: Vec<P> = {
-                    let mut make = factory.lock().expect("factory mutex");
-                    (0..shards).map(|_| make(&members, me)).collect()
-                };
-                let lower: Vec<(NodeId, std::net::SocketAddr)> = replica_addrs[..i].to_vec();
-                let my_addr = replica_addrs[i].1;
-                let opts = LoopOpts {
-                    batching,
-                    truncate_every,
-                    members: members.clone(),
-                };
-                let m = Arc::clone(&metrics[i]);
-                let core = core_ids.get(i % core_ids.len().max(1)).copied();
-                let faults = faults.clone();
-                std::thread::Builder::new()
-                    .name(format!("replica-{}", me))
-                    .spawn(move || {
-                        if let Some(core) = core {
-                            let _ = affinity::set_for_current(core);
-                        }
-                        let io = match listener {
-                            Some((l, expect_accepts)) => transport::replica_transport::<P::Msg>(
-                                me,
-                                l,
-                                &lower,
-                                expect_accepts,
-                            ),
-                            None => {
-                                transport::rejoin_replica_transport::<P::Msg>(me, my_addr, &lower)
-                            }
-                        }
-                        .expect("tcp replica setup");
-                        match faults {
-                            Some(plan) => replica_loop(
-                                nodes,
-                                FaultTransport::new(io, plan.for_node(me)),
-                                m,
-                                opts,
-                            ),
-                            None => replica_loop(nodes, io, m, opts),
-                        }
-                    })
-                    .expect("spawn replica thread")
-            }
-        };
-
-        let mut threads = Vec::with_capacity(r);
-        for (i, listener) in listeners.into_iter().enumerate() {
-            // Inbound: every higher replica, every client, and control.
-            let expect_accepts = (r - 1 - i) + c + 1;
-            threads.push(Some(spawn_replica(i, Some((listener, expect_accepts)))));
-        }
-
         let mut clients = Vec::with_capacity(c);
-        for j in 0..c {
-            let me = NodeId((r + j) as u16);
+        for j in r..r + c {
+            let me = NodeId(j as u16);
             let io = transport::client_transport::<P::Msg>(me, &replica_addrs)?;
             clients.push(ClientHandle::with_transport(
                 me,
-                members.clone(),
+                launcher.members.clone(),
                 io,
                 shards,
             ));
         }
-
         let control =
             transport::client_transport::<P::Msg>(NodeId((r + c) as u16), &replica_addrs)?;
+
+        // Restart (`Cluster::restart_replica`): fresh engines from the
+        // factory — which moves in here, so restarts can mint them long
+        // after this builder is gone — on the slot's old address,
+        // rejoining lazily through the reconnect lifecycle.
+        let mut factory = self.factory;
+        let respawn: Respawn = Box::new(move |launcher, i| {
+            let (me, my_addr) = replica_addrs[i];
+            let lower = replica_addrs[..i].to_vec();
+            launcher.launch(i, &mut factory, move || {
+                transport::rejoin_replica_transport::<P::Msg>(me, my_addr, &lower)
+                    .expect("tcp replica setup")
+            })
+        });
         Ok((
-            Cluster {
-                threads,
-                metrics,
-                fan_shutdown: shutdown_fan(control, members),
-                respawn: Some(Box::new(move |i| spawn_replica(i, None))),
-            },
+            launcher.into_cluster(threads, control, Some(respawn)),
             clients,
         ))
     }
 }
 
-/// Type-erases a transport into the closure [`Cluster::shutdown`]
-/// drives: one round fans [`Wire::Shutdown`] out to every replica and
-/// briefly drains the send buffers. The round is re-run until every
-/// replica thread is observably gone, because over TCP a shutdown frame
-/// is droppable like any other — the canonical case being a control
-/// link that went stale-dead across a replica restart, where the first
-/// send is lost with the reaped connection and the *retry* rides the
-/// redial to the live replica.
-fn shutdown_fan<M, T>(control: T, members: Vec<NodeId>) -> Box<dyn FnMut() + Send>
-where
-    M: Send + 'static,
-    T: Transport<M> + 'static,
-{
-    let mut control = control;
-    Box::new(move || {
-        for &m in &members {
-            control.send(m, CLIENT_TOPIC, Wire::Shutdown);
+/// Re-spawns replica slot `i` through the cluster's [`Launcher`].
+type Respawn = Box<dyn FnMut(&Launcher, usize) -> JoinHandle<()> + Send>;
+
+/// Everything the incarnations of a cluster's replica slots share, and
+/// the one place a replica thread is started: `spawn` (SPSC mesh),
+/// `spawn_tcp` boot (listener handshake) and `restart_replica` (rebind,
+/// lazy rejoin) differ only in the transport factory they hand to
+/// [`Launcher::launch`].
+struct Launcher {
+    members: Vec<NodeId>,
+    config: EngineConfig,
+    metrics: Vec<Arc<NodeMetrics>>,
+    /// Cores to pin replica threads to; empty without
+    /// [`ClusterBuilder::pin_cores`].
+    core_ids: Vec<affinity::CoreId>,
+    faults: Option<FaultPlan>,
+}
+
+impl Launcher {
+    fn new<P, F>(b: &ClusterBuilder<P, F>) -> Self {
+        transport::tighten_timer_slack();
+        Launcher {
+            members: (0..b.replicas as u16).map(NodeId).collect(),
+            config: b.config,
+            metrics: (0..b.replicas).map(|_| Arc::default()).collect(),
+            core_ids: if b.pin_cores {
+                affinity::get_core_ids().unwrap_or_default()
+            } else {
+                Vec::new()
+            },
+            faults: b.faults.clone(),
         }
-        // Bounded drain: push redials along and flush what can flush —
-        // a permanently-gone peer keeps its backoff entry pending, so
-        // "still busy" must not hold a round open forever.
-        let deadline = Instant::now() + Duration::from_millis(100);
-        while control.flush() && Instant::now() < deadline {
-            std::thread::yield_now();
+    }
+
+    /// Starts replica slot `i`'s thread: engines around one protocol
+    /// instance per shard group from `factory` (built here, on the
+    /// caller's thread), the transport from `make_io` (called on the new
+    /// thread, where a TCP handshake may block), wrapped in the fault
+    /// plan if there is one.
+    fn launch<P, T>(
+        &self,
+        i: usize,
+        factory: &mut impl FnMut(&[NodeId], NodeId) -> P,
+        make_io: impl FnOnce() -> T + Send + 'static,
+    ) -> JoinHandle<()>
+    where
+        P: Protocol + Send + 'static,
+        T: Transport<P::Msg> + 'static,
+    {
+        let (me, members) = (self.members[i], &self.members);
+        let mut engine =
+            ShardedEngine::deploy(self.config, ReplyMode::AfterApply, || factory(members, me));
+        // Here maintenance is on even without truncation: the gap watch
+        // and the boot probe are what let a restarted slot rejoin.
+        engine.enable_maintenance(members, self.config.truncate_every);
+        let core = self.core_ids.get(i % self.core_ids.len().max(1)).copied();
+        let faults = self.faults.as_ref().map(|plan| plan.for_node(me));
+        let metrics = Arc::clone(&self.metrics[i]);
+        std::thread::Builder::new()
+            .name(format!("replica-{me}"))
+            .spawn(move || {
+                if let Some(core) = core {
+                    let _ = affinity::set_for_current(core);
+                }
+                let io = make_io();
+                match faults {
+                    Some(plan) => replica_loop(engine, FaultTransport::new(io, plan), &metrics),
+                    None => replica_loop(engine, io, &metrics),
+                }
+            })
+            .expect("spawn replica thread")
+    }
+
+    /// Assembles the cluster handle around the started `threads`.
+    /// `control`'s transport is type-erased into the closure
+    /// [`Cluster::shutdown`] drives: one round fans [`Wire::Shutdown`]
+    /// out to every replica and briefly drains the send buffers. The
+    /// round is re-run until every replica thread is observably gone,
+    /// because over TCP a shutdown frame is droppable like any other —
+    /// the canonical case being a control link that went stale-dead
+    /// across a replica restart, where the first send is lost with the
+    /// reaped connection and the *retry* rides the redial to the live
+    /// replica.
+    fn into_cluster<M, T>(
+        self,
+        threads: Vec<JoinHandle<()>>,
+        mut control: T,
+        respawn: Option<Respawn>,
+    ) -> Cluster
+    where
+        M: Send + 'static,
+        T: Transport<M> + 'static,
+    {
+        let members = self.members.clone();
+        let fan_shutdown = Box::new(move || {
+            for &m in &members {
+                control.send(m, CLIENT_TOPIC, Wire::Shutdown);
+            }
+            // Bounded drain: push redials along and flush what can flush —
+            // a permanently-gone peer keeps its backoff entry pending, so
+            // "still busy" must not hold a round open forever.
+            let deadline = Instant::now() + Duration::from_millis(100);
+            while control.flush() && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+        });
+        Cluster {
+            threads: threads.into_iter().map(Some).collect(),
+            launcher: self,
+            fan_shutdown,
+            respawn,
         }
-    })
+    }
 }
 
 /// A running cluster of replica threads.
 pub struct Cluster {
     threads: Vec<Option<JoinHandle<()>>>,
-    metrics: Vec<Arc<NodeMetrics>>,
+    /// Owns the per-replica metrics blocks and starts replacement
+    /// incarnations.
+    launcher: Launcher,
     /// The control endpoint's shutdown fan-out, type-erased so `Cluster`
     /// needs no message-type parameter and callers simply write
     /// `cluster.shutdown()`. Each call runs one send-and-drain round.
@@ -543,7 +507,7 @@ pub struct Cluster {
     /// only): rebinds the slot's listener address and rejoins through
     /// the reconnect lifecycle. `None` on shared-memory clusters, whose
     /// SPSC queue endpoints are consumed at spawn.
-    respawn: Option<Box<dyn FnMut(usize) -> JoinHandle<()> + Send>>,
+    respawn: Option<Respawn>,
 }
 
 impl std::fmt::Debug for Cluster {
@@ -557,7 +521,7 @@ impl std::fmt::Debug for Cluster {
 impl Cluster {
     /// Per-replica counters.
     pub fn metrics(&self) -> &[Arc<NodeMetrics>] {
-        &self.metrics
+        &self.launcher.metrics
     }
 
     /// Number of replica threads.
@@ -589,9 +553,10 @@ impl Cluster {
     /// re-knit the mesh without a coordinated handshake.
     ///
     /// The restarted replica boots on a fresh engine and an empty
-    /// store, then rejoins **warm**: its loop probes a peer for a state
-    /// snapshot at boot and again whenever an apply gap persists, and
-    /// installs the `(snapshot, watermark)` it gets back — so it
+    /// store, then rejoins **warm**: its engines' maintenance asks a
+    /// peer for a state snapshot at boot and again whenever an apply gap
+    /// persists, and the `(snapshot, watermark)` that comes back is
+    /// installed — so it
     /// resumes applying from the donor's watermark instead of needing
     /// the (possibly truncated, hence unreplayable) log prefix. What it
     /// still loses is its *acceptor* state — promises and accepted
@@ -613,7 +578,7 @@ impl Cluster {
         if let Some(old) = self.threads[i].take() {
             let _ = old.join();
         }
-        self.threads[i] = Some(respawn(i));
+        self.threads[i] = Some(respawn(&self.launcher, i));
     }
 
     /// Asks every replica to shut down (over the cluster's own control
@@ -683,7 +648,15 @@ fn dispatch_effects<P: Protocol, T: Transport<P::Msg>>(
 /// adaptive batch depth move — and, for the bounded-memory gates, the
 /// retained-state gauges (applied log, retired outputs, finished-txn
 /// records, gap backlog) that must stay flat under periodic truncation.
-fn publish_engine_stats(stats: &EngineStats, metrics: &NodeMetrics) {
+/// `truncations_before` is what earlier incarnations of the slot had
+/// counted: the metrics block outlives a restart, and its truncation
+/// total must not step back when a fresh engine starts from zero.
+fn publish_engine_stats<P: Protocol>(
+    engine: &ShardedEngine<P, KvStore>,
+    truncations_before: u64,
+    metrics: &NodeMetrics,
+) {
+    let stats = engine.merged_stats();
     metrics
         .batch_flushes
         .store(stats.flushes, Ordering::Relaxed);
@@ -699,6 +672,9 @@ fn publish_engine_stats(stats: &EngineStats, metrics: &NodeMetrics) {
     metrics
         .applied_log_len
         .store(stats.applied_log_len as u64, Ordering::Relaxed);
+    metrics
+        .truncations
+        .store(truncations_before + stats.truncations, Ordering::Relaxed);
     metrics
         .outputs_len
         .store(stats.outputs_len as u64, Ordering::Relaxed);
@@ -722,57 +698,32 @@ fn publish_transport_stats(stats: &TransportStats, metrics: &NodeMetrics) {
         .store(stats.corrupt_frames, Ordering::Relaxed);
 }
 
-/// Deployment knobs a replica loop needs beyond its engines, bundled so
-/// both transports' spawn paths (and TCP restarts) hand them over in
-/// one piece.
-#[derive(Clone)]
-struct LoopOpts {
-    batching: Option<BatchConfig>,
-    /// Leader-driven periodic agreed truncation
-    /// ([`ClusterBuilder::truncate_every`]); `None` never truncates.
-    truncate_every: Option<u64>,
-    /// The full replica membership — the snapshot donor pool.
-    members: Vec<NodeId>,
+/// Sends the catch-up requests the engines' maintenance has queued
+/// (boot probes, persistent apply gaps) to their donors, each on its
+/// shard group's topic.
+fn send_snapshot_requests<P: Protocol, T: Transport<P::Msg>>(
+    engine: &mut ShardedEngine<P, KvStore>,
+    io: &mut T,
+    metrics: &NodeMetrics,
+) {
+    for (shard, donor, have) in engine.take_snapshot_requests() {
+        let shard = shard.0;
+        io.send(donor, shard, Wire::SnapshotRequest { shard, have });
+        metrics.sent.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
-/// Cadence of the replica loop's background duties (snapshot catch-up
-/// probing, periodic truncation proposals, truncation accounting), so
-/// the hot path stays message-driven.
-const MAINT_INTERVAL: Duration = Duration::from_millis(5);
-
-/// How long an apply gap must persist before the loop treats it as
-/// unfillable by replay (the missing prefix may be truncated everywhere)
-/// and requests a snapshot transfer. Transient reorder gaps close well
-/// inside this window; the patience also paces re-requests while a
-/// transfer is in flight.
-const GAP_PATIENCE: Duration = Duration::from_millis(15);
-
+/// Drives one replica slot: the engines own timers, commits, the KV
+/// replicas and reply records; this loop owns only the transport IO.
 fn replica_loop<P: Protocol, T: Transport<P::Msg>>(
-    nodes: Vec<P>,
+    mut engine: ShardedEngine<P, KvStore>,
     mut io: T,
-    metrics: Arc<NodeMetrics>,
-    opts: LoopOpts,
+    metrics: &NodeMetrics,
 ) {
     let start = Instant::now();
     let now_ns = || start.elapsed().as_nanos() as Nanos;
-    let me = nodes.first().expect("at least one shard").node_id();
-    let peers: Vec<NodeId> = opts.members.iter().copied().filter(|&p| p != me).collect();
-    // The engines own timers, commits, the KV replicas and reply
-    // records; this loop owns only the transport IO. History off: a
-    // live cluster serves traffic indefinitely and must not grow
-    // per-command records (metrics carry the counters instead).
-    let mut nodes = nodes.into_iter();
-    let shard_count = nodes.len() as u16;
-    let mut engine = ShardedEngine::new(shard_count, |shard| {
-        ReplicaEngine::with_reply_mode(
-            nodes.next().expect("one node per shard"),
-            KvStore::new(),
-            ReplyMode::AfterApply,
-        )
-        .with_history(false)
-        .with_shard(shard)
-    });
-    engine.set_batching(opts.batching);
+    let shard_count = engine.shards();
+    let truncations_before = metrics.truncations.load(Ordering::Relaxed);
     let mut effects: Effects<P> = Vec::new();
     // Relaxed reads caught inside a 2PC lock window, waiting it out
     // ("a read arriving inside the gap waits for the lock window to
@@ -780,29 +731,9 @@ fn replica_loop<P: Protocol, T: Transport<P::Msg>>(
     let mut pending_reads: Vec<(NodeId, u64, u64)> = Vec::new();
 
     engine.start(now_ns(), &mut effects);
-    dispatch_effects::<P, T>(&mut effects, &mut io, &metrics);
-    publish_engine_stats(&engine.merged_stats(), &metrics);
-
-    // Boot-time catch-up probe: a replica (re)joining a cluster that has
-    // been running asks one peer per shard group for a snapshot outright,
-    // so a restarted slot rejoins warm even when no client traffic is
-    // flowing. On a genuinely fresh cluster every donor refuses (it has
-    // nothing newer than watermark 0) and the probes are the end of it.
-    for s in 0..shard_count {
-        if let Some(&donor) = peers.get((me.0 as usize + s as usize) % peers.len().max(1)) {
-            io.send(donor, s, Wire::SnapshotRequest { shard: s, have: 0 });
-            metrics.sent.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    // Per-shard maintenance state: when the current apply gap was first
-    // seen (None while there is none), the last observed log base (for
-    // the truncation counter), and a rotating donor cursor staggered by
-    // node id so concurrent catch-ups spread over the cluster.
-    let mut gap_since: Vec<Option<Instant>> = vec![None; shard_count as usize];
-    let mut last_base: Vec<Instance> = vec![0; shard_count as usize];
-    let mut donor_rr = me.0 as usize;
-    let mut last_maint = Instant::now();
+    dispatch_effects::<P, T>(&mut effects, &mut io, metrics);
+    send_snapshot_requests(&mut engine, &mut io, metrics);
+    publish_engine_stats(&engine, truncations_before, metrics);
 
     let mut idle_spins: u32 = 0;
     let mut idle_nap = transport::IDLE_NAP_FLOOR;
@@ -815,12 +746,15 @@ fn replica_loop<P: Protocol, T: Transport<P::Msg>>(
         // three integer equality checks.
         let io_stats = io.stats();
         if io_stats != last_io {
-            publish_transport_stats(&io_stats, &metrics);
+            publish_transport_stats(&io_stats, metrics);
             last_io = io_stats;
         }
-        // Fire due timers across every shard group.
+        // Fire due timers across every shard group — the protocols',
+        // batch flushes, and the maintenance tick whose catch-up
+        // requests leave here.
         if engine.fire_due(now_ns(), &mut effects) > 0 {
-            dispatch_effects::<P, T>(&mut effects, &mut io, &metrics);
+            dispatch_effects::<P, T>(&mut effects, &mut io, metrics);
+            send_snapshot_requests(&mut engine, &mut io, metrics);
             progressed = true;
         }
         // One syscall sweep over every connection, then drain a bounded
@@ -873,22 +807,17 @@ fn replica_loop<P: Protocol, T: Transport<P::Msg>>(
                 }
                 Wire::Reply { .. } | Wire::ReadValue { .. } => {} // replicas ignore replies
                 Wire::SnapshotRequest { shard, have } => {
-                    // Serve a catching-up peer — but only a snapshot
-                    // strictly past what it already has, so stale or
-                    // boot-time probes against an empty group go
-                    // unanswered instead of bouncing watermark-0 state.
+                    // Serve a catching-up peer, if the engine has
+                    // anything newer to offer.
                     if shard < shard_count {
-                        let snap = engine.snapshot_shard(ShardId(shard));
-                        if snap.watermark > have {
-                            let watermark = snap.watermark;
-                            let bytes = encode_to_vec(&snap);
+                        if let Some(snap) = engine.serve_snapshot(ShardId(shard), have) {
                             io.send(
                                 from,
                                 shard,
                                 Wire::Snapshot {
                                     shard,
-                                    watermark,
-                                    bytes,
+                                    watermark: snap.watermark,
+                                    bytes: encode_to_vec(&snap),
                                 },
                             );
                             metrics.snapshots_served.fetch_add(1, Ordering::Relaxed);
@@ -914,14 +843,13 @@ fn replica_loop<P: Protocol, T: Transport<P::Msg>>(
                                 && engine.install_shard_snapshot(ShardId(shard), snap)
                             {
                                 metrics.snapshots_installed.fetch_add(1, Ordering::Relaxed);
-                                gap_since[shard as usize] = None;
                             }
                         }
                     }
                 }
                 Wire::Shutdown => return,
             }
-            dispatch_effects::<P, T>(&mut effects, &mut io, &metrics);
+            dispatch_effects::<P, T>(&mut effects, &mut io, metrics);
         }
         // Retry relaxed reads whose lock window may have closed.
         if !pending_reads.is_empty() {
@@ -938,82 +866,10 @@ fn replica_loop<P: Protocol, T: Transport<P::Msg>>(
             }
             pending_reads = still;
         }
-        // Low-frequency maintenance: snapshot catch-up and the leader's
-        // periodic truncation proposals run off a coarse clock so the
-        // per-message path above never scans the shard groups.
-        if last_maint.elapsed() >= MAINT_INTERVAL {
-            last_maint = Instant::now();
-            for s in 0..shard_count {
-                let shard = ShardId(s);
-                let (backlog, next, base, leading) = {
-                    let e = engine.shard(shard);
-                    let a = e.applier();
-                    (
-                        a.gap_backlog(),
-                        a.applied_up_to().map_or(0, |i| i + 1),
-                        a.log_base(),
-                        e.node().is_leader(),
-                    )
-                };
-                if base > last_base[s as usize] {
-                    metrics.truncations.fetch_add(1, Ordering::Relaxed);
-                    last_base[s as usize] = base;
-                }
-                // An apply gap that outlives the patience window cannot
-                // be assumed replay-fillable — the missing prefix may be
-                // truncated on every peer — so fetch a snapshot. The
-                // re-arm paces retries and rotates donors until the gap
-                // closes (by install or by late-arriving instances).
-                if backlog > 0 {
-                    let since = *gap_since[s as usize].get_or_insert_with(Instant::now);
-                    if since.elapsed() >= GAP_PATIENCE && !peers.is_empty() {
-                        let donor = peers[donor_rr % peers.len()];
-                        donor_rr += 1;
-                        io.send(
-                            donor,
-                            s,
-                            Wire::SnapshotRequest {
-                                shard: s,
-                                have: next,
-                            },
-                        );
-                        metrics.sent.fetch_add(1, Ordering::Relaxed);
-                        gap_since[s as usize] = Some(Instant::now());
-                        progressed = true;
-                    }
-                } else {
-                    gap_since[s as usize] = None;
-                }
-                // Leader-driven agreed truncation: once `every` commands
-                // sit applied above the log base, order a Truncate at the
-                // applied watermark through the group's own log. Proposed
-                // as client `me` (the transport drops the self-addressed
-                // reply); req_id = watermark keeps the ids monotone for
-                // the applier's session dedup even across restarts of
-                // this slot, and makes re-proposals of the same watermark
-                // idempotent.
-                if let Some(every) = opts.truncate_every {
-                    if leading && next.saturating_sub(base) >= every {
-                        engine.handle(
-                            shard,
-                            EngineEvent::ClientRequest {
-                                client: me,
-                                req_id: next,
-                                op: Op::Truncate { watermark: next },
-                            },
-                            now_ns(),
-                            &mut effects,
-                        );
-                        dispatch_effects::<P, T>(&mut effects, &mut io, &metrics);
-                        progressed = true;
-                    }
-                }
-            }
-        }
         if progressed {
             idle_spins = 0;
             idle_nap = transport::IDLE_NAP_FLOOR;
-            publish_engine_stats(&engine.merged_stats(), &metrics);
+            publish_engine_stats(&engine, truncations_before, metrics);
         } else if idle_spins < transport::IDLE_SPINS {
             // Recently busy: stay hot for a few polls — inbound frames
             // on loopback usually land within microseconds.

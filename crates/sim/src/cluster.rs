@@ -29,15 +29,16 @@
 //! processes placed on one core **serialize** on it (sharding buys
 //! nothing), while the default identity placement spreads them so
 //! throughput scales with the cores hosting shard leaders. The engines
-//! own protocol dispatch, timers, commits and the applied KV replicas,
-//! while this module only prices the resulting [`EngineEffect`]s in CPU
-//! time and moves them between cores.
+//! own protocol dispatch, timers, commits, the applied KV replicas and
+//! background maintenance, while this module only prices what they emit
+//! — [`EngineEffect`]s and queued snapshot requests — in CPU time and
+//! moves it between cores.
 
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 use onepaxos::engine::{
-    BatchConfig, EngineConfig, EngineEffect, EngineEvent, EngineStats, ReplicaEngine,
+    BatchConfig, EngineConfig, EngineEffect, EngineEvent, EngineStats, ReplicaEngine, ReplyMode,
 };
 use onepaxos::kv::KvStore;
 use onepaxos::rsm::ApplierSnapshot;
@@ -227,15 +228,20 @@ pub struct RunReport {
     /// prepare that parked in a shard's lock-wait queue — retries in
     /// the conflict sense, not the message-loss sense.
     pub txn_retries: u64,
-    /// Agreed truncations observed by the maintenance loop, summed over
-    /// replica-shard processes (each replica counts its own log-base
-    /// advances, so one agreed truncation of a 3-replica group counts up
-    /// to 3 here). Zero unless [`SimBuilder::truncate_every`] is set.
+    /// Log-base advances counted by the engines
+    /// ([`EngineStats::truncations`]), summed over replica-shard
+    /// processes and their reset predecessors (each replica counts its
+    /// own, so one agreed truncation of a 3-replica group counts up to 3
+    /// here). Zero unless [`SimBuilder::truncate_every`] is set.
     pub truncations: u64,
     /// State snapshots installed by lagging replicas during
     /// snapshot-install catch-up. Zero unless
     /// [`SimBuilder::truncate_every`] is set.
     pub snapshots_installed: u64,
+    /// Every catch-up request the engines' maintenance emitted, as
+    /// `(requester, donor)` replica slots in send order — boot probes
+    /// included. Empty unless [`SimBuilder::truncate_every`] is set.
+    pub snapshot_requests: Vec<(usize, usize)>,
 }
 
 impl RunReport {
@@ -316,17 +322,11 @@ enum WorkItem<M> {
     /// Joint-mode local read waiting for the replica's 2PC lock window to
     /// close (§7.5): polls until the copy is readable again.
     LocalReadWait { req_id: u64, key: u64 },
-    /// Periodic bounded-memory maintenance tick on a replica-shard
-    /// process — scheduled only when [`SimBuilder::truncate_every`] is
-    /// set, so default runs replay byte-identically. The shard's leader
-    /// proposes an agreed [`Op::Truncate`] once enough commands sit
-    /// applied above the log base, and a replica that has fallen behind
-    /// the group asks a peer for a state snapshot.
-    MaintCheck,
-    /// A snapshot request arriving at a donor replica-shard process:
-    /// `for_proc` is the lagging requester, `have` its applied
-    /// watermark. The donor serializes and transmits its snapshot
-    /// (`snapshot + marshal + tx` of CPU) only when strictly newer.
+    /// A snapshot request (queued by the requester's engine maintenance)
+    /// arriving at a donor replica-shard process: `for_proc` is the
+    /// requester, `have` its applied watermark. The donor serializes and
+    /// transmits its snapshot (`snapshot + marshal + tx` of CPU) only
+    /// when its engine offers one.
     SnapshotServe { for_proc: usize, have: Instance },
     /// A state snapshot arriving at a lagging replica-shard process;
     /// installing costs `rx + snapshot` of CPU.
@@ -358,18 +358,6 @@ enum Event<M> {
 
 /// Poll interval while a local/relaxed read waits out a lock window.
 const LOCAL_READ_POLL: Nanos = 2_000;
-
-/// Interval between [`WorkItem::MaintCheck`] ticks — the sim analogue of
-/// the runtime's coarse maintenance clock. Coarse on purpose: truncation
-/// and catch-up are background work and must not dominate the priced CPU.
-const MAINT_TICK: Nanos = 500_000;
-
-/// Client id under which the maintenance loop proposes agreed
-/// truncations. No process owns it, so the commit's reply is dropped at
-/// the effect layer — the sim equivalent of the runtime transports
-/// dropping self-addressed truncation replies. `req_id` = proposed
-/// watermark keeps ids monotone for the applier's session dedup.
-const TRUNC_CLIENT: NodeId = NodeId(0x7F00);
 
 /// How long the conflict-aware scheduler holds back work aimed at a
 /// contended key: one typical batch-flush window, long enough for the
@@ -461,7 +449,7 @@ pub struct SimBuilder<P, F> {
     profile: Profile,
     replicas: usize,
     clients: usize,
-    shards: u16,
+    config: EngineConfig,
     joint: bool,
     factory: F,
     workload: Workload,
@@ -476,8 +464,6 @@ pub struct SimBuilder<P, F> {
     seed: u64,
     spread_clients: bool,
     placement: Option<Vec<usize>>,
-    batching: Option<BatchConfig>,
-    truncate_every: Option<u64>,
     _marker: std::marker::PhantomData<fn() -> P>,
 }
 
@@ -487,7 +473,7 @@ impl<P, F> std::fmt::Debug for SimBuilder<P, F> {
             .field("profile", &self.profile.name)
             .field("replicas", &self.replicas)
             .field("clients", &self.clients)
-            .field("shards", &self.shards)
+            .field("shards", &self.config.shards)
             .field("joint", &self.joint)
             .finish_non_exhaustive()
     }
@@ -505,7 +491,7 @@ where
             profile,
             replicas: 3,
             clients: 1,
-            shards: 1,
+            config: EngineConfig::new(),
             joint: false,
             factory,
             workload: Workload::Noop,
@@ -520,18 +506,16 @@ where
             seed: 0xC0FFEE,
             spread_clients: false,
             placement: None,
-            batching: None,
-            truncate_every: None,
             _marker: std::marker::PhantomData,
         }
     }
 
-    /// Applies a shared [`EngineConfig`] — the same shard-count/batching
-    /// shape accepted by `TestNet::builder` and `ClusterBuilder`, so one
-    /// config value can describe a deployment across all three harnesses.
+    /// Replaces the deployment shape with a shared [`EngineConfig`] —
+    /// shard count, batching and truncation, the same value accepted by
+    /// `TestNet::builder` and `ClusterBuilder`, so one config describes a
+    /// deployment across all three harnesses.
     pub fn config(mut self, cfg: EngineConfig) -> Self {
-        self.shards = cfg.shards;
-        self.batching = cfg.batching;
+        self.config = cfg;
         self
     }
 
@@ -543,7 +527,7 @@ where
     /// own flush depth from its own load (final controller state lands
     /// in [`RunReport::engine_stats`]). Default off.
     pub fn batching(mut self, cfg: BatchConfig) -> Self {
-        self.batching = Some(cfg);
+        self.config = self.config.batching(cfg);
         self
     }
 
@@ -560,8 +544,12 @@ where
     /// core, so agreement throughput multiplies with the shard count —
     /// co-locate them via [`Self::placement`] to model fewer cores.
     /// Requires non-joint mode.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is zero.
     pub fn shards(mut self, s: u16) -> Self {
-        self.shards = s;
+        self.config = self.config.shards(s);
         self
     }
 
@@ -645,18 +633,16 @@ where
         self
     }
 
-    /// Enables periodic agreed log truncation (and with it the
-    /// snapshot-install catch-up path): each shard's leader orders an
-    /// `Op::Truncate` through the group's own log whenever `every` or
-    /// more commands sit applied above the log base, so replica memory
-    /// stays bounded over duration-mode runs. A replica that falls an
-    /// `every` behind the group (or sits on a persistent apply gap)
-    /// fetches a peer snapshot, priced by the profile's `snapshot` cost
-    /// on both sides of the transfer. Default off — and when off, no
-    /// maintenance event is ever scheduled, so existing seeded runs
-    /// replay unchanged.
+    /// Enables periodic agreed log truncation
+    /// ([`EngineConfig::truncate_every`]) and with it the engines'
+    /// background maintenance, so replica memory stays bounded over
+    /// duration-mode runs: a replica sitting on a persistent apply gap
+    /// (or booting after a reset) asks a peer for a snapshot, priced by
+    /// the profile's `snapshot` cost on both sides of the transfer.
+    /// Default off — and when off, maintenance is never enabled, so no
+    /// timer or event of it exists and seeded runs replay unchanged.
     pub fn truncate_every(mut self, every: u64) -> Self {
-        self.truncate_every = Some(every.max(1));
+        self.config = self.config.truncate_every(every);
         self
     }
 
@@ -699,8 +685,7 @@ where
     /// sharding is combined with joint mode, or if a protocol violates
     /// commit consistency (the safety oracle).
     pub fn run(mut self) -> RunReport {
-        let shards = self.shards as usize;
-        assert!(shards >= 1, "need at least one shard");
+        let shards = self.config.shards as usize;
         assert!(
             !(self.joint && shards > 1),
             "sharding is not supported in joint mode"
@@ -718,24 +703,20 @@ where
         assert!(self.replicas >= 1, "need at least one replica");
 
         let members: Vec<NodeId> = (0..self.replicas as u16).map(NodeId).collect();
-        let batching = self.batching;
-        let shard_count = self.shards;
+        let config = self.config;
+        let shard_count = config.shards;
         let factory = &mut self.factory;
-        let engines: Vec<ShardedEngine<P, KvStore>> = members
-            .iter()
-            // History off: the sim asserts safety through its own global
-            // oracle, and long duration-mode runs must not accumulate
-            // per-replica commit/reply logs.
-            .map(|&me| {
-                let mut e = ShardedEngine::new(shard_count, |shard| {
-                    ReplicaEngine::new(factory(&members, me), KvStore::new())
-                        .with_history(false)
-                        .with_shard(shard)
-                });
-                e.set_batching(batching);
-                e
-            })
-            .collect();
+        // Maintenance only with truncation, so default runs keep their
+        // exact event schedule.
+        let mut build = |me: NodeId| {
+            let mut e =
+                ShardedEngine::deploy(config, ReplyMode::Immediate, || factory(&members, me));
+            if config.truncate_every.is_some() {
+                e.enable_maintenance(&members, config.truncate_every);
+            }
+            e
+        };
+        let engines: Vec<ShardedEngine<P, KvStore>> = members.iter().map(|&me| build(me)).collect();
         // One pre-built fresh engine per scheduled reset, constructed up
         // front because the factory is consumed before the sim runs.
         let spare_engines: Vec<Option<ShardedEngine<P, KvStore>>> = self
@@ -743,14 +724,7 @@ where
             .iter()
             .map(|&(_, r)| {
                 assert!(r < self.replicas, "reset of nonexistent replica {r}");
-                let me = members[r];
-                let mut e = ShardedEngine::new(shard_count, |shard| {
-                    ReplicaEngine::new(factory(&members, me), KvStore::new())
-                        .with_history(false)
-                        .with_shard(shard)
-                });
-                e.set_batching(batching);
-                Some(e)
+                Some(build(members[r]))
             })
             .collect();
         let n_replicas = self.replicas;
@@ -842,11 +816,9 @@ where
             total_messages: 0,
             txn_aborts: 0,
             txn_retries: 0,
-            truncate_every: self.truncate_every,
-            gap_seen: vec![false; n_replica_procs],
-            last_base: vec![0; n_replica_procs],
-            truncations: 0,
+            retired_truncations: 0,
             snapshots_installed: 0,
+            snapshot_requests: Vec::new(),
             spare_engines,
             reset_epochs: vec![0; n_replicas],
             stopped: false,
@@ -871,13 +843,6 @@ where
         for j in 0..sim.clients.len() {
             let proc = sim.clients[j].proc;
             sim.push_work(0, proc, WorkItem::SendNext);
-        }
-        // Maintenance ticks only exist when truncation is enabled, so
-        // default runs keep their exact event schedule (seed-stable).
-        if sim.truncate_every.is_some() {
-            for proc in 0..sim.n_replica_procs() {
-                sim.push_work(MAINT_TICK, proc, WorkItem::MaintCheck);
-            }
         }
         for f in &self.faults {
             sim.push(
@@ -943,19 +908,13 @@ struct ClusterSim<P: Protocol> {
     txn_aborts: u64,
     /// Lock-wait re-probes deferred by the conflict-aware scheduler.
     txn_retries: u64,
-    /// Truncation threshold; `None` disables all maintenance events.
-    truncate_every: Option<u64>,
-    /// Per-replica-shard process: whether the previous MaintCheck already
-    /// saw it lagging — a snapshot is requested only on the second
-    /// consecutive sighting (the runtime's gap-patience, in tick units).
-    gap_seen: Vec<bool>,
-    /// Per-replica-shard process: last observed log base, to count
-    /// truncations as base advances.
-    last_base: Vec<Instance>,
-    /// Log-base advances observed across replica-shard processes.
-    truncations: u64,
+    /// Truncations counted by engines since replaced by a reset (the
+    /// live engines carry the rest in their stats).
+    retired_truncations: u64,
     /// Peer snapshots installed by lagging replicas.
     snapshots_installed: u64,
+    /// `(requester, donor)` replica slots of every catch-up request.
+    snapshot_requests: Vec<(usize, usize)>,
     /// Fresh engines awaiting their scheduled [`Event::ResetReplica`].
     spare_engines: Vec<Option<ShardedEngine<P, KvStore>>>,
     /// Times each replica slot has been reset (spaces the batch-sequence
@@ -1055,7 +1014,8 @@ impl<P: Protocol> ClusterSim<P> {
     /// peer snapshot fills it.
     fn reset_replica(&mut self, r: usize, idx: usize, at: Nanos) {
         let fresh = self.spare_engines[idx].take().expect("one spare per reset");
-        self.engines[r] = fresh;
+        let dead = std::mem::replace(&mut self.engines[r], fresh);
+        self.retired_truncations += dead.merged_stats().truncations;
         self.reset_epochs[r] += 1;
         self.engines[r]
             .set_batch_seq_floor(self.reset_epochs[r] * ReplicaEngine::<P, KvStore>::BATCH_EPOCH);
@@ -1063,8 +1023,6 @@ impl<P: Protocol> ClusterSim<P> {
             let shard = ShardId(s as u16);
             let proc = self.proc_of(r, shard);
             self.timer_wake[proc] = None;
-            self.gap_seen[proc] = false;
-            self.last_base[proc] = 0;
             let mut effects = std::mem::take(&mut self.scratch);
             self.engines[r]
                 .shard_mut(shard)
@@ -1138,12 +1096,6 @@ impl<P: Protocol> ClusterSim<P> {
                     value,
                     ..
                 } => {
-                    if client == TRUNC_CLIENT {
-                        // Maintenance-proposed truncation: nobody waits
-                        // for this reply (the runtime's transports drop
-                        // it the same way).
-                        continue;
-                    }
                     let to_proc = client.index();
                     let value = value.flatten();
                     if to_proc == proc {
@@ -1174,6 +1126,19 @@ impl<P: Protocol> ClusterSim<P> {
                     );
                 }
             }
+        }
+        // A catch-up request the engine's maintenance queued during this
+        // step (boot probe or persistent gap) leaves like any message.
+        if let Some((donor, have)) = self.engines[r].shard_mut(shard).take_snapshot_request() {
+            service += out_cost;
+            self.server_messages += 1;
+            self.total_messages += 1;
+            self.snapshot_requests.push((r, donor.index()));
+            let item = WorkItem::SnapshotServe {
+                for_proc: proc,
+                have,
+            };
+            outbound.push((self.proc_of(donor.index(), shard), item));
         }
         let done = start + service;
         for (to_proc, item) in outbound {
@@ -1750,93 +1715,13 @@ impl<P: Protocol> ClusterSim<P> {
                     .expect("checked");
                 self.client_transmit(j, req_id, op, start, epoch)
             }
-            WorkItem::MaintCheck => {
-                debug_assert!(self.is_replica_proc(proc));
-                let Some(every) = self.truncate_every else {
-                    return 0;
-                };
-                // Re-arm first: maintenance outlives any one tick.
-                self.push_work(start + MAINT_TICK, proc, WorkItem::MaintCheck);
-                let (r, s) = self.replica_of(proc);
-                let (backlog, next, base) = {
-                    let a = self.engines[r].shard(s).applier();
-                    (
-                        a.gap_backlog(),
-                        a.applied_up_to().map_or(0, |i| i + 1),
-                        a.log_base(),
-                    )
-                };
-                let mut service = scaled(self.profile.timer_cost);
-                if base > self.last_base[proc] {
-                    self.truncations += 1;
-                    self.last_base[proc] = base;
-                }
-                // Catch-up trigger: a persistent apply gap, or trailing
-                // the group by a full truncation threshold (a slow core
-                // whose queue backed up). Two consecutive sightings
-                // before asking — the runtime's gap-patience in tick
-                // units — and the donor is the group's most advanced
-                // peer (the sim is omniscient where the runtime
-                // round-robins).
-                let (donor, group_max) = (0..self.engines.len())
-                    .filter(|&rr| rr != r)
-                    .map(|rr| {
-                        let a = self.engines[rr].shard(s).applier();
-                        (rr, a.applied_up_to().map_or(0, |i| i + 1))
-                    })
-                    .max_by_key(|&(_, n)| n)
-                    .map_or((r, next), |(rr, n)| (rr, n));
-                let lagging = backlog > 0 || next + every < group_max;
-                if lagging && donor != r {
-                    if self.gap_seen[proc] {
-                        // Pace retries: one request every other tick.
-                        self.gap_seen[proc] = false;
-                        service +=
-                            ((self.profile.tx + self.profile.marshal) as f64 * slowdown) as Nanos;
-                        self.server_messages += 1;
-                        self.total_messages += 1;
-                        let donor_proc = self.proc_of(donor, s);
-                        self.deliver(
-                            proc,
-                            donor_proc,
-                            start + service,
-                            WorkItem::SnapshotServe {
-                                for_proc: proc,
-                                have: next,
-                            },
-                        );
-                    } else {
-                        self.gap_seen[proc] = true;
-                    }
-                } else {
-                    self.gap_seen[proc] = false;
-                }
-                // Leader-driven agreed truncation at the applied
-                // watermark, ordered through the group's own log like
-                // any client command.
-                if self.engines[r].shard(s).node().is_leader() && next.saturating_sub(base) >= every
-                {
-                    service += self.engine_step(
-                        proc,
-                        EngineEvent::ClientRequest {
-                            client: TRUNC_CLIENT,
-                            req_id: next,
-                            op: Op::Truncate { watermark: next },
-                        },
-                        start,
-                        scaled(self.profile.handle),
-                    );
-                }
-                service
-            }
             WorkItem::SnapshotServe { for_proc, have } => {
                 debug_assert!(self.is_replica_proc(proc));
                 let (r, s) = self.replica_of(proc);
                 let base = scaled(self.profile.rx);
-                let snap = self.engines[r].snapshot_shard(s);
-                if snap.watermark <= have {
+                let Some(snap) = self.engines[r].serve_snapshot(s, have) else {
                     return base; // nothing newer to offer
-                }
+                };
                 let service =
                     base + scaled(self.profile.snapshot + self.profile.marshal + self.profile.tx);
                 self.server_messages += 1;
@@ -1853,10 +1738,8 @@ impl<P: Protocol> ClusterSim<P> {
                 debug_assert!(self.is_replica_proc(proc));
                 let (r, s) = self.replica_of(proc);
                 let service = scaled(self.profile.rx + self.profile.snapshot);
-                if self.engines[r].install_shard_snapshot(s, snap) {
-                    self.snapshots_installed += 1;
-                    self.gap_seen[proc] = false;
-                }
+                self.snapshots_installed +=
+                    u64::from(self.engines[r].install_shard_snapshot(s, snap));
                 service
             }
         }
@@ -1933,11 +1816,12 @@ impl<P: Protocol> ClusterSim<P> {
             .map(|c| c.busy as f64 / ended_at.max(1) as f64)
             .collect();
         let replica_digests = self.engines.iter().map(ShardedEngine::kv_digest).collect();
-        let engine_stats = self
+        let engine_stats: Vec<EngineStats> = self
             .engines
             .iter()
             .flat_map(|e| e.iter().map(|(s, _)| e.stats(s)).collect::<Vec<_>>())
             .collect();
+        let live_truncations: u64 = engine_stats.iter().map(|s| s.truncations).sum();
         RunReport {
             completed: self.completed_in_window,
             duration,
@@ -1952,8 +1836,9 @@ impl<P: Protocol> ClusterSim<P> {
             engine_stats,
             txn_aborts: self.txn_aborts,
             txn_retries: self.txn_retries,
-            truncations: self.truncations,
+            truncations: self.retired_truncations + live_truncations,
             snapshots_installed: self.snapshots_installed,
+            snapshot_requests: self.snapshot_requests,
         }
     }
 }
@@ -2512,5 +2397,30 @@ mod tests {
             r.snapshots_installed > 0,
             "restarted replica never installed a snapshot"
         );
+    }
+
+    #[test]
+    fn restarted_replica_asks_the_donor_its_engine_rotates_to() {
+        // Parity with the other harnesses: in the scenario above the
+        // requester, donor and timing of every catch-up request come from
+        // the engine's maintenance policy — no omniscient "most advanced
+        // peer". The three boot probes at t=0 go to the staggered first
+        // donor (the peer list minus self, cursor = node id) and find
+        // nothing; after the reset only slot 2 ever asks, starting over
+        // at its first donor.
+        let r = SimBuilder::new(Profile::opteron8(), |m, me| OnePaxosNode::new(cfg(m, me)))
+            .clients(5)
+            .duration(300_000_000)
+            .truncate_every(300)
+            .reset_replica(100_000_000, 2)
+            .run();
+        let first_donor = |me: usize| [0, 1, 2].into_iter().filter(|&p| p != me).nth(me % 2);
+        let (boot, later) = r.snapshot_requests.split_at(3);
+        for (me, &(from, donor)) in boot.iter().enumerate() {
+            assert_eq!((from, Some(donor)), (me, first_donor(me)), "boot probe");
+        }
+        assert_eq!(later.first(), Some(&(2, first_donor(2).unwrap())));
+        assert!(later.iter().all(|&(from, donor)| from == 2 && donor != 2));
+        assert!(r.snapshots_installed as usize <= later.len());
     }
 }
