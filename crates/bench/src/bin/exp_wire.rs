@@ -14,10 +14,9 @@
 //!
 //! Records throughput and the client-observed latency distribution
 //! (p50/p99) per transport in `BENCH_wire.json`. Gates: progress on
-//! both transports, a tcp/mem throughput-ratio floor (default 0.2, a
-//! regression backstop under the ~0.39 measured band; override with
-//! `WIRE_MIN_RATIO`), and — on full runs — the sim prediction landing
-//! within a small factor of the measured tcp row.
+//! both transports, a tcp/mem throughput-ratio floor (0.2, a regression
+//! backstop under the ~0.39 measured band), and — on full runs — the sim
+//! prediction landing within a small factor of the measured tcp row.
 //!
 //! Usage: `exp_wire [--smoke] [--out PATH]`
 
@@ -33,6 +32,11 @@ use onepaxos_runtime::{ClientHandle, ClusterBuilder, Transport};
 
 /// Replicas in every deployment (the paper's f=1 triple).
 const REPLICAS: usize = 3;
+
+/// Floor on tcp/mem throughput: a backstop under the measured band
+/// (~0.39 full, ~0.3 smoke on a single-core box, where mem's 7.5 µs/op
+/// leaves TCP's ~8 µs of unavoidable data-syscall cost nowhere to hide).
+const MIN_RATIO: f64 = 0.2;
 
 /// Relaxed protocol timers: CI machines oversubscribe their cores, and
 /// the TCP rows add scheduler + syscall latency on top.
@@ -239,18 +243,10 @@ fn main() {
         );
     }
 
-    // Gate 2: the tcp/mem throughput ratio must not regress. The default
-    // floor is a backstop under the measured band (~0.39 full, ~0.3
-    // smoke on this single-core box, where mem's 7.5 µs/op leaves TCP's
-    // ~8 µs of unavoidable data-syscall cost nowhere to hide); CI can
-    // tighten it via WIRE_MIN_RATIO on hardware with spare cores.
-    let min_ratio: f64 = std::env::var("WIRE_MIN_RATIO")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.2);
+    // Gate 2: the tcp/mem throughput ratio must not regress.
     assert!(
-        ratio >= min_ratio,
-        "tcp throughput fell to {ratio:.2}x of mem (floor {min_ratio})"
+        ratio >= MIN_RATIO,
+        "tcp throughput fell to {ratio:.2}x of mem (floor {MIN_RATIO})"
     );
 
     // Gate 3 (full runs only — smoke windows are too short to trust):

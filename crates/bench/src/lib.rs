@@ -3,10 +3,9 @@
 //!
 //! Each `fig*`/`tab*`/`sec*`/`exp*` module computes the data behind one
 //! paper artifact; the binaries under `src/bin/` print them as aligned
-//! tables next to the paper's reference values, and the criterion benches
-//! under `benches/` exercise the same paths. See `DESIGN.md` §3 for the
-//! experiment index and `EXPERIMENTS.md` for recorded paper-vs-measured
-//! results.
+//! tables next to the paper's reference values. See `DESIGN.md` §3 for
+//! the experiment index and `EXPERIMENTS.md` for recorded
+//! paper-vs-measured results.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -22,6 +22,30 @@
 //!   transport can delimit messages and reject foreign or incompatible
 //!   traffic before touching the payload.
 //!
+//! # The schema is the format specification
+//!
+//! The layout of every struct and enum on the wire is stated once, as a
+//! row of the schema further down this file (the runtime's `Wire`
+//! envelope: `crates/runtime/src/wire.rs`): `tag => Variant { field:
+//! Type, … }` means the tag byte, then the fields in that order, each
+//! in its type's encoding. [`wire_struct!`](crate::wire_struct) and
+//! [`wire_enum!`](crate::wire_enum) generate both `encode` and `decode`
+//! from the row, and a duplicate tag, a variant without a row or a field
+//! that disagrees with the type's declaration fails the build.
+//! Hand-written are only the rules the rows are made of — integers,
+//! `bool`, `Option`, `Vec`, `Arc<[T]>`, tuples — and
+//! `ApplierSnapshot<S>`, whose bounds the macros have no syntax for.
+//!
+//! Adding a message:
+//!
+//! 1. append a row to its enum's table with the next free tag;
+//! 2. never renumber, reuse or reorder what is released — old peers
+//!    would misread it;
+//! 3. a change that is not an appended row is incompatible: bump
+//!    [`FRAME_VERSION`];
+//! 4. add the variant's golden row to `crates/core/tests/wire_golden.rs`
+//!    (the test does not compile until it has one).
+//!
 //! # Framing
 //!
 //! Every frame on a stream transport is:
@@ -58,9 +82,9 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::kv::KvSnapshot;
-use crate::onepaxos::{AbandonRe, Msg as OnePaxosMsg, UtilityEntry, UtilityMsg};
+use crate::onepaxos::{self, AbandonRe, UtilityEntry, UtilityMsg};
 use crate::rsm::{ApplierSnapshot, StateMachine};
-use crate::types::{Ballot, Command, NodeId, Op, TxnId};
+use crate::types::{Ballot, Command, Instance, NodeId, Op, TxnId, TxnWrites};
 use crate::{basic_paxos, mencius, multipaxos, twopc};
 
 pub mod chunk;
@@ -458,187 +482,153 @@ impl<A: Codec, B: Codec, C: Codec> Codec for (A, B, C) {
 }
 
 // --------------------------------------------------------------------
-// Core identifier / command types
+// Schema macros
 // --------------------------------------------------------------------
 
-impl Codec for NodeId {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(NodeId(r.u16()?))
-    }
-}
-
-impl Codec for Ballot {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.round.encode(buf);
-        self.node.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(Ballot {
-            round: u32::decode(r)?,
-            node: NodeId::decode(r)?,
-        })
-    }
-}
-
-impl Codec for TxnId {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.coordinator.encode(buf);
-        self.seq.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(TxnId {
-            coordinator: NodeId::decode(r)?,
-            seq: u64::decode(r)?,
-        })
-    }
-}
-
-/// [`Op`] discriminants on the wire. New variants append; existing tags
-/// never renumber (that is what [`FRAME_VERSION`] is for).
-mod op_tag {
-    pub const NOOP: u8 = 0;
-    pub const PUT: u8 = 1;
-    pub const GET: u8 = 2;
-    pub const BATCH: u8 = 3;
-    pub const MULTI_PUT: u8 = 4;
-    pub const TXN_PREPARE: u8 = 5;
-    pub const TXN_COMMIT: u8 = 6;
-    pub const TXN_ABORT: u8 = 7;
-    pub const TXN_STATUS: u8 = 8;
-    pub const TRUNCATE: u8 = 9;
-}
-
-impl Codec for Op {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Op::Noop => buf.push(op_tag::NOOP),
-            Op::Put { key, value } => {
-                buf.push(op_tag::PUT);
-                key.encode(buf);
-                value.encode(buf);
+/// Generates the [`Codec`] impl of a struct from its field list: fields
+/// encode in the order written, each as its declared type, and `decode`
+/// reads them back in the same order. One statement of the layout serves
+/// both directions.
+///
+/// `wire_struct! { Name { field: Type, … } }` for a struct with named
+/// fields, `wire_struct! { Name(Type) }` for a one-field tuple struct. A
+/// field list that disagrees with the struct's declaration (a missing
+/// field, a wrong type) does not compile.
+#[macro_export]
+macro_rules! wire_struct {
+    // A tuple struct is a struct whose one field is named `0`.
+    ($name:ident($ty:ty)) => {
+        $crate::wire_struct! { $name { 0: $ty } }
+    };
+    ($name:ident { $($field:tt: $ty:ty),+ $(,)? }) => {
+        impl $crate::wire::Codec for $name {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                $(<$ty as $crate::wire::Codec>::encode(&self.$field, buf);)+
             }
-            Op::Get { key } => {
-                buf.push(op_tag::GET);
-                key.encode(buf);
-            }
-            Op::Batch(cmds) => {
-                buf.push(op_tag::BATCH);
-                cmds.encode(buf);
-            }
-            Op::MultiPut { writes } => {
-                buf.push(op_tag::MULTI_PUT);
-                writes.encode(buf);
-            }
-            Op::TxnPrepare { txn, writes } => {
-                buf.push(op_tag::TXN_PREPARE);
-                txn.encode(buf);
-                writes.encode(buf);
-            }
-            Op::TxnCommit { txn, key } => {
-                buf.push(op_tag::TXN_COMMIT);
-                txn.encode(buf);
-                key.encode(buf);
-            }
-            Op::TxnAbort { txn, key } => {
-                buf.push(op_tag::TXN_ABORT);
-                txn.encode(buf);
-                key.encode(buf);
-            }
-            Op::TxnStatus { txn, key } => {
-                buf.push(op_tag::TXN_STATUS);
-                txn.encode(buf);
-                key.encode(buf);
-            }
-            Op::Truncate { watermark } => {
-                buf.push(op_tag::TRUNCATE);
-                watermark.encode(buf);
+            fn decode(
+                r: &mut $crate::wire::Reader<'_>,
+            ) -> Result<Self, $crate::wire::DecodeError> {
+                Ok($name {
+                    $($field: <$ty as $crate::wire::Codec>::decode(r)?,)+
+                })
             }
         }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match r.u8()? {
-            op_tag::NOOP => Op::Noop,
-            op_tag::PUT => Op::Put {
-                key: u64::decode(r)?,
-                value: u64::decode(r)?,
-            },
-            op_tag::GET => Op::Get {
-                key: u64::decode(r)?,
-            },
-            op_tag::BATCH => Op::Batch(Codec::decode(r)?),
-            op_tag::MULTI_PUT => Op::MultiPut {
-                writes: Codec::decode(r)?,
-            },
-            op_tag::TXN_PREPARE => Op::TxnPrepare {
-                txn: TxnId::decode(r)?,
-                writes: Codec::decode(r)?,
-            },
-            op_tag::TXN_COMMIT => Op::TxnCommit {
-                txn: TxnId::decode(r)?,
-                key: u64::decode(r)?,
-            },
-            op_tag::TXN_ABORT => Op::TxnAbort {
-                txn: TxnId::decode(r)?,
-                key: u64::decode(r)?,
-            },
-            op_tag::TXN_STATUS => Op::TxnStatus {
-                txn: TxnId::decode(r)?,
-                key: u64::decode(r)?,
-            },
-            op_tag::TRUNCATE => Op::Truncate {
-                watermark: u64::decode(r)?,
-            },
-            tag => return Err(DecodeError::BadTag { what: "Op", tag }),
-        })
-    }
+    };
 }
 
-impl Codec for Command {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.client.encode(buf);
-        self.req_id.encode(buf);
-        self.op.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(Command {
-            client: NodeId::decode(r)?,
-            req_id: u64::decode(r)?,
-            op: Op::decode(r)?,
-        })
-    }
+/// Generates the [`Codec`] impl of an enum from one row per variant,
+/// `tag => Variant { field: Type, … }`: the tag byte, then the fields in
+/// the order written, each as its declared type. Both `encode` and
+/// `decode` come from the same row, so a tag or a field order cannot
+/// drift between them.
+///
+/// A unit variant is `tag => Variant`; a one-field tuple variant names
+/// its payload for the generated code, `tag => Variant(name: Type)`. An
+/// enum may take one type parameter, which must itself be [`Codec`]:
+/// `wire_enum!(Envelope<M> as "Envelope" { … })`. The literal after `as`
+/// is what [`DecodeError::BadTag`] reports as `what`.
+///
+/// ```
+/// use onepaxos::wire::{decode_exact, encode_to_vec, DecodeError};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Coin { Heads, Tails { spins: u64 } }
+/// onepaxos::wire_enum!(Coin as "Coin" {
+///     0 => Heads,
+///     1 => Tails { spins: u64 },
+/// });
+/// assert_eq!(encode_to_vec(&Coin::Tails { spins: 3 }), [1, 3]);
+/// let bad = DecodeError::BadTag { what: "Coin", tag: 2 };
+/// assert_eq!(decode_exact::<Coin>(&[2]), Err(bad));
+/// ```
+///
+/// The compiler checks the table: a variant without a row fails the
+/// exhaustive `match` in `encode`, a row that disagrees with the enum's
+/// declaration fails to construct the variant in `decode`, and two rows
+/// with one tag are an error, not a dead arm:
+///
+/// ```compile_fail
+/// #[derive(Debug, PartialEq)]
+/// enum Coin { Heads, Tails }
+/// onepaxos::wire_enum!(Coin as "Coin" {
+///     0 => Heads,
+///     0 => Tails,
+/// });
+/// ```
+#[macro_export]
+macro_rules! wire_enum {
+    ($($name:ident)::+ $(<$param:ident>)? as $what:literal {
+        $($tag:literal => $variant:ident
+            $({ $($field:ident: $ty:ty),+ $(,)? })?
+            $(($inner:ident: $inner_ty:ty))?
+        ),+ $(,)?
+    }) => {
+        impl$(<$param: $crate::wire::Codec>)? $crate::wire::Codec for $($name)::+$(<$param>)? {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $(Self::$variant { $($($field,)+)? $(0: $inner,)? } => {
+                        buf.push($tag);
+                        $($(<$ty as $crate::wire::Codec>::encode($field, buf);)+)?
+                        $(<$inner_ty as $crate::wire::Codec>::encode($inner, buf);)?
+                    })+
+                }
+            }
+            #[deny(unreachable_patterns)]
+            fn decode(
+                r: &mut $crate::wire::Reader<'_>,
+            ) -> Result<Self, $crate::wire::DecodeError> {
+                Ok(match r.u8()? {
+                    $($tag => Self::$variant {
+                        $($($field: <$ty as $crate::wire::Codec>::decode(r)?,)+)?
+                        $(0: <$inner_ty as $crate::wire::Codec>::decode(r)?,)?
+                    },)+
+                    tag => return Err($crate::wire::DecodeError::BadTag { what: $what, tag }),
+                })
+            }
+        }
+    };
 }
 
 // --------------------------------------------------------------------
-// Snapshots (catch-up transfer)
+// The schema: every struct and enum on the wire, one row per variant
 // --------------------------------------------------------------------
 
-impl Codec for KvSnapshot {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.map.encode(buf);
-        self.writes.encode(buf);
-        self.reads.encode(buf);
-        self.staged.encode(buf);
-        self.parked.encode(buf);
-        self.finished.encode(buf);
-        self.finished_floor.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(KvSnapshot {
-            map: Vec::decode(r)?,
-            writes: u64::decode(r)?,
-            reads: u64::decode(r)?,
-            staged: Vec::decode(r)?,
-            parked: Vec::decode(r)?,
-            finished: Vec::decode(r)?,
-            finished_floor: Vec::decode(r)?,
-        })
+wire_struct! { NodeId(u16) }
+wire_struct! { Ballot { round: u32, node: NodeId } }
+wire_struct! { TxnId { coordinator: NodeId, seq: u64 } }
+
+wire_enum!(Op as "Op" {
+    0 => Noop,
+    1 => Put { key: u64, value: u64 },
+    2 => Get { key: u64 },
+    3 => Batch(cmds: Arc<[Command]>),
+    4 => MultiPut { writes: TxnWrites },
+    5 => TxnPrepare { txn: TxnId, writes: TxnWrites },
+    6 => TxnCommit { txn: TxnId, key: u64 },
+    7 => TxnAbort { txn: TxnId, key: u64 },
+    8 => TxnStatus { txn: TxnId, key: u64 },
+    9 => Truncate { watermark: Instance },
+});
+
+wire_struct! { Command { client: NodeId, req_id: u64, op: Op } }
+
+// Snapshots (catch-up transfer).
+
+wire_struct! {
+    KvSnapshot {
+        map: Vec<(u64, u64)>,
+        writes: u64,
+        reads: u64,
+        staged: Vec<(TxnId, TxnWrites)>,
+        parked: Vec<(TxnId, TxnWrites)>,
+        finished: Vec<(TxnId, bool)>,
+        finished_floor: Vec<(NodeId, u64)>,
     }
 }
 
+// Hand-written: the field types are associated types of `S`, so the
+// impl needs `where` bounds on them that `wire_struct!` has no syntax
+// for — and one three-field struct does not earn it any.
 impl<S: StateMachine> Codec for ApplierSnapshot<S>
 where
     S::Snapshot: Codec,
@@ -658,549 +648,78 @@ where
     }
 }
 
-// --------------------------------------------------------------------
-// 1Paxos messages (incl. the embedded PaxosUtility)
-// --------------------------------------------------------------------
+// 1Paxos messages, including the embedded PaxosUtility.
 
-impl Codec for UtilityEntry {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            UtilityEntry::LeaderChange { leader, acceptor } => {
-                buf.push(0);
-                leader.encode(buf);
-                acceptor.encode(buf);
-            }
-            UtilityEntry::AcceptorChange {
-                by,
-                acceptor,
-                uncommitted,
-            } => {
-                buf.push(1);
-                by.encode(buf);
-                acceptor.encode(buf);
-                uncommitted.encode(buf);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match r.u8()? {
-            0 => UtilityEntry::LeaderChange {
-                leader: NodeId::decode(r)?,
-                acceptor: NodeId::decode(r)?,
-            },
-            1 => UtilityEntry::AcceptorChange {
-                by: NodeId::decode(r)?,
-                acceptor: NodeId::decode(r)?,
-                uncommitted: Vec::decode(r)?,
-            },
-            tag => {
-                return Err(DecodeError::BadTag {
-                    what: "UtilityEntry",
-                    tag,
-                })
-            }
-        })
-    }
-}
+wire_enum!(UtilityEntry as "onepaxos::UtilityEntry" {
+    0 => LeaderChange { leader: NodeId, acceptor: NodeId },
+    1 => AcceptorChange { by: NodeId, acceptor: NodeId, uncommitted: Vec<(Instance, Command)> },
+});
 
-impl Codec for UtilityMsg {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            UtilityMsg::Prepare { uinst, bal } => {
-                buf.push(0);
-                uinst.encode(buf);
-                bal.encode(buf);
-            }
-            UtilityMsg::Promise {
-                uinst,
-                bal,
-                accepted,
-            } => {
-                buf.push(1);
-                uinst.encode(buf);
-                bal.encode(buf);
-                accepted.encode(buf);
-            }
-            UtilityMsg::PrepareNack { uinst, promised } => {
-                buf.push(2);
-                uinst.encode(buf);
-                promised.encode(buf);
-            }
-            UtilityMsg::Accept { uinst, bal, entry } => {
-                buf.push(3);
-                uinst.encode(buf);
-                bal.encode(buf);
-                entry.encode(buf);
-            }
-            UtilityMsg::AcceptNack { uinst, promised } => {
-                buf.push(4);
-                uinst.encode(buf);
-                promised.encode(buf);
-            }
-            UtilityMsg::Learn { uinst, bal, entry } => {
-                buf.push(5);
-                uinst.encode(buf);
-                bal.encode(buf);
-                entry.encode(buf);
-            }
-            UtilityMsg::Query { qid, have } => {
-                buf.push(6);
-                qid.encode(buf);
-                have.encode(buf);
-            }
-            UtilityMsg::QueryResp { qid, entries } => {
-                buf.push(7);
-                qid.encode(buf);
-                entries.encode(buf);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match r.u8()? {
-            0 => UtilityMsg::Prepare {
-                uinst: u64::decode(r)?,
-                bal: Ballot::decode(r)?,
-            },
-            1 => UtilityMsg::Promise {
-                uinst: u64::decode(r)?,
-                bal: Ballot::decode(r)?,
-                accepted: Option::decode(r)?,
-            },
-            2 => UtilityMsg::PrepareNack {
-                uinst: u64::decode(r)?,
-                promised: Ballot::decode(r)?,
-            },
-            3 => UtilityMsg::Accept {
-                uinst: u64::decode(r)?,
-                bal: Ballot::decode(r)?,
-                entry: UtilityEntry::decode(r)?,
-            },
-            4 => UtilityMsg::AcceptNack {
-                uinst: u64::decode(r)?,
-                promised: Ballot::decode(r)?,
-            },
-            5 => UtilityMsg::Learn {
-                uinst: u64::decode(r)?,
-                bal: Ballot::decode(r)?,
-                entry: UtilityEntry::decode(r)?,
-            },
-            6 => UtilityMsg::Query {
-                qid: u64::decode(r)?,
-                have: u64::decode(r)?,
-            },
-            7 => UtilityMsg::QueryResp {
-                qid: u64::decode(r)?,
-                entries: Vec::decode(r)?,
-            },
-            tag => {
-                return Err(DecodeError::BadTag {
-                    what: "UtilityMsg",
-                    tag,
-                })
-            }
-        })
-    }
-}
+wire_enum!(UtilityMsg as "onepaxos::UtilityMsg" {
+    0 => Prepare { uinst: Instance, bal: Ballot },
+    1 => Promise { uinst: Instance, bal: Ballot, accepted: Option<(Ballot, UtilityEntry)> },
+    2 => PrepareNack { uinst: Instance, promised: Ballot },
+    3 => Accept { uinst: Instance, bal: Ballot, entry: UtilityEntry },
+    4 => AcceptNack { uinst: Instance, promised: Ballot },
+    5 => Learn { uinst: Instance, bal: Ballot, entry: UtilityEntry },
+    6 => Query { qid: u64, have: Instance },
+    7 => QueryResp { qid: u64, entries: Vec<(Instance, UtilityEntry)> },
+});
 
-impl Codec for AbandonRe {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.push(match self {
-            AbandonRe::Prepare => 0,
-            AbandonRe::Accept => 1,
-        });
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match r.u8()? {
-            0 => AbandonRe::Prepare,
-            1 => AbandonRe::Accept,
-            tag => {
-                return Err(DecodeError::BadTag {
-                    what: "AbandonRe",
-                    tag,
-                })
-            }
-        })
-    }
-}
+wire_enum!(AbandonRe as "onepaxos::AbandonRe" {
+    0 => Prepare,
+    1 => Accept,
+});
 
-impl Codec for OnePaxosMsg {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            OnePaxosMsg::Forward { cmd } => {
-                buf.push(0);
-                cmd.encode(buf);
-            }
-            OnePaxosMsg::PrepareReq { pn, expect_fresh } => {
-                buf.push(1);
-                pn.encode(buf);
-                expect_fresh.encode(buf);
-            }
-            OnePaxosMsg::PrepareResp { pn, accepted } => {
-                buf.push(2);
-                pn.encode(buf);
-                accepted.encode(buf);
-            }
-            OnePaxosMsg::AcceptReq { inst, pn, cmd } => {
-                buf.push(3);
-                inst.encode(buf);
-                pn.encode(buf);
-                cmd.encode(buf);
-            }
-            OnePaxosMsg::Abandon { hpn, fresh, re } => {
-                buf.push(4);
-                hpn.encode(buf);
-                fresh.encode(buf);
-                re.encode(buf);
-            }
-            OnePaxosMsg::Learn { inst, pn, cmd } => {
-                buf.push(5);
-                inst.encode(buf);
-                pn.encode(buf);
-                cmd.encode(buf);
-            }
-            OnePaxosMsg::Utility(u) => {
-                buf.push(6);
-                u.encode(buf);
-            }
-            OnePaxosMsg::Truncated { floor } => {
-                buf.push(7);
-                floor.encode(buf);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match r.u8()? {
-            0 => OnePaxosMsg::Forward {
-                cmd: Command::decode(r)?,
-            },
-            1 => OnePaxosMsg::PrepareReq {
-                pn: Ballot::decode(r)?,
-                expect_fresh: bool::decode(r)?,
-            },
-            2 => OnePaxosMsg::PrepareResp {
-                pn: Ballot::decode(r)?,
-                accepted: Vec::decode(r)?,
-            },
-            3 => OnePaxosMsg::AcceptReq {
-                inst: u64::decode(r)?,
-                pn: Ballot::decode(r)?,
-                cmd: Command::decode(r)?,
-            },
-            4 => OnePaxosMsg::Abandon {
-                hpn: Ballot::decode(r)?,
-                fresh: bool::decode(r)?,
-                re: AbandonRe::decode(r)?,
-            },
-            5 => OnePaxosMsg::Learn {
-                inst: u64::decode(r)?,
-                pn: Ballot::decode(r)?,
-                cmd: Command::decode(r)?,
-            },
-            6 => OnePaxosMsg::Utility(UtilityMsg::decode(r)?),
-            7 => OnePaxosMsg::Truncated {
-                floor: u64::decode(r)?,
-            },
-            tag => return Err(DecodeError::BadTag { what: "Msg", tag }),
-        })
-    }
-}
+wire_enum!(onepaxos::Msg as "onepaxos::Msg" {
+    0 => Forward { cmd: Command },
+    1 => PrepareReq { pn: Ballot, expect_fresh: bool },
+    2 => PrepareResp { pn: Ballot, accepted: Vec<(Instance, Ballot, Command)> },
+    3 => AcceptReq { inst: Instance, pn: Ballot, cmd: Command },
+    4 => Abandon { hpn: Ballot, fresh: bool, re: AbandonRe },
+    5 => Learn { inst: Instance, pn: Ballot, cmd: Command },
+    6 => Utility(msg: UtilityMsg),
+    7 => Truncated { floor: Instance },
+});
 
-// --------------------------------------------------------------------
-// Baseline protocol messages
-// --------------------------------------------------------------------
+// Baseline protocol messages.
 
-impl Codec for multipaxos::Msg {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        use multipaxos::Msg;
-        match self {
-            Msg::Forward { cmd } => {
-                buf.push(0);
-                cmd.encode(buf);
-            }
-            Msg::Prepare { bal, from_inst } => {
-                buf.push(1);
-                bal.encode(buf);
-                from_inst.encode(buf);
-            }
-            Msg::Promise { bal, accepted } => {
-                buf.push(2);
-                bal.encode(buf);
-                accepted.encode(buf);
-            }
-            Msg::PrepareNack { promised } => {
-                buf.push(3);
-                promised.encode(buf);
-            }
-            Msg::Accept { bal, inst, cmd } => {
-                buf.push(4);
-                bal.encode(buf);
-                inst.encode(buf);
-                cmd.encode(buf);
-            }
-            Msg::AcceptNack { promised } => {
-                buf.push(5);
-                promised.encode(buf);
-            }
-            Msg::Learn { inst, bal, cmd } => {
-                buf.push(6);
-                inst.encode(buf);
-                bal.encode(buf);
-                cmd.encode(buf);
-            }
-            Msg::Heartbeat { bal } => {
-                buf.push(7);
-                bal.encode(buf);
-            }
-            Msg::Truncated { floor } => {
-                buf.push(8);
-                floor.encode(buf);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        use multipaxos::Msg;
-        Ok(match r.u8()? {
-            0 => Msg::Forward {
-                cmd: Command::decode(r)?,
-            },
-            1 => Msg::Prepare {
-                bal: Ballot::decode(r)?,
-                from_inst: u64::decode(r)?,
-            },
-            2 => Msg::Promise {
-                bal: Ballot::decode(r)?,
-                accepted: Vec::decode(r)?,
-            },
-            3 => Msg::PrepareNack {
-                promised: Ballot::decode(r)?,
-            },
-            4 => Msg::Accept {
-                bal: Ballot::decode(r)?,
-                inst: u64::decode(r)?,
-                cmd: Command::decode(r)?,
-            },
-            5 => Msg::AcceptNack {
-                promised: Ballot::decode(r)?,
-            },
-            6 => Msg::Learn {
-                inst: u64::decode(r)?,
-                bal: Ballot::decode(r)?,
-                cmd: Command::decode(r)?,
-            },
-            7 => Msg::Heartbeat {
-                bal: Ballot::decode(r)?,
-            },
-            8 => Msg::Truncated {
-                floor: u64::decode(r)?,
-            },
-            tag => {
-                return Err(DecodeError::BadTag {
-                    what: "multipaxos::Msg",
-                    tag,
-                })
-            }
-        })
-    }
-}
+wire_enum!(multipaxos::Msg as "multipaxos::Msg" {
+    0 => Forward { cmd: Command },
+    1 => Prepare { bal: Ballot, from_inst: Instance },
+    2 => Promise { bal: Ballot, accepted: Vec<(Instance, Ballot, Command)> },
+    3 => PrepareNack { promised: Ballot },
+    4 => Accept { bal: Ballot, inst: Instance, cmd: Command },
+    5 => AcceptNack { promised: Ballot },
+    6 => Learn { inst: Instance, bal: Ballot, cmd: Command },
+    7 => Heartbeat { bal: Ballot },
+    8 => Truncated { floor: Instance },
+});
 
-impl Codec for twopc::Msg {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        use twopc::Msg;
-        match self {
-            Msg::Forward { cmd } => {
-                buf.push(0);
-                cmd.encode(buf);
-            }
-            Msg::Prepare { round, cmd } => {
-                buf.push(1);
-                round.encode(buf);
-                cmd.encode(buf);
-            }
-            Msg::Ack { round } => {
-                buf.push(2);
-                round.encode(buf);
-            }
-            Msg::Nack { round } => {
-                buf.push(3);
-                round.encode(buf);
-            }
-            Msg::Commit { round, cmd } => {
-                buf.push(4);
-                round.encode(buf);
-                cmd.encode(buf);
-            }
-            Msg::CommitAck { round } => {
-                buf.push(5);
-                round.encode(buf);
-            }
-            Msg::Rollback { round } => {
-                buf.push(6);
-                round.encode(buf);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        use twopc::Msg;
-        Ok(match r.u8()? {
-            0 => Msg::Forward {
-                cmd: Command::decode(r)?,
-            },
-            1 => Msg::Prepare {
-                round: u64::decode(r)?,
-                cmd: Command::decode(r)?,
-            },
-            2 => Msg::Ack {
-                round: u64::decode(r)?,
-            },
-            3 => Msg::Nack {
-                round: u64::decode(r)?,
-            },
-            4 => Msg::Commit {
-                round: u64::decode(r)?,
-                cmd: Command::decode(r)?,
-            },
-            5 => Msg::CommitAck {
-                round: u64::decode(r)?,
-            },
-            6 => Msg::Rollback {
-                round: u64::decode(r)?,
-            },
-            tag => {
-                return Err(DecodeError::BadTag {
-                    what: "twopc::Msg",
-                    tag,
-                })
-            }
-        })
-    }
-}
+wire_enum!(twopc::Msg as "twopc::Msg" {
+    0 => Forward { cmd: Command },
+    1 => Prepare { round: Instance, cmd: Command },
+    2 => Ack { round: Instance },
+    3 => Nack { round: Instance },
+    4 => Commit { round: Instance, cmd: Command },
+    5 => CommitAck { round: Instance },
+    6 => Rollback { round: Instance },
+});
 
-impl Codec for mencius::Msg {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        use mencius::Msg;
-        match self {
-            Msg::Accept { inst, cmd } => {
-                buf.push(0);
-                inst.encode(buf);
-                cmd.encode(buf);
-            }
-            Msg::Learn { inst, cmd } => {
-                buf.push(1);
-                inst.encode(buf);
-                cmd.encode(buf);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        use mencius::Msg;
-        Ok(match r.u8()? {
-            0 => Msg::Accept {
-                inst: u64::decode(r)?,
-                cmd: Command::decode(r)?,
-            },
-            1 => Msg::Learn {
-                inst: u64::decode(r)?,
-                cmd: Command::decode(r)?,
-            },
-            tag => {
-                return Err(DecodeError::BadTag {
-                    what: "mencius::Msg",
-                    tag,
-                })
-            }
-        })
-    }
-}
+wire_enum!(mencius::Msg as "mencius::Msg" {
+    0 => Accept { inst: Instance, cmd: Command },
+    1 => Learn { inst: Instance, cmd: Command },
+});
 
-impl Codec for basic_paxos::Msg {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        use basic_paxos::Msg;
-        match self {
-            Msg::Forward { cmd } => {
-                buf.push(0);
-                cmd.encode(buf);
-            }
-            Msg::Prepare { inst, bal } => {
-                buf.push(1);
-                inst.encode(buf);
-                bal.encode(buf);
-            }
-            Msg::Promise {
-                inst,
-                bal,
-                accepted,
-            } => {
-                buf.push(2);
-                inst.encode(buf);
-                bal.encode(buf);
-                accepted.encode(buf);
-            }
-            Msg::PrepareNack { inst, promised } => {
-                buf.push(3);
-                inst.encode(buf);
-                promised.encode(buf);
-            }
-            Msg::Accept { inst, bal, cmd } => {
-                buf.push(4);
-                inst.encode(buf);
-                bal.encode(buf);
-                cmd.encode(buf);
-            }
-            Msg::AcceptNack { inst, promised } => {
-                buf.push(5);
-                inst.encode(buf);
-                promised.encode(buf);
-            }
-            Msg::Learn { inst, bal, cmd } => {
-                buf.push(6);
-                inst.encode(buf);
-                bal.encode(buf);
-                cmd.encode(buf);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        use basic_paxos::Msg;
-        Ok(match r.u8()? {
-            0 => Msg::Forward {
-                cmd: Command::decode(r)?,
-            },
-            1 => Msg::Prepare {
-                inst: u64::decode(r)?,
-                bal: Ballot::decode(r)?,
-            },
-            2 => Msg::Promise {
-                inst: u64::decode(r)?,
-                bal: Ballot::decode(r)?,
-                accepted: Option::decode(r)?,
-            },
-            3 => Msg::PrepareNack {
-                inst: u64::decode(r)?,
-                promised: Ballot::decode(r)?,
-            },
-            4 => Msg::Accept {
-                inst: u64::decode(r)?,
-                bal: Ballot::decode(r)?,
-                cmd: Command::decode(r)?,
-            },
-            5 => Msg::AcceptNack {
-                inst: u64::decode(r)?,
-                promised: Ballot::decode(r)?,
-            },
-            6 => Msg::Learn {
-                inst: u64::decode(r)?,
-                bal: Ballot::decode(r)?,
-                cmd: Command::decode(r)?,
-            },
-            tag => {
-                return Err(DecodeError::BadTag {
-                    what: "basic_paxos::Msg",
-                    tag,
-                })
-            }
-        })
-    }
-}
+wire_enum!(basic_paxos::Msg as "basic_paxos::Msg" {
+    0 => Forward { cmd: Command },
+    1 => Prepare { inst: Instance, bal: Ballot },
+    2 => Promise { inst: Instance, bal: Ballot, accepted: Option<(Ballot, Command)> },
+    3 => PrepareNack { inst: Instance, promised: Ballot },
+    4 => Accept { inst: Instance, bal: Ballot, cmd: Command },
+    5 => AcceptNack { inst: Instance, promised: Ballot },
+    6 => Learn { inst: Instance, bal: Ballot, cmd: Command },
+});
 
 // --------------------------------------------------------------------
 // Framing
@@ -1285,6 +804,7 @@ pub fn read_frame(buf: &[u8]) -> Result<Option<(&[u8], usize)>, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::onepaxos::Msg as OnePaxosMsg;
 
     fn round_trip<T: Codec + PartialEq + std::fmt::Debug>(v: T) {
         let bytes = encode_to_vec(&v);
@@ -1429,6 +949,25 @@ mod tests {
         let mut bytes = encode_to_vec(&Op::Noop);
         bytes.push(0xAB);
         assert_eq!(decode_exact::<Op>(&bytes), Err(DecodeError::Trailing(1)));
+    }
+
+    #[test]
+    fn bad_tag_names_the_type() {
+        fn what<T: Codec + fmt::Debug>() -> &'static str {
+            match decode_exact::<T>(&[0xFF]) {
+                Err(DecodeError::BadTag { what, tag: 0xFF }) => what,
+                other => panic!("expected BadTag(0xFF), got {other:?}"),
+            }
+        }
+        assert_eq!(what::<Op>(), "Op");
+        assert_eq!(what::<UtilityEntry>(), "onepaxos::UtilityEntry");
+        assert_eq!(what::<UtilityMsg>(), "onepaxos::UtilityMsg");
+        assert_eq!(what::<AbandonRe>(), "onepaxos::AbandonRe");
+        assert_eq!(what::<OnePaxosMsg>(), "onepaxos::Msg");
+        assert_eq!(what::<multipaxos::Msg>(), "multipaxos::Msg");
+        assert_eq!(what::<twopc::Msg>(), "twopc::Msg");
+        assert_eq!(what::<mencius::Msg>(), "mencius::Msg");
+        assert_eq!(what::<basic_paxos::Msg>(), "basic_paxos::Msg");
     }
 
     #[test]

@@ -10,12 +10,16 @@
 //! from a sick peer (tag bytes flipped, varints cut mid-continuation,
 //! garbage after the value) without panicking the consensus thread.
 
+use onepaxos::kv::{KvSnapshot, KvStore};
 use onepaxos::onepaxos::{AbandonRe, Msg, UtilityEntry, UtilityMsg};
+use onepaxos::rsm::ApplierSnapshot;
 use onepaxos::wire::{
     decode_exact, encode_to_vec, read_frame, write_frame, write_frame_with, Codec, DecodeError,
     FRAME_HEADER, MAX_FRAME,
 };
-use onepaxos::{multipaxos, twopc, Ballot, Command, NodeId, Op, TxnId, TxnWrites};
+use onepaxos::{
+    basic_paxos, mencius, multipaxos, twopc, Ballot, Command, NodeId, Op, TxnId, TxnWrites,
+};
 use proptest::prelude::*;
 
 // --------------------------------------------------------------------
@@ -202,6 +206,90 @@ fn arb_twopc_msg() -> BoxedStrategy<twopc::Msg> {
     .boxed()
 }
 
+fn arb_mencius_msg() -> BoxedStrategy<mencius::Msg> {
+    use mencius::Msg;
+    prop_oneof![
+        (any::<u64>(), arb_cmd()).prop_map(|(inst, cmd)| Msg::Accept { inst, cmd }),
+        (any::<u64>(), arb_cmd()).prop_map(|(inst, cmd)| Msg::Learn { inst, cmd }),
+    ]
+    .boxed()
+}
+
+fn arb_basic_paxos_msg() -> BoxedStrategy<basic_paxos::Msg> {
+    use basic_paxos::Msg;
+    prop_oneof![
+        arb_cmd().prop_map(|cmd| Msg::Forward { cmd }),
+        (any::<u64>(), arb_ballot()).prop_map(|(inst, bal)| Msg::Prepare { inst, bal }),
+        (
+            any::<u64>(),
+            arb_ballot(),
+            prop_oneof![Just(None), (arb_ballot(), arb_cmd()).prop_map(Some).boxed()]
+        )
+            .prop_map(|(inst, bal, accepted)| Msg::Promise {
+                inst,
+                bal,
+                accepted,
+            }),
+        (any::<u64>(), arb_ballot())
+            .prop_map(|(inst, promised)| Msg::PrepareNack { inst, promised }),
+        (any::<u64>(), arb_ballot(), arb_cmd()).prop_map(|(inst, bal, cmd)| Msg::Accept {
+            inst,
+            bal,
+            cmd
+        }),
+        (any::<u64>(), arb_ballot())
+            .prop_map(|(inst, promised)| Msg::AcceptNack { inst, promised }),
+        (any::<u64>(), arb_ballot(), arb_cmd()).prop_map(|(inst, bal, cmd)| Msg::Learn {
+            inst,
+            bal,
+            cmd
+        }),
+    ]
+    .boxed()
+}
+
+/// A store image with every part populated some of the time: the map,
+/// staged and parked transactions, finished outcomes and their floors.
+fn arb_kv_snapshot() -> BoxedStrategy<KvSnapshot> {
+    let fragments = || prop::collection::vec((arb_txn_id(), arb_writes()), 0..3);
+    (
+        prop::collection::vec((any::<u64>(), any::<u64>()), 0..5),
+        (any::<u64>(), any::<u64>()),
+        fragments(),
+        fragments(),
+        prop::collection::vec((arb_txn_id(), any::<bool>()), 0..3),
+        prop::collection::vec((arb_node(), any::<u64>()), 0..3),
+    )
+        .prop_map(
+            |(map, (writes, reads), staged, parked, finished, finished_floor)| KvSnapshot {
+                map,
+                writes,
+                reads,
+                staged,
+                parked,
+                finished,
+                finished_floor,
+            },
+        )
+        .boxed()
+}
+
+/// The catch-up transfer: a [`KvSnapshot`] plus the session table.
+fn arb_snapshot() -> BoxedStrategy<ApplierSnapshot<KvStore>> {
+    let output = || prop_oneof![Just(None), any::<u64>().prop_map(Some)];
+    (
+        any::<u64>(),
+        arb_kv_snapshot(),
+        prop::collection::vec((arb_node(), (any::<u64>(), output())), 0..3),
+    )
+        .prop_map(|(watermark, state, sessions)| ApplierSnapshot {
+            watermark,
+            state,
+            sessions,
+        })
+        .boxed()
+}
+
 // --------------------------------------------------------------------
 // Round trips: decode ∘ encode ≡ identity, with nothing left over
 // --------------------------------------------------------------------
@@ -214,9 +302,16 @@ proptest! {
         prop_assert_eq!(decode_exact::<Op>(&encode_to_vec(&op)).unwrap(), op);
     }
 
+    // The catch-up snapshot rides along as a further input.
+    // `ApplierSnapshot` has no `PartialEq`, so it compares by field;
+    // `state` is the `KvSnapshot` round trip.
     #[test]
-    fn command_round_trips(cmd in arb_cmd()) {
+    fn command_round_trips(cmd in arb_cmd(), snap in arb_snapshot()) {
         prop_assert_eq!(decode_exact::<Command>(&encode_to_vec(&cmd)).unwrap(), cmd);
+        let got = decode_exact::<ApplierSnapshot<KvStore>>(&encode_to_vec(&snap)).unwrap();
+        prop_assert_eq!(got.watermark, snap.watermark);
+        prop_assert_eq!(got.state, snap.state);
+        prop_assert_eq!(got.sessions, snap.sessions);
     }
 
     #[test]
@@ -224,11 +319,25 @@ proptest! {
         prop_assert_eq!(decode_exact::<Msg>(&encode_to_vec(&msg)).unwrap(), msg);
     }
 
+    // Basic-Paxos and Mencius, the Paxos baselines no TCP suite runs,
+    // ride along as further inputs.
     #[test]
-    fn multipaxos_msg_round_trips(msg in arb_multipaxos_msg()) {
+    fn multipaxos_msg_round_trips(
+        msg in arb_multipaxos_msg(),
+        basic in arb_basic_paxos_msg(),
+        mencius in arb_mencius_msg(),
+    ) {
         prop_assert_eq!(
             decode_exact::<multipaxos::Msg>(&encode_to_vec(&msg)).unwrap(),
             msg
+        );
+        prop_assert_eq!(
+            decode_exact::<basic_paxos::Msg>(&encode_to_vec(&basic)).unwrap(),
+            basic
+        );
+        prop_assert_eq!(
+            decode_exact::<mencius::Msg>(&encode_to_vec(&mencius)).unwrap(),
+            mencius
         );
     }
 
@@ -283,11 +392,19 @@ proptest! {
     #[test]
     fn truncated_encodings_error_cleanly(
         msg in arb_onepaxos_msg(),
+        basic in arb_basic_paxos_msg(),
+        mencius in arb_mencius_msg(),
+        snap in arb_snapshot(),
         cut in any::<prop::sample::Index>(),
     ) {
-        let bytes = encode_to_vec(&msg);
-        let k = cut.index(bytes.len());
-        prop_assert!(decode_exact::<Msg>(&bytes[..k]).is_err());
+        fn prefix_fails<T: Codec>(v: &T, cut: &prop::sample::Index) -> bool {
+            let bytes = encode_to_vec(v);
+            decode_exact::<T>(&bytes[..cut.index(bytes.len())]).is_err()
+        }
+        prop_assert!(prefix_fails(&msg, &cut));
+        prop_assert!(prefix_fails(&basic, &cut));
+        prop_assert!(prefix_fails(&mencius, &cut));
+        prop_assert!(prefix_fails(&snap, &cut));
     }
 
     // Flipping any byte of a valid encoding yields Ok (a different value)
@@ -295,14 +412,23 @@ proptest! {
     #[test]
     fn corrupted_encodings_never_panic(
         op in arb_op(),
+        basic in arb_basic_paxos_msg(),
+        mencius in arb_mencius_msg(),
+        snap in arb_snapshot(),
         pos in any::<prop::sample::Index>(),
         flip in 1u8..=255,
     ) {
-        let mut bytes = encode_to_vec(&op);
-        let i = pos.index(bytes.len());
-        bytes[i] ^= flip;
+        let corrupt = |mut bytes: Vec<u8>| {
+            let i = pos.index(bytes.len());
+            bytes[i] ^= flip;
+            bytes
+        };
+        let bytes = corrupt(encode_to_vec(&op));
         let _ = decode_exact::<Op>(&bytes);
         let _ = decode_exact::<Msg>(&bytes);
+        let _ = decode_exact::<basic_paxos::Msg>(&corrupt(encode_to_vec(&basic)));
+        let _ = decode_exact::<mencius::Msg>(&corrupt(encode_to_vec(&mencius)));
+        let _ = decode_exact::<ApplierSnapshot<KvStore>>(&corrupt(encode_to_vec(&snap)));
     }
 
     // Outright random bytes: decoders and the frame reader return, and a

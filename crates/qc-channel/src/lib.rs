@@ -13,9 +13,10 @@
 //! * **Message delivery** ([`mailbox`]): a process talking to *n* peers
 //!   polls *n* read queues, round-robin (§6.2) — the receive side of the
 //!   runtime's shared-memory transport.
-//! * **The road not taken** ([`broadcast`]): a ZIMP-style one-to-many
-//!   ring (§8), implemented so the unicast-vs-broadcast trade-off can be
-//!   measured rather than argued.
+//!
+//! Unicast only: the ZIMP-style one-to-many ring the paper weighs as
+//! the road not taken (§8) is not implemented — the runtime never
+//! broadcasts through shared memory, and no benchmark row measures it.
 //!
 //! # Quickstart
 //!
@@ -34,7 +35,6 @@
 
 mod crossbeam;
 
-pub mod broadcast;
 pub mod mailbox;
 pub mod spsc;
 

@@ -1,8 +1,7 @@
 //! Wire format between processes: protocol messages plus the client
 //! request/reply traffic that the paper treats as ordinary messages.
 
-use onepaxos::wire::{Codec, DecodeError, Reader};
-use onepaxos::{Instance, NodeId, Op};
+use onepaxos::{wire_enum, Instance, NodeId, Op};
 
 /// A message travelling over a qc-channel queue between two processes.
 #[derive(Clone, Debug, PartialEq)]
@@ -79,114 +78,17 @@ pub enum Wire<M> {
     },
 }
 
-/// Tag bytes for the [`Wire`] arms on the binary wire (append-only:
-/// released tags never change meaning).
-mod tag {
-    pub const PEER: u8 = 0;
-    pub const REQUEST: u8 = 1;
-    pub const READ_RELAXED: u8 = 2;
-    pub const REPLY: u8 = 3;
-    pub const READ_VALUE: u8 = 4;
-    pub const SHUTDOWN: u8 = 5;
-    pub const SNAPSHOT_REQUEST: u8 = 6;
-    pub const SNAPSHOT: u8 = 7;
-}
-
-impl<M: Codec> Codec for Wire<M> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Wire::Peer(msg) => {
-                buf.push(tag::PEER);
-                msg.encode(buf);
-            }
-            Wire::Request { client, req_id, op } => {
-                buf.push(tag::REQUEST);
-                client.encode(buf);
-                req_id.encode(buf);
-                op.encode(buf);
-            }
-            Wire::ReadRelaxed {
-                client,
-                req_id,
-                key,
-            } => {
-                buf.push(tag::READ_RELAXED);
-                client.encode(buf);
-                req_id.encode(buf);
-                key.encode(buf);
-            }
-            Wire::Reply {
-                req_id,
-                instance,
-                value,
-            } => {
-                buf.push(tag::REPLY);
-                req_id.encode(buf);
-                instance.encode(buf);
-                value.encode(buf);
-            }
-            Wire::ReadValue { req_id, value } => {
-                buf.push(tag::READ_VALUE);
-                req_id.encode(buf);
-                value.encode(buf);
-            }
-            Wire::Shutdown => buf.push(tag::SHUTDOWN),
-            Wire::SnapshotRequest { shard, have } => {
-                buf.push(tag::SNAPSHOT_REQUEST);
-                shard.encode(buf);
-                have.encode(buf);
-            }
-            Wire::Snapshot {
-                shard,
-                watermark,
-                bytes,
-            } => {
-                buf.push(tag::SNAPSHOT);
-                shard.encode(buf);
-                watermark.encode(buf);
-                bytes.encode(buf);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(match r.u8()? {
-            tag::PEER => Wire::Peer(M::decode(r)?),
-            tag::REQUEST => Wire::Request {
-                client: NodeId::decode(r)?,
-                req_id: u64::decode(r)?,
-                op: Op::decode(r)?,
-            },
-            tag::READ_RELAXED => Wire::ReadRelaxed {
-                client: NodeId::decode(r)?,
-                req_id: u64::decode(r)?,
-                key: u64::decode(r)?,
-            },
-            tag::REPLY => Wire::Reply {
-                req_id: u64::decode(r)?,
-                instance: Instance::decode(r)?,
-                value: Option::<u64>::decode(r)?,
-            },
-            tag::READ_VALUE => Wire::ReadValue {
-                req_id: u64::decode(r)?,
-                value: Option::<u64>::decode(r)?,
-            },
-            tag::SHUTDOWN => Wire::Shutdown,
-            tag::SNAPSHOT_REQUEST => Wire::SnapshotRequest {
-                shard: u16::decode(r)?,
-                have: Instance::decode(r)?,
-            },
-            tag::SNAPSHOT => Wire::Snapshot {
-                shard: u16::decode(r)?,
-                watermark: Instance::decode(r)?,
-                bytes: Vec::<u8>::decode(r)?,
-            },
-            t => {
-                return Err(DecodeError::BadTag {
-                    what: "Wire",
-                    tag: t,
-                })
-            }
-        })
-    }
-}
+// The envelope's wire schema: one row per arm, tag and field order
+// stated once (see `onepaxos::wire`, "Adding a message"; the golden
+// frames are in `tests/wire_props.rs`). Append-only: released tags never
+// change meaning.
+wire_enum!(Wire<M> as "Wire" {
+    0 => Peer(msg: M),
+    1 => Request { client: NodeId, req_id: u64, op: Op },
+    2 => ReadRelaxed { client: NodeId, req_id: u64, key: u64 },
+    3 => Reply { req_id: u64, instance: Instance, value: Option<u64> },
+    4 => ReadValue { req_id: u64, value: Option<u64> },
+    5 => Shutdown,
+    6 => SnapshotRequest { shard: u16, have: Instance },
+    7 => Snapshot { shard: u16, watermark: Instance, bytes: Vec<u8> },
+});
