@@ -35,7 +35,8 @@ const REPLICAS: usize = 3;
 
 /// Floor on tcp/mem throughput: a backstop under the measured band
 /// (~0.39 full, ~0.3 smoke on a single-core box, where mem's 7.5 µs/op
-/// leaves TCP's ~8 µs of unavoidable data-syscall cost nowhere to hide).
+/// leaves TCP's ~8 µs of unavoidable data-syscall cost nowhere to hide;
+/// 0.24–0.26 full on a 2-core box).
 const MIN_RATIO: f64 = 0.2;
 
 /// Relaxed protocol timers: CI machines oversubscribe their cores, and

@@ -123,6 +123,15 @@ pub struct NodeMetrics {
     /// Finished-transaction records retained, summed over shard groups
     /// (bounded by the per-coordinator GC window).
     pub finished_len: AtomicU64,
+    /// Turns of the replica's event loop, republished with the engine
+    /// counters whenever a turn makes progress. `loop_turns / received`
+    /// is the empty-turn ratio: how many times the loop went round per
+    /// message it found.
+    pub loop_turns: AtomicU64,
+    /// Turns that ended with the replica off the run queue — asleep, or
+    /// blocked on its sockets — rather than yielding
+    /// ([`Transport::idle_wait`] returned `true`).
+    pub idle_waits: AtomicU64,
 }
 
 /// Builder for a threaded cluster.
@@ -735,10 +744,15 @@ fn replica_loop<P: Protocol, T: Transport<P::Msg>>(
     send_snapshot_requests(&mut engine, &mut io, metrics);
     publish_engine_stats(&engine, truncations_before, metrics);
 
-    let mut idle_spins: u32 = 0;
-    let mut idle_nap = transport::IDLE_NAP_FLOOR;
+    // Consecutive turns that found nothing to do; the transport's idle
+    // policy reads it (`Transport::idle_wait`).
+    let mut empty_turns: u32 = 0;
+    // Seeded from the shared block, which outlives a restart of the slot.
+    let mut loop_turns = metrics.loop_turns.load(Ordering::Relaxed);
+    let mut idle_waits = metrics.idle_waits.load(Ordering::Relaxed);
     let mut last_io = io.stats();
     loop {
+        loop_turns += 1;
         let mut progressed = io.flush();
         // Failure counters move outside the request path (a link dying
         // or healing is not "progress"), so compare-and-republish every
@@ -757,8 +771,8 @@ fn replica_loop<P: Protocol, T: Transport<P::Msg>>(
             send_snapshot_requests(&mut engine, &mut io, metrics);
             progressed = true;
         }
-        // One syscall sweep over every connection, then drain a bounded
-        // batch of the decoded messages without further IO.
+        // One readiness query over every connection, then drain a
+        // bounded batch of the decoded messages without further IO.
         io.pump();
         for _ in 0..64 {
             let Some(((from, topic), wire)) = io.recv_ready() else {
@@ -852,47 +866,36 @@ fn replica_loop<P: Protocol, T: Transport<P::Msg>>(
             dispatch_effects::<P, T>(&mut effects, &mut io, metrics);
         }
         // Retry relaxed reads whose lock window may have closed.
-        if !pending_reads.is_empty() {
-            let mut still = Vec::new();
-            for (client, req_id, key) in pending_reads.drain(..) {
-                match engine.local_read(key) {
-                    Some(value) => {
-                        io.send(client, CLIENT_TOPIC, Wire::ReadValue { req_id, value });
-                        metrics.sent.fetch_add(1, Ordering::Relaxed);
-                        progressed = true;
-                    }
-                    None => still.push((client, req_id, key)),
-                }
-            }
-            pending_reads = still;
-        }
+        pending_reads.retain(|&(client, req_id, key)| {
+            let Some(value) = engine.local_read(key) else {
+                return true;
+            };
+            io.send(client, CLIENT_TOPIC, Wire::ReadValue { req_id, value });
+            metrics.sent.fetch_add(1, Ordering::Relaxed);
+            progressed = true;
+            false
+        });
         if progressed {
-            idle_spins = 0;
-            idle_nap = transport::IDLE_NAP_FLOOR;
+            empty_turns = 0;
             publish_engine_stats(&engine, truncations_before, metrics);
-        } else if idle_spins < transport::IDLE_SPINS {
-            // Recently busy: stay hot for a few polls — inbound frames
-            // on loopback usually land within microseconds.
-            idle_spins += 1;
+            metrics.loop_turns.store(loop_turns, Ordering::Relaxed);
+            metrics.idle_waits.store(idle_waits, Ordering::Relaxed);
+        } else if !pending_reads.is_empty() {
+            // A parked read is retried per turn and nothing would wake
+            // a blocked loop for it: stay on the run queue.
             std::thread::yield_now();
         } else {
-            // Idle: deschedule instead of burning the core polling (the
-            // dev box has far fewer cores than the paper's testbed, so a
-            // spinning idle replica steals cycles from the busy ones).
-            // The nap escalates from microseconds — a replica dozing
-            // between two requests wakes almost instantly — and is
-            // bounded by the next protocol timer so retrans / heartbeat
-            // deadlines still fire on time.
-            let cap = match engine.next_deadline() {
-                Some(due) => {
-                    Duration::from_nanos(due.saturating_sub(now_ns())).min(transport::IDLE_NAP_CEIL)
-                }
-                None => transport::IDLE_NAP_CEIL,
-            };
-            if cap > Duration::ZERO {
-                std::thread::sleep(idle_nap.min(cap));
-                idle_nap = (idle_nap * 2).min(transport::IDLE_NAP_CEIL);
-            }
+            // Nothing to do — and nothing owed: unsent bytes counted as
+            // progress above. The transport decides how to idle (a few
+            // yields while recently busy, then off the core: the dev box
+            // has far fewer cores than the paper's testbed, so a
+            // spinning idle replica steals cycles from the busy ones),
+            // bounded by the next engine timer so batch-flush, retrans
+            // and heartbeat deadlines still fire on time.
+            let until = engine.next_deadline();
+            let until = until.map(|due| start + Duration::from_nanos(due));
+            idle_waits += u64::from(io.idle_wait(empty_turns, until));
+            empty_turns = empty_turns.saturating_add(1);
         }
     }
 }

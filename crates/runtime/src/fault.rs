@@ -293,6 +293,18 @@ impl<M: Send, T: Transport<M>> Transport<M> for FaultTransport<M, T> {
         None
     }
 
+    /// Forwards to the inner transport's policy, with `until` pulled in
+    /// to the next thing this schedule owes — a held message's release,
+    /// a connection kill — so a blocking inner wait cannot sleep through
+    /// it.
+    fn idle_wait(&mut self, empty_turns: u32, until: Option<Instant>) -> bool {
+        let release = self.held.front().map(|&(at, ..)| at);
+        let kill = self.plan.conn_kills.get(self.next_kill);
+        let kill = kill.map(|&(at, _)| self.start + at);
+        let until = until.into_iter().chain(release).chain(kill).min();
+        self.inner.idle_wait(empty_turns, until)
+    }
+
     fn stats(&self) -> TransportStats {
         self.inner.stats()
     }

@@ -37,6 +37,7 @@
 pub mod affinity;
 mod cluster;
 mod fault;
+mod poll;
 mod transport;
 mod wire;
 

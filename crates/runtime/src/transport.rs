@@ -25,12 +25,14 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{IoSlice, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd as _;
 use std::time::{Duration, Instant};
 
 use onepaxos::wire::{self, Codec, DecodeError, Reader, RecvBuf, SendQueue};
 use onepaxos::NodeId;
 use qc_channel::{Mailbox, Receiver, Sender};
 
+use crate::poll::{self, PollFd};
 use crate::wire::Wire;
 
 /// A peer address on the wire: who, on which shard-group topic.
@@ -101,7 +103,8 @@ pub trait Transport<M>: Send {
     /// one pass, for transports whose `recv` otherwise pays IO per call.
     /// An event loop calls this once per iteration and then drains with
     /// [`recv_ready`](Transport::recv_ready) — on TCP that is one
-    /// `read(2)` sweep per iteration instead of one per message miss.
+    /// readiness query per iteration, and a `read(2)` only on the
+    /// connections that have bytes.
     /// Default: no-op (queue transports have nothing to sweep).
     fn pump(&mut self) {}
 
@@ -112,34 +115,62 @@ pub trait Transport<M>: Send {
         self.recv()
     }
 
-    /// Blocking receive with a deadline: flushes and polls until a
-    /// message arrives or `deadline` passes.
+    /// The idle policy: what a loop does with a turn on which it found
+    /// nothing to do. Every waiter in the runtime — the replica loop and
+    /// [`recv_deadline`](Transport::recv_deadline) — ends an empty turn
+    /// here, so there is one policy per transport rather than one per
+    /// loop.
     ///
-    /// The default implementation spins briefly (a message in flight on
-    /// loopback arrives within microseconds) and then backs off into
-    /// escalating sleeps, so a caller parked on a long deadline
-    /// deschedules instead of burning its core polling — on a machine
-    /// with fewer cores than threads, a spinning waiter would steal the
-    /// very cycles the replica needs to produce the awaited reply.
+    /// The **caller** owns the count: `empty_turns` is how many
+    /// consecutive turns before this one were also empty (zero right
+    /// after progress), and `until` is its next deadline — when it must
+    /// be back on the core at the latest — or `None` if it has none. The
+    /// caller must not come here while it still owes work a wake-up
+    /// would not announce (unsent bytes, a retry it makes per turn). The
+    /// **transport** owns what the count means: for the first
+    /// `IDLE_SPINS` (64) turns it only yields — a message in flight on
+    /// loopback lands within microseconds, and a thread that leaves the
+    /// run queue is slow to come back — and after that it gets off the
+    /// core, never past `until`. Returns whether it did (slept or
+    /// blocked, as opposed to yielding). A yielding turn does not even
+    /// read the clock.
+    ///
+    /// The default, for transports with nothing to block on, sleeps:
+    /// `IDLE_NAP_FLOOR` (5 µs) doubling per turn up to `IDLE_NAP_CEIL`
+    /// (250 µs). On a machine with fewer cores than threads a spinning
+    /// waiter would steal the very cycles its peer needs to produce the
+    /// awaited message. A socket transport blocks in the kernel on its
+    /// descriptors instead and is woken by the bytes themselves.
+    fn idle_wait(&mut self, empty_turns: u32, until: Option<Instant>) -> bool {
+        let Some(naps) = empty_turns.checked_sub(IDLE_SPINS) else {
+            std::thread::yield_now();
+            return false;
+        };
+        let nap = IDLE_NAP_FLOOR
+            .saturating_mul(1 << naps.min(16))
+            .min(IDLE_NAP_CEIL);
+        std::thread::sleep(match until {
+            Some(until) => nap.min(until.saturating_duration_since(Instant::now())),
+            None => nap,
+        });
+        true
+    }
+
+    /// Blocking receive with a deadline: flushes and polls, ending each
+    /// empty turn in [`idle_wait`](Transport::idle_wait), until a
+    /// message arrives or `deadline` passes.
     fn recv_deadline(&mut self, deadline: Instant) -> Option<(Peer, Wire<M>)> {
-        let mut spins = 0u32;
-        let mut nap = IDLE_NAP_FLOOR;
+        let mut empty_turns = 0u32;
         loop {
             self.flush();
             if let Some(m) = self.recv() {
                 return Some(m);
             }
-            let now = Instant::now();
-            if now >= deadline {
+            if Instant::now() >= deadline {
                 return None;
             }
-            if spins < IDLE_SPINS {
-                spins += 1;
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(nap.min(deadline - now));
-                nap = (nap * 2).min(IDLE_NAP_CEIL);
-            }
+            self.idle_wait(empty_turns, Some(deadline));
+            empty_turns = empty_turns.saturating_add(1);
         }
     }
 
@@ -180,10 +211,10 @@ pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Polls before the first sleep in [`Transport::recv_deadline`]. Covers
-/// the common case — a reply already crossing loopback — without ever
-/// descheduling.
-pub const IDLE_SPINS: u32 = 64;
+/// Empty turns [`Transport::idle_wait`] answers with a yield before it
+/// first leaves the run queue. Covers the common case — a message
+/// already crossing loopback — without ever descheduling.
+const IDLE_SPINS: u32 = 64;
 
 /// Narrows this thread's kernel timer slack to 1 µs, best-effort.
 ///
@@ -202,12 +233,12 @@ pub(crate) fn tighten_timer_slack() {
 }
 
 /// First sleep once the spin budget is exhausted.
-pub const IDLE_NAP_FLOOR: Duration = Duration::from_micros(5);
+const IDLE_NAP_FLOOR: Duration = Duration::from_micros(5);
 
 /// Ceiling on the escalating idle sleep: long enough to drop idle CPU to
 /// noise, short enough that no protocol timer (hundreds of µs and up)
 /// misses its beat by more than this.
-pub const IDLE_NAP_CEIL: Duration = Duration::from_micros(250);
+const IDLE_NAP_CEIL: Duration = Duration::from_micros(250);
 
 // ---------------------------------------------------------------------
 // Shared memory
@@ -325,7 +356,8 @@ const SEND_HIGH_WATER: usize = 256 * 1024;
 /// Longest single blocking park in
 /// [`Transport::recv_from_deadline`]: bounds how stale the nonblocking
 /// sweep of the *other* connections can get while parked on the hinted
-/// one.
+/// one. Also how long [`Transport::idle_wait`] blocks when neither the
+/// caller nor a pending redial sets a deadline.
 const PARK_SLICE: Duration = Duration::from_millis(1);
 
 /// Write timeout armed on every connection at creation. Nonblocking
@@ -333,18 +365,6 @@ const PARK_SLICE: Duration = Duration::from_millis(1);
 /// is parked in blocking mode, turning a peer that has stopped reading
 /// into a retryable timeout instead of a hang.
 const WRITE_STALL: Duration = Duration::from_secs(1);
-
-/// Empty read sweeps before a connection counts as cold. Cold
-/// connections are probed only every [`COLD_EVERY`]th sweep: an idle
-/// replica's spin loop stops paying an empty `read(2)` per connection
-/// per iteration, and an acceptor stops sweeping client connections
-/// that never talk to it.
-const COLD_AFTER: u32 = 2;
-
-/// Sweep period for cold connections. Bounds the discovery delay for a
-/// peer that starts talking again to [`COLD_EVERY`] event-loop
-/// iterations — yields or naps, so microseconds when traffic resumes.
-const COLD_EVERY: u32 = 4;
 
 /// First redial delay after a connection dies. Loopback connects are
 /// microseconds, so the first attempt is nearly immediate; the delay
@@ -390,10 +410,6 @@ struct TcpConn {
     /// zero `setsockopt` calls; any generic sweep restores nonblocking
     /// mode lazily through [`TcpConn::unpark`].
     parked: bool,
-    /// Consecutive read sweeps that produced no frames; at
-    /// [`COLD_AFTER`] the connection drops out of the per-iteration
-    /// sweep and is probed every [`COLD_EVERY`]th pass instead.
-    cold: u32,
     /// Set on EOF, IO error, or a corrupt frame. A dead connection is
     /// *terminal for the socket, not for the peer pair*: the next
     /// [`TcpTransport::maintain`] pass reaps the slot and either
@@ -418,7 +434,6 @@ impl TcpConn {
             recv: RecvBuf::new(),
             send: SendQueue::new(),
             parked: false,
-            cold: 0,
             dead: false,
             corrupt: false,
         })
@@ -591,10 +606,9 @@ struct Redial<M> {
 ///
 /// A connection is **live** until EOF, an IO error, a corrupt frame, or
 /// an injected [`Transport::kill_peer_link`] marks it dead; the next
-/// maintenance pass (every [`Transport::flush`]/[`Transport::pump`])
-/// reaps the slot — the conn table never accumulates a graveyard. What
-/// happens next depends on which side of the original handshake this
-/// endpoint was:
+/// maintenance pass (every [`Transport::flush`]) reaps the slot — the
+/// conn table never accumulates a graveyard. What happens next depends
+/// on which side of the original handshake this endpoint was:
 ///
 /// * **Dialer** (this endpoint connected): the peer moves to a
 ///   **backoff** state and is redialed with capped exponential backoff
@@ -602,9 +616,9 @@ struct Redial<M> {
 ///   the hello-frame handshake. Frames sent meanwhile are buffered (up
 ///   to [`RECONNECT_PENDING_CAP`]) and ride the fresh connection.
 /// * **Acceptor** (the peer connected): the slot is simply purged; the
-///   peer redials through this endpoint's listener, and the accept
-///   sweep installs the replacement — superseding any stale slot for
-///   that peer.
+///   peer redials through this endpoint's listener, which every
+///   readiness query includes, and the accept that follows installs
+///   the replacement — superseding any stale slot for that peer.
 ///
 /// Frames lost across the gap are covered by the trait's may-drop
 /// contract; the protocols' retransmission timers absorb the blip.
@@ -614,18 +628,18 @@ pub struct TcpTransport<M> {
     me: NodeId,
     conns: Vec<TcpConn>,
     inbox: VecDeque<(Peer, Wire<M>)>,
-    next_read: usize,
-    /// Read-sweep sequence number; cold connections are probed on every
-    /// [`COLD_EVERY`]th tick of this counter.
-    sweep_seq: u32,
+    /// Scratch for [`TcpTransport::sweep`]'s poll set — entry 0 the
+    /// listener, entry `1 + i` connection `i` — kept so a sweep
+    /// allocates nothing.
+    pollfds: Vec<PollFd>,
     /// Peers this endpoint dialed and therefore owns reconnection for.
     dial_addrs: BTreeMap<NodeId, SocketAddr>,
     /// Peers currently between connections, waiting on a redial.
     backoff: Vec<Redial<M>>,
     /// Accept side of the reconnect lifecycle: present on replica
-    /// transports, polled nonblockingly by the maintenance pass so a
-    /// peer (or a restarted replica's clients) can re-establish at any
-    /// time — not just during setup.
+    /// transports and part of every readiness sweep, so a peer (or a
+    /// restarted replica's clients) can re-establish at any time — not
+    /// just during setup.
     listener: Option<TcpListener>,
     stats: TransportStats,
     /// Jitter state for redial backoff (seeded from `me`, so the
@@ -652,16 +666,15 @@ impl<M: Codec> TcpTransport<M> {
         listener: Option<TcpListener>,
     ) -> Self {
         if let Some(l) = &listener {
-            // The blocking setup phase is over; from here on the accept
-            // sweep must never stall the event loop.
+            // The blocking setup phase is over; from here on an accept
+            // must never stall the event loop.
             let _ = l.set_nonblocking(true);
         }
         let mut t = TcpTransport {
             me,
             conns,
             inbox: VecDeque::new(),
-            next_read: 0,
-            sweep_seq: 0,
+            pollfds: Vec::new(),
             dial_addrs,
             backoff: Vec::new(),
             listener,
@@ -744,46 +757,72 @@ impl<M: Codec> TcpTransport<M> {
         TcpConn::new(peer, stream)
     }
 
-    /// One read pass over the connections, decoding complete frames into
-    /// the inbox. Starts at the connection that last produced traffic
-    /// (for a client awaiting one reply, that makes the common poll a
-    /// single `read(2)`); with `stop_on_frame`, the sweep ends at the
-    /// first connection that yields frames instead of reading the rest.
-    /// [`pump`](Transport::pump) always sweeps every connection, so no
-    /// peer starves as long as the event loop keeps iterating.
-    fn read_pass(&mut self, stop_on_frame: bool) {
-        self.sweep_seq = self.sweep_seq.wrapping_add(1);
-        let probe_cold = self.sweep_seq.is_multiple_of(COLD_EVERY);
-        let n = self.conns.len();
-        for step in 0..n {
-            let i = (self.next_read + step) % n;
-            let conn = &mut self.conns[i];
-            if conn.dead || (conn.cold >= COLD_AFTER && !probe_cold) {
-                continue;
+    /// The one readiness query every receive path but the client's park
+    /// goes through: asks the kernel, in a single `ppoll(2)` over the
+    /// listener and every live connection, which of them have something
+    /// — waiting up to `timeout` for the first (zero: just ask) — then
+    /// reads the connections that do, decoding their complete frames
+    /// into the inbox, and accepts if the listener does. A turn on which
+    /// nothing arrived costs that one syscall, whatever the number of
+    /// connections; no `read(2)` or `accept(2)` is made on a descriptor
+    /// that did not report. Hang-ups and errors count as "something", so
+    /// EOF still reaches [`TcpConn::fill`] and marks the connection
+    /// dead; dead slots awaiting the reap are holes in the poll set.
+    fn sweep(&mut self, timeout: Duration) {
+        let listener = self.listener.as_ref().map(|l| l.as_raw_fd());
+        self.pollfds.clear();
+        self.pollfds.push(PollFd::readable(listener));
+        self.pollfds.extend(
+            self.conns
+                .iter()
+                .map(|c| PollFd::readable((!c.dead).then(|| c.stream.as_raw_fd()))),
+        );
+        if !poll::wait_readable(&mut self.pollfds, timeout) {
+            return;
+        }
+        for (conn, fd) in self.conns.iter_mut().zip(&self.pollfds[1..]) {
+            if fd.ready() {
+                conn.fill();
+                conn.drain_frames(&mut self.inbox);
             }
-            let before = self.inbox.len();
-            conn.fill();
-            conn.drain_frames(&mut self.inbox);
-            if self.inbox.len() > before {
-                conn.cold = 0;
-                // Bias the next sweep toward the talkative connection.
-                self.next_read = i;
-                if stop_on_frame {
-                    return;
-                }
-            } else {
-                conn.cold = conn.cold.saturating_add(1);
-            }
+        }
+        // Last: adopting a connection reshuffles the table the poll set
+        // was built from.
+        if self.pollfds[0].ready() {
+            self.accept_pending();
+        }
+    }
+
+    /// Installs the inbound (re)connections waiting on the listener,
+    /// each superseding any stale slot for the same peer. Called only
+    /// when the listener polled readable.
+    fn accept_pending(&mut self) {
+        // Reap first, as the lifecycle always ran: a slot this very
+        // sweep found dead is counted as a kill before its replacement
+        // can supersede it uncounted.
+        self.maintain();
+        let Some(listener) = &self.listener else {
+            return;
+        };
+        // Ends at `WouldBlock`; a dialer that connected and hung up, or
+        // spoke a bad hello, ends the sweep too (if others wait behind
+        // it the listener stays readable for the next one).
+        while let Ok(conn) = Self::accept(listener) {
+            self.conns.retain(|c| c.peer != conn.peer);
+            // A redialing peer supersedes our own backoff entry for it
+            // too (both sides may dial in a symmetric pair harness).
+            self.backoff.retain(|r| r.peer != conn.peer);
+            self.conns.push(conn);
+            self.stats.reconnects += 1;
         }
     }
 
     /// The connection-lifecycle maintenance pass, run from every
-    /// [`flush`](Transport::flush) and [`pump`](Transport::pump):
-    /// reaps dead connection slots, fires due redials, and sweeps the
-    /// listener for inbound (re)connections. With nothing broken this
-    /// is a scan of the (tiny) conn table plus one nonblocking
-    /// `accept(2)` on listener-owning transports — no allocation, no
-    /// time syscalls beyond the ones the event loop already makes.
+    /// [`flush`](Transport::flush): reaps dead connection slots and
+    /// fires due redials. With nothing broken this is a scan of the
+    /// (tiny) conn table — no syscall, no allocation. (The third leg of
+    /// the lifecycle, adopting a peer's redial, runs when the listener
+    /// reports one: [`TcpTransport::accept_pending`].)
     fn maintain(&mut self) {
         // Reap: a dead slot either moves its peer to backoff (we dialed
         // it) or is simply dropped (the peer will redial our listener).
@@ -812,7 +851,6 @@ impl<M: Codec> TcpTransport<M> {
                     }
                 }
             }
-            self.next_read = 0;
         }
         // Redial: each due entry gets one connect attempt per pass.
         if !self.backoff.is_empty() {
@@ -848,30 +886,6 @@ impl<M: Codec> TcpTransport<M> {
                 }
             }
         }
-        // Accept: install inbound (re)connections, superseding any
-        // stale slot for the same peer.
-        if let Some(listener) = &self.listener {
-            loop {
-                match Self::accept(listener) {
-                    Ok(conn) => {
-                        if let Some(stale) = self.conns.iter().position(|c| c.peer == conn.peer) {
-                            self.conns.swap_remove(stale);
-                            self.next_read = 0;
-                        }
-                        // A redialing peer supersedes our own backoff
-                        // entry for it too (both sides may dial in a
-                        // symmetric pair harness).
-                        self.backoff.retain(|r| r.peer != conn.peer);
-                        self.conns.push(conn);
-                        self.stats.reconnects += 1;
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    // A dialer that connected and hung up (or spoke a
-                    // bad hello): ignore it and keep sweeping.
-                    Err(_) => break,
-                }
-            }
-        }
     }
 
     /// Capped exponential backoff with deterministic jitter: attempt
@@ -904,6 +918,18 @@ impl<M: Codec> TcpTransport<M> {
         if let Some(conn) = self.conns.iter_mut().find(|c| c.peer == to && !c.dead) {
             conn.send.push_frame(|buf| buf.push(0xFF));
         }
+    }
+}
+
+/// How long [`TcpTransport`]'s idle wait may block from `now`: until
+/// whichever comes first of `until`, the caller's own next deadline, and
+/// `redial`, when the earliest redial falls due — blocked, nothing else
+/// would make that attempt. With neither, one [`PARK_SLICE`] rather
+/// than indefinitely.
+fn block_for(until: Option<Instant>, redial: Option<Instant>, now: Instant) -> Duration {
+    match until.into_iter().chain(redial).min() {
+        Some(first) => first.saturating_duration_since(now),
+        None => PARK_SLICE,
     }
 }
 
@@ -961,14 +987,13 @@ impl<M: Codec + Send> Transport<M> for TcpTransport<M> {
 
     fn recv(&mut self) -> Option<(Peer, Wire<M>)> {
         if self.inbox.is_empty() {
-            self.read_pass(true);
+            self.sweep(Duration::ZERO);
         }
         self.inbox.pop_front()
     }
 
     fn pump(&mut self) {
-        self.maintain();
-        self.read_pass(false);
+        self.sweep(Duration::ZERO);
     }
 
     fn recv_ready(&mut self) -> Option<(Peer, Wire<M>)> {
@@ -990,36 +1015,19 @@ impl<M: Codec + Send> Transport<M> for TcpTransport<M> {
         self.maintain();
     }
 
-    /// Socket-aware wait: same spin-then-sleep shape as the default, but
-    /// each empty poll here costs a `read(2)` per connection, so the
-    /// spin phase yields the core several times between polls. On a
-    /// machine where replicas and clients timeshare cores, those yields
-    /// are what let the replica produce the awaited reply at all —
-    /// polling back-to-back would spend the shared core on empty
-    /// syscalls instead.
-    fn recv_deadline(&mut self, deadline: Instant) -> Option<(Peer, Wire<M>)> {
-        const YIELDS_PER_POLL: u32 = 1;
-        let mut spins = 0u32;
-        let mut nap = IDLE_NAP_FLOOR;
-        loop {
-            self.flush();
-            if let Some(m) = self.recv() {
-                return Some(m);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            if spins < IDLE_SPINS {
-                spins += 1;
-                for _ in 0..YIELDS_PER_POLL {
-                    std::thread::yield_now();
-                }
-            } else {
-                std::thread::sleep(nap.min(deadline - now));
-                nap = (nap * 2).min(IDLE_NAP_CEIL);
-            }
+    /// Yields through the same spin budget as the default, then blocks
+    /// in the readiness query itself — on every connection and the
+    /// listener at once — until bytes, a connection attempt, `until`, or
+    /// the next due redial (see `block_for`). Whatever woke it is
+    /// already read into the inbox, or adopted, on return.
+    fn idle_wait(&mut self, empty_turns: u32, until: Option<Instant>) -> bool {
+        if empty_turns < IDLE_SPINS {
+            std::thread::yield_now();
+            return false;
         }
+        let redial = self.backoff.iter().map(|r| r.next_attempt).min();
+        self.sweep(block_for(until, redial, Instant::now()));
+        true
     }
 
     /// Parks in a blocking read on `from`'s connection: zero polls, and
@@ -1059,16 +1067,11 @@ impl<M: Codec + Send> Transport<M> for TcpTransport<M> {
             };
             if self.conns[i].park_fill() {
                 self.conns[i].drain_frames(&mut self.inbox);
-                self.next_read = i;
             } else {
-                // Empty slice: sweep the other connections so traffic
-                // from unexpected peers is not starved while parked.
-                for j in 0..self.conns.len() {
-                    if j != i && !self.conns[j].dead {
-                        self.conns[j].fill();
-                        self.conns[j].drain_frames(&mut self.inbox);
-                    }
-                }
+                // Empty slice: ask after the other connections (and the
+                // listener), so traffic from unexpected peers is not
+                // starved while parked.
+                self.sweep(Duration::ZERO);
             }
         }
     }
@@ -1155,4 +1158,30 @@ pub(crate) fn client_transport<M: Codec>(
     }
     let dial_addrs: BTreeMap<NodeId, SocketAddr> = replicas.iter().copied().collect();
     Ok(TcpTransport::new(me, conns, dial_addrs, None))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn idle_block_ends_at_whichever_comes_first() {
+        let now = Instant::now();
+        let at = |us: u64| Some(now + Duration::from_micros(us));
+        let us = Duration::from_micros;
+        // The 20 µs batch-flush deadline beats a redial due in 500 µs…
+        assert_eq!(block_for(at(20), at(500), now), us(20));
+        // …a redial due sooner than the engine's next timer beats it…
+        assert_eq!(block_for(at(2_000), at(500), now), us(500));
+        assert_eq!(block_for(None, at(500), now), us(500));
+        // …and an overdue one means "do not block at all".
+        let overdue = now.checked_sub(us(300));
+        assert!(overdue.is_some(), "the clock is 300 µs past its epoch");
+        assert_eq!(block_for(at(2_000), overdue, now), Duration::ZERO);
+        // With nothing to redial the caller's deadline stands, past
+        // PARK_SLICE too: every descriptor is in the poll set.
+        assert_eq!(block_for(at(5_000), None, now), PARK_SLICE * 5);
+        // Neither a deadline nor a redial: one bounded slice.
+        assert_eq!(block_for(None, None, now), PARK_SLICE);
+    }
 }

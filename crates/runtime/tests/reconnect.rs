@@ -4,8 +4,8 @@
 //! A killed or corrupted link must be (1) reaped — the conn-slot table
 //! stays bounded by the peer count, no graveyard of terminal slots —
 //! and (2) re-established, by backoff redial on the side that owns the
-//! dial and by the nonblocking accept sweep on the side that owns the
-//! listener. Frames lost across the gap are covered by the documented
+//! dial and by an accept, when the listener reports the redial, on the
+//! side that owns the listener. Frames lost across the gap are covered by the documented
 //! may-drop/at-most-once delivery contract, which is what lets these
 //! tests simply re-send a probe until one crosses.
 
@@ -198,4 +198,51 @@ fn parked_client_survives_connection_death_mid_park() {
         client.stats()
     );
     drop(server);
+}
+
+/// An acceptor with nothing to do blocks in `idle_wait` on its listener
+/// too, so a peer that redials while it is in the kernel is adopted by
+/// the wake the connection attempt causes — not at the end of the wait —
+/// and replaces the dead slot one for one.
+#[test]
+fn blocked_acceptor_is_woken_by_a_redial_and_adopts_it() {
+    let (mut dialer, mut acceptor) =
+        TcpTransport::<u64>::pair(DIALER, ACCEPTOR).expect("loopback pair");
+    drive_until_delivered(&mut dialer, &mut acceptor, ACCEPTOR, 0, 0);
+    let conns_before = acceptor.conn_count();
+    let repairs_before = acceptor.stats().reconnects;
+
+    // The acceptor's side of the link dies and is reaped; only the
+    // listener is left to wait on.
+    acceptor.kill_peer_link(DIALER);
+    assert_eq!(acceptor.conn_count(), 0);
+
+    let redialer = std::thread::spawn(move || {
+        // Let the acceptor reach the kernel, then notice the EOF and
+        // redial (the first attempt is due immediately).
+        std::thread::sleep(Duration::from_millis(20));
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while dialer.stats().reconnects == 0 {
+            dialer.pump();
+            dialer.flush();
+            assert!(Instant::now() < deadline, "dialer never redialed");
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        dialer
+    });
+
+    let start = Instant::now();
+    acceptor.idle_wait(u32::MAX, Some(start + Duration::from_secs(10)));
+    assert!(
+        start.elapsed() < Duration::from_secs(5),
+        "the redial did not wake the blocked acceptor: {:?}",
+        start.elapsed()
+    );
+    assert_eq!(acceptor.conn_count(), conns_before, "adopted by the wake");
+    assert_eq!(acceptor.stats().reconnects, repairs_before + 1);
+
+    // And the adopted connection carries traffic.
+    let mut dialer = redialer.join().expect("redialer thread");
+    drive_until_delivered(&mut dialer, &mut acceptor, ACCEPTOR, 0, 1_000);
+    assert_eq!(acceptor.conn_count(), conns_before);
 }

@@ -185,6 +185,45 @@ fn batched_sharded_cluster_over_tcp_via_engine_config() {
 }
 
 #[test]
+fn lone_put_rides_the_batch_deadline_flush_over_tcp() {
+    // A batch of 16 that only ever gets one command is flushed by its
+    // 20 µs deadline timer. Idle replicas sit blocked in the kernel on
+    // their sockets, so the leader, woken by the request, must cap its
+    // next wait at that deadline — a wait that ignored it would leave
+    // the command in the accumulator until something else woke the
+    // replica, or for good.
+    let t = one_timing();
+    let (cluster, mut clients) = ClusterBuilder::new(3, move |m: &[NodeId], me| {
+        OnePaxosNode::with_timing(cfg(m, me), t)
+    })
+    .clients(1)
+    .batching(BatchConfig::new(16, 20_000))
+    .spawn_tcp()
+    .expect("tcp setup");
+    let c = &mut clients[0];
+    c.set_timeout(Duration::from_secs(2));
+    c.put(0, 0).expect("commit"); // election and first dial-up, untimed
+    let mut took: Vec<Duration> = (1..=9u64)
+        .map(|i| {
+            // Long enough for every replica to run out of spin budget
+            // and block.
+            std::thread::sleep(Duration::from_millis(5));
+            let start = std::time::Instant::now();
+            c.put(i, i).expect("commit");
+            start.elapsed()
+        })
+        .collect();
+    took.sort();
+    eprintln!("lone batched puts over tcp: {took:?}");
+    // Generous: an oversubscribed CI core, not the 20 µs, sets the scale.
+    assert!(
+        took[took.len() / 2] < Duration::from_millis(50),
+        "lone puts waited far past the 20 µs batch deadline: {took:?}"
+    );
+    cluster.shutdown();
+}
+
+#[test]
 fn txn_put_commits_atomically_across_shard_groups_over_tcp() {
     use consensus_inside::onepaxos::{ShardRouter, TxnOutcome};
     let t = one_timing();
