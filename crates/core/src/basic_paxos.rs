@@ -160,8 +160,10 @@ impl<V: Clone + PartialEq + std::fmt::Debug> QuorumLearner<V> {
 
     /// Drops chosen values and pending votes below `floor` (agreed
     /// truncation: everything below is decided, applied and covered by a
-    /// snapshot). Callers must stop feeding below-floor votes afterwards,
-    /// or a truncated instance could gather a quorum a second time.
+    /// snapshot). A truncated instance could gather a quorum a second
+    /// time from below-floor votes; inside a replica the engine drops
+    /// those before they reach the protocol (see
+    /// [`Protocol::instance_of`]).
     pub fn truncate(&mut self, floor: Instance) {
         self.votes = self.votes.split_off(&floor);
         self.chosen = self.chosen.split_off(&floor);
@@ -272,11 +274,6 @@ pub struct BasicPaxosNode {
     queue: VecDeque<Command>,
     acceptors: BTreeMap<Instance, InstanceAcceptor<Command>>,
     learner: QuorumLearner<Command>,
-    /// Agreed-truncation floor: per-instance state below it is dropped
-    /// and below-floor prepares/accepts/learns are ignored (the single
-    /// fixed proposer never revisits an instance it has seen decided, so
-    /// silent refusal cannot lose a value).
-    trunc_floor: Instance,
     /// Requests this node received directly from clients, for reply
     /// routing.
     my_clients: BTreeSet<(NodeId, u64)>,
@@ -299,7 +296,6 @@ impl BasicPaxosNode {
             queue: VecDeque::new(),
             acceptors: BTreeMap::new(),
             learner: QuorumLearner::new(),
-            trunc_floor: 0,
             my_clients: BTreeSet::new(),
             tick_period: Self::DEFAULT_TICK,
         }
@@ -417,11 +413,6 @@ impl BasicPaxosNode {
         cmd: Command,
         out: &mut Outbox<Msg>,
     ) {
-        if inst < self.trunc_floor {
-            // The instance is already applied and snapshotted; counting a
-            // stale vote could re-choose it.
-            return;
-        }
         let quorum = self.cfg.majority();
         if let Some(chosen) = self.learner.on_learn(inst, from, bal, cmd, quorum) {
             let id = chosen.id();
@@ -477,11 +468,6 @@ impl Protocol for BasicPaxosNode {
                 }
             }
             Msg::Prepare { inst, bal } => {
-                if inst < self.trunc_floor {
-                    // A delayed phase 1 for a truncated (hence decided
-                    // and applied) instance.
-                    return;
-                }
                 let acc = self
                     .acceptors
                     .entry(inst)
@@ -515,10 +501,6 @@ impl Protocol for BasicPaxosNode {
                 }
             }
             Msg::Accept { inst, bal, cmd } => {
-                if inst < self.trunc_floor {
-                    // A delayed phase 2 for a truncated instance.
-                    return;
-                }
                 let acc = self
                     .acceptors
                     .entry(inst)
@@ -591,15 +573,20 @@ impl Protocol for BasicPaxosNode {
         Some(self.proposer_node)
     }
 
-    fn truncate(&mut self, watermark: Instance) {
-        if watermark <= self.trunc_floor {
-            return;
+    fn instance_of(&self, msg: &Msg) -> Option<Instance> {
+        match *msg {
+            Msg::Prepare { inst, .. } | Msg::Accept { inst, .. } | Msg::Learn { inst, .. } => {
+                Some(inst)
+            }
+            _ => None,
         }
-        self.trunc_floor = watermark;
-        // By the time a Truncate at `watermark` applies here, every
-        // instance below it is decided, so the proposer bookkeeping for
-        // those instances is already gone (removed on learn). Re-advocate
-        // defensively if any survives; the RSM session layer deduplicates.
+    }
+
+    fn truncate(&mut self, watermark: Instance) {
+        // Every instance below `watermark` is decided here, so proposer
+        // bookkeeping for those instances is gone (removed on learn)
+        // unless a snapshot install skipped the learns. Re-advocate any
+        // that survives; the RSM session layer deduplicates.
         let keep = self.proposing.split_off(&watermark);
         let orphans = std::mem::replace(&mut self.proposing, keep);
         self.queue.extend(orphans.into_values().map(|p| p.cmd));

@@ -113,13 +113,25 @@
 //! * **Boot probe.** `Start` itself issues one request (`have = 0`), so
 //!   a restarted replica rejoins warm without waiting for traffic; on a
 //!   fresh cluster every donor refuses it.
+//! * **Stale peer.** The applier's log base is the one truncation floor:
+//!   a peer message whose [`Protocol::instance_of`] lies below it is
+//!   dropped before the protocol sees it — that slot is decided, applied
+//!   and snapshotted, so promising, accepting or counting a vote there
+//!   could re-decide it. The sender is evidently behind, so the engine
+//!   serves it this replica's snapshot, at most once per peer per
+//!   [`GAP_PATIENCE`]. This part needs no timer and runs whether or not
+//!   maintenance is enabled; it only ever fires once a floor exists.
 //!
-//! Requests leave through a side queue, not an [`EngineEffect`]: the
-//! harness drains [`ReplicaEngine::take_snapshot_request`] after `Start`
-//! and after firing timers, carries `(donor, have)` over its own
-//! transport, and feeds what the donor's
-//! [`ReplicaEngine::serve_snapshot`] offers (only if strictly newer) to
-//! [`ReplicaEngine::install_snapshot`]. The threaded runtime always
+//! Catch-up leaves through a side queue, not an [`EngineEffect`], in two
+//! kinds of [`CatchUp`]: *ask a donor* (gap and boot probe) and *serve a
+//! peer* (stale peer). The harness drains [`ReplicaEngine::take_catch_up`]
+//! after `Start` and after firing timers or delivering messages (the
+//! threaded runtime once per loop turn). It
+//! carries an ask over its own transport to the donor and a serve to the
+//! peer; either way the serving engine's [`ReplicaEngine::serve_snapshot`]
+//! offers a snapshot (only if strictly newer than `have`) and the
+//! receiver feeds it to [`ReplicaEngine::install_snapshot`], which also
+//! refuses anything not strictly ahead. The threaded runtime always
 //! enables maintenance; the simulator and `TestNet` only when
 //! [`EngineConfig::truncate_every`] is set, so their default runs keep
 //! an unchanged timer table and effect stream.
@@ -153,7 +165,7 @@
 //! assert_eq!(engine.state().get(1), Some(7));
 //! ```
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 
 use crate::outbox::{Action, Outbox, Timer};
 use crate::protocol::Protocol;
@@ -479,6 +491,9 @@ pub struct EngineStats {
     pub truncations: u64,
     /// Cached at-most-once outputs (bounded at one per live client).
     pub outputs_len: usize,
+    /// The applied watermark: the first instance not yet applied,
+    /// whether learned or skipped by a snapshot install.
+    pub applied: Instance,
     /// Finished-transaction outcomes retained by the state machine
     /// (bounded per coordinator by [`crate::kv::FINISHED_WINDOW`]).
     pub finished_len: usize,
@@ -518,6 +533,7 @@ impl EngineStats {
         self.applied_log_len += other.applied_log_len;
         self.truncations += other.truncations;
         self.outputs_len += other.outputs_len;
+        self.applied += other.applied;
         self.finished_len += other.finished_len;
     }
 }
@@ -866,6 +882,21 @@ impl LocalRead for crate::kv::KvStore {
     }
 }
 
+/// One entry of an engine's catch-up side queue (see the
+/// [module docs](self#maintenance)). Both kinds end the same way: the
+/// serving engine's [`ReplicaEngine::serve_snapshot`]`(have)` is
+/// installed at the receiver.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CatchUp {
+    /// `Ask(donor, have)`: this replica is behind; ask `donor` for a
+    /// snapshot past `have`, the first instance it has not applied.
+    Ask(NodeId, Instance),
+    /// `Serve(peer, have)`: `peer` reached below this replica's floor
+    /// with a message about instance `have`; send it this replica's
+    /// snapshot.
+    Serve(NodeId, Instance),
+}
+
 /// Per-group state of the background maintenance policy; see the
 /// [module docs](self#maintenance).
 #[derive(Debug)]
@@ -880,8 +911,6 @@ struct Maintenance {
     /// Rotating donor cursor, so retries and concurrent catch-ups spread
     /// over the group.
     donor_rr: usize,
-    /// The catch-up request waiting for the harness: `(donor, have)`.
-    request: Option<(NodeId, Instance)>,
 }
 
 /// One protocol node plus all of its deployment plumbing; see the
@@ -928,6 +957,10 @@ pub struct ReplicaEngine<P: Protocol, S: StateMachine> {
     /// Background maintenance; `None` until
     /// [`Self::enable_maintenance`] switches it on.
     maint: Option<Maintenance>,
+    /// Catch-up waiting for the harness ([`Self::take_catch_up`]).
+    catch_up: VecDeque<CatchUp>,
+    /// When each stale peer was last served a snapshot.
+    served: BTreeMap<NodeId, Nanos>,
     /// The consensus group this engine belongs to in a sharded
     /// deployment, if any; diagnostics only (safety-violation panics name
     /// the shard so multi-group harness failures localize).
@@ -966,6 +999,8 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
             batch_seq: 0,
             inflight_batches: BTreeSet::new(),
             maint: None,
+            catch_up: VecDeque::new(),
+            served: BTreeMap::new(),
             shard: None,
             outbox: Outbox::new(),
             action_scratch: Vec::new(),
@@ -1039,6 +1074,7 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
         s.gap_backlog = self.applier.gap_backlog();
         s.applied_log_len = self.applier.applied_log().len();
         s.outputs_len = self.applier.outputs_len();
+        s.applied = self.applied_next();
         s
     }
 
@@ -1106,10 +1142,13 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
                     self.timers.insert(MAINTENANCE, now + MAINT_PERIOD);
                 }
             }
-            EngineEvent::Message { from, msg } => {
-                self.node.on_message(from, msg, now, &mut self.outbox);
-                self.absorb(now, effects);
-            }
+            EngineEvent::Message { from, msg } => match self.node.instance_of(&msg) {
+                Some(inst) if inst < self.applier.log_base() => self.serve_stale(from, inst, now),
+                _ => {
+                    self.node.on_message(from, msg, now, &mut self.outbox);
+                    self.absorb(now, effects);
+                }
+            },
             EngineEvent::ClientRequest { client, req_id, op } => {
                 self.submit(client, req_id, op, now, effects);
             }
@@ -1216,7 +1255,6 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
             truncate_every,
             gap_since: None,
             donor_rr: me.index() + self.shard.map_or(0, |s| s.index()),
-            request: None,
         });
     }
 
@@ -1231,8 +1269,20 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
         let have = self.applied_next();
         let m = self.maint.as_mut().expect("maintenance enabled");
         if !m.peers.is_empty() {
-            m.request = Some((m.peers[m.donor_rr % m.peers.len()], have));
+            let donor = m.peers[m.donor_rr % m.peers.len()];
+            self.catch_up.push_back(CatchUp::Ask(donor, have));
             m.donor_rr += 1;
+        }
+    }
+
+    /// `peer`'s message reached below the floor at `inst` and was
+    /// dropped: queue this replica's snapshot for it, unless it was
+    /// served within the last [`GAP_PATIENCE`].
+    fn serve_stale(&mut self, peer: NodeId, inst: Instance, now: Nanos) {
+        let due = |&at: &Nanos| now.saturating_sub(at) >= GAP_PATIENCE;
+        if self.served.get(&peer).is_none_or(due) {
+            self.served.insert(peer, now);
+            self.catch_up.push_back(CatchUp::Serve(peer, inst));
         }
     }
 
@@ -1257,11 +1307,11 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
         }
     }
 
-    /// Takes the pending catch-up request `(donor, have)`, if any: the
-    /// harness sends it to `donor`, which answers through
-    /// [`Self::serve_snapshot`].
-    pub fn take_snapshot_request(&mut self) -> Option<(NodeId, Instance)> {
-        self.maint.as_mut()?.request.take()
+    /// Takes the oldest queued catch-up, if any: the harness carries a
+    /// [`CatchUp::Ask`] to its donor and a [`CatchUp::Serve`] to its
+    /// peer, each answered through [`Self::serve_snapshot`].
+    pub fn take_catch_up(&mut self) -> Option<CatchUp> {
+        self.catch_up.pop_front()
     }
 
     // ----------------------------------------------------------------
@@ -1388,15 +1438,10 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
                     // checking does not depend on the history log.
                     let base_before = self.applier.log_base();
                     self.applier.on_decided(instance, cmd.clone());
-                    let base_after = self.applier.log_base();
-                    if base_after > base_before {
+                    if self.applier.log_base() > base_before {
                         // An agreed Op::Truncate (possibly inside a
-                        // batch) applied: drop protocol learner/acceptor
-                        // state and the engine's own commit history below
-                        // the new base.
-                        self.node.truncate(base_after);
-                        self.commits = self.commits.split_off(&base_after);
-                        self.stats.truncations += 1;
+                        // batch) applied.
+                        self.floor_rose();
                     }
                     // A committed batch that *this* engine advocated fans
                     // back out into per-client replies, exactly once (a
@@ -1515,26 +1560,25 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
     // Snapshots & catch-up (see `Applier::snapshot`).
     // ----------------------------------------------------------------
 
-    /// The donor side of catch-up: a snapshot for a peer that has
-    /// applied everything below `have` — but only one strictly past it,
-    /// so stale requests and boot probes against an empty group go
-    /// unanswered instead of bouncing state the requester already has.
+    /// The serving side of catch-up ([`CatchUp`]): a snapshot for a peer
+    /// that asked with `have` or reached below the floor at `have` — but
+    /// only one strictly past it, so stale requests and boot probes
+    /// against an empty group go unanswered instead of bouncing state the
+    /// requester already has.
     pub fn serve_snapshot(&self, have: Instance) -> Option<crate::rsm::ApplierSnapshot<S>> {
         (self.applied_next() > have).then(|| self.applier.snapshot())
     }
 
     /// Installs a peer's snapshot, fast-forwarding the applier *and* the
-    /// protocol past its watermark. Returns `false` (and changes
-    /// nothing) if the snapshot is at or below what this replica already
-    /// applied.
+    /// protocol past its watermark in one step. Returns `false` (and
+    /// changes nothing) if the snapshot is at or below what this replica
+    /// already applied.
     pub fn install_snapshot(&mut self, snap: crate::rsm::ApplierSnapshot<S>) -> bool {
         let watermark = snap.watermark;
         if !self.applier.install_snapshot(snap) {
             return false;
         }
-        self.node.truncate(watermark);
-        self.commits = self.commits.split_off(&watermark);
-        self.stats.truncations += 1;
+        self.floor_rose();
         if let Some(m) = &mut self.maint {
             m.gap_since = None; // whatever gap remains starts a fresh window
         }
@@ -1543,6 +1587,17 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
         // session table (at-most-once) instead of re-applying.
         self.deferred.retain(|&(_, _, inst)| inst >= watermark);
         true
+    }
+
+    /// The applier's log base — the one truncation floor — just rose:
+    /// the protocol and the engine's commit history drop everything
+    /// below it. The only caller of [`Protocol::truncate`], so each call
+    /// passes a strictly larger floor.
+    fn floor_rose(&mut self) {
+        let floor = self.applier.log_base();
+        self.node.truncate(floor);
+        self.commits = self.commits.split_off(&floor);
+        self.stats.truncations += 1;
     }
 
     // ----------------------------------------------------------------

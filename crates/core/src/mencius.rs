@@ -83,11 +83,6 @@ pub struct MenciusNode {
     accepted: BTreeMap<Instance, Command>,
     learner: QuorumLearner<Command>,
     watermark: Instance,
-    /// Agreed-truncation floor: per-slot state below it is dropped and
-    /// below-floor accepts/learns are ignored (each slot has a unique
-    /// owner that never re-proposes it, so silent refusal cannot lose a
-    /// value).
-    trunc_floor: Instance,
     my_clients: BTreeSet<(NodeId, u64)>,
     decided_ids: BTreeMap<(NodeId, u64), Instance>,
     /// Skips this node has proposed (for tests/metrics).
@@ -112,7 +107,6 @@ impl MenciusNode {
             accepted: BTreeMap::new(),
             learner: QuorumLearner::new(),
             watermark: 0,
-            trunc_floor: 0,
             my_clients: BTreeSet::new(),
             decided_ids: BTreeMap::new(),
             skips_proposed: 0,
@@ -177,11 +171,6 @@ impl MenciusNode {
     }
 
     fn on_learn_vote(&mut self, from: NodeId, inst: Instance, cmd: Command, out: &mut Outbox<Msg>) {
-        if inst < self.trunc_floor {
-            // The slot is already applied and snapshotted; counting a
-            // stale vote could re-choose it.
-            return;
-        }
         let quorum = self.cfg.majority();
         let bal = self.slot_ballot(inst);
         if let Some(chosen) = self.learner.on_learn(inst, from, bal, cmd, quorum) {
@@ -225,11 +214,6 @@ impl Protocol for MenciusNode {
             Msg::Accept { inst, cmd } => {
                 // Only the slot owner may propose (implicit promise).
                 if from != self.owner(inst) {
-                    return;
-                }
-                if inst < self.trunc_floor {
-                    // A delayed proposal for a truncated (hence decided
-                    // and applied) slot.
                     return;
                 }
                 self.max_seen = self.max_seen.max(inst);
@@ -277,11 +261,13 @@ impl Protocol for MenciusNode {
         Some(self.me())
     }
 
-    fn truncate(&mut self, watermark: Instance) {
-        if watermark <= self.trunc_floor {
-            return;
+    fn instance_of(&self, msg: &Msg) -> Option<Instance> {
+        match *msg {
+            Msg::Accept { inst, .. } | Msg::Learn { inst, .. } => Some(inst),
         }
-        self.trunc_floor = watermark;
+    }
+
+    fn truncate(&mut self, watermark: Instance) {
         self.accepted = self.accepted.split_off(&watermark);
         self.learner.truncate(watermark);
         self.decided_ids.retain(|_, &mut inst| inst >= watermark);

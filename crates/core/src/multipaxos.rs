@@ -81,15 +81,6 @@ pub enum Msg {
         /// The leader's ballot.
         bal: Ballot,
     },
-    /// Refusal of a `Prepare`/`Accept` that reaches below the acceptor's
-    /// agreed-truncation floor: everything below `floor` is decided,
-    /// applied and covered by a snapshot, so the acceptor no longer holds
-    /// (or re-decides) per-instance state there. The stale sender
-    /// fast-forwards and relies on snapshot install for the gap.
-    Truncated {
-        /// The acceptor's truncation floor.
-        floor: Instance,
-    },
 }
 
 /// Timing knobs (tick period and leader-suspicion timeout).
@@ -115,6 +106,8 @@ impl Default for Timing {
 #[derive(Debug)]
 struct Electing {
     bal: Ballot,
+    /// The first instance the prepare asked acceptors about.
+    from: Instance,
     promises: BTreeSet<NodeId>,
     /// Highest-ballot accepted proposal per instance, from promises.
     prior: BTreeMap<Instance, (Ballot, Command)>,
@@ -152,12 +145,6 @@ pub struct MultiPaxosNode {
     decided_ids: BTreeMap<(NodeId, u64), Instance>,
     /// Contiguous chosen prefix (next instance expected to be decided).
     watermark: Instance,
-    /// Agreed-truncation floor: per-instance state below it is dropped
-    /// and the acceptor refuses prepares/accepts reaching below it. This
-    /// keeps a lagging candidate whose prepare quorum is entirely
-    /// truncated acceptors from re-filling an already-decided (and
-    /// already-applied) slot with a no-op.
-    trunc_floor: Instance,
     /// Proposer.
     leading: bool,
     leader: Option<NodeId>,
@@ -193,7 +180,6 @@ impl MultiPaxosNode {
             learner: QuorumLearner::new(),
             decided_ids: BTreeMap::new(),
             watermark: 0,
-            trunc_floor: 0,
             leading,
             leader: Some(leader),
             next_instance: 0,
@@ -275,11 +261,6 @@ impl MultiPaxosNode {
         cmd: Command,
         out: &mut Outbox<Msg>,
     ) {
-        if inst < self.trunc_floor {
-            // Stale vote for a slot that is already applied and
-            // snapshotted; counting it could re-choose the slot.
-            return;
-        }
         let quorum = self.cfg.majority();
         if let Some(chosen) = self.learner.on_learn(inst, from, bal, cmd, quorum) {
             let id = chosen.id();
@@ -305,12 +286,13 @@ impl MultiPaxosNode {
     /// Starts phase 1 with a ballot above everything seen.
     fn start_election(&mut self, out: &mut Outbox<Msg>) {
         let bal = self.promised.next_for(self.me());
+        let from_inst = self.watermark;
         self.electing = Some(Electing {
             bal,
+            from: from_inst,
             promises: BTreeSet::new(),
             prior: BTreeMap::new(),
         });
-        let from_inst = self.watermark;
         for peer in self.cfg.others() {
             out.send(peer, Msg::Prepare { bal, from_inst });
         }
@@ -387,9 +369,7 @@ impl MultiPaxosNode {
             self.accept_locally(inst, bal, cmd, out);
         }
         // Drain commands that queued up while electing.
-        while let Some(cmd) = self.queue.pop_front() {
-            self.propose(cmd, out);
-        }
+        self.propose_queued(out);
     }
 
     fn step_down(&mut self, higher: Ballot) {
@@ -415,33 +395,11 @@ impl MultiPaxosNode {
         }
     }
 
-    /// Drops all per-instance state below `watermark` and fast-forwards
-    /// past it. Reached when the engine applies an [`Op::Truncate`]
-    /// locally, or when a peer acceptor reports its floor
-    /// ([`Msg::Truncated`]) to this stale proposer. Proposals pinned below
-    /// the floor that are not known decided are re-advocated in fresh
-    /// instances; the RSM session layer deduplicates.
-    fn apply_truncate(&mut self, watermark: Instance) {
-        if watermark <= self.trunc_floor {
-            return;
+    /// Proposes every queued command in a fresh instance (leader only).
+    fn propose_queued(&mut self, out: &mut Outbox<Msg>) {
+        for cmd in std::mem::take(&mut self.queue) {
+            self.propose(cmd, out);
         }
-        self.trunc_floor = watermark;
-        // Re-advocate pinned-but-undecided proposals from truncated slots
-        // *before* pruning the dedup map that filters them.
-        let keep = self.proposed.split_off(&watermark);
-        let orphans: Vec<Command> = std::mem::replace(&mut self.proposed, keep)
-            .into_values()
-            .filter(|c| !self.decided_ids.contains_key(&c.id()))
-            .collect();
-        self.queue.extend(orphans);
-        self.accepted = self.accepted.split_off(&watermark);
-        self.learner.truncate(watermark);
-        self.decided_ids.retain(|_, &mut inst| inst >= watermark);
-        self.watermark = self.watermark.max(watermark);
-        while self.learner.chosen(self.watermark).is_some() {
-            self.watermark += 1;
-        }
-        self.next_instance = self.next_instance.max(watermark);
     }
 }
 
@@ -474,20 +432,6 @@ impl Protocol for MultiPaxosNode {
                 }
             }
             Msg::Prepare { bal, from_inst } => {
-                if from_inst < self.trunc_floor {
-                    // Our accepted suffix no longer covers [from_inst,
-                    // floor): promising would hide possibly-decided values
-                    // from the candidate, letting it fill those slots with
-                    // no-ops. Refuse; the candidate fast-forwards and
-                    // retries from the floor.
-                    out.send(
-                        from,
-                        Msg::Truncated {
-                            floor: self.trunc_floor,
-                        },
-                    );
-                    return;
-                }
                 if bal > self.promised {
                     self.promised = bal;
                     if self.leading || self.electing.is_some() {
@@ -514,17 +458,6 @@ impl Protocol for MultiPaxosNode {
                 }
             }
             Msg::Accept { bal, inst, cmd } => {
-                if inst < self.trunc_floor {
-                    // The slot is decided, applied and snapshotted;
-                    // accepting could let a stale leader re-decide it.
-                    out.send(
-                        from,
-                        Msg::Truncated {
-                            floor: self.trunc_floor,
-                        },
-                    );
-                    return;
-                }
                 if bal >= self.promised {
                     if self.leading && from != self.me() {
                         self.step_down(bal);
@@ -553,23 +486,6 @@ impl Protocol for MultiPaxosNode {
                     self.leader = Some(from);
                 }
             }
-            Msg::Truncated { floor } => {
-                // We reached below a peer's truncation floor: we are
-                // behind an agreed truncation. Fast-forward; the engine's
-                // gap-backlog trigger fetches a snapshot for the gap.
-                self.apply_truncate(floor);
-                if self.electing.is_some() {
-                    // The election was anchored below the floor; abandon
-                    // it and let the tick restart from the new watermark.
-                    self.electing = None;
-                } else if self.leading {
-                    // Orphaned proposals were re-queued; re-advocate them
-                    // in fresh instances above the floor.
-                    for cmd in std::mem::take(&mut self.queue) {
-                        self.propose(cmd, out);
-                    }
-                }
-            }
         }
     }
 
@@ -582,6 +498,8 @@ impl Protocol for MultiPaxosNode {
             for peer in self.cfg.others() {
                 out.send(peer, Msg::Heartbeat { bal });
             }
+            // Commands re-queued while leading (truncated or lost slots).
+            self.propose_queued(out);
         } else {
             // Demand-driven suspicion (§7.6): forwarded commands that the
             // leader has not decided within the timeout mean the leader is
@@ -656,8 +574,41 @@ impl Protocol for MultiPaxosNode {
         self.leader
     }
 
+    fn instance_of(&self, msg: &Msg) -> Option<Instance> {
+        match *msg {
+            Msg::Prepare { from_inst, .. } => Some(from_inst),
+            Msg::Accept { inst, .. } | Msg::Learn { inst, .. } => Some(inst),
+            _ => None,
+        }
+    }
+
+    /// Drops all per-instance state below `watermark` and fast-forwards
+    /// past it. Proposals pinned below the floor that are not known
+    /// decided are queued and re-advocated in fresh instances on the
+    /// next tick; the RSM session layer deduplicates. An election whose
+    /// prepare asked about instances below the floor can no longer
+    /// gather promises: it is abandoned, and the tick restarts one from
+    /// the new watermark.
     fn truncate(&mut self, watermark: Instance) {
-        self.apply_truncate(watermark);
+        // Re-advocate pinned-but-undecided proposals from truncated slots
+        // *before* pruning the dedup map that filters them.
+        let keep = self.proposed.split_off(&watermark);
+        let orphans: Vec<Command> = std::mem::replace(&mut self.proposed, keep)
+            .into_values()
+            .filter(|c| !self.decided_ids.contains_key(&c.id()))
+            .collect();
+        self.queue.extend(orphans);
+        self.accepted = self.accepted.split_off(&watermark);
+        self.learner.truncate(watermark);
+        self.decided_ids.retain(|_, &mut inst| inst >= watermark);
+        self.watermark = self.watermark.max(watermark);
+        while self.learner.chosen(self.watermark).is_some() {
+            self.watermark += 1;
+        }
+        self.next_instance = self.next_instance.max(watermark);
+        if self.electing.as_ref().is_some_and(|e| e.from < watermark) {
+            self.electing = None;
+        }
     }
 }
 
@@ -720,6 +671,24 @@ mod tests {
         assert_eq!(net.replies().len(), 10);
         assert_eq!(net.node(NodeId(0)).watermark(), 10);
         net.assert_consistent();
+    }
+
+    #[test]
+    fn leader_re_advocates_truncated_orphans_on_its_tick() {
+        // Nothing of instance 0 lands anywhere (it would have fallen
+        // below the acceptors' floor), and the floor rises past it: the
+        // leader's next tick must re-propose the command above the floor
+        // without waiting for another client request.
+        let mut net = net(3);
+        net.client_request(NodeId(0), NodeId(9), 1, Op::Noop);
+        for peer in [NodeId(1), NodeId(2)] {
+            assert!(net.drop_one(NodeId(0), peer)); // Accept
+            assert!(net.drop_one(NodeId(0), peer)); // Learn
+        }
+        net.node_mut(NodeId(0)).truncate(1);
+        net.advance_and_settle(Timing::default().tick, 1);
+        assert_eq!(net.replies().len(), 1);
+        assert_eq!(net.replies()[0].instance, 1);
     }
 
     #[test]

@@ -161,12 +161,6 @@ pub struct OnePaxosNode {
     /// dropped) instead of re-proposed.
     decided_ids: BTreeMap<(NodeId, u64), Instance>,
     watermark: Instance,
-    /// Agreed-truncation floor: every instance below it is decided and
-    /// covered by the replica's snapshot, and all per-instance state below
-    /// it has been dropped. The acceptor refuses accepts below the floor
-    /// (replying [`Msg::Truncated`]) so a lagging leader can never re-fill
-    /// truncated slots with no-ops and diverge from the applied prefix.
-    trunc_floor: Instance,
     my_clients: BTreeSet<(NodeId, u64)>,
     // --- embedded PaxosUtility ---
     utility: PaxosUtility,
@@ -233,7 +227,6 @@ impl OnePaxosNode {
             learned: BTreeMap::new(),
             decided_ids: BTreeMap::new(),
             watermark: 0,
-            trunc_floor: 0,
             my_clients: BTreeSet::new(),
             utility,
             noop_seq: 0,
@@ -279,12 +272,6 @@ impl OnePaxosNode {
     /// mismatch.
     pub fn freshness_blocks(&self) -> u64 {
         self.freshness_blocks
-    }
-
-    /// The agreed-truncation floor (0 until the first [`Op::Truncate`]
-    /// applies here).
-    pub fn trunc_floor(&self) -> Instance {
-        self.trunc_floor
     }
 
     /// Commands queued locally waiting for leadership or a leader.
@@ -464,43 +451,7 @@ impl OnePaxosNode {
     // Learner side
     // ------------------------------------------------------------------
 
-    /// Drops all per-instance state below `watermark` and fast-forwards
-    /// the proposer/learner past it. Reached two ways: the engine applied
-    /// an [`Op::Truncate`] locally (via [`Protocol::truncate`]), or the
-    /// active acceptor told a stale proposer about its floor
-    /// ([`Msg::Truncated`]). Proposals pinned below the floor that are not
-    /// known decided are re-advocated in fresh instances; the RSM session
-    /// layer deduplicates any that were in fact decided there.
-    fn apply_truncate(&mut self, watermark: Instance) {
-        if watermark <= self.trunc_floor {
-            return;
-        }
-        self.trunc_floor = watermark;
-        // Re-advocate pinned-but-unlearned proposals from truncated slots
-        // *before* pruning the dedup map that filters them.
-        let keep = self.proposed.split_off(&watermark);
-        let orphans: Vec<Command> = std::mem::replace(&mut self.proposed, keep)
-            .into_values()
-            .filter(|c| !self.decided_ids.contains_key(&c.id()))
-            .collect();
-        self.queue.extend(orphans);
-        self.learned = self.learned.split_off(&watermark);
-        self.ap = self.ap.split_off(&watermark);
-        self.inflight = self.inflight.split_off(&watermark);
-        self.decided_ids.retain(|_, &mut inst| inst >= watermark);
-        self.watermark = self.watermark.max(watermark);
-        while self.learned.contains_key(&self.watermark) {
-            self.watermark += 1;
-        }
-        self.next_instance = self.next_instance.max(watermark);
-    }
-
     fn note_learned(&mut self, inst: Instance, cmd: Command, out: &mut Outbox<Msg>) {
-        if inst < self.trunc_floor {
-            // The slot is already covered by the snapshot the truncation
-            // was agreed against; its value was applied long ago.
-            return;
-        }
         if let Some(prior) = self.learned.get(&inst) {
             assert_eq!(
                 *prior, cmd,
@@ -801,17 +752,7 @@ impl Protocol for OnePaxosNode {
             }
             Msg::AcceptReq { inst, pn, cmd } => {
                 self.observe_round(pn);
-                if inst < self.trunc_floor {
-                    // The slot was agreed-truncated: its value is decided,
-                    // applied and snapshotted. Accepting would let a stale
-                    // leader re-decide it (e.g. as a no-op hole-filler).
-                    out.send(
-                        from,
-                        Msg::Truncated {
-                            floor: self.trunc_floor,
-                        },
-                    );
-                } else if pn != self.hpn {
+                if pn != self.hpn {
                     out.send(
                         from,
                         Msg::Abandon {
@@ -870,18 +811,6 @@ impl Protocol for OnePaxosNode {
                 self.observe_round(pn);
                 self.note_learned(inst, cmd, out);
             }
-            Msg::Truncated { floor } => {
-                // We proposed below the acceptor's truncation floor: we
-                // are behind an agreed truncation. Fast-forward our own
-                // bookkeeping; the engine's gap-backlog trigger fetches a
-                // snapshot to close the apply gap this leaves.
-                self.apply_truncate(floor);
-                if self.i_am_leader {
-                    // Orphaned proposals were re-queued; re-advocate them
-                    // in fresh instances above the floor.
-                    self.drain_queue(now, out);
-                }
-            }
             Msg::Utility(um) => {
                 let events = self.utility.handle(from, um, out);
                 self.on_utility_events(events, now, out);
@@ -899,8 +828,11 @@ impl Protocol for OnePaxosNode {
         // here; decisions arrive via Learn messages.
         self.utility.tick(out);
 
-        // Leader: suspect the acceptor when accepts go unanswered.
+        // Leader: re-advocate commands re-queued while leading (truncated
+        // or lost slots), and suspect the acceptor when accepts go
+        // unanswered.
         if self.i_am_leader {
+            self.drain_queue(now, out);
             let stalled = self
                 .inflight
                 .values()
@@ -991,8 +923,36 @@ impl Protocol for OnePaxosNode {
         self.relaxed_reads
     }
 
+    fn instance_of(&self, msg: &Msg) -> Option<Instance> {
+        match *msg {
+            Msg::AcceptReq { inst, .. } | Msg::Learn { inst, .. } => Some(inst),
+            _ => None,
+        }
+    }
+
+    /// Drops all per-instance state below `watermark` and fast-forwards
+    /// the proposer/learner past it. Proposals pinned below the floor
+    /// that are not known decided are queued and re-advocated in fresh
+    /// instances — by a leader on its next tick; the RSM session layer
+    /// deduplicates any that were in fact decided there.
     fn truncate(&mut self, watermark: Instance) {
-        self.apply_truncate(watermark);
+        // Re-advocate pinned-but-unlearned proposals from truncated slots
+        // *before* pruning the dedup map that filters them.
+        let keep = self.proposed.split_off(&watermark);
+        let orphans: Vec<Command> = std::mem::replace(&mut self.proposed, keep)
+            .into_values()
+            .filter(|c| !self.decided_ids.contains_key(&c.id()))
+            .collect();
+        self.queue.extend(orphans);
+        self.learned = self.learned.split_off(&watermark);
+        self.ap = self.ap.split_off(&watermark);
+        self.inflight = self.inflight.split_off(&watermark);
+        self.decided_ids.retain(|_, &mut inst| inst >= watermark);
+        self.watermark = self.watermark.max(watermark);
+        while self.learned.contains_key(&self.watermark) {
+            self.watermark += 1;
+        }
+        self.next_instance = self.next_instance.max(watermark);
     }
 }
 

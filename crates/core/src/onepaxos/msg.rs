@@ -184,16 +184,6 @@ pub enum Msg {
         /// The decided command.
         cmd: Command,
     },
-    /// The acceptor refuses an `accept request` below its truncation
-    /// floor: every instance below `floor` was agreed-truncated
-    /// ([`crate::types::Op::Truncate`]), so its value is already decided,
-    /// applied and covered by a snapshot. A proposer receiving this is
-    /// stale; it fast-forwards its own bookkeeping to `floor` and relies
-    /// on snapshot install to close the resulting apply gap.
-    Truncated {
-        /// The acceptor's truncation floor.
-        floor: Instance,
-    },
     /// An embedded PaxosUtility message.
     Utility(UtilityMsg),
 }

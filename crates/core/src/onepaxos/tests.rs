@@ -101,6 +101,21 @@ fn progresses_while_backup_acceptor_is_slow() {
 }
 
 #[test]
+fn leader_re_advocates_truncated_orphans_on_its_tick() {
+    // The accept for req 1 never lands (it would have fallen below the
+    // acceptor's floor), and the floor rises past its instance: the
+    // leader's next tick must re-propose it above the floor without
+    // waiting for another client request.
+    let mut net = net(3);
+    net.client_request(NodeId(0), NodeId(9), 1, Op::Noop);
+    assert!(net.drop_one(NodeId(0), NodeId(1)));
+    net.node_mut(NodeId(0)).truncate(1);
+    net.advance_and_settle(TICK, 1);
+    assert_eq!(net.replies().len(), 1);
+    assert_eq!(net.replies()[0].instance, 1);
+}
+
+#[test]
 fn acceptor_failure_switches_to_backup() {
     let mut net = net(3);
     net.client_request(NodeId(0), NodeId(9), 1, Op::Noop);

@@ -1,5 +1,5 @@
 //! The sans-IO protocol interface implemented by every agreement protocol
-//! in this crate (1Paxos, Multi-Paxos, Basic-Paxos, 2PC).
+//! in this crate (1Paxos, Multi-Paxos, Basic-Paxos, Mencius, 2PC).
 
 use crate::outbox::{Outbox, Timer};
 use crate::types::{Instance, Nanos, NodeId, Op};
@@ -70,11 +70,25 @@ pub trait Protocol {
         false
     }
 
-    /// An agreed truncation ([`Op::Truncate`]) applied at this node:
-    /// every instance below `watermark` is decided, applied and covered
-    /// by the replica's snapshot, so per-instance protocol state below
-    /// it (learned values, acceptor votes, proposer bookkeeping) may be
-    /// dropped. Protocols without per-instance history ignore it.
+    /// The instance `msg` promises, accepts or learns a value at, if it
+    /// is instance-scoped (`None` for forwards, elections, heartbeats and
+    /// other traffic). The engine drops a message whose instance is below
+    /// its truncation floor before [`Self::on_message`] runs, so a
+    /// protocol never sees per-instance traffic for a slot it has
+    /// truncated and needs no floor of its own.
+    fn instance_of(&self, msg: &Self::Msg) -> Option<Instance> {
+        let _ = msg;
+        None
+    }
+
+    /// The engine's truncation floor rose to `watermark` — an agreed
+    /// [`Op::Truncate`] applied here or a peer's snapshot was installed.
+    /// Called once per strict rise, so `watermark` is always larger than
+    /// the previous call's. Every instance below it is decided, applied
+    /// and covered by the replica's snapshot, so per-instance protocol
+    /// state below it (learned values, acceptor votes, proposer
+    /// bookkeeping) may be dropped. Protocols without per-instance
+    /// history ignore it.
     fn truncate(&mut self, watermark: Instance) {
         let _ = watermark;
     }
@@ -132,6 +146,10 @@ impl<P: Protocol + ?Sized> Protocol for Box<P> {
 
     fn can_read_locally(&self, key: u64) -> bool {
         (**self).can_read_locally(key)
+    }
+
+    fn instance_of(&self, msg: &Self::Msg) -> Option<Instance> {
+        (**self).instance_of(msg)
     }
 
     fn truncate(&mut self, watermark: Instance) {

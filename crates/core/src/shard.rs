@@ -45,8 +45,8 @@
 //! tables for sleep-until-deadline schedulers. Background maintenance
 //! (see [`crate::engine`]) is per group too:
 //! [`ShardedEngine::enable_maintenance`] switches it on everywhere and
-//! [`ShardedEngine::take_snapshot_requests`] drains the groups' catch-up
-//! requests, shard-tagged like everything else.
+//! [`ShardedEngine::take_catch_up`] drains the groups' catch-up queues,
+//! shard-tagged like everything else.
 //!
 //! # Example
 //!
@@ -75,8 +75,8 @@
 use std::fmt;
 
 use crate::engine::{
-    BatchConfig, EngineConfig, EngineEffect, EngineEvent, EngineStats, LocalRead, ReplicaEngine,
-    ReplyMode,
+    BatchConfig, CatchUp, EngineConfig, EngineEffect, EngineEvent, EngineStats, LocalRead,
+    ReplicaEngine, ReplyMode,
 };
 use crate::protocol::Protocol;
 use crate::rsm::{ApplierSnapshot, StateMachine};
@@ -386,21 +386,19 @@ impl<P: Protocol, S: StateMachine> ShardedEngine<P, S> {
         }
     }
 
-    /// Drains the catch-up requests the shard groups' maintenance has
-    /// queued, as `(shard, donor, have)` — for the harness to carry to
-    /// `donor` after [`Self::start`] and [`Self::fire_due`].
-    pub fn take_snapshot_requests(
-        &mut self,
-    ) -> impl Iterator<Item = (ShardId, NodeId, Instance)> + '_ {
-        self.shards.iter_mut().enumerate().filter_map(|(i, e)| {
-            let (donor, have) = e.take_snapshot_request()?;
-            Some((ShardId(i as u16), donor, have))
-        })
+    /// Takes the next catch-up any shard group queued (see
+    /// [`ReplicaEngine::take_catch_up`]), tagged with its shard — for the
+    /// harness to carry after [`Self::start`], [`Self::fire_due`] and
+    /// each delivered message.
+    pub fn take_catch_up(&mut self) -> Option<(ShardId, CatchUp)> {
+        self.shards
+            .iter_mut()
+            .enumerate()
+            .find_map(|(i, e)| Some((ShardId(i as u16), e.take_catch_up()?)))
     }
 
-    /// Answers a peer's catch-up request for shard `s`: a snapshot only
-    /// if strictly newer than `have` (see
-    /// [`ReplicaEngine::serve_snapshot`]).
+    /// Shard `s`'s side of a catch-up: a snapshot only if strictly newer
+    /// than `have` (see [`ReplicaEngine::serve_snapshot`]).
     pub fn serve_snapshot(&self, s: ShardId, have: Instance) -> Option<ApplierSnapshot<S>> {
         self.shards[s.index()].serve_snapshot(have)
     }

@@ -19,7 +19,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use crate::engine::{
-    AdaptiveBatch, BatchConfig, EngineConfig, EngineEffect, EngineEvent, EngineStats,
+    AdaptiveBatch, BatchConfig, CatchUp, EngineConfig, EngineEffect, EngineEvent, EngineStats,
     ReplicaEngine, ReplyMode,
 };
 use crate::kv::KvStore;
@@ -162,6 +162,8 @@ pub struct TestNet<P: Protocol> {
     delivered: u64,
     /// Every catch-up request carried so far, as `(requester, donor)`.
     snapshot_requests: Vec<(NodeId, NodeId)>,
+    /// Every snapshot served to a stale peer so far, as `(server, peer)`.
+    snapshot_serves: Vec<(NodeId, NodeId)>,
     /// Rebuilds per node, so each engine incarnation advocates batches
     /// in a fresh sequence epoch (recycled batch ids would be dropped as
     /// already-decided duplicates by surviving peers).
@@ -254,6 +256,7 @@ impl<P: Protocol> TestNet<P> {
             replies: Vec::new(),
             delivered: 0,
             snapshot_requests: Vec::new(),
+            snapshot_serves: Vec::new(),
             resets: BTreeMap::new(),
             probe_reqs: 0,
             scratch: Vec::new(),
@@ -272,7 +275,6 @@ impl<P: Protocol> TestNet<P> {
         self.engines[id.index()].start(now, &mut effects);
         self.absorb(id, &mut effects);
         self.scratch = effects;
-        self.carry_snapshots(id);
     }
 
     /// Current virtual time.
@@ -393,8 +395,7 @@ impl<P: Protocol> TestNet<P> {
     pub fn propose_truncate(&mut self, target: NodeId, shard: ShardId) -> Instance {
         self.probe_reqs += 1;
         let engine = &mut self.engines[target.index()];
-        let applied = engine.shard(shard).applier().applied_up_to();
-        let watermark = applied.map_or(0, |i| i + 1);
+        let watermark = engine.stats(shard).applied;
         // Keyless, so handed to its shard directly instead of routed.
         let event = EngineEvent::ClientRequest {
             client: Self::PROBE_CLIENT,
@@ -730,23 +731,31 @@ impl<P: Protocol> TestNet<P> {
             self.engines[i].fire_due(now, &mut effects);
             self.absorb(NodeId(i as u16), &mut effects);
             self.scratch = effects;
-            self.carry_snapshots(NodeId(i as u16));
         }
     }
 
-    /// The catch-up transport: hands each request `me`'s maintenance
-    /// queued straight to its donor and the donor's snapshot straight
-    /// back, bypassing the link FIFOs. A blocked donor (a slow core)
-    /// answers nothing — the request is lost and the policy must retry.
-    fn carry_snapshots(&mut self, me: NodeId) {
-        let requests: Vec<_> = self.engines[me.index()].take_snapshot_requests().collect();
-        for (shard, donor, have) in requests {
-            self.snapshot_requests.push((me, donor));
-            if self.is_blocked(donor) {
+    /// The catch-up transport, bypassing the link FIFOs: hands each ask
+    /// `me`'s engines queued straight to its donor and the donor's
+    /// snapshot straight back, and each serve's snapshot straight to its
+    /// peer. A blocked donor (a slow core) answers nothing — the request
+    /// is lost and the policy must retry.
+    fn carry_catch_up(&mut self, me: NodeId) {
+        while let Some((shard, catch_up)) = self.engines[me.index()].take_catch_up() {
+            let (from, to, have) = match catch_up {
+                CatchUp::Ask(donor, have) => {
+                    self.snapshot_requests.push((me, donor));
+                    (donor, me, have)
+                }
+                CatchUp::Serve(peer, have) => {
+                    self.snapshot_serves.push((me, peer));
+                    (me, peer, have)
+                }
+            };
+            if self.is_blocked(from) {
                 continue;
             }
-            if let Some(snap) = self.engines[donor.index()].serve_snapshot(shard, have) {
-                self.engines[me.index()].install_shard_snapshot(shard, snap);
+            if let Some(snap) = self.engines[from.index()].serve_snapshot(shard, have) {
+                self.engines[to.index()].install_shard_snapshot(shard, snap);
             }
         }
     }
@@ -787,6 +796,12 @@ impl<P: Protocol> TestNet<P> {
         &self.snapshot_requests
     }
 
+    /// Every snapshot an engine served to a peer that reached below its
+    /// truncation floor, as `(server, peer)` in emission order.
+    pub fn snapshot_serves(&self) -> &[(NodeId, NodeId)] {
+        &self.snapshot_serves
+    }
+
     /// Asserts the Appendix B *consistency* property across all nodes,
     /// per shard group: no two nodes have learned different commands for
     /// the same instance of the same group. (Instances of *different*
@@ -816,7 +831,8 @@ impl<P: Protocol> TestNet<P> {
     /// Routes one node's tagged effects: sends into per-link FIFOs
     /// (multiplexing all shard groups, tagged), replies and commits into
     /// the harness-level records (which outlive node resets, unlike the
-    /// engines they came from).
+    /// engines they came from). Then carries the catch-up the node's
+    /// engines queued in the same step.
     fn absorb(&mut self, me: NodeId, effects: &mut Effects<P>) {
         for (shard, effect) in effects.drain(..) {
             match effect {
@@ -854,6 +870,7 @@ impl<P: Protocol> TestNet<P> {
                 }
             }
         }
+        self.carry_catch_up(me);
     }
 }
 

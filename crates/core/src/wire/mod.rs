@@ -679,7 +679,6 @@ wire_enum!(onepaxos::Msg as "onepaxos::Msg" {
     4 => Abandon { hpn: Ballot, fresh: bool, re: AbandonRe },
     5 => Learn { inst: Instance, pn: Ballot, cmd: Command },
     6 => Utility(msg: UtilityMsg),
-    7 => Truncated { floor: Instance },
 });
 
 // Baseline protocol messages.
@@ -693,7 +692,6 @@ wire_enum!(multipaxos::Msg as "multipaxos::Msg" {
     5 => AcceptNack { promised: Ballot },
     6 => Learn { inst: Instance, bal: Ballot, cmd: Command },
     7 => Heartbeat { bal: Ballot },
-    8 => Truncated { floor: Instance },
 });
 
 wire_enum!(twopc::Msg as "twopc::Msg" {
@@ -917,7 +915,6 @@ mod tests {
                     },
                 )],
             }),
-            OnePaxosMsg::Truncated { floor: 4096 },
         ];
         for m in msgs {
             round_trip(m);

@@ -14,6 +14,10 @@ use onepaxos::onepaxos::OnePaxosNode;
 use onepaxos::testnet::TestNet;
 use onepaxos::{ClusterConfig, Instance, Nanos, NodeId, Op, Protocol};
 
+use onepaxos::basic_paxos::BasicPaxosNode;
+use onepaxos::engine::GAP_PATIENCE;
+use onepaxos::mencius::MenciusNode;
+
 const N0: NodeId = NodeId(0);
 const N1: NodeId = NodeId(1);
 const N2: NodeId = NodeId(2);
@@ -203,5 +207,145 @@ fn onepaxos_stale_leader_cannot_propose_below_the_floor() {
     load.puts(&mut net, N2, 8);
     run_for(&mut net, 2 * MAINT_PERIOD);
     assert_eq!(load.answered(&net), answered + 9);
+    assert_converged(&net, &members);
+}
+
+// ---------------------------------------------------------------------
+// The stale replica is served a snapshot: one per protocol. Each case
+// starts its clock when the stale replica first gets to act — at or
+// before its first below-floor message — and requires the install
+// (applied watermark at the floor, one more log-base advance) inside
+// one gap-patience window, the time gap watching alone would take.
+// ---------------------------------------------------------------------
+
+fn basic_paxos(m: &[NodeId], me: NodeId) -> BasicPaxosNode {
+    BasicPaxosNode::new(ClusterConfig::new(m.to_vec(), me))
+}
+
+fn mencius(m: &[NodeId], me: NodeId) -> MenciusNode {
+    MenciusNode::new(ClusterConfig::new(m.to_vec(), me))
+}
+
+/// Steps virtual time until `stale` has applied up to `floor` and
+/// advanced its log base once more than its `truncations` so far;
+/// asserts that happens less than [`GAP_PATIENCE`] after `since`, and
+/// through a snapshot a peer served it.
+fn assert_served_in_time<P: Protocol>(
+    net: &mut TestNet<P>,
+    stale: NodeId,
+    floor: Instance,
+    truncations: u64,
+    since: Nanos,
+) {
+    loop {
+        let stats = net.engine_stats(stale);
+        let applied = stats.applied;
+        if applied >= floor && stats.truncations > truncations {
+            assert!(net.snapshot_serves().iter().any(|&(_, peer)| peer == stale));
+            return;
+        }
+        assert!(
+            net.now() - since < GAP_PATIENCE,
+            "{stale} applied {applied} of {floor} after one patience window"
+        );
+        run_for(net, TICK);
+    }
+}
+
+/// Reboots `stale` cold while `donor`, the first peer in its snapshot
+/// rotation, is blocked, so its boot probe goes unanswered.
+fn reset_cold<P: Protocol>(
+    net: &mut TestNet<P>,
+    stale: NodeId,
+    donor: NodeId,
+    fresh: impl FnMut() -> P,
+) {
+    net.block(donor);
+    net.reset_node(stale, fresh);
+    net.unblock(donor);
+    assert_eq!(
+        net.engine_stats(stale).truncations,
+        0,
+        "boot probe answered"
+    );
+}
+
+#[test]
+fn onepaxos_stale_leader_is_served_a_snapshot() {
+    let mut net = TestNet::builder(3).config(truncating()).build(onepaxos);
+    let mut load = Load::new();
+    net.run_to_quiescence();
+    load.puts(&mut net, N0, 8);
+    net.block(N0);
+    let floor = truncate_the_group(&mut net, &mut load, N2, &[N1, N2]);
+
+    net.unblock(N0);
+    let (since, truncations) = (net.now(), net.engine_stats(N0).truncations);
+    load.puts(&mut net, N0, 1); // an accept request below the floor
+    assert_served_in_time(&mut net, N0, floor, truncations, since);
+}
+
+#[test]
+fn multipaxos_fresh_candidate_is_served_a_snapshot() {
+    let members = [N0, N1, N2];
+    let mut net = TestNet::builder(3).config(truncating()).build(multipaxos);
+    let mut load = Load::new();
+    let floor = truncate_the_group(&mut net, &mut load, N0, &members);
+
+    // Node 2's probe goes to node 0, the leader, which stays blocked: the
+    // stalled request makes node 2 campaign from instance 0.
+    net.block(N0);
+    net.reset_node(N2, || multipaxos(&members, N2));
+    let since = net.now();
+    load.puts(&mut net, N2, 1);
+    assert_served_in_time(&mut net, N2, floor, 0, since);
+
+    // It is elected from above the floor and commits.
+    let answered = load.answered(&net);
+    run_for(&mut net, 8 * TICK);
+    assert!(net.node(N2).is_leader());
+    assert_eq!(load.answered(&net), answered + 1);
+}
+
+#[test]
+fn basic_paxos_cold_proposer_is_served_a_snapshot() {
+    let members = [N0, N1, N2];
+    let mut net = TestNet::builder(3).config(truncating()).build(basic_paxos);
+    let mut load = Load::new();
+    let floor = truncate_the_group(&mut net, &mut load, N0, &members);
+
+    // The fixed proposer reboots and starts over at instance 0: its
+    // prepare reaches below both acceptors' floor.
+    reset_cold(&mut net, N0, N1, || basic_paxos(&members, N0));
+    let since = net.now();
+    let answered = load.answered(&net);
+    load.puts(&mut net, N0, 1);
+    assert_served_in_time(&mut net, N0, floor, 0, since);
+
+    // Its request, re-advocated above the floor, commits.
+    run_for(&mut net, 2 * TICK);
+    assert_eq!(load.answered(&net), answered + 1);
+    assert_converged(&net, &members);
+}
+
+#[test]
+fn mencius_cold_replica_is_served_a_snapshot() {
+    let members = [N0, N1, N2];
+    let mut net = TestNet::builder(3).config(truncating()).build(mencius);
+    let mut load = Load::new();
+    let floor = truncate_the_group(&mut net, &mut load, N0, &members);
+
+    // The rebooted replica proposes in its first own slot, 2, far below
+    // the floor.
+    reset_cold(&mut net, N2, N0, || mencius(&members, N2));
+    let since = net.now();
+    load.puts(&mut net, N2, 1);
+    assert_served_in_time(&mut net, N2, floor, 0, since);
+
+    // Caught up, it proposes above the floor again.
+    let answered = load.answered(&net);
+    load.puts(&mut net, N2, 4);
+    run_for(&mut net, 2 * TICK);
+    assert_eq!(load.answered(&net), answered + 4);
     assert_converged(&net, &members);
 }

@@ -159,7 +159,6 @@ fn arb_onepaxos_msg() -> BoxedStrategy<Msg> {
             cmd
         }),
         arb_umsg().prop_map(Msg::Utility),
-        any::<u64>().prop_map(|floor| Msg::Truncated { floor }),
     ]
     .boxed()
 }
@@ -187,7 +186,6 @@ fn arb_multipaxos_msg() -> BoxedStrategy<multipaxos::Msg> {
             cmd
         }),
         arb_ballot().prop_map(|bal| Msg::Heartbeat { bal }),
-        any::<u64>().prop_map(|floor| Msg::Truncated { floor }),
     ]
     .boxed()
 }

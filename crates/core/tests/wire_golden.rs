@@ -268,7 +268,6 @@ fn onepaxos_msg() {
             [0x05, 0xAC, 0x02, 0x03, 0x01, 0x00, 0x08, 0x00, 0x02, 0x00];
         Msg::Utility(..) => Msg::Utility(UtilityMsg::Query { qid: 77, have: 2 }),
             [0x06, 0x06, 0x4D, 0x02];
-        Msg::Truncated { .. } => Msg::Truncated { floor: 4096 }, [0x07, 0x80, 0x20];
     });
 }
 
@@ -296,7 +295,6 @@ fn multipaxos_msg() {
         Msg::Learn { .. } => Msg::Learn { inst: 300, bal: bal(3, 1), cmd: noop_cmd() },
             [0x06, 0xAC, 0x02, 0x03, 0x01, 0x00, 0x08, 0x00, 0x02, 0x00];
         Msg::Heartbeat { .. } => Msg::Heartbeat { bal: bal(3, 1) }, [0x07, 0x03, 0x01, 0x00];
-        Msg::Truncated { .. } => Msg::Truncated { floor: 4096 }, [0x08, 0x80, 0x20];
     });
 }
 

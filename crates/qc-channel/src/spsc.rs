@@ -388,6 +388,83 @@ mod tests {
         assert_eq!(DROPS.load(Ordering::SeqCst), 2);
     }
 
+    /// The `unsafe` slot handling under real concurrency: values cross
+    /// threads through rings of several capacities while each side drops
+    /// its end at a seeded random point. Every value ever created —
+    /// received, handed back by a full ring, or still queued when the
+    /// ring is freed — must be dropped exactly once.
+    #[test]
+    fn cross_thread_drops_every_value_exactly_once() {
+        struct Tracked<'a> {
+            id: usize,
+            drops: &'a [AtomicUsize],
+        }
+        impl Drop for Tracked<'_> {
+            fn drop(&mut self) {
+                self.drops[self.id].fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        // SplitMix64: a seeded stream of drop points.
+        let mut seed = 0x5EED_u64;
+        let mut next = move |bound: usize| {
+            seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) as usize % (bound + 1)
+        };
+        const N: usize = 10_000;
+        let mut total = 0;
+        for cap in [1, 2, 7, 64] {
+            for _ in 0..8 {
+                let (send_stop, recv_stop) = (next(N), next(N));
+                let drops: Vec<AtomicUsize> = (0..N).map(|_| AtomicUsize::new(0)).collect();
+                let (tx, rx) = channel::<Tracked<'_>>(cap);
+                let created = std::thread::scope(|s| {
+                    let drops = &drops[..];
+                    let sender = s.spawn(move || {
+                        for id in 0..send_stop {
+                            let mut v = Tracked { id, drops };
+                            loop {
+                                match tx.try_send(v) {
+                                    Ok(()) => break,
+                                    Err(Full(back)) if tx.receiver_alive() => {
+                                        v = back;
+                                        std::thread::yield_now();
+                                    }
+                                    // Receiver gone, ring full: the value
+                                    // comes back and is dropped here.
+                                    Err(Full(_)) => return id + 1,
+                                }
+                            }
+                        }
+                        send_stop
+                    });
+                    let mut received = 0;
+                    while received < recv_stop {
+                        match rx.try_recv() {
+                            Some(v) => {
+                                drop(v);
+                                received += 1;
+                            }
+                            None if !rx.sender_alive() => break,
+                            None => std::thread::yield_now(),
+                        }
+                    }
+                    drop(rx);
+                    sender.join().expect("sender panicked")
+                });
+                // Both ends are gone: the ring itself has been freed.
+                for (id, d) in drops.iter().enumerate() {
+                    let want = usize::from(id < created);
+                    assert_eq!(d.load(Ordering::SeqCst), want, "cap {cap}, value {id}");
+                }
+                total += created;
+            }
+        }
+        assert!(total > 50_000, "only {total} values crossed");
+    }
+
     #[test]
     fn endpoint_liveness() {
         let (tx, rx) = channel::<u8>(1);

@@ -37,13 +37,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use onepaxos::engine::{BatchConfig, EngineConfig, EngineEffect, ReplyMode};
+use onepaxos::engine::{BatchConfig, CatchUp, EngineConfig, EngineEffect, ReplyMode};
 use onepaxos::kv::KvStore;
 use onepaxos::rsm::ApplierSnapshot;
 use onepaxos::shard::{ShardId, ShardRouter, ShardedEffects, ShardedEngine};
 use onepaxos::txn::{Fragment, TxnCoordinator, TxnStep};
 use onepaxos::wire::{decode_exact, encode_to_vec, Codec};
-use onepaxos::{EngineEvent, Nanos, NodeId, Op, Protocol, TxnOutcome};
+use onepaxos::{EngineEvent, Instance, Nanos, NodeId, Op, Protocol, TxnOutcome};
 use qc_channel::{spsc, Receiver, Sender};
 
 use crate::affinity;
@@ -80,6 +80,10 @@ pub struct NodeMetrics {
     /// Commands committed (applied or queued for application), summed
     /// over shard groups.
     pub committed: AtomicU64,
+    /// The applied watermark — the first instance not yet applied —
+    /// summed over shard groups. Unlike `committed` it covers what a
+    /// snapshot install fast-forwarded past.
+    pub applied: AtomicU64,
     /// Batches flushed to the protocols, summed over shard groups (the
     /// replica loop republishes its engines'
     /// [`EngineStats`](onepaxos::engine::EngineStats) snapshot
@@ -666,6 +670,7 @@ fn publish_engine_stats<P: Protocol>(
     metrics: &NodeMetrics,
 ) {
     let stats = engine.merged_stats();
+    metrics.applied.store(stats.applied, Ordering::Relaxed);
     metrics
         .batch_flushes
         .store(stats.flushes, Ordering::Relaxed);
@@ -707,17 +712,44 @@ fn publish_transport_stats(stats: &TransportStats, metrics: &NodeMetrics) {
         .store(stats.corrupt_frames, Ordering::Relaxed);
 }
 
-/// Sends the catch-up requests the engines' maintenance has queued
-/// (boot probes, persistent apply gaps) to their donors, each on its
-/// shard group's topic.
-fn send_snapshot_requests<P: Protocol, T: Transport<P::Msg>>(
+/// Carries the catch-up the engines queued, each on its shard group's
+/// topic: an ask (boot probe, persistent apply gap) goes to its donor as
+/// a snapshot request, a serve goes to its stale peer as the snapshot.
+fn send_catch_up<P: Protocol, T: Transport<P::Msg>>(
     engine: &mut ShardedEngine<P, KvStore>,
     io: &mut T,
     metrics: &NodeMetrics,
 ) {
-    for (shard, donor, have) in engine.take_snapshot_requests() {
-        let shard = shard.0;
-        io.send(donor, shard, Wire::SnapshotRequest { shard, have });
+    while let Some((ShardId(shard), catch_up)) = engine.take_catch_up() {
+        match catch_up {
+            CatchUp::Ask(donor, have) => {
+                io.send(donor, shard, Wire::SnapshotRequest { shard, have });
+                metrics.sent.fetch_add(1, Ordering::Relaxed);
+            }
+            CatchUp::Serve(peer, have) => send_snapshot(engine, io, metrics, peer, shard, have),
+        }
+    }
+}
+
+/// Sends `to` shard `shard`'s snapshot if the engine has one strictly
+/// past `have` — the answer to a peer's request and to a stale peer
+/// alike.
+fn send_snapshot<P: Protocol, T: Transport<P::Msg>>(
+    engine: &ShardedEngine<P, KvStore>,
+    io: &mut T,
+    metrics: &NodeMetrics,
+    to: NodeId,
+    shard: u16,
+    have: Instance,
+) {
+    if let Some(snap) = engine.serve_snapshot(ShardId(shard), have) {
+        let frame = Wire::Snapshot {
+            shard,
+            watermark: snap.watermark,
+            bytes: encode_to_vec(&snap),
+        };
+        io.send(to, shard, frame);
+        metrics.snapshots_served.fetch_add(1, Ordering::Relaxed);
         metrics.sent.fetch_add(1, Ordering::Relaxed);
     }
 }
@@ -741,7 +773,7 @@ fn replica_loop<P: Protocol, T: Transport<P::Msg>>(
 
     engine.start(now_ns(), &mut effects);
     dispatch_effects::<P, T>(&mut effects, &mut io, metrics);
-    send_snapshot_requests(&mut engine, &mut io, metrics);
+    send_catch_up(&mut engine, &mut io, metrics);
     publish_engine_stats(&engine, truncations_before, metrics);
 
     // Consecutive turns that found nothing to do; the transport's idle
@@ -764,11 +796,9 @@ fn replica_loop<P: Protocol, T: Transport<P::Msg>>(
             last_io = io_stats;
         }
         // Fire due timers across every shard group — the protocols',
-        // batch flushes, and the maintenance tick whose catch-up
-        // requests leave here.
+        // batch flushes, and the maintenance tick.
         if engine.fire_due(now_ns(), &mut effects) > 0 {
             dispatch_effects::<P, T>(&mut effects, &mut io, metrics);
-            send_snapshot_requests(&mut engine, &mut io, metrics);
             progressed = true;
         }
         // One readiness query over every connection, then drain a
@@ -824,19 +854,7 @@ fn replica_loop<P: Protocol, T: Transport<P::Msg>>(
                     // Serve a catching-up peer, if the engine has
                     // anything newer to offer.
                     if shard < shard_count {
-                        if let Some(snap) = engine.serve_snapshot(ShardId(shard), have) {
-                            io.send(
-                                from,
-                                shard,
-                                Wire::Snapshot {
-                                    shard,
-                                    watermark: snap.watermark,
-                                    bytes: encode_to_vec(&snap),
-                                },
-                            );
-                            metrics.snapshots_served.fetch_add(1, Ordering::Relaxed);
-                            metrics.sent.fetch_add(1, Ordering::Relaxed);
-                        }
+                        send_snapshot(&engine, &mut io, metrics, from, shard, have);
                     }
                 }
                 Wire::Snapshot {
@@ -865,6 +883,9 @@ fn replica_loop<P: Protocol, T: Transport<P::Msg>>(
             }
             dispatch_effects::<P, T>(&mut effects, &mut io, metrics);
         }
+        // Catch-up queued this turn — the maintenance tick's requests,
+        // snapshots owed to peers whose messages fell below the floor.
+        send_catch_up(&mut engine, &mut io, metrics);
         // Retry relaxed reads whose lock window may have closed.
         pending_reads.retain(|&(client, req_id, key)| {
             let Some(value) = engine.local_read(key) else {

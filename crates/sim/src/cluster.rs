@@ -38,7 +38,8 @@ use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 use onepaxos::engine::{
-    BatchConfig, EngineConfig, EngineEffect, EngineEvent, EngineStats, ReplicaEngine, ReplyMode,
+    BatchConfig, CatchUp, EngineConfig, EngineEffect, EngineEvent, EngineStats, ReplicaEngine,
+    ReplyMode,
 };
 use onepaxos::kv::KvStore;
 use onepaxos::rsm::ApplierSnapshot;
@@ -322,11 +323,11 @@ enum WorkItem<M> {
     /// Joint-mode local read waiting for the replica's 2PC lock window to
     /// close (§7.5): polls until the copy is readable again.
     LocalReadWait { req_id: u64, key: u64 },
-    /// A snapshot request (queued by the requester's engine maintenance)
-    /// arriving at a donor replica-shard process: `for_proc` is the
-    /// requester, `have` its applied watermark. The donor serializes and
-    /// transmits its snapshot (`snapshot + marshal + tx` of CPU) only
-    /// when its engine offers one.
+    /// A snapshot to serve at a replica-shard process: a request from
+    /// `for_proc`'s engine maintenance (`have` its applied watermark), or
+    /// a serve this process's own engine queued for a stale `for_proc`.
+    /// The server serializes and transmits its snapshot (`snapshot +
+    /// marshal + tx` of CPU) only when its engine offers one.
     SnapshotServe { for_proc: usize, have: Instance },
     /// A state snapshot arriving at a lagging replica-shard process;
     /// installing costs `rx + snapshot` of CPU.
@@ -1127,18 +1128,27 @@ impl<P: Protocol> ClusterSim<P> {
                 }
             }
         }
-        // A catch-up request the engine's maintenance queued during this
-        // step (boot probe or persistent gap) leaves like any message.
-        if let Some((donor, have)) = self.engines[r].shard_mut(shard).take_snapshot_request() {
-            service += out_cost;
-            self.server_messages += 1;
-            self.total_messages += 1;
-            self.snapshot_requests.push((r, donor.index()));
-            let item = WorkItem::SnapshotServe {
-                for_proc: proc,
-                have,
-            };
-            outbound.push((self.proc_of(donor.index(), shard), item));
+        // Catch-up the engine queued during this step: an ask (boot probe
+        // or persistent gap) leaves like any message; a serve for a stale
+        // peer is this process's own next work item.
+        while let Some(catch_up) = self.engines[r].shard_mut(shard).take_catch_up() {
+            match catch_up {
+                CatchUp::Ask(donor, have) => {
+                    service += out_cost;
+                    self.server_messages += 1;
+                    self.total_messages += 1;
+                    self.snapshot_requests.push((r, donor.index()));
+                    let item = WorkItem::SnapshotServe {
+                        for_proc: proc,
+                        have,
+                    };
+                    outbound.push((self.proc_of(donor.index(), shard), item));
+                }
+                CatchUp::Serve(peer, have) => {
+                    let for_proc = self.proc_of(peer.index(), shard);
+                    local.push(WorkItem::SnapshotServe { for_proc, have });
+                }
+            }
         }
         let done = start + service;
         for (to_proc, item) in outbound {

@@ -361,15 +361,18 @@ fn metrics_reflect_message_flow() {
         c.put(i, i).expect("commit");
     }
     let m = cluster.metrics();
-    // Every replica commits all 10 commands. The last learn may still be
-    // in flight when the client's reply arrives, so poll briefly.
+    // Every replica applies all 10 commands — by learning them, or, for
+    // a replica whose boot probe was answered late, partly by installing
+    // a peer's snapshot (which `committed` never counts). The last learn
+    // may still be in flight when the client's reply arrives, so poll
+    // briefly.
     let deadline = std::time::Instant::now() + Duration::from_secs(3);
     for (i, nm) in m.iter().enumerate() {
-        while nm.committed.load(std::sync::atomic::Ordering::Relaxed) < 10 {
+        while nm.applied.load(std::sync::atomic::Ordering::Relaxed) < 10 {
             assert!(
                 std::time::Instant::now() < deadline,
-                "replica {i} commits: {}",
-                nm.committed.load(std::sync::atomic::Ordering::Relaxed)
+                "replica {i} applied: {}",
+                nm.applied.load(std::sync::atomic::Ordering::Relaxed)
             );
             std::thread::yield_now();
         }
