@@ -489,7 +489,9 @@ pub struct EngineStats {
     /// applied plus snapshot installs (installing implies truncating
     /// below the watermark).
     pub truncations: u64,
-    /// Cached at-most-once outputs (bounded at one per live client).
+    /// Session-table entries ([`Applier::outputs_len`]): one per
+    /// client, holding that client's latest output — so bounded by the
+    /// number of clients.
     pub outputs_len: usize,
     /// The applied watermark: the first instance not yet applied,
     /// whether learned or skipped by a snapshot install.
@@ -1446,19 +1448,19 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
                     // A committed batch that *this* engine advocated fans
                     // back out into per-client replies, exactly once (a
                     // re-decided batch finds its inflight entry gone).
-                    let fan_out: Vec<(NodeId, u64)> = match cmd.as_batch() {
-                        Some(inner)
+                    let fan_out = match &cmd.op {
+                        Op::Batch(inner)
                             if cmd.client == self.node.node_id().batch_source()
                                 && self.inflight_batches.remove(&cmd.req_id) =>
                         {
-                            inner.iter().map(|c| (c.client, c.req_id)).collect()
+                            Some(inner.clone())
                         }
-                        _ => Vec::new(),
+                        _ => None,
                     };
                     effects.push(EngineEffect::Committed { instance, cmd });
                     self.flush_deferred(effects);
-                    for (client, req_id) in fan_out {
-                        self.reply(client, req_id, instance, effects);
+                    for c in fan_out.as_deref().unwrap_or_default() {
+                        self.reply(c.client, c.req_id, instance, effects);
                     }
                 }
                 Action::SetTimer { timer, after } => {

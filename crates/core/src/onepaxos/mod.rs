@@ -452,14 +452,14 @@ impl OnePaxosNode {
     // ------------------------------------------------------------------
 
     fn note_learned(&mut self, inst: Instance, cmd: Command, out: &mut Outbox<Msg>) {
-        if let Some(prior) = self.learned.get(&inst) {
+        // One lookup: a repeated learn re-inserts an equal command.
+        if let Some(prior) = self.learned.insert(inst, cmd.clone()) {
             assert_eq!(
-                *prior, cmd,
+                prior, cmd,
                 "1Paxos consistency violation: two values learned for instance {inst}"
             );
             return;
         }
-        self.learned.insert(inst, cmd.clone());
         self.decided_ids.entry(cmd.id()).or_insert(inst);
         if let Some(pinned) = self.proposed.remove(&inst) {
             // Our proposal lost the slot to another leader's command:

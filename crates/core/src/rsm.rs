@@ -12,12 +12,13 @@
 //! applied individually, in payload order, under the same per-client
 //! at-most-once rule — so a command that travelled in two different
 //! batches (a client retry re-coalesced elsewhere) still executes once,
-//! and its output is recorded under its own `(client, req_id)` for reply
-//! routing. Batches themselves are deduplicated only through their
+//! and its output is recorded in its own client's session entry for
+//! reply routing. Batches themselves are deduplicated only through their
 //! constituents: engine batch ids are not session-tracked, because
 //! batches from one engine can legally commit out of submission order
 //! across leader changes (unlike closed-loop clients).
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use crate::types::{Command, Instance, NodeId, Op};
@@ -101,6 +102,11 @@ impl TxnStats {
 /// Applies decided commands to a [`StateMachine`] in instance order,
 /// deduplicating per-client request ids.
 ///
+/// One per-client session table serves both the at-most-once check and
+/// reply lookup: it holds each client's latest applied `req_id` and that
+/// request's output, overwritten in place when the client's next request
+/// applies. Applying a command touches the table once.
+///
 /// # Examples
 ///
 /// ```
@@ -127,15 +133,12 @@ pub struct Applier<S: StateMachine> {
     log_base: Instance,
     /// Decided but not yet applicable (gap before them).
     pending: BTreeMap<Instance, Command>,
-    /// Highest applied req_id per client plus its output, for dedup and
-    /// reply re-delivery.
+    /// The session table: per client, the highest applied req_id and
+    /// its output — the at-most-once check and the reply lookup in one
+    /// entry. Only the latest output is kept: the session protocol makes
+    /// req_ids monotone per client, so a client never asks about an
+    /// older request than its newest, and the table stays O(clients).
     sessions: BTreeMap<NodeId, (u64, S::Output)>,
-    /// Output of the **latest** applied request per client, keyed by
-    /// `(client, req_id)` for reply lookup. Bounded to one entry per
-    /// client: the at-most-once session protocol means a client never
-    /// asks about a request older than its newest, so retaining every
-    /// reply ever produced was a pure leak.
-    outputs: BTreeMap<(NodeId, u64), S::Output>,
     /// Applied command log from `log_base` up (cross-replica
     /// consistency checks, duplicate-decision verification).
     applied_log: Vec<Command>,
@@ -175,13 +178,14 @@ impl<S: StateMachine> Applier<S> {
             log_base: 0,
             pending: BTreeMap::new(),
             sessions: BTreeMap::new(),
-            outputs: BTreeMap::new(),
             applied_log: Vec::new(),
         }
     }
 
     /// Records that `cmd` was decided in `instance` and applies every
     /// now-contiguous command. Returns the number of commands applied.
+    /// A decision for the next instance applies directly; only one that
+    /// arrives ahead of a gap is buffered.
     ///
     /// Deciding the same instance twice with the same command is idempotent;
     /// with a *different* command it panics, because that is precisely the
@@ -205,61 +209,65 @@ impl<S: StateMachine> Applier<S> {
             }
             return 0;
         }
-        if let Some(prior) = self.pending.get(&instance) {
-            assert_eq!(
-                *prior, cmd,
-                "consistency violation: instance {instance} decided twice with different commands"
-            );
-            return 0;
-        }
-        self.pending.insert(instance, cmd);
+        let mut ready = match self.pending.entry(instance) {
+            Entry::Occupied(prior) => {
+                assert_eq!(
+                    *prior.get(),
+                    cmd,
+                    "consistency violation: instance {instance} decided twice with different commands"
+                );
+                return 0;
+            }
+            Entry::Vacant(slot) if instance > self.next => {
+                slot.insert(cmd);
+                self.pending.remove(&self.next)
+            }
+            Entry::Vacant(_) => Some(cmd),
+        };
         let mut applied = 0;
-        while let Some(cmd) = self.pending.remove(&self.next) {
+        while let Some(cmd) = ready {
             self.apply_one(cmd);
             self.next += 1;
             applied += 1;
+            ready = self.pending.remove(&self.next);
         }
         applied
     }
 
     fn apply_one(&mut self, cmd: Command) {
-        if let Op::Batch(cmds) = &cmd.op {
-            for inner in cmds.clone().iter() {
-                debug_assert!(
-                    !matches!(inner.op, Op::Batch(_)),
-                    "nested batch decided in the log"
-                );
-                self.apply_single(inner.clone());
-            }
-        } else {
-            self.apply_single(cmd.clone());
+        // A batch applies its constituents in order; anything else is its
+        // own one constituent.
+        for inner in cmd.as_batch().unwrap_or(std::slice::from_ref(&cmd)) {
+            debug_assert!(
+                !matches!(inner.op, Op::Batch(_)),
+                "nested batch decided in the log"
+            );
+            self.apply_single(inner);
         }
         self.applied_log.push(cmd);
     }
 
     /// Applies one non-batch command under the per-client at-most-once
-    /// rule, recording its output for reply lookup.
-    fn apply_single(&mut self, cmd: Command) {
-        let dup = self
-            .sessions
-            .get(&cmd.client)
-            .is_some_and(|&(last, _)| cmd.req_id <= last);
-        if !dup {
-            let out = self.state.apply(cmd.op.clone());
-            // One retained reply per client: the session protocol makes
-            // req_ids monotone per client, so the previous entry can no
-            // longer be asked for.
-            if let Some(&(prev, _)) = self.sessions.get(&cmd.client) {
-                self.outputs.remove(&(cmd.client, prev));
+    /// rule, overwriting the client's session entry with its req_id and
+    /// output.
+    fn apply_single(&mut self, cmd: &Command) {
+        let state = &mut self.state;
+        match self.sessions.entry(cmd.client) {
+            Entry::Occupied(mut session) => {
+                if cmd.req_id <= session.get().0 {
+                    return;
+                }
+                *session.get_mut() = (cmd.req_id, state.apply(cmd.op.clone()));
             }
-            self.sessions.insert(cmd.client, (cmd.req_id, out.clone()));
-            self.outputs.insert(cmd.id(), out);
-            // An agreed truncation point: every replica of this shard
-            // applies it at the same instance, so dropping the prefix
-            // here keeps replicas byte-identical.
-            if let Op::Truncate { watermark } = cmd.op {
-                self.truncate(watermark);
+            Entry::Vacant(session) => {
+                session.insert((cmd.req_id, state.apply(cmd.op.clone())));
             }
+        }
+        // An agreed truncation point: every replica of this shard
+        // applies it at the same instance, so dropping the prefix here
+        // keeps replicas byte-identical.
+        if let Op::Truncate { watermark } = cmd.op {
+            self.truncate(watermark);
         }
     }
 
@@ -297,12 +305,7 @@ impl<S: StateMachine> Applier<S> {
             return false;
         }
         self.state.install(snap.state);
-        self.sessions.clear();
-        self.outputs.clear();
-        for (client, (req_id, out)) in snap.sessions {
-            self.outputs.insert((client, req_id), out.clone());
-            self.sessions.insert(client, (req_id, out));
-        }
+        self.sessions = snap.sessions.into_iter().collect();
         self.next = snap.watermark;
         self.log_base = snap.watermark;
         self.applied_log.clear();
@@ -320,10 +323,12 @@ impl<S: StateMachine> Applier<S> {
         self.next.checked_sub(1)
     }
 
-    /// Output recorded for `(client, req_id)`, if it is the client's
-    /// latest applied request (older replies are dropped).
+    /// Output recorded for `(client, req_id)`: `Some` iff `req_id` is
+    /// the client's latest applied request. Only the latest is kept, so
+    /// an older request, even one that applied, reads `None`.
     pub fn output_of(&self, client: NodeId, req_id: u64) -> Option<&S::Output> {
-        self.outputs.get(&(client, req_id))
+        let (last, out) = self.sessions.get(&client)?;
+        (*last == req_id).then_some(out)
     }
 
     /// The retained applied command log, starting at [`Self::log_base`]
@@ -337,10 +342,10 @@ impl<S: StateMachine> Applier<S> {
         self.log_base
     }
 
-    /// Number of retained reply outputs (RSS proxy; O(clients) by
-    /// construction).
+    /// Number of retained reply outputs: one per session-table entry,
+    /// i.e. per client (RSS proxy; O(clients) by construction).
     pub fn outputs_len(&self) -> usize {
-        self.outputs.len()
+        self.sessions.len()
     }
 
     /// Number of decided-but-unappliable commands (log gaps ahead of them).

@@ -121,8 +121,9 @@ pub struct NodeMetrics {
     /// Applied-log entries retained, summed over shard groups. Flat
     /// under periodic truncation — the memory-soak gate watches this.
     pub applied_log_len: AtomicU64,
-    /// Retired per-client outputs retained, summed over shard groups
-    /// (bounded by the live client count, not by request volume).
+    /// Session-table entries, summed over shard groups: one per client,
+    /// holding that client's latest output (bounded by the client
+    /// count, not by request volume).
     pub outputs_len: AtomicU64,
     /// Finished-transaction records retained, summed over shard groups
     /// (bounded by the per-coordinator GC window).
