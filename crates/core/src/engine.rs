@@ -18,6 +18,7 @@
 //! * [`EngineEvent::Start`] — bootstrap; run once before anything else.
 //! * [`EngineEvent::Message`] — a peer message was delivered.
 //! * [`EngineEvent::ClientRequest`] — a client submitted a command.
+//! * [`EngineEvent::ReadRelaxed`] — a client asked for a relaxed read.
 //! * [`EngineEvent::TimerDue`] — a *specific* timer's deadline passed.
 //! * [`EngineEvent::Tick`] — fire every timer whose deadline passed.
 //!
@@ -32,7 +33,7 @@
 //! Everything stateful in between — arm/cancel/fire ordering of timers,
 //! in-order application with at-most-once execution, commit-log
 //! consistency checking, deferred replies waiting for a log gap to fill,
-//! and the §7.5 local-read fast path — happens inside the engine, behind
+//! and the §7.5 relaxed-read fast path — happens inside the engine, behind
 //! the single `Action` dispatch in the workspace.
 //!
 //! # Timers
@@ -51,6 +52,26 @@
 //! holds the reply until the command's state-machine output exists, so a
 //! real client never observes a commit acknowledgement without its read
 //! value — the threaded runtime's contract.
+//!
+//! # Relaxed reads
+//!
+//! [`EngineEvent::ReadRelaxed`] is the §7.5 fast path, decided here and
+//! nowhere else. The engine does one of three things with it:
+//!
+//! * **Serve.** The key is readable now ([`ReplicaEngine::local_read`]:
+//!   the protocol allows it, e.g. 2PC outside its lock window, and no
+//!   prepared transaction locks the key), so the answer is an ordinary
+//!   [`EngineEffect::ReplyTo`] carrying the value, with `instance` the
+//!   applied watermark it reflects. No agreement traffic.
+//! * **Park.** The protocol serves reads locally but not this key right
+//!   now: the read waits inside the engine and is answered at the end
+//!   of the first handler that makes the key readable. One parked read
+//!   per client; a newer read replaces an older one.
+//! * **Degrade.** The protocol orders every read (the Paxos family):
+//!   the read is submitted as an [`Op::Get`] like any other command.
+//!
+//! Harnesses only carry the event in and the reply out; none of them
+//! polls.
 //!
 //! # Batching
 //!
@@ -776,6 +797,17 @@ pub enum EngineEvent<M> {
         /// Operation to replicate.
         op: Op,
     },
+    /// A client asked for a relaxed read (§7.5) of `key` as
+    /// `(client, req_id)`: served from the local replica when possible
+    /// (see the [module docs](self#relaxed-reads)).
+    ReadRelaxed {
+        /// Originating client.
+        client: NodeId,
+        /// Client-local request id.
+        req_id: u64,
+        /// Key to read.
+        key: u64,
+    },
     /// The deadline of `timer` passed; fire it if it is still armed.
     TimerDue {
         /// Which timer.
@@ -802,7 +834,9 @@ pub enum EngineEffect<M, O> {
     /// Acknowledge to `client` that `(client, req_id)` committed in
     /// `instance`. `value` carries the state-machine output when the
     /// command has already been applied locally (always, under
-    /// [`ReplyMode::AfterApply`]).
+    /// [`ReplyMode::AfterApply`]). A relaxed read served locally
+    /// answers the same way, with the value read and the applied
+    /// watermark as `instance`.
     ReplyTo {
         /// Client to notify.
         client: NodeId,
@@ -844,44 +878,11 @@ pub struct ReplyRecord {
     pub client: NodeId,
     /// The request id that committed.
     pub req_id: u64,
-    /// The slot it committed in.
+    /// The slot it committed in (the applied watermark for a relaxed
+    /// read served locally).
     pub instance: Instance,
     /// The node that produced the reply.
     pub from: NodeId,
-}
-
-/// A state machine whose current value for a key can be read without
-/// going through the replicated log — the engine-side half of the §7.5
-/// relaxed-read fast path (the protocol-side half is
-/// [`Protocol::can_read_locally`]).
-pub trait LocalRead: StateMachine {
-    /// Reads `key` from the local replica without recording an applied
-    /// operation.
-    fn read_local(&self, key: u64) -> Self::Output;
-
-    /// Whether the state machine itself currently forbids a local read
-    /// of `key` — the transactional analogue of the protocol-level 2PC
-    /// lock window (§7.5): a key staged by a prepared cross-shard
-    /// transaction ([`Op::TxnPrepare`]) must not be read until the
-    /// outcome lands, or a reader could assemble a view in which one
-    /// shard's fragment is visible and another's is not. Defaults to
-    /// `false` (no state-level lock windows).
-    fn blocks_local_read(&self, key: u64) -> bool {
-        let _ = key;
-        false
-    }
-}
-
-impl LocalRead for crate::kv::KvStore {
-    fn read_local(&self, key: u64) -> Self::Output {
-        self.get(key)
-    }
-
-    /// Keys locked by a prepared transaction are unreadable until its
-    /// outcome (see [`crate::txn`]).
-    fn blocks_local_read(&self, key: u64) -> bool {
-        self.txn_locked(key)
-    }
 }
 
 /// One entry of an engine's catch-up side queue (see the
@@ -931,6 +932,9 @@ pub struct ReplicaEngine<P: Protocol, S: StateMachine> {
     replies: Vec<ReplyRecord>,
     /// Replies waiting for the state machine to catch up (AfterApply).
     deferred: Vec<(NodeId, u64, Instance)>,
+    /// Relaxed reads waiting for their key to become readable, as
+    /// `(client, req_id, key)`; at most one per client.
+    parked_reads: Vec<(NodeId, u64, u64)>,
     blocked: bool,
     reply_mode: ReplyMode,
     /// Whether to retain the commit log and reply records. Test harnesses
@@ -990,6 +994,7 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
             commits: BTreeMap::new(),
             replies: Vec::new(),
             deferred: Vec::new(),
+            parked_reads: Vec::new(),
             blocked: false,
             reply_mode,
             record_history: true,
@@ -1153,6 +1158,26 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
             },
             EngineEvent::ClientRequest { client, req_id, op } => {
                 self.submit(client, req_id, op, now, effects);
+            }
+            EngineEvent::ReadRelaxed {
+                client,
+                req_id,
+                key,
+            } => {
+                if let Some(value) = self.local_read(key) {
+                    self.emit_reply(client, req_id, self.applied_next(), Some(value), effects);
+                } else if self.node.supports_local_reads() {
+                    // Inside a lock window: wait it out. Clients are
+                    // synchronous, so a newer read supersedes an older
+                    // one, which bounds the backlog by the client count
+                    // even if a window never closes.
+                    self.parked_reads.retain(|&(c, ..)| c != client);
+                    self.parked_reads.push((client, req_id, key));
+                } else {
+                    // Ordered-reads protocol: a linearized read through
+                    // the log, like any other command.
+                    self.submit(client, req_id, Op::Get { key }, now, effects);
+                }
             }
             EngineEvent::TimerDue { timer } => {
                 self.fire_one(timer, now, effects);
@@ -1472,6 +1497,23 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
             }
         }
         self.action_scratch = actions;
+        if !self.parked_reads.is_empty() {
+            self.answer_parked_reads(effects);
+        }
+    }
+
+    /// Answers every parked relaxed read whose key the handler just
+    /// absorbed made readable.
+    fn answer_parked_reads(&mut self, effects: &mut Vec<EngineEffect<P::Msg, S::Output>>) {
+        let mut parked = std::mem::take(&mut self.parked_reads);
+        parked.retain(|&(client, req_id, key)| {
+            let Some(value) = self.local_read(key) else {
+                return true;
+            };
+            self.emit_reply(client, req_id, self.applied_next(), Some(value), effects);
+            false
+        });
+        self.parked_reads = parked;
     }
 
     fn reply(
@@ -1494,6 +1536,18 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
             self.deferred.push((client, req_id, instance));
             return;
         }
+        self.emit_reply(client, req_id, instance, value, effects);
+    }
+
+    /// Emits one client reply, recording it while history is on.
+    fn emit_reply(
+        &mut self,
+        client: NodeId,
+        req_id: u64,
+        instance: Instance,
+        value: Option<S::Output>,
+        effects: &mut Vec<EngineEffect<P::Msg, S::Output>>,
+    ) {
         if self.record_history {
             self.replies.push(ReplyRecord {
                 client,
@@ -1606,32 +1660,18 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
     // Local reads (§7.5).
     // ----------------------------------------------------------------
 
-    /// Whether the wrapped protocol ever serves reads locally.
-    pub fn supports_local_reads(&self) -> bool {
-        self.node.supports_local_reads()
-    }
-
-    /// Whether `key` is readable from the local replica *right now*:
-    /// the protocol must allow it (e.g. 2PC outside its lock window)
-    /// **and** the state machine must not hold a transactional lock on
-    /// the key ([`LocalRead::blocks_local_read`] — a prepared
-    /// cross-shard fragment keeps its keys unreadable until the
-    /// outcome).
-    pub fn can_read_locally(&self, key: u64) -> bool
-    where
-        S: LocalRead,
-    {
-        self.node.can_read_locally(key) && !self.applier.state().blocks_local_read(key)
-    }
-
-    /// Serves a relaxed read of `key` from the local replica, without any
-    /// agreement traffic, if both lock gates currently allow it.
-    pub fn local_read(&self, key: u64) -> Option<S::Output>
-    where
-        S: LocalRead,
-    {
-        self.can_read_locally(key)
-            .then(|| self.applier.state().read_local(key))
+    /// Reads `key` from the local replica, without any agreement
+    /// traffic, if it is readable *right now*: the protocol must allow
+    /// it (e.g. 2PC outside its lock window) **and** the state machine
+    /// must not hold a transactional lock on the key
+    /// ([`StateMachine::blocks_local_read`] — a prepared cross-shard
+    /// fragment keeps its keys unreadable until the outcome). The gate
+    /// [`EngineEvent::ReadRelaxed`] serves through, exposed as a test
+    /// oracle.
+    pub fn local_read(&self, key: u64) -> Option<S::Output> {
+        let state = self.applier.state();
+        (self.node.can_read_locally(key) && !state.blocks_local_read(key))
+            .then(|| state.read_local(key))
     }
 
     // ----------------------------------------------------------------
@@ -2177,6 +2217,85 @@ mod tests {
         assert_eq!(e.local_read(99), Some(None));
         // Reads through the fast path are not applied operations.
         assert_eq!(e.state().reads(), 0);
+    }
+
+    fn read_relaxed<P: Protocol<Msg = u8>>(
+        e: &mut ReplicaEngine<P, KvStore>,
+        client: u16,
+        req_id: u64,
+        key: u64,
+    ) -> Fx {
+        let mut fx = Vec::new();
+        let client = NodeId(client);
+        let event = EngineEvent::ReadRelaxed {
+            client,
+            req_id,
+            key,
+        };
+        e.handle(event, 0, &mut fx);
+        fx
+    }
+
+    fn read_reply(client: u16, req_id: u64, instance: Instance, value: Option<u64>) -> Fx {
+        vec![EngineEffect::ReplyTo {
+            client: NodeId(client),
+            req_id,
+            instance,
+            value: Some(value),
+        }]
+    }
+
+    #[test]
+    fn relaxed_read_is_served_from_the_local_copy_when_readable() {
+        let mut e = engine();
+        let commit = Action::Commit {
+            instance: 0,
+            cmd: put(9, 1, 2, 22),
+        };
+        drive(&mut e, vec![commit], 0);
+        e.node_mut().readable = true;
+        // An ordinary reply, stamped with the applied watermark.
+        assert_eq!(read_relaxed(&mut e, 7, 1, 2), read_reply(7, 1, 1, Some(22)));
+        assert_eq!(e.state().reads(), 0, "a local read is not an applied Get");
+        assert_eq!(e.replies().len(), 1, "recorded like any reply");
+    }
+
+    #[test]
+    fn relaxed_read_parks_until_a_handler_opens_the_gate_and_a_newer_one_replaces_it() {
+        let mut e = engine();
+        assert!(read_relaxed(&mut e, 7, 1, 2).is_empty());
+        assert!(read_relaxed(&mut e, 7, 2, 2).is_empty(), "supersedes #1");
+        assert!(read_relaxed(&mut e, 8, 1, 3).is_empty());
+        // A handler that leaves the window shut answers nothing.
+        assert!(drive(&mut e, vec![], 0).is_empty());
+        // The first handler after the window opens answers each client's
+        // newest read once, with what that handler applied.
+        e.node_mut().readable = true;
+        let commit = Action::Commit {
+            instance: 0,
+            cmd: put(9, 1, 2, 22),
+        };
+        let fx = drive(&mut e, vec![commit], 0);
+        let mut expected = read_reply(7, 2, 1, Some(22));
+        expected.extend(read_reply(8, 1, 1, None));
+        assert_eq!(fx[1..], expected[..]);
+        assert!(drive(&mut e, vec![], 0).is_empty(), "answered twice");
+    }
+
+    #[test]
+    fn relaxed_read_is_ordered_when_the_protocol_never_reads_locally() {
+        let mut e = ReplicaEngine::new(Deciding::new(), KvStore::new());
+        request(&mut e, 9, 1, Op::Put { key: 4, value: 40 }, 0);
+        let fx = read_relaxed(&mut e, 7, 1, 4);
+        assert_eq!(e.node().requests, vec![(NodeId(9), 1), (NodeId(7), 1)]);
+        assert!(matches!(
+            &fx[..],
+            [
+                EngineEffect::Committed { instance: 1, cmd },
+                EngineEffect::ReplyTo { client: NodeId(7), req_id: 1, instance: 1, value: Some(Some(40)) },
+            ] if cmd.op == Op::Get { key: 4 }
+        ));
+        assert_eq!(e.state().reads(), 1, "an applied Get");
     }
 
     #[test]

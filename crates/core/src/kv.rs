@@ -161,7 +161,7 @@ impl KvStore {
     /// Whether `key` is locked by a prepared (outcome-pending)
     /// transaction — the replica is inside that transaction's lock
     /// window for this key, so the §7.5 local-read fast path must wait
-    /// (see [`crate::engine::LocalRead::blocks_local_read`]).
+    /// (see [`StateMachine::blocks_local_read`]).
     pub fn txn_locked(&self, key: u64) -> bool {
         self.locks.contains_key(&key)
     }
@@ -408,6 +408,16 @@ impl StateMachine for KvStore {
             finished_len: self.finished.len(),
             ..self.txn_stats
         }
+    }
+
+    fn read_local(&self, key: u64) -> Self::Output {
+        self.get(key)
+    }
+
+    /// Keys locked by a prepared transaction are unreadable until its
+    /// outcome (see [`crate::txn`]).
+    fn blocks_local_read(&self, key: u64) -> bool {
+        self.txn_locked(key)
     }
 
     fn snapshot(&self) -> KvSnapshot {

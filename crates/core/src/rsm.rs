@@ -47,6 +47,23 @@ pub trait StateMachine {
     /// from `w` onward must yield the same state the peer reaches.
     fn install(&mut self, snap: Self::Snapshot);
 
+    /// Reads `key` from this replica without applying an operation — the
+    /// state-machine half of the §7.5 relaxed-read fast path (the
+    /// protocol half is [`Protocol::can_read_locally`](crate::Protocol::can_read_locally)).
+    fn read_local(&self, key: u64) -> Self::Output;
+
+    /// Whether the state machine itself currently forbids a local read
+    /// of `key` — the transactional analogue of the protocol-level 2PC
+    /// lock window (§7.5): a key staged by a prepared cross-shard
+    /// transaction ([`Op::TxnPrepare`]) must not be read until the
+    /// outcome lands, or a reader could assemble a view in which one
+    /// shard's fragment is visible and another's is not. Defaults to
+    /// `false` (no state-level lock windows).
+    fn blocks_local_read(&self, key: u64) -> bool {
+        let _ = key;
+        false
+    }
+
     /// Transaction-participant counters, for engine stats attribution
     /// (see [`TxnStats`]). State machines that are not 2PC participants
     /// report zeros.

@@ -75,8 +75,8 @@
 use std::fmt;
 
 use crate::engine::{
-    BatchConfig, CatchUp, EngineConfig, EngineEffect, EngineEvent, EngineStats, LocalRead,
-    ReplicaEngine, ReplyMode,
+    BatchConfig, CatchUp, EngineConfig, EngineEffect, EngineEvent, EngineStats, ReplicaEngine,
+    ReplyMode,
 };
 use crate::protocol::Protocol;
 use crate::rsm::{ApplierSnapshot, StateMachine};
@@ -410,31 +410,33 @@ impl<P: Protocol, S: StateMachine> ShardedEngine<P, S> {
         self.shards[s.index()].install_snapshot(snap)
     }
 
-    /// Whether the deployed protocol ever serves reads locally (uniform:
-    /// every shard runs the same protocol).
-    pub fn supports_local_reads(&self) -> bool {
-        self.shards[0].supports_local_reads()
+    /// Routes a relaxed read (§7.5) of `key` to its owning shard, feeds
+    /// it there as [`EngineEvent::ReadRelaxed`] — served, parked or
+    /// ordered by that shard's engine — and returns the shard it went
+    /// to. Reading only from the one group that orders the key's writes
+    /// is what keeps cross-shard reads correct.
+    pub fn read_relaxed(
+        &mut self,
+        client: NodeId,
+        req_id: u64,
+        key: u64,
+        now: Nanos,
+        effects: &mut ShardedEffects<P::Msg, S::Output>,
+    ) -> ShardId {
+        let s = self.router.route_key(key);
+        let event = EngineEvent::ReadRelaxed {
+            client,
+            req_id,
+            key,
+        };
+        self.handle(s, event, now, effects);
+        s
     }
 
-    /// Whether `key` is readable from the local replica of its owning
-    /// shard *right now*: the shard's protocol gate **and** the
-    /// state-machine lock gate (a prepared cross-shard transaction keeps
-    /// its keys unreadable, see [`crate::txn`]) must both be open.
-    pub fn can_read_locally(&self, key: u64) -> bool
-    where
-        S: LocalRead,
-    {
-        self.shards[self.router.route_key(key).index()].can_read_locally(key)
-    }
-
-    /// Serves a relaxed read of `key` from its owning shard's local
-    /// replica, if that shard's protocol currently allows it (§7.5). The
-    /// per-shard gate is what keeps cross-shard reads correct: a key is
-    /// only ever read from the one group that orders its writes.
-    pub fn local_read(&self, key: u64) -> Option<S::Output>
-    where
-        S: LocalRead,
-    {
+    /// Whether `key` is readable from its owning shard's local replica
+    /// right now, and its value if so (see
+    /// [`ReplicaEngine::local_read`]; a test oracle).
+    pub fn local_read(&self, key: u64) -> Option<S::Output> {
         self.shards[self.router.route_key(key).index()].local_read(key)
     }
 }
@@ -463,7 +465,7 @@ impl<P: Protocol> ShardedEngine<P, crate::kv::KvStore> {
 
     /// Reads `key` from its owning shard's applied replica, ungated (for
     /// harness oracles and tests; clients go through
-    /// [`Self::local_read`]).
+    /// [`Self::read_relaxed`]).
     pub fn kv_get(&self, key: u64) -> Option<u64> {
         self.shards[self.router.route_key(key).index()]
             .state()
@@ -802,13 +804,28 @@ mod tests {
 
     #[test]
     fn local_read_routes_to_the_owning_shard() {
-        // Deciding never supports local reads; use the gate observably.
+        // Deciding never supports local reads: the gate stays shut and a
+        // relaxed read is ordered through the owning shard's log.
         let mut e = sharded(4);
         let mut fx: Fx = Vec::new();
         e.submit(NodeId(9), 1, Op::Put { key: 3, value: 30 }, 0, &mut fx);
-        assert!(!e.supports_local_reads());
-        assert!(!e.can_read_locally(3));
         assert_eq!(e.local_read(3), None);
+        fx.clear();
+        let owner = e.read_relaxed(NodeId(10), 1, 3, 0, &mut fx);
+        assert_eq!(owner, e.router().route_key(3));
+        assert!(fx.iter().all(|(s, _)| *s == owner), "effects mis-tagged");
+        assert!(fx.iter().any(|(_, f)| matches!(
+            f,
+            EngineEffect::ReplyTo {
+                client: NodeId(10),
+                value: Some(Some(30)),
+                ..
+            }
+        )));
+        assert_eq!(
+            e.shard(owner).node().requests,
+            vec![(NodeId(9), 1), (NodeId(10), 1)]
+        );
         // The ungated oracle read still routes correctly.
         assert_eq!(e.kv_get(3), Some(30));
         assert_eq!(e.kv_get(4), None);

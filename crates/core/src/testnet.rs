@@ -340,7 +340,7 @@ impl<P: Protocol> TestNet<P> {
     }
 
     /// Reads `key` from its owning shard's replica at node `id`, ungated
-    /// (a test oracle; clients go through [`Self::local_read`]).
+    /// (a test oracle; clients go through [`Self::read_relaxed`]).
     pub fn kv_get(&self, id: NodeId, key: u64) -> Option<u64> {
         self.engines[id.index()].kv_get(key)
     }
@@ -443,12 +443,30 @@ impl<P: Protocol> TestNet<P> {
         shard
     }
 
-    /// Serves a relaxed read of `key` at node `id` through the engine's
-    /// §7.5 local-read fast path: `Some(value)` if the owning shard's
-    /// protocol allows a local read right now, `None` if the read must
-    /// wait (2PC lock window) or go through consensus. On a sharded net
-    /// the key routes to its owning group first — the per-engine gate is
-    /// what keeps cross-shard reads correct.
+    /// Sends a relaxed read (§7.5) of `key` to `target`, routed to the
+    /// owning shard group, whose engine serves, parks or orders it; the
+    /// answer lands in [`Self::replies`]. Returns the shard it went to.
+    pub fn read_relaxed(
+        &mut self,
+        target: NodeId,
+        client: NodeId,
+        req_id: u64,
+        key: u64,
+    ) -> ShardId {
+        let now = self.now;
+        let mut effects = std::mem::take(&mut self.scratch);
+        let shard =
+            self.engines[target.index()].read_relaxed(client, req_id, key, now, &mut effects);
+        self.absorb(target, &mut effects);
+        self.scratch = effects;
+        shard
+    }
+
+    /// The gate [`Self::read_relaxed`] serves through, as an oracle:
+    /// `Some(value)` if node `id` can read `key` locally right now,
+    /// `None` if a relaxed read would wait (2PC lock window) or go
+    /// through consensus. On a sharded net the key routes to its owning
+    /// group first.
     pub fn local_read(&self, id: NodeId, key: u64) -> Option<Option<u64>> {
         self.engines[id.index()].local_read(key)
     }

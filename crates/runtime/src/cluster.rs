@@ -767,10 +767,6 @@ fn replica_loop<P: Protocol, T: Transport<P::Msg>>(
     let shard_count = engine.shards();
     let truncations_before = metrics.truncations.load(Ordering::Relaxed);
     let mut effects: Effects<P> = Vec::new();
-    // Relaxed reads caught inside a 2PC lock window, waiting it out
-    // ("a read arriving inside the gap waits for the lock window to
-    // close", §7.5).
-    let mut pending_reads: Vec<(NodeId, u64, u64)> = Vec::new();
 
     engine.start(now_ns(), &mut effects);
     dispatch_effects::<P, T>(&mut effects, &mut io, metrics);
@@ -832,25 +828,10 @@ fn replica_loop<P: Protocol, T: Transport<P::Msg>>(
                     req_id,
                     key,
                 } => {
-                    if let Some(value) = engine.local_read(key) {
-                        io.send(client, CLIENT_TOPIC, Wire::ReadValue { req_id, value });
-                        metrics.sent.fetch_add(1, Ordering::Relaxed);
-                    } else if engine.supports_local_reads() {
-                        // Inside the lock window: wait it out. At most one
-                        // pending read per client — clients are synchronous,
-                        // so a newer request supersedes anything older, and
-                        // the backlog stays bounded by the client count even
-                        // if a lock window never closes.
-                        pending_reads.retain(|&(c, _, _)| c != client);
-                        pending_reads.push((client, req_id, key));
-                    } else {
-                        // Ordered-reads-only protocol: relaxed degrades
-                        // to a linearized read through consensus (routed
-                        // to the key's group like any other command).
-                        engine.submit(client, req_id, Op::Get { key }, now, &mut effects);
-                    }
+                    // The key's group serves, parks or orders it.
+                    engine.read_relaxed(client, req_id, key, now, &mut effects);
                 }
-                Wire::Reply { .. } | Wire::ReadValue { .. } => {} // replicas ignore replies
+                Wire::Reply { .. } => {} // replicas ignore replies
                 Wire::SnapshotRequest { shard, have } => {
                     // Serve a catching-up peer, if the engine has
                     // anything newer to offer.
@@ -887,25 +868,11 @@ fn replica_loop<P: Protocol, T: Transport<P::Msg>>(
         // Catch-up queued this turn — the maintenance tick's requests,
         // snapshots owed to peers whose messages fell below the floor.
         send_catch_up(&mut engine, &mut io, metrics);
-        // Retry relaxed reads whose lock window may have closed.
-        pending_reads.retain(|&(client, req_id, key)| {
-            let Some(value) = engine.local_read(key) else {
-                return true;
-            };
-            io.send(client, CLIENT_TOPIC, Wire::ReadValue { req_id, value });
-            metrics.sent.fetch_add(1, Ordering::Relaxed);
-            progressed = true;
-            false
-        });
         if progressed {
             empty_turns = 0;
             publish_engine_stats(&engine, truncations_before, metrics);
             metrics.loop_turns.store(loop_turns, Ordering::Relaxed);
             metrics.idle_waits.store(idle_waits, Ordering::Relaxed);
-        } else if !pending_reads.is_empty() {
-            // A parked read is retried per turn and nothing would wake
-            // a blocked loop for it: stay on the run queue.
-            std::thread::yield_now();
         } else {
             // Nothing to do — and nothing owed: unsent bytes counted as
             // progress above. The transport decides how to idle (a few
@@ -1271,7 +1238,7 @@ where
                     req_id: r, value, ..
                 } = wire
                 else {
-                    continue; // stale read values etc.
+                    continue;
                 };
                 match coord.on_reply(r, value) {
                     TxnStep::Pending => {
@@ -1378,10 +1345,9 @@ where
             let deadline = Instant::now() + self.policy.timeout_for(attempt, &mut self.rng);
             while let Some((_, wire)) = self.io.recv_deadline(deadline) {
                 match wire {
-                    Wire::ReadValue { req_id: r, value } if r == req_id => return Ok(value),
                     Wire::Reply {
                         req_id: r, value, ..
-                    } if r == req_id => return Ok(value), // served through consensus instead
+                    } if r == req_id => return Ok(value),
                     _ => {} // stale reply for an older request
                 }
             }

@@ -17,11 +17,13 @@ pub enum Wire<M> {
         /// Operation to replicate.
         op: Op,
     },
-    /// A relaxed read (§7.5): served from the replica's local copy when
+    /// A relaxed read (§7.5), carried to the replica engine's
+    /// `ReadRelaxed` event: served from the replica's local copy when
     /// the protocol allows it, bypassing consensus entirely. A read
-    /// arriving inside a 2PC lock window waits at the replica until the
+    /// arriving inside a 2PC lock window waits in the engine until the
     /// window closes; protocols whose reads must be ordered (the Paxos
-    /// family) answer it through consensus instead.
+    /// family) answer it through consensus instead. Either way the
+    /// answer is a [`Wire::Reply`].
     ReadRelaxed {
         /// Originating client.
         client: NodeId,
@@ -31,21 +33,15 @@ pub enum Wire<M> {
         key: u64,
     },
     /// A commit acknowledgement back to a client, carrying the
-    /// state-machine output (the read value for `Get`s).
+    /// state-machine output (the read value for `Get`s and relaxed
+    /// reads).
     Reply {
         /// The request being acknowledged.
         req_id: u64,
-        /// The slot the command committed in.
+        /// The slot the command committed in (the applied watermark
+        /// for a relaxed read served locally).
         instance: Instance,
         /// State-machine output (previous/read value).
-        value: Option<u64>,
-    },
-    /// The answer to a [`Wire::ReadRelaxed`]: the value read from the
-    /// replica's local copy. No consensus slot is involved.
-    ReadValue {
-        /// The request being answered.
-        req_id: u64,
-        /// The locally read value.
         value: Option<u64>,
     },
     /// Orderly shutdown of the receiving process.
@@ -81,13 +77,13 @@ pub enum Wire<M> {
 // The envelope's wire schema: one row per arm, tag and field order
 // stated once (see `onepaxos::wire`, "Adding a message"; the golden
 // frames are in `tests/wire_props.rs`). Append-only: released tags never
-// change meaning.
+// change meaning. Tag 4 is retired (a separate answer to `ReadRelaxed`,
+// which `Reply` now carries) and never reused: it decodes as a bad tag.
 wire_enum!(Wire<M> as "Wire" {
     0 => Peer(msg: M),
     1 => Request { client: NodeId, req_id: u64, op: Op },
     2 => ReadRelaxed { client: NodeId, req_id: u64, key: u64 },
     3 => Reply { req_id: u64, instance: Instance, value: Option<u64> },
-    4 => ReadValue { req_id: u64, value: Option<u64> },
     5 => Shutdown,
     6 => SnapshotRequest { shard: u16, have: Instance },
     7 => Snapshot { shard: u16, watermark: Instance, bytes: Vec<u8> },

@@ -1,5 +1,8 @@
 //! An idle wait must not burn its core — neither a client's
-//! `recv_deadline` nor a whole cluster of replicas with no load.
+//! `recv_deadline`, nor a whole cluster of replicas with no load, nor a
+//! replica holding a relaxed read parked in a lock window that never
+//! closes (the read waits inside the engine; the replica loop has
+//! nothing to poll for it).
 //!
 //! The original socket wait loop spun `flush()` + poll with no backoff,
 //! pinning a CPU at 100% while waiting for traffic that wasn't coming;
@@ -21,8 +24,9 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use onepaxos::onepaxos::{OnePaxosNode, Timing};
-use onepaxos::{ClusterConfig, NodeId};
-use onepaxos_runtime::{ClusterBuilder, TcpTransport, Transport};
+use onepaxos::twopc::{self, TwoPcNode};
+use onepaxos::{Action, ClusterConfig, Nanos, NodeId, Op, Outbox, Protocol, Timer};
+use onepaxos_runtime::{ClusterBuilder, RetryPolicy, TcpTransport, Transport};
 
 /// One measurement at a time: the reading covers every thread of the
 /// process.
@@ -104,6 +108,140 @@ fn idle_tcp_cluster_blocks_instead_of_sweeping() {
         cpu < budget,
         "idle TCP cluster burned {} ms of CPU over {} ms of wall \
          (replicas not blocking in idle_wait?)",
+        cpu / 1_000_000,
+        wall.as_millis()
+    );
+    cluster.shutdown();
+}
+
+/// 2PC with a 5 ms tick in place of its 100 µs one. As in the 1Paxos
+/// case above, what an idle replica burns is set by its timer rate, and
+/// at 100 µs every turn is a timer turn; 2PC's tick only restarts work
+/// after an aborted round, which this test never has.
+struct SlowTick(TwoPcNode);
+
+impl SlowTick {
+    /// Runs one handler of the wrapped node, stretching the tick it arms.
+    fn stretched(out: &mut Outbox<twopc::Msg>, handler: impl FnOnce(&mut Outbox<twopc::Msg>)) {
+        let mut inner = Outbox::new();
+        handler(&mut inner);
+        for action in inner {
+            out.push(match action {
+                Action::SetTimer {
+                    timer: Timer::Tick, ..
+                } => Action::SetTimer {
+                    timer: Timer::Tick,
+                    after: 5_000_000,
+                },
+                other => other,
+            });
+        }
+    }
+}
+
+impl Protocol for SlowTick {
+    type Msg = twopc::Msg;
+
+    fn node_id(&self) -> NodeId {
+        self.0.node_id()
+    }
+
+    fn on_start(&mut self, now: Nanos, out: &mut Outbox<twopc::Msg>) {
+        Self::stretched(out, |o| self.0.on_start(now, o));
+    }
+
+    fn on_message(
+        &mut self,
+        from: NodeId,
+        msg: twopc::Msg,
+        now: Nanos,
+        out: &mut Outbox<twopc::Msg>,
+    ) {
+        self.0.on_message(from, msg, now, out);
+    }
+
+    fn on_timer(&mut self, timer: Timer, now: Nanos, out: &mut Outbox<twopc::Msg>) {
+        Self::stretched(out, |o| self.0.on_timer(timer, now, o));
+    }
+
+    fn on_client_request(
+        &mut self,
+        client: NodeId,
+        req_id: u64,
+        op: Op,
+        now: Nanos,
+        out: &mut Outbox<twopc::Msg>,
+    ) {
+        self.0.on_client_request(client, req_id, op, now, out);
+    }
+
+    fn is_leader(&self) -> bool {
+        self.0.is_leader()
+    }
+
+    fn leader_hint(&self) -> Option<NodeId> {
+        self.0.leader_hint()
+    }
+
+    fn supports_local_reads(&self) -> bool {
+        self.0.supports_local_reads()
+    }
+
+    fn can_read_locally(&self, key: u64) -> bool {
+        self.0.can_read_locally(key)
+    }
+}
+
+#[test]
+fn a_parked_relaxed_read_does_not_keep_its_replica_spinning() {
+    let _one_at_a_time = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
+    let (cluster, mut clients) = ClusterBuilder::new(3, |m: &[NodeId], me| {
+        SlowTick(TwoPcNode::new(ClusterConfig::new(m.to_vec(), me)))
+    })
+    .spawn_tcp()
+    .expect("tcp setup");
+    let c = &mut clients[0];
+    c.set_timeout(Duration::from_secs(2));
+    c.put(1, 1).expect("commit");
+    c.stop_replica(NodeId(2));
+    let stop_deadline = Instant::now() + Duration::from_secs(5);
+    while !cluster.replica_finished(2) && Instant::now() < stop_deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(cluster.replica_finished(2), "replica 2 never stopped");
+    // 2PC has no round timeout: with replica 2 gone this put's round
+    // never completes, so coordinator 0's lock window stays open.
+    c.set_retry_policy(RetryPolicy::fixed(Duration::from_millis(50), 1));
+    assert!(c.put(1, 2).is_err(), "committed without replica 2");
+
+    let Some(cpu_before) = on_cpu_ns() else {
+        eprintln!("no /proc/self/task/*/schedstat on this platform; skipping");
+        cluster.shutdown();
+        return;
+    };
+    let idle_before = cluster.metrics()[0].idle_waits.load(Ordering::Relaxed);
+    // The read parks at replica 0 for good; the client gives up.
+    c.set_retry_policy(RetryPolicy::fixed(Duration::from_millis(400), 1));
+    let wall_start = Instant::now();
+    let read = c.get_relaxed(NodeId(0), 1);
+    let wall = wall_start.elapsed();
+    let cpu = on_cpu_ns().expect("schedstat disappeared mid-test") - cpu_before;
+    let idle = cluster.metrics()[0].idle_waits.load(Ordering::Relaxed) - idle_before;
+
+    assert!(
+        read.is_err(),
+        "answered inside an open lock window: {read:?}"
+    );
+    eprintln!(
+        "parked read: {} us of CPU over {} ms of wall, replica 0 idle_waits +{idle}",
+        cpu / 1_000,
+        wall.as_millis()
+    );
+    assert!(idle > 0, "replica 0 never left the run queue");
+    let budget = wall.as_nanos() as u64 / 4;
+    assert!(
+        cpu < budget,
+        "a parked read burned {} ms of CPU over {} ms of wall (replica spinning on it?)",
         cpu / 1_000_000,
         wall.as_millis()
     );

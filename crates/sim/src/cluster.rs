@@ -62,7 +62,9 @@ pub enum Workload {
     /// sharded deployments route them by client id.
     Noop,
     /// `read_pct` percent `Get`s, the rest `Put`s, over `keys` keys
-    /// (Fig 10). Reads are ordered through consensus.
+    /// (Fig 10). Reads are ordered through consensus, except in joint
+    /// deployments, where they are relaxed reads of the co-located
+    /// replica (§7.5).
     ReadMix {
         /// Percentage of reads (0–100).
         read_pct: u8,
@@ -289,17 +291,9 @@ enum WorkItem<M> {
     /// prepare, the shard's vote), `None` when it was not yet applied at
     /// emission.
     Reply { req_id: u64, value: Option<u64> },
-    /// A relaxed read (§7.5) arriving at a replica-shard process: served
-    /// from the local copy when the protocol allows it, without touching
-    /// the log; degraded to an ordered read otherwise.
+    /// A relaxed read (§7.5) arriving at a replica-shard process, whose
+    /// engine serves, parks or orders it.
     RelaxedRead {
-        client: NodeId,
-        req_id: u64,
-        key: u64,
-    },
-    /// A relaxed read caught inside a 2PC lock window, re-polling the
-    /// replica's local copy until the window closes.
-    RelaxedPoll {
         client: NodeId,
         req_id: u64,
         key: u64,
@@ -320,9 +314,6 @@ enum WorkItem<M> {
     /// Unlike [`WorkItem::RetryCheck`] this does not rotate the target
     /// replica: the fragment is not lost, just parked.
     TxnDeferred { req_id: u64, epoch: u64 },
-    /// Joint-mode local read waiting for the replica's 2PC lock window to
-    /// close (§7.5): polls until the copy is readable again.
-    LocalReadWait { req_id: u64, key: u64 },
     /// A snapshot to serve at a replica-shard process: a request from
     /// `for_proc`'s engine maintenance (`have` its applied watermark), or
     /// a serve this process's own engine queued for a stale `for_proc`.
@@ -356,9 +347,6 @@ enum Event<M> {
     },
     Stop,
 }
-
-/// Poll interval while a local/relaxed read waits out a lock window.
-const LOCAL_READ_POLL: Nanos = 2_000;
 
 /// How long the conflict-aware scheduler holds back work aimed at a
 /// contended key: one typical batch-flush window, long enough for the
@@ -773,12 +761,10 @@ where
             }
         };
 
-        let local_reads_possible = engines[0].supports_local_reads();
         let n_cores = self.profile.cores;
         let mut sim = ClusterSim {
             profile: self.profile,
             joint: self.joint,
-            local_reads_possible,
             placement,
             shards,
             router: ShardRouter::new(shard_count),
@@ -868,8 +854,6 @@ where
 struct ClusterSim<P: Protocol> {
     profile: Profile,
     joint: bool,
-    /// Whether the deployed protocol ever serves reads locally (2PC).
-    local_reads_possible: bool,
     /// Process index → physical core (Fig 1 topology + serialization).
     placement: Vec<usize>,
     /// Shard groups per replica.
@@ -1262,8 +1246,6 @@ impl<P: Protocol> ClusterSim<P> {
         start: Nanos,
         base: Nanos,
     ) -> Nanos {
-        let budget = self.requests_per_client;
-        let think = self.think;
         let step = self.clients[j].coord.on_reply(req_id, value);
         // Conflict-aware defer: a Wait/Busy vote queued a fresh-id
         // re-probe — hold its transmission back one flush window so the
@@ -1283,77 +1265,63 @@ impl<P: Protocol> ClusterSim<P> {
                 );
             }
         }
+        let done = start + base;
         match step {
             TxnStep::Pending => base,
-            TxnStep::Submit(frags) => base + self.transmit_fragments(j, &frags, start + base),
+            TxnStep::Submit(frags) => base + self.transmit_fragments(j, &frags, done),
             TxnStep::Decided { outcome, submit } => {
-                // Presumed durability: the recorded votes force this
-                // outcome whether or not the coordinator survives to
-                // deliver it, so the client observes completion NOW and
-                // the outcome legs drain in the background — phase 2 of
-                // this transaction overlaps phase 1 of the next.
-                let done = start + base;
-                let c = &mut self.clients[j];
-                c.epoch += 1;
-                let started = c.txn_started.take().unwrap_or(done);
-                match outcome {
-                    TxnOutcome::Committed => {
-                        c.completed += 1;
-                        self.timeline.record(done);
-                        if done >= self.warmup {
-                            self.latency.record(done.saturating_sub(started));
-                            self.completed_in_window += 1;
-                        }
-                    }
-                    TxnOutcome::Aborted => {
-                        // A prepare-phase lock conflict: the transaction
-                        // applied nowhere. The closed loop moves on to a
-                        // fresh write set (counting it would inflate
-                        // committed-txn throughput).
-                        self.txn_aborts += 1;
-                    }
-                }
-                let service = self.transmit_fragments(j, &submit, done);
-                let (completed, proc) = (self.clients[j].completed, self.clients[j].proc);
-                if completed < budget {
-                    self.push_work(done + service + think, proc, WorkItem::SendNext);
-                }
-                base + service
+                base + self.finish_txn(j, outcome, &submit, done)
             }
-            // Recovery coordinators finish through Done; the live loop
-            // above always decides early, so drain acknowledgements
-            // arrive as Pending.
-            TxnStep::Done(outcome) => {
-                let done = start + base;
-                let c = &mut self.clients[j];
-                c.epoch += 1;
-                let started = c.txn_started.take().unwrap_or(done);
-                match outcome {
-                    TxnOutcome::Committed => {
-                        c.completed += 1;
-                        self.timeline.record(done);
-                        if done >= self.warmup {
-                            self.latency.record(done.saturating_sub(started));
-                            self.completed_in_window += 1;
-                        }
-                    }
-                    TxnOutcome::Aborted => {
-                        self.txn_aborts += 1;
-                    }
+            // Recovery coordinators finish through Done, with no outcome
+            // legs left to send; the live loop above always decides
+            // early, so drain acknowledgements arrive as Pending.
+            TxnStep::Done(outcome) => base + self.finish_txn(j, outcome, &[], done),
+        }
+    }
+
+    /// Completes client `j`'s transaction with `outcome` at `done` and
+    /// sends its outcome legs. Presumed durability: the recorded votes
+    /// force the outcome whether or not the coordinator survives to
+    /// deliver it, so the client observes completion NOW and the legs
+    /// drain in the background — phase 2 of this transaction overlaps
+    /// phase 1 of the next. Returns the client service time of the legs.
+    fn finish_txn(
+        &mut self,
+        j: usize,
+        outcome: TxnOutcome,
+        submit: &[Fragment],
+        done: Nanos,
+    ) -> Nanos {
+        let c = &mut self.clients[j];
+        c.epoch += 1;
+        let started = c.txn_started.take().unwrap_or(done);
+        match outcome {
+            TxnOutcome::Committed => {
+                c.completed += 1;
+                self.timeline.record(done);
+                if done >= self.warmup {
+                    self.latency.record(done.saturating_sub(started));
+                    self.completed_in_window += 1;
                 }
-                let (completed, proc) = (self.clients[j].completed, self.clients[j].proc);
-                if completed < budget {
-                    self.push_work(done + think, proc, WorkItem::SendNext);
-                }
-                base
+            }
+            TxnOutcome::Aborted => {
+                // A prepare-phase lock conflict: the transaction applied
+                // nowhere. The closed loop moves on to a fresh write set
+                // (counting it would inflate committed-txn throughput).
+                self.txn_aborts += 1;
             }
         }
+        let service = self.transmit_fragments(j, submit, done);
+        let (completed, proc) = (self.clients[j].completed, self.clients[j].proc);
+        if completed < self.requests_per_client {
+            self.push_work(done + service + self.think, proc, WorkItem::SendNext);
+        }
+        service
     }
 
     /// Client issues its next request (or finishes).
     fn client_send_next(&mut self, j: usize, start: Nanos) -> Nanos {
         let budget = self.requests_per_client;
-        let think = self.think;
         if self.workload.is_txn() {
             if self.clients[j].completed >= budget || self.clients[j].coord.in_flight() {
                 return 0;
@@ -1398,46 +1366,22 @@ impl<P: Protocol> ClusterSim<P> {
 
         if self.joint {
             // Joint deployment: hand the command to the co-located
-            // replica. Reads are served from the engine's local copy when
-            // the protocol allows it — immediately if unlocked, otherwise
-            // after polling until the 2PC lock window closes (§7.5).
-            // Protocols whose reads must be ordered (the Paxos family)
-            // never allow it and fall through to consensus.
-            if let Op::Get { key } = op {
-                if self.engines[proc].can_read_locally(key) {
-                    let service = (self.profile.handle as f64 * self.slowdown_of(proc)) as Nanos;
-                    let done = start + service;
-                    self.client_complete(j, req_id, done);
-                    let c = &mut self.clients[j];
-                    if c.completed < budget {
-                        self.push_work(done + think, proc, WorkItem::SendNext);
-                    }
-                    return service;
-                } else if self.local_reads_possible {
-                    let service =
-                        (self.profile.timer_cost as f64 * self.slowdown_of(proc)) as Nanos;
-                    let done = start + service;
-                    self.push_work(
-                        done + LOCAL_READ_POLL,
-                        proc,
-                        WorkItem::LocalReadWait { req_id, key },
-                    );
-                    return service;
-                }
-            }
+            // replica. Reads are relaxed (§7.5): its engine serves them
+            // from the local copy when the protocol allows it, waits out
+            // a 2PC lock window, or orders them (the Paxos family).
+            let client = client_node;
+            let event = match op {
+                Op::Get { key } => EngineEvent::ReadRelaxed {
+                    client,
+                    req_id,
+                    key,
+                },
+                op => EngineEvent::ClientRequest { client, req_id, op },
+            };
             let base = (self.profile.handle as f64 * self.slowdown_of(proc)) as Nanos;
             // No client timeout in joint mode: the local node handles
             // leader failover itself.
-            self.engine_step(
-                proc,
-                EngineEvent::ClientRequest {
-                    client: client_node,
-                    req_id,
-                    op,
-                },
-                start,
-                base,
-            )
+            self.engine_step(proc, event, start, base)
         } else {
             // Send the request to the current target replica of the
             // shard group owning the operation.
@@ -1591,15 +1535,12 @@ impl<P: Protocol> ClusterSim<P> {
             } => {
                 debug_assert!(self.is_replica_proc(proc));
                 let base = scaled(self.profile.rx + self.profile.handle);
-                self.relaxed_read_step(proc, client, req_id, key, start, base, true)
-            }
-            WorkItem::RelaxedPoll {
-                client,
-                req_id,
-                key,
-            } => {
-                let base = scaled(self.profile.timer_cost);
-                self.relaxed_read_step(proc, client, req_id, key, start, base, false)
+                let event = EngineEvent::ReadRelaxed {
+                    client,
+                    req_id,
+                    key,
+                };
+                self.engine_step(proc, event, start, base)
             }
             WorkItem::TimerCheck { due } => {
                 debug_assert!(self.is_replica_proc(proc));
@@ -1647,33 +1588,6 @@ impl<P: Protocol> ClusterSim<P> {
                     self.client_send_next(j, start)
                 } else {
                     0
-                }
-            }
-            WorkItem::LocalReadWait { req_id, key } => {
-                let Some(j) = self.client_on(proc) else {
-                    return 0;
-                };
-                if self.clients[j].outstanding.as_ref().map(|&(r, _, _)| r) != Some(req_id) {
-                    return 0;
-                }
-                if self.engines[proc].can_read_locally(key) {
-                    let service = scaled(self.profile.handle);
-                    let done = start + service;
-                    if self.client_complete(j, req_id, done)
-                        && self.clients[j].completed < self.requests_per_client
-                    {
-                        let think = self.think;
-                        self.push_work(done + think, proc, WorkItem::SendNext);
-                    }
-                    service
-                } else {
-                    let service = scaled(self.profile.timer_cost);
-                    self.push_work(
-                        start + service + LOCAL_READ_POLL,
-                        proc,
-                        WorkItem::LocalReadWait { req_id, key },
-                    );
-                    service
                 }
             }
             WorkItem::TxnDeferred { req_id, epoch } => {
@@ -1752,67 +1666,6 @@ impl<P: Protocol> ClusterSim<P> {
                     u64::from(self.engines[r].install_shard_snapshot(s, snap));
                 service
             }
-        }
-    }
-
-    /// Serves (or defers) a relaxed read at a replica-shard process.
-    /// `first` marks the initial arrival (which may degrade to consensus
-    /// on ordered-reads protocols); re-polls only ever wait or answer.
-    #[allow(clippy::too_many_arguments)]
-    fn relaxed_read_step(
-        &mut self,
-        proc: usize,
-        client: NodeId,
-        req_id: u64,
-        key: u64,
-        start: Nanos,
-        base: Nanos,
-        first: bool,
-    ) -> Nanos {
-        let (r, s) = self.replica_of(proc);
-        debug_assert_eq!(self.router.route_key(key), s, "relaxed read mis-routed");
-        let slowdown = self.slowdown_of(proc);
-        if let Some(value) = self.engines[r].shard(s).local_read(key) {
-            // Served from the local copy: one reply message, no agreement
-            // traffic at all — the whole point of §7.5.
-            let out_cost = ((self.profile.tx + self.profile.marshal) as f64 * slowdown) as Nanos;
-            let service = base + out_cost;
-            self.total_messages += 1;
-            self.deliver(
-                proc,
-                client.index(),
-                start + service,
-                WorkItem::Reply { req_id, value },
-            );
-            service
-        } else if self.local_reads_possible {
-            // Inside the lock window: wait it out on the replica, like
-            // the runtime's pending-read backlog.
-            self.push_work(
-                start + base + LOCAL_READ_POLL,
-                proc,
-                WorkItem::RelaxedPoll {
-                    client,
-                    req_id,
-                    key,
-                },
-            );
-            base
-        } else if first {
-            // Ordered-reads protocol: degrade to a linearized read
-            // through consensus (same as the runtime's ReadRelaxed path).
-            self.engine_step(
-                proc,
-                EngineEvent::ClientRequest {
-                    client,
-                    req_id,
-                    op: Op::Get { key },
-                },
-                start,
-                base,
-            )
-        } else {
-            base
         }
     }
 

@@ -1,17 +1,18 @@
 //! The §7.5 relaxed-read fast path, end to end on two harnesses.
 //!
-//! The engine centralizes `can_read_locally` gating and the local-copy
-//! read; these tests exercise it through `TestNet` (deterministic lock
-//! window control) and the threaded runtime (`get_relaxed`), for both a
-//! protocol that allows local reads (2PC) and one that orders every read
-//! through consensus (1Paxos).
+//! The engine owns the whole path — serve from the local copy, park
+//! inside a lock window, or order through consensus; these tests
+//! exercise it through `TestNet` (deterministic lock window control:
+//! the `local_read` oracle and `read_relaxed` requests) and the threaded
+//! runtime (`get_relaxed`), for both a protocol that allows local reads
+//! (2PC) and one that orders every read through consensus (1Paxos).
 
 use std::time::Duration;
 
 use consensus_inside::onepaxos::onepaxos::{OnePaxosNode, Timing};
 use consensus_inside::onepaxos::testnet::TestNet;
 use consensus_inside::onepaxos::twopc::TwoPcNode;
-use consensus_inside::onepaxos::{ClusterConfig, NodeId, Op};
+use consensus_inside::onepaxos::{ClusterConfig, Command, NodeId, Op, Protocol};
 use consensus_inside::onepaxos_runtime::ClusterBuilder;
 
 fn cfg(m: &[NodeId], me: NodeId) -> ClusterConfig {
@@ -64,6 +65,64 @@ fn testnet_paxos_never_serves_local_reads() {
             "ordered-reads protocol leaked a local read at {n}"
         );
     }
+}
+
+/// `(req_id, value)` of every reply `client` received so far.
+fn answers<P: Protocol>(net: &TestNet<P>, client: NodeId) -> Vec<(u64, Option<u64>)> {
+    net.replies()
+        .iter()
+        .filter(|r| r.client == client)
+        .map(|r| (r.req_id, r.value))
+        .collect()
+}
+
+#[test]
+fn testnet_relaxed_read_waits_out_the_lock_window_then_answers_once() {
+    let mut net = TestNet::new(3, |m, me| TwoPcNode::new(cfg(m, me)));
+    // The round opens at the coordinator, which locks its own copy.
+    net.client_request(NodeId(0), NodeId(9), 1, Op::Put { key: 1, value: 11 });
+    net.read_relaxed(NodeId(0), NodeId(7), 1, 1);
+    // Prepares out, first ack back: the window is still open.
+    assert!(net.deliver_one(NodeId(0), NodeId(1)));
+    assert!(net.deliver_one(NodeId(0), NodeId(2)));
+    assert!(net.deliver_one(NodeId(1), NodeId(0)));
+    assert_eq!(answers(&net, NodeId(7)), [], "answered inside the window");
+    // The last ack closes it: the read is answered with the new value.
+    assert!(net.deliver_one(NodeId(2), NodeId(0)));
+    assert_eq!(answers(&net, NodeId(7)), [(1, Some(11))]);
+    net.run_to_quiescence();
+    assert_eq!(answers(&net, NodeId(7)), [(1, Some(11))], "answered twice");
+}
+
+#[test]
+fn testnet_newer_relaxed_read_replaces_the_parked_one() {
+    let mut net = TestNet::new(3, |m, me| TwoPcNode::new(cfg(m, me)));
+    net.client_request(NodeId(0), NodeId(9), 1, Op::Put { key: 1, value: 11 });
+    net.read_relaxed(NodeId(0), NodeId(7), 1, 1);
+    net.read_relaxed(NodeId(0), NodeId(7), 2, 1);
+    net.read_relaxed(NodeId(0), NodeId(8), 1, 1);
+    net.run_to_quiescence();
+    assert_eq!(answers(&net, NodeId(7)), [(2, Some(11))]);
+    assert_eq!(answers(&net, NodeId(8)), [(1, Some(11))], "per client");
+}
+
+#[test]
+fn testnet_paxos_answers_relaxed_reads_through_a_committed_get() {
+    let mut net = TestNet::new(3, |m, me| OnePaxosNode::new(cfg(m, me)));
+    net.run_to_quiescence();
+    net.client_request(NodeId(0), NodeId(9), 1, Op::Put { key: 1, value: 11 });
+    net.run_to_quiescence();
+    net.read_relaxed(NodeId(0), NodeId(7), 1, 1);
+    net.run_to_quiescence();
+    let get = Command::new(NodeId(7), 1, Op::Get { key: 1 });
+    for n in 0..3u16 {
+        assert!(
+            net.commits(NodeId(n)).values().any(|c| *c == get),
+            "the read never reached the log at {n}"
+        );
+    }
+    assert_eq!(answers(&net, NodeId(7)), [(1, Some(11))]);
+    net.assert_consistent();
 }
 
 #[test]
@@ -133,6 +192,12 @@ fn relaxed_reads_never_observe_a_partial_cross_shard_write_set() {
     // Unrelated keys read fine throughout (the lock is per key, not per
     // shard).
     assert_eq!(net.local_read(NodeId(0), 9_999), Some(None));
+    // A relaxed read of B's key parks rather than answer with the old
+    // value.
+    let reader = NodeId(200);
+    net.read_relaxed(NodeId(1), reader, 1, k_b);
+    net.run_to_quiescence();
+    assert_eq!(answers(&net, reader), [], "partial view served");
     // Deliver B's outcome: the window closes with the full write set.
     assert_eq!(
         net.drive_txn(NodeId(0), &mut coord, b_frag),
@@ -142,6 +207,7 @@ fn relaxed_reads_never_observe_a_partial_cross_shard_write_set() {
         assert_eq!(net.local_read(NodeId(n), k_a), Some(Some(10)));
         assert_eq!(net.local_read(NodeId(n), k_b), Some(Some(20)));
     }
+    assert_eq!(answers(&net, reader), [(1, Some(20))]);
     net.assert_consistent();
 }
 
