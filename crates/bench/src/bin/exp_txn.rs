@@ -4,13 +4,13 @@
 //!
 //! The transaction layer (`onepaxos::txn`) runs classic 2PC across the
 //! per-shard Paxos groups, every phase a command agreed by the
-//! participant group's own log — with the fan-out hot path riding three
+//! participant group's own log — with the fan-out hot path riding two
 //! compounding optimizations: shard-id-ordered prepares with lock-wait
-//! queues (conflicts park instead of aborting), presumed-durability
-//! early ack (the commit is acked at unanimous yes votes and the outcome
-//! legs drain in the background, overlapping the next transaction's
-//! prepares), and conflict-aware scheduling (re-probes and write sets
-//! aimed at recently-contended keys are held back one flush window).
+//! queues (conflicts park instead of aborting, and the client re-probes
+//! a parked prepare at once), and presumed-durability early ack (the
+//! commit is acked at unanimous yes votes and the outcome legs drain in
+//! the background, overlapping the next transaction's prepares). Every
+//! client is the `ClientSession` the threaded runtime runs.
 //! A fan-out-F transaction still buys its atomicity with F prepare + F
 //! outcome agreements, but the client-visible critical path is the
 //! prepare phase only — while the fan-out-1 short-circuit
@@ -186,7 +186,7 @@ fn main() {
     if f2.abort_rate > 0.01 {
         eprintln!(
             "FAIL: fan-out-2 abort rate {:.4} aborts/committed txn exceeds 0.01 — \
-             the lock-wait queues or the conflict-aware scheduler regressed",
+             the lock-wait queues or the client's re-probes regressed",
             f2.abort_rate
         );
         std::process::exit(1);

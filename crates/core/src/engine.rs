@@ -51,7 +51,10 @@
 //! the semantics tests and the simulator want. [`ReplyMode::AfterApply`]
 //! holds the reply until the command's state-machine output exists, so a
 //! real client never observes a commit acknowledgement without its read
-//! value — the threaded runtime's contract.
+//! value — the threaded runtime's contract. A request whose client has
+//! already applied a later one is answered at once without a value: the
+//! session table keeps only the latest output, so waiting would be
+//! forever.
 //!
 //! # Relaxed reads
 //!
@@ -520,6 +523,10 @@ pub struct EngineStats {
     /// Finished-transaction outcomes retained by the state machine
     /// (bounded per coordinator by [`crate::kv::FINISHED_WINDOW`]).
     pub finished_len: usize,
+    /// Replies held for an output not yet applied
+    /// ([`ReplicaEngine::deferred_replies`]; [`ReplyMode::AfterApply`]
+    /// only). Drains to zero once the log has no gap.
+    pub deferred_replies: usize,
 }
 
 impl EngineStats {
@@ -558,6 +565,7 @@ impl EngineStats {
         self.outputs_len += other.outputs_len;
         self.applied += other.applied;
         self.finished_len += other.finished_len;
+        self.deferred_replies += other.deferred_replies;
     }
 }
 
@@ -833,8 +841,9 @@ pub enum EngineEffect<M, O> {
     },
     /// Acknowledge to `client` that `(client, req_id)` committed in
     /// `instance`. `value` carries the state-machine output when the
-    /// command has already been applied locally (always, under
-    /// [`ReplyMode::AfterApply`]). A relaxed read served locally
+    /// command has already been applied locally (always under
+    /// [`ReplyMode::AfterApply`], unless the client has since superseded
+    /// the request). A relaxed read served locally
     /// answers the same way, with the value read and the applied
     /// watermark as `instance`.
     ReplyTo {
@@ -866,8 +875,11 @@ pub enum ReplyMode {
     #[default]
     Immediate,
     /// Hold the reply until the command's output has been applied, so the
-    /// acknowledgement always carries the value. The threaded runtime
-    /// uses this (a log gap must not produce a value-less reply).
+    /// acknowledgement carries the value. The threaded runtime uses this
+    /// (a log gap must not produce a value-less reply). The one
+    /// exception: once a later request of the same client has applied,
+    /// the earlier one's output is gone for good, so its reply goes out
+    /// at once with `value: None`.
     AfterApply,
 }
 
@@ -1082,6 +1094,7 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
         s.applied_log_len = self.applier.applied_log().len();
         s.outputs_len = self.applier.outputs_len();
         s.applied = self.applied_next();
+        s.deferred_replies = self.deferred.len();
         s
     }
 
@@ -1532,7 +1545,11 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
             return;
         }
         let value = self.applier.output_of(client, req_id).cloned();
-        if value.is_none() && self.reply_mode == ReplyMode::AfterApply {
+        // Only a client's latest output is kept, so a request its client
+        // has already superseded never gets one: it is answered bare
+        // rather than deferred forever.
+        let after_apply = self.reply_mode == ReplyMode::AfterApply;
+        if value.is_none() && after_apply && !self.applier.applied_past(client, req_id) {
             self.deferred.push((client, req_id, instance));
             return;
         }
@@ -2179,6 +2196,47 @@ mod tests {
             .expect("deferred reply released");
         assert_eq!(reply, (2, Some(Some(60)))); // Put returns prior value
         assert_eq!(e.deferred_replies(), 0);
+    }
+
+    #[test]
+    fn after_apply_answers_a_superseded_request_bare() {
+        let mut e =
+            ReplicaEngine::with_reply_mode(Scripted::new(), KvStore::new(), ReplyMode::AfterApply);
+        // Two requests of one client apply before either is replied to
+        // (one batch, or a filled gap): only the later output is kept.
+        let fx = drive(
+            &mut e,
+            vec![
+                Action::Commit {
+                    instance: 0,
+                    cmd: put(9, 1, 7, 60),
+                },
+                Action::Commit {
+                    instance: 1,
+                    cmd: put(9, 2, 8, 70),
+                },
+                Action::Reply {
+                    client: NodeId(9),
+                    req_id: 1,
+                    instance: 0,
+                },
+                Action::Reply {
+                    client: NodeId(9),
+                    req_id: 2,
+                    instance: 1,
+                },
+            ],
+            0,
+        );
+        let replies: Vec<_> = fx
+            .iter()
+            .filter_map(|e| match e {
+                EngineEffect::ReplyTo { req_id, value, .. } => Some((*req_id, *value)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(replies, [(1, None), (2, Some(None))]);
+        assert_eq!(e.deferred_replies(), 0, "nothing waits for a lost output");
     }
 
     #[test]

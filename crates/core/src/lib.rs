@@ -71,6 +71,7 @@
 #![deny(unsafe_code)]
 
 pub mod basic_paxos;
+pub mod client;
 mod config;
 pub mod engine;
 pub mod failure;

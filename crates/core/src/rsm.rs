@@ -348,6 +348,12 @@ impl<S: StateMachine> Applier<S> {
         (*last == req_id).then_some(out)
     }
 
+    /// Whether `client` has applied a request newer than `req_id` — after
+    /// which `req_id` never has an output here (see [`Self::output_of`]).
+    pub fn applied_past(&self, client: NodeId, req_id: u64) -> bool {
+        matches!(self.sessions.get(&client), Some(&(last, _)) if last > req_id)
+    }
+
     /// The retained applied command log, starting at [`Self::log_base`]
     /// (for cross-replica consistency checks).
     pub fn applied_log(&self) -> &[Command] {

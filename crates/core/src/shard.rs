@@ -121,7 +121,7 @@ pub struct ShardRouter {
 
 /// SplitMix64 finalizer: full-avalanche mixing so sequential keys do not
 /// clump on one shard.
-fn mix64(mut x: u64) -> u64 {
+pub(crate) fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)

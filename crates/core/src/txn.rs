@@ -33,8 +33,11 @@
 //!
 //! [`TxnCoordinator`] is a **client-side**, sans-IO state machine: it
 //! turns a multi-key write set into per-shard [`Fragment`]s and consumes
-//! the replies. The harness (TestNet driver, the sim's `TxnMix` client
-//! loop, the runtime's `ClientHandle::txn_put`) owns all transport:
+//! the replies. Its driver owns transport and retries: the
+//! [`ClientSession`](crate::client::ClientSession) that the runtime's
+//! `ClientHandle::txn_put` and the simulator's `TxnMix` clients both run,
+//! or the TestNet driver, whose callers script coordinator crashes and
+//! recovery by hand:
 //!
 //! ```text
 //! coordinator                 shard A (Paxos group)    shard B (Paxos group)
@@ -56,8 +59,8 @@
 //!
 //! # The fan-out hot path
 //!
-//! Three compounding optimizations keep multi-shard transactions off
-//! the abort-retry cliff:
+//! Two compounding optimizations keep multi-shard transactions off the
+//! abort-retry cliff:
 //!
 //! 1. **Ordered, pipelined lock acquisition + lock-wait queues.**
 //!    [`TxnCoordinator::begin`] emits prepare fragments in shard-id
@@ -73,11 +76,10 @@
 //!    drains asynchronously — safe because [`recover_outcome`]'s
 //!    all-prepared-commits rule reconstructs exactly the same decision
 //!    if the coordinator dies mid-fan-out.
-//! 3. **Conflict-aware scheduling.** Wait/busy/abort replies feed a
-//!    small recently-contended-key cache; re-probes go out a flush
-//!    window later ([`TxnCoordinator::take_deferred`]) and
-//!    [`TxnCoordinator::is_hot`] lets the harness delay transactions it
-//!    knows will queue.
+//!
+//! A wait/busy vote queues a re-probe under a fresh request id
+//! ([`TxnCoordinator::take_deferred`]); the driver sends it at once, and
+//! the shard parks it behind the lock holder.
 //!
 //! # Failure matrix
 //!
@@ -136,17 +138,8 @@ const WAIT_PATIENCE: u32 = 12;
 
 /// How many [`TxnVote::Busy`] replies per shard before aborting. Busy
 /// means wait-die made this (younger) transaction die retryably; a few
-/// deferred re-probes usually land after the holder finishes.
+/// re-probes usually land after the holder finishes.
 const BUSY_PATIENCE: u32 = 12;
-
-/// How many [`TxnCoordinator::begin`] calls a key stays in the
-/// recently-contended cache after a conflict signal (abort/wait/busy
-/// replies feed it). While cached, the harness is advised to delay
-/// first submission by one flush window ([`TxnCoordinator::is_hot`]).
-const HOT_TTL: u8 = 4;
-
-/// Capacity of the recently-contended-key cache.
-const HOT_CAP: usize = 32;
 
 /// Final fate of a transaction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -214,7 +207,7 @@ pub struct Fragment {
 pub enum TxnStep {
     /// Nothing yet: the reply was stale, valueless, or votes are still
     /// outstanding. (A wait/busy vote also lands here — it queues a
-    /// deferred re-probe, see [`TxnCoordinator::take_deferred`].)
+    /// re-probe, see [`TxnCoordinator::take_deferred`].)
     Pending,
     /// Phase transition: submit these outcome fragments and keep feeding
     /// replies (recovery drives its outcome this way and waits for the
@@ -285,14 +278,14 @@ struct Drain {
 /// for the protocol and failure story.
 ///
 /// One coordinator per client, living as long as the client: it owns the
-/// client's transaction sequence numbers and (its slice of) the client's
-/// request ids, both strictly increasing — which is what keeps the
-/// per-shard [`Applier`](crate::rsm::Applier) sessions' at-most-once
-/// dedup sound for fragments, and what keeps [`TxnId`]s unique (shards
-/// remember finished ids forever). A caller that instead rebuilds a
-/// coordinator per transaction must persist **both** counters across
-/// rebuilds ([`Self::with_first_req`] + [`Self::with_first_seq`],
-/// resynced from [`Self::next_req`] + [`Self::next_seq`]).
+/// client's transaction sequence numbers and request ids (a
+/// [`ClientSession`](crate::client::ClientSession) draws its plain
+/// commands' ids from the same counter), both strictly increasing —
+/// which is what keeps the per-shard [`Applier`](crate::rsm::Applier)
+/// sessions' at-most-once dedup sound for fragments, and what keeps
+/// [`TxnId`]s unique (shards remember finished ids forever, so a reused
+/// id would make a new prepare echo the old outcome without staging
+/// anything).
 ///
 /// # Examples
 ///
@@ -317,15 +310,9 @@ pub struct TxnCoordinator {
     /// shard acknowledgements; a new transaction may begin while these
     /// drain (phase 2 of txn *n* overlaps phase 1 of txn *n+1*).
     draining: Vec<Drain>,
-    /// Re-probe fragments produced by wait/busy votes, for the harness
-    /// to submit after one flush window (immediate resubmission would
-    /// just re-join the same contended queue; see
-    /// [`Self::take_deferred`]).
+    /// Re-probe fragments produced by wait/busy votes, for the driver
+    /// to send ([`Self::take_deferred`]).
     deferred: Vec<Fragment>,
-    /// Recently-contended keys (fed by abort/wait/busy replies) with a
-    /// remaining time-to-live in [`Self::begin`] calls — the
-    /// conflict-aware scheduling cache behind [`Self::is_hot`].
-    recent: BTreeMap<u64, u8>,
     /// Cumulative re-probe fragments issued (bench: the `retries`
     /// column).
     reprobes: u64,
@@ -333,43 +320,18 @@ pub struct TxnCoordinator {
 
 impl TxnCoordinator {
     /// Creates a coordinator for `client` over `router`'s shard space,
-    /// with request ids starting at 1.
+    /// with request ids and transaction sequence numbers starting at 1.
     pub fn new(client: NodeId, router: ShardRouter) -> Self {
-        Self::with_first_req(client, router, 1)
-    }
-
-    /// Like [`Self::new`] with an explicit first request id — for
-    /// callers that share the client's request-id counter with
-    /// non-transactional traffic (the threaded runtime's
-    /// `ClientHandle`).
-    pub fn with_first_req(client: NodeId, router: ShardRouter, first_req: u64) -> Self {
         TxnCoordinator {
             client,
             router,
-            next_req: first_req.max(1),
+            next_req: 1,
             next_seq: 1,
             active: None,
             draining: Vec::new(),
             deferred: Vec::new(),
-            recent: BTreeMap::new(),
             reprobes: 0,
         }
-    }
-
-    /// Starts the transaction sequence at `first_seq` instead of 1 —
-    /// mandatory for callers that rebuild a coordinator per transaction
-    /// around a persistent client identity (the threaded runtime's
-    /// `ClientHandle`). [`TxnId`]s must stay unique for the client's
-    /// whole lifetime: participant shards remember a finished
-    /// transaction's outcome forever, so a reused id makes a *new*
-    /// transaction's prepare echo the *old* one's outcome without
-    /// staging anything — reported committed, writes silently dropped.
-    /// Resync via [`Self::next_seq`] after every transaction, exactly
-    /// like the request-id counter via [`Self::next_req`].
-    #[must_use]
-    pub fn with_first_seq(mut self, first_seq: u64) -> Self {
-        self.next_seq = first_seq.max(1);
-        self
     }
 
     /// The client identity fragments are submitted under.
@@ -377,19 +339,14 @@ impl TxnCoordinator {
         self.client
     }
 
-    /// The next request id this coordinator would allocate (for resyncing
-    /// a shared client counter).
-    pub fn next_req(&self) -> u64 {
-        self.next_req
-    }
-
-    /// The next transaction sequence number this coordinator would
-    /// allocate — what a caller that rebuilds coordinators must persist
-    /// and feed back through [`Self::with_first_seq`], also after a
-    /// failed transaction (the abandoned id may be prepared on some
-    /// shards and must never be reused).
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
+    /// Allocates the next request id of the client's one counter — for a
+    /// driver that sends plain commands under the same identity (the
+    /// [`ClientSession`](crate::client::ClientSession)), so a command
+    /// and a fragment never share an id.
+    pub(crate) fn alloc_req(&mut self) -> u64 {
+        let r = self.next_req;
+        self.next_req += 1;
+        r
     }
 
     /// Whether a transaction is currently in flight.
@@ -406,34 +363,14 @@ impl TxnCoordinator {
             .map(|a| a.txn)
     }
 
-    /// The still-unanswered fragment carrying `req_id`, if any — what a
-    /// harness retransmits on timeout. Covers both the active
-    /// transaction and the drain queues of early-acked ones.
-    pub fn fragment(&self, req_id: u64) -> Option<Fragment> {
-        let entry = self
-            .active
-            .as_ref()
-            .and_then(|a| a.outstanding.get(&req_id))
-            .or_else(|| {
-                self.draining
-                    .iter()
-                    .find_map(|d| d.outstanding.get(&req_id))
-            })?;
-        let (shard, op) = entry;
-        Some(Fragment {
-            shard: *shard,
-            req_id,
-            op: op.clone(),
-        })
-    }
-
-    /// Every still-unanswered fragment, active transaction first, then
-    /// the drain queues (for bulk retransmission).
+    /// Every still-unanswered fragment, in request-id order (for bulk
+    /// retransmission): the drain queues oldest first, whose ids were
+    /// all drawn before the active transaction's, then that one's.
     pub fn outstanding_fragments(&self) -> Vec<Fragment> {
         let active = self.active.iter().flat_map(|a| a.outstanding.iter());
         let drains = self.draining.iter().flat_map(|d| d.outstanding.iter());
-        active
-            .chain(drains)
+        drains
+            .chain(active)
             .map(|(&req_id, (shard, op))| Fragment {
                 shard: *shard,
                 req_id,
@@ -456,53 +393,28 @@ impl TxnCoordinator {
         self.draining.first().map(|d| d.outcome)
     }
 
-    /// Takes the re-probe fragments queued by wait/busy votes. The
-    /// harness should submit them **after one flush window** rather than
-    /// immediately: the shard just said the keys are contended, and an
-    /// instant resubmit arrives inside the same lock window it was
-    /// turned away from (conflict-aware scheduling; the TestNet's
-    /// round cadence and the sim's deferred retransmission both provide
-    /// the window).
+    /// Takes the re-probe fragments queued by wait/busy votes, for the
+    /// driver to send at once: the shard parks a `Wait` re-probe behind
+    /// the lock holder, and a `Busy` one is re-evaluated on arrival.
     pub fn take_deferred(&mut self) -> Vec<Fragment> {
         std::mem::take(&mut self.deferred)
     }
 
-    /// Whether any of `writes`' keys is in the recently-contended cache
-    /// — a hint that submitting now will likely park or be turned away,
-    /// so the harness may delay the transaction by one flush window.
-    pub fn is_hot(&self, writes: &[(u64, u64)]) -> bool {
-        writes.iter().any(|(key, _)| self.recent.contains_key(key))
+    /// Drops the in-flight transaction undecided — for a driver that
+    /// gave up on it (its retry budget ran out). Its [`TxnId`] stays
+    /// burned, and late replies to its fragments read as unknown ids.
+    /// Shards it prepared on keep their locks until a recovery pass
+    /// resolves it, as after a coordinator crash (see the failure
+    /// matrix). Outcome legs still draining are kept.
+    pub(crate) fn abandon(&mut self) {
+        self.active = None;
+        self.deferred.clear();
     }
 
     /// Cumulative re-probe fragments issued after wait/busy votes (the
     /// bench's `retries` column).
     pub fn reprobes(&self) -> u64 {
         self.reprobes
-    }
-
-    /// Feeds every key of `shard`'s fragment into the
-    /// recently-contended cache (bounded; oldest keys evicted).
-    fn note_contended(&mut self, shard: ShardId) {
-        let Some(writes) = self
-            .active
-            .as_ref()
-            .and_then(|a| a.fragments.get(&shard))
-            .cloned()
-        else {
-            return;
-        };
-        for &(key, _) in writes.iter() {
-            self.recent.insert(key, HOT_TTL);
-            while self.recent.len() > HOT_CAP {
-                self.recent.pop_first();
-            }
-        }
-    }
-
-    fn alloc_req(&mut self) -> u64 {
-        let r = self.next_req;
-        self.next_req += 1;
-        r
     }
 
     /// Partitions `writes` by owning shard, in shard order.
@@ -542,11 +454,6 @@ impl TxnCoordinator {
     pub fn begin(&mut self, writes: &[(u64, u64)]) -> Vec<Fragment> {
         assert!(self.active.is_none(), "a transaction is already in flight");
         assert!(!writes.is_empty(), "a transaction writes at least one key");
-        // Age the conflict cache: one begin is one scheduling window.
-        self.recent.retain(|_, ttl| {
-            *ttl -= 1;
-            *ttl > 0
-        });
         let by_shard = self.partition(writes);
         let txn = TxnId::new(self.client, self.next_seq);
         self.next_seq += 1;
@@ -693,17 +600,16 @@ impl TxnCoordinator {
         self.force(outcome)
     }
 
-    /// Queues a deferred re-probe of `shard`'s prepare under a fresh
-    /// request id (the appliers' sessions dedup by `(client, req_id)`,
-    /// so re-asking under the old id would echo the old vote instead of
-    /// re-evaluating the locks) and feeds the conflict cache.
+    /// Queues a re-probe of `shard`'s prepare under a fresh request id
+    /// (the appliers' sessions dedup by `(client, req_id)`, so re-asking
+    /// under the old id would echo the old vote instead of re-evaluating
+    /// the locks).
     fn reprobe(&mut self, shard: ShardId, op: Op) {
         let req_id = self.alloc_req();
         let a = self.active.as_mut().expect("re-probing without a txn");
         a.outstanding.insert(req_id, (shard, op.clone()));
         self.reprobes += 1;
         self.deferred.push(Fragment { shard, req_id, op });
-        self.note_contended(shard);
     }
 
     /// Consumes one client reply. `value` is the reply's state-machine
@@ -762,7 +668,6 @@ impl TxnCoordinator {
                         // still-unanswered prepares are moot (their
                         // shards get the abort too).
                         a.votes.insert(shard, false);
-                        self.note_contended(shard);
                         self.force(TxnOutcome::Aborted)
                     }
                     TxnVote::Wait => {
@@ -979,9 +884,7 @@ mod tests {
         let frags = c.begin(&[(keys[0], 1), (keys[1], 2)]);
         assert_eq!(c.on_reply(frags[0].req_id, None), TxnStep::Pending);
         // The fragment is still retransmittable…
-        let again = c.fragment(frags[0].req_id).expect("still outstanding");
-        assert_eq!(again, frags[0]);
-        assert_eq!(c.outstanding_fragments().len(), 2);
+        assert_eq!(c.outstanding_fragments(), frags);
         // …and a later valued reply counts.
         c.on_reply(frags[0].req_id, Some(TXN_VOTE_COMMIT));
         assert!(matches!(
@@ -1039,29 +942,6 @@ mod tests {
     }
 
     #[test]
-    fn rebuilt_coordinators_resync_the_txn_sequence() {
-        // The threaded runtime rebuilds a coordinator per txn_put call;
-        // seeding `with_first_seq` from the previous coordinator's
-        // `next_seq` must keep TxnIds unique across rebuilds — a reused
-        // id would make participant shards echo the previous
-        // transaction's recorded outcome instead of staging anything.
-        let keys = spanning_keys(4, 2);
-        let writes = [(keys[0], 1), (keys[1], 2)];
-        let router = ShardRouter::new(4);
-        let mut first = TxnCoordinator::with_first_req(NodeId(9), router, 1);
-        first.begin(&writes);
-        let t1 = first.current_txn().expect("multi-shard txn");
-        // The rebuild (after the first transaction finished or timed
-        // out) carries both counters forward.
-        let mut second = TxnCoordinator::with_first_req(NodeId(9), router, first.next_req())
-            .with_first_seq(first.next_seq());
-        second.begin(&writes);
-        let t2 = second.current_txn().expect("multi-shard txn");
-        assert_ne!(t1, t2, "rebuilt coordinator reused a TxnId");
-        assert!(t2.seq > t1.seq);
-    }
-
-    #[test]
     fn status_output_encoding_roundtrips() {
         use TxnStatus::*;
         for s in [Unknown, Prepared, Committed, Aborted] {
@@ -1097,7 +977,7 @@ mod tests {
         let keys = spanning_keys(4, 2);
         let frags = c.begin(&[(keys[0], 1), (keys[1], 2)]);
         // Shard 0 parks us behind a holder: Pending now, and a re-probe
-        // under a FRESH request id is queued for deferred submission
+        // under a FRESH request id is queued for the driver to send
         // (the appliers dedup by req_id, so re-asking under the old one
         // would echo the old Wait instead of re-evaluating the locks).
         assert_eq!(
@@ -1109,9 +989,10 @@ mod tests {
         assert!(deferred[0].req_id > frags[1].req_id, "fresh req id");
         assert_eq!(deferred[0].shard, frags[0].shard);
         assert_eq!(deferred[0].op, frags[0].op, "same prepare, re-asked");
-        assert_eq!(
-            c.fragment(frags[0].req_id),
-            None,
+        assert!(
+            c.outstanding_fragments()
+                .iter()
+                .all(|f| f.req_id != frags[0].req_id),
             "the old req id is dead; its late replies are ignored"
         );
         assert_eq!(c.reprobes(), 1);
@@ -1192,32 +1073,6 @@ mod tests {
                 ..
             }
         ));
-    }
-
-    #[test]
-    fn conflict_cache_marks_contended_keys_and_ages_out() {
-        let mut c = coord(4);
-        let keys = spanning_keys(4, 2);
-        let writes = [(keys[0], 1), (keys[1], 2)];
-        assert!(!c.is_hot(&writes));
-        let frags = c.begin(&writes);
-        // A hard no on shard 0 feeds that fragment's keys to the cache.
-        let TxnStep::Decided { submit, .. } = c.on_reply(frags[0].req_id, Some(TXN_VOTE_ABORT))
-        else {
-            panic!("expected the forced abort");
-        };
-        for f in submit {
-            c.on_reply(f.req_id, None);
-        }
-        assert!(c.is_hot(&writes), "conflicted key is hot");
-        assert!(!c.is_hot(&[(keys[1], 9)]), "other shard's key is not");
-        // The cache ages by one per begin(): after HOT_TTL begins the
-        // key is cold again.
-        for round in 0..HOT_TTL as u64 {
-            let f = c.begin(&[(keys[1], round)]);
-            c.on_reply(f[0].req_id, None);
-        }
-        assert!(!c.is_hot(&writes));
     }
 
     #[test]

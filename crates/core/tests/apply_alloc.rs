@@ -1,19 +1,23 @@
-//! The apply path allocates nothing in steady state.
+//! The apply path, and a client's single-command loop, allocate nothing
+//! in steady state.
 //!
 //! A counting global allocator wraps the system allocator and counts
-//! per thread, so the two cases can run in parallel. Each case warms an
-//! `Applier<KvStore>` with 64 client sessions over a fixed key set —
+//! per thread, so the cases can run in parallel. The apply cases warm
+//! an `Applier<KvStore>` with 64 client sessions over a fixed key set —
 //! every session, key and table node exists afterwards — and then
-//! counts what applying more in-order decisions costs. One session
+//! count what applying more in-order decisions costs. One session
 //! table per client, overwritten in place, keeps that at zero: the only
-//! allowance is the retained log's amortised growth.
+//! allowance is the retained log's amortised growth. The client case
+//! runs a `ClientSession` through submit → reply round trips on a
+//! reused effect buffer.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use onepaxos::client::{ClientEffect, ClientSession, RetryPolicy};
 use onepaxos::kv::KvStore;
 use onepaxos::rsm::Applier;
-use onepaxos::{Command, Instance, NodeId, Op};
+use onepaxos::{Command, Instance, NodeId, Op, ShardRouter};
 
 /// System allocator wrapped with per-thread allocation counting.
 struct Counting;
@@ -118,5 +122,44 @@ fn batched_decisions_allocate_nothing() {
         during, 0,
         "on_decided allocated {during} times for 1 000 prebuilt 16-command batches \
          (contract: zero)"
+    );
+}
+
+#[test]
+fn a_steady_submit_reply_loop_allocates_nothing() {
+    let replicas = vec![NodeId(0), NodeId(1), NodeId(2)];
+    let mut s = ClientSession::new(
+        NodeId(9),
+        replicas,
+        ShardRouter::new(4),
+        RetryPolicy::default(),
+        1,
+    );
+    let mut out = Vec::new();
+    let mut round_trip = |i: u64| {
+        s.submit(
+            Op::Put {
+                key: i % KEYS,
+                value: i,
+            },
+            i,
+            &mut out,
+        );
+        let Some(ClientEffect::Send { req_id, .. }) = out.pop() else {
+            panic!("a submit sends")
+        };
+        s.on_reply(req_id, Some(i), i + 1, &mut out);
+        assert!(matches!(out.pop(), Some(ClientEffect::Complete { .. })));
+    };
+    round_trip(0);
+
+    let before = allocs();
+    for i in 1..10_000 {
+        round_trip(i);
+    }
+    let during = allocs() - before;
+    assert_eq!(
+        during, 0,
+        "10 000 submit/reply round trips allocated {during} times (contract: zero)"
     );
 }

@@ -37,20 +37,18 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use onepaxos::client::{Answer, ClientEffect, ClientSession, Request, RetryPolicy};
 use onepaxos::engine::{BatchConfig, CatchUp, EngineConfig, EngineEffect, ReplyMode};
 use onepaxos::kv::KvStore;
 use onepaxos::rsm::ApplierSnapshot;
 use onepaxos::shard::{ShardId, ShardRouter, ShardedEffects, ShardedEngine};
-use onepaxos::txn::{Fragment, TxnCoordinator, TxnStep};
 use onepaxos::wire::{decode_exact, encode_to_vec, Codec};
 use onepaxos::{EngineEvent, Instance, Nanos, NodeId, Op, Protocol, TxnOutcome};
 use qc_channel::{spsc, Receiver, Sender};
 
 use crate::affinity;
 use crate::fault::{FaultPlan, FaultTransport};
-use crate::transport::{
-    self, splitmix64, MemTransport, Peer, TcpTransport, Transport, TransportStats,
-};
+use crate::transport::{self, MemTransport, Peer, TcpTransport, Transport, TransportStats};
 use crate::wire::Wire;
 
 /// Queue slots per direction between each pair of processes; the paper's
@@ -128,6 +126,9 @@ pub struct NodeMetrics {
     /// Finished-transaction records retained, summed over shard groups
     /// (bounded by the per-coordinator GC window).
     pub finished_len: AtomicU64,
+    /// Client replies held until their output applies, summed over
+    /// shard groups. Zero whenever the replica's log has no gap.
+    pub deferred_replies: AtomicU64,
     /// Turns of the replica's event loop, republished with the engine
     /// counters whenever a turn makes progress. `loop_turns / received`
     /// is the empty-turn ratio: how many times the loop went round per
@@ -696,6 +697,9 @@ fn publish_engine_stats<P: Protocol>(
     metrics
         .finished_len
         .store(stats.finished_len as u64, Ordering::Relaxed);
+    metrics
+        .deferred_replies
+        .store(stats.deferred_replies as u64, Ordering::Relaxed);
 }
 
 /// Republishes a replica transport's failure counters into its shared
@@ -932,106 +936,35 @@ impl std::fmt::Display for SubmitTimeout {
 
 impl std::error::Error for SubmitTimeout {}
 
-/// The client-side retry schedule: capped exponential backoff with
-/// jitter, shared by every blocking [`ClientHandle`] operation
-/// (`submit`/`put`/`get`/`txn_put`/`get_relaxed`).
-///
-/// Attempt `n` (zero-based) waits `min(base << n, cap)` plus a random
-/// jitter of up to `jitter_permille`‰ of that value before re-sending —
-/// to the next replica of the shard group for routed commands, to the
-/// same replica for relaxed reads. After `max_attempts` unanswered
-/// attempts the operation returns [`SubmitTimeout`] carrying that count.
-///
-/// The default policy starts at 100 ms (generous because dev machines
-/// oversubscribe their cores), doubles to a cap of 800 ms, jitters by up
-/// to 25%, and gives up after six attempts —
-/// [`ClusterBuilder`]-constructed handles override `max_attempts` to
-/// `2 × replicas`, preserving the old every-replica-twice sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// First attempt's patience.
-    pub base: Duration,
-    /// Upper bound the doubling saturates at.
-    pub cap: Duration,
-    /// Jitter magnitude in permille of the capped backoff (0–1000);
-    /// the actual jitter is drawn uniformly from `[0, magnitude)`.
-    pub jitter_permille: u32,
-    /// Attempts before giving up (at least 1 is always made).
-    pub max_attempts: u32,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            base: Duration::from_millis(100),
-            cap: Duration::from_millis(800),
-            jitter_permille: 250,
-            max_attempts: 6,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A flat schedule: every attempt waits exactly `timeout`, no
-    /// jitter — what [`ClientHandle::set_timeout`] installs, and the
-    /// right shape for tests that assert timing.
-    pub fn fixed(timeout: Duration, max_attempts: u32) -> Self {
-        RetryPolicy {
-            base: timeout,
-            cap: timeout,
-            jitter_permille: 0,
-            max_attempts,
-        }
-    }
-
-    /// The patience for zero-based `attempt`, jittered from `rng`.
-    fn timeout_for(&self, attempt: u32, rng: &mut u64) -> Duration {
-        let backed = self.base.saturating_mul(1u32 << attempt.min(8));
-        let capped = backed.min(self.cap);
-        let magnitude = f64::from(self.jitter_permille.min(1000)) / 1000.0;
-        let draw = (splitmix64(rng) % 1024) as f64 / 1024.0;
-        capped + capped.mul_f64(magnitude * draw)
-    }
-}
-
 /// A synchronous client: submits one command at a time and waits for its
 /// commit acknowledgement, re-targeting replicas on timeout — exactly the
 /// closed loop the paper's load generators run (§7.1, §7.6). On a sharded
 /// cluster the handle routes each operation to its owning group's
 /// preferred replica by key hash; callers stay shard-oblivious.
 ///
+/// Every decision — targets, retries, request ids, the transaction
+/// coordinator — is made by one [`ClientSession`], the client state
+/// machine the simulator runs too; the handle only carries its effects
+/// over the transport and blocks until the call completes.
+///
 /// Generic over its [`Transport`]: [`ClusterBuilder::spawn`] hands out
 /// shared-memory handles (the default parameter), and
 /// [`ClusterBuilder::spawn_tcp`] hands out socket-backed ones — same
 /// API, same closed loop.
 pub struct ClientHandle<M, T = MemTransport<M>> {
-    me: NodeId,
-    replicas: Vec<NodeId>,
     io: T,
-    next_req: u64,
-    /// Next transaction sequence number (see `TxnCoordinator`): TxnIds
-    /// must stay unique for the handle's lifetime, so the counter lives
-    /// here and is resynced through each `txn_put`'s coordinator — a
-    /// reused id would make participant shards echo the previous
-    /// transaction's recorded outcome instead of staging the new one.
-    next_txn_seq: u64,
-    router: ShardRouter,
-    /// Preferred replica index per shard group, bumped on timeout so a
-    /// slow group leader re-targets only its own group's traffic.
-    targets: Vec<usize>,
-    policy: RetryPolicy,
-    /// SplitMix64 state for retry jitter.
-    rng: u64,
+    session: ClientSession,
+    /// The session's effect buffer, reused across calls.
+    effects: Vec<ClientEffect>,
+    /// The session's clock starts here.
+    epoch: Instant,
     _marker: std::marker::PhantomData<fn() -> M>,
 }
 
 impl<M, T> std::fmt::Debug for ClientHandle<M, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClientHandle")
-            .field("me", &self.me)
-            .field("replicas", &self.replicas.len())
-            .field("shards", &self.router.shards())
-            .field("next_req", &self.next_req)
+            .field("session", &self.session)
             .finish_non_exhaustive()
     }
 }
@@ -1043,30 +976,23 @@ where
 {
     fn with_transport(me: NodeId, replicas: Vec<NodeId>, io: T, shards: u16) -> Self {
         let policy = RetryPolicy {
-            // Every replica gets its two chances, as the fixed rotate
-            // loop always gave it.
+            // Every replica gets its two chances.
             max_attempts: (replicas.len().max(1) * 2) as u32,
             ..RetryPolicy::default()
         };
+        let seed = 0xC11E_57A7 ^ ((me.0 as u64) << 21);
         ClientHandle {
-            me,
-            replicas,
             io,
-            next_req: 1,
-            next_txn_seq: 1,
-            router: ShardRouter::new(shards),
-            // Per-shard preferred replica: a slow group leader only
-            // re-targets its own group's requests.
-            targets: vec![0; shards as usize],
-            policy,
-            rng: 0xC11E_57A7 ^ ((me.0 as u64) << 21),
+            session: ClientSession::new(me, replicas, ShardRouter::new(shards), policy, seed),
+            effects: Vec::new(),
+            epoch: Instant::now(),
             _marker: std::marker::PhantomData,
         }
     }
 
     /// This client's node id.
     pub fn id(&self) -> NodeId {
-        self.me
+        self.session.id()
     }
 
     /// Sets a flat per-attempt patience before re-sending to the next
@@ -1075,19 +1001,20 @@ where
     /// policy instead backs off exponentially from 100 ms — see
     /// [`RetryPolicy`].
     pub fn set_timeout(&mut self, t: Duration) {
-        self.policy = RetryPolicy::fixed(t, self.policy.max_attempts);
+        let max_attempts = self.session.policy().max_attempts;
+        self.session.set_policy(RetryPolicy::fixed(t, max_attempts));
     }
 
     /// Installs a full retry schedule (backoff base/cap, jitter,
     /// attempt budget) shared by every blocking operation on this
     /// handle.
     pub fn set_retry_policy(&mut self, p: RetryPolicy) {
-        self.policy = p;
+        self.session.set_policy(p);
     }
 
     /// The retry schedule currently in force.
     pub fn retry_policy(&self) -> RetryPolicy {
-        self.policy
+        self.session.policy()
     }
 
     /// Severs this client's transport link to `node` (a real socket
@@ -1106,7 +1033,14 @@ where
 
     /// The shard group that operations on `key` route to.
     pub fn shard_of(&self, key: u64) -> ShardId {
-        self.router.route_key(key)
+        self.session.router().route_key(key)
+    }
+
+    /// Whether commit/abort legs of a transaction [`Self::txn_put`]
+    /// already returned still await acknowledgement. The handle absorbs
+    /// their acknowledgements, and re-sends the legs, during later calls.
+    pub fn draining(&self) -> bool {
+        self.session.draining()
     }
 
     /// Submits `op` and blocks until it commits, retrying other replicas
@@ -1119,39 +1053,9 @@ where
     /// Returns [`SubmitTimeout`] after [`RetryPolicy::max_attempts`]
     /// unanswered attempts.
     pub fn submit(&mut self, op: Op) -> Result<Option<u64>, SubmitTimeout> {
-        let req_id = self.next_req;
-        self.next_req += 1;
-        let shard = self.router.route(self.me, &op).index();
-        let attempts = self.policy.max_attempts.max(1);
-        for attempt in 0..attempts {
-            let target = self.replicas[self.targets[shard] % self.replicas.len()];
-            self.io.send(
-                target,
-                CLIENT_TOPIC,
-                Wire::Request {
-                    client: self.me,
-                    req_id,
-                    op: op.clone(),
-                },
-            );
-            let deadline = Instant::now() + self.policy.timeout_for(attempt, &mut self.rng);
-            // The reply comes from the replica the request went to (the
-            // advocate), so a socket transport can park on that
-            // connection instead of polling.
-            while let Some((_, wire)) = self.io.recv_from_deadline(target, deadline) {
-                match wire {
-                    Wire::Reply {
-                        req_id: r, value, ..
-                    } if r == req_id => return Ok(value),
-                    _ => {} // stale reply for an older request
-                }
-            }
-            // "Once the clients detect the slow leader, they send their
-            // requests to other nodes" (§7.6) — per shard group, so one
-            // slow group does not un-target the healthy ones.
-            self.targets[shard] += 1;
-        }
-        Err(SubmitTimeout { attempts })
+        let now = self.now();
+        self.session.submit(op, now, &mut self.effects);
+        self.run().map(Answer::value)
     }
 
     /// Convenience: replicated write (routed to `key`'s shard group).
@@ -1173,21 +1077,6 @@ where
         self.submit(Op::Get { key })
     }
 
-    /// Sends one transaction fragment to its shard group's current
-    /// preferred replica.
-    fn send_fragment(&mut self, f: &Fragment) {
-        let target = self.replicas[self.targets[f.shard.index()] % self.replicas.len()];
-        self.io.send(
-            target,
-            CLIENT_TOPIC,
-            Wire::Request {
-                client: self.me,
-                req_id: f.req_id,
-                op: f.op.clone(),
-            },
-        );
-    }
-
     /// Writes several keys **atomically**, across shard groups if their
     /// key hashes demand it: this handle acts as the 2PC coordinator
     /// (see `onepaxos::txn`), sending each shard's fragment over that
@@ -1197,9 +1086,10 @@ where
     /// agreement.
     ///
     /// Returns [`TxnOutcome::Committed`] when every touched group voted
-    /// yes and applied its fragment, [`TxnOutcome::Aborted`] when a lock
-    /// conflict with a concurrent transaction refused the prepare
-    /// (nothing was applied anywhere).
+    /// yes, [`TxnOutcome::Aborted`] when a lock conflict with a
+    /// concurrent transaction refused the prepare (nothing was applied
+    /// anywhere). The outcome is returned as soon as the votes force it;
+    /// its commit/abort legs drain behind later calls on this handle.
     ///
     /// # Errors
     ///
@@ -1209,103 +1099,9 @@ where
     /// pass (`onepaxos::txn::recover_outcome`) once this coordinator is
     /// known dead — the same rule every 2PC deployment lives by.
     pub fn txn_put(&mut self, writes: &[(u64, u64)]) -> Result<TxnOutcome, SubmitTimeout> {
-        // The coordinator is rebuilt per call, so BOTH of its counters
-        // are seeded from this handle and resynced back at every exit:
-        // request ids are shared with plain traffic, and the
-        // transaction sequence must never repeat for this client —
-        // participant shards remember a finished TxnId's outcome
-        // forever, so a reused id would echo the old outcome while
-        // silently dropping the new writes.
-        let mut coord = TxnCoordinator::with_first_req(self.me, self.router, self.next_req)
-            .with_first_seq(self.next_txn_seq);
-        let mut to_send = coord.begin(writes);
-        // The same patience budget as `submit`, refilled at each phase
-        // transition — a slow prepare must not starve the outcome phase
-        // of retries once the decision is already in the logs. The
-        // backoff schedule restarts with each phase too: consecutive
-        // unanswered waits within a phase escalate the patience.
-        let phase_budget = self.policy.max_attempts.max(1);
-        let mut attempts = phase_budget;
-        loop {
-            for f in to_send.drain(..) {
-                self.send_fragment(&f);
-            }
-            let waited = phase_budget - attempts;
-            let deadline = Instant::now() + self.policy.timeout_for(waited, &mut self.rng);
-            let mut progressed = false;
-            while let Some((_, wire)) = self.io.recv_deadline(deadline) {
-                let Wire::Reply {
-                    req_id: r, value, ..
-                } = wire
-                else {
-                    continue;
-                };
-                match coord.on_reply(r, value) {
-                    TxnStep::Pending => {
-                        // A lock-wait vote queued a fresh-id re-probe:
-                        // send it right away — the shard parks it behind
-                        // the holder, so the one-window pacing the sim
-                        // applies buys nothing on this blocking handle.
-                        let deferred = coord.take_deferred();
-                        if !deferred.is_empty() {
-                            to_send = deferred;
-                            attempts = phase_budget;
-                            progressed = true;
-                            break;
-                        }
-                    }
-                    TxnStep::Submit(next) => {
-                        to_send = next;
-                        attempts = phase_budget;
-                        progressed = true;
-                        break;
-                    }
-                    TxnStep::Decided { outcome, submit } => {
-                        // Presumed durability: the votes recorded in the
-                        // shard logs force this outcome whether or not
-                        // we survive to deliver it, so ack the caller
-                        // NOW and fan the outcome legs out
-                        // fire-and-forget. A slow participant applies
-                        // the outcome from its log whenever it catches
-                        // up, and this coordinator's stale
-                        // acknowledgements are dropped as unknown ids by
-                        // the next call's fresh coordinator.
-                        for f in &submit {
-                            self.send_fragment(f);
-                        }
-                        self.io.flush();
-                        self.next_req = coord.next_req();
-                        self.next_txn_seq = coord.next_seq();
-                        return Ok(outcome);
-                    }
-                    TxnStep::Done(outcome) => {
-                        self.next_req = coord.next_req();
-                        self.next_txn_seq = coord.next_seq();
-                        return Ok(outcome);
-                    }
-                }
-            }
-            if !progressed {
-                attempts -= 1;
-                if attempts == 0 {
-                    self.next_req = coord.next_req();
-                    // The abandoned transaction's id may sit prepared on
-                    // some shards; burning its sequence number keeps any
-                    // later txn_put from colliding with it.
-                    self.next_txn_seq = coord.next_seq();
-                    return Err(SubmitTimeout {
-                        attempts: phase_budget,
-                    });
-                }
-                // Re-target each stalled fragment's own group (§7.6,
-                // per shard) and re-send; the appliers dedup, the
-                // protocols re-answer decided ids.
-                to_send = coord.outstanding_fragments();
-                for f in &to_send {
-                    self.targets[f.shard.index()] += 1;
-                }
-            }
-        }
+        let now = self.now();
+        self.session.txn_put(writes, now, &mut self.effects);
+        self.run().map(Answer::txn)
     }
 
     /// Relaxed read (§7.5): asks `replica` for its local copy of `key`,
@@ -1316,7 +1112,7 @@ where
     /// always answered.
     ///
     /// The value may be stale with respect to commands still in flight —
-    /// that is the relaxation.
+    /// that is the relaxation. Retries go to the same replica.
     ///
     /// # Errors
     ///
@@ -1324,35 +1120,77 @@ where
     /// (e.g. a 2PC lock window that never closes because the coordinator
     /// is stuck).
     pub fn get_relaxed(&mut self, replica: NodeId, key: u64) -> Result<Option<u64>, SubmitTimeout> {
-        let req_id = self.next_req;
-        self.next_req += 1;
-        // Re-send to the *same* replica on each attempt — a relaxed read
-        // targets that replica's local copy by definition, so there is
-        // no rotation; the retries ride out a dropped frame or a
-        // reconnect window. Reads are idempotent and the replica keeps
-        // at most one pending read per client, so re-sending is safe.
-        let attempts = self.policy.max_attempts.max(1);
-        for attempt in 0..attempts {
-            self.io.send(
-                replica,
-                CLIENT_TOPIC,
-                Wire::ReadRelaxed {
-                    client: self.me,
-                    req_id,
-                    key,
-                },
-            );
-            let deadline = Instant::now() + self.policy.timeout_for(attempt, &mut self.rng);
-            while let Some((_, wire)) = self.io.recv_deadline(deadline) {
-                match wire {
-                    Wire::Reply {
-                        req_id: r, value, ..
-                    } if r == req_id => return Ok(value),
-                    _ => {} // stale reply for an older request
+        let now = self.now();
+        self.session
+            .read_relaxed(replica, key, now, &mut self.effects);
+        self.run().map(Answer::value)
+    }
+
+    /// The session's clock: nanoseconds since this handle was made.
+    fn now(&self) -> Nanos {
+        self.epoch.elapsed().as_nanos() as Nanos
+    }
+
+    /// Carries the session's effects over the transport and blocks until
+    /// the call in flight completes. A call that one reply completes
+    /// waits on that replica's connection (a socket transport parks
+    /// there instead of polling); a transaction waits on every link.
+    fn run(&mut self) -> Result<Answer, SubmitTimeout> {
+        let me = self.session.id();
+        loop {
+            let mut sent = false;
+            let mut done = None;
+            for effect in self.effects.drain(..) {
+                match effect {
+                    ClientEffect::Send {
+                        to,
+                        req_id,
+                        request,
+                    } => {
+                        let wire = match request {
+                            Request::Op(op) => Wire::Request {
+                                client: me,
+                                req_id,
+                                op,
+                            },
+                            Request::Read { key } => Wire::ReadRelaxed {
+                                client: me,
+                                req_id,
+                                key,
+                            },
+                        };
+                        self.io.send(to, CLIENT_TOPIC, wire);
+                        sent = true;
+                    }
+                    ClientEffect::Complete { result } => done = Some(result),
                 }
             }
+            if let Some(result) = done {
+                // Outcome legs sent alongside a completion leave now,
+                // not with the next call.
+                if sent {
+                    self.io.flush();
+                }
+                return result.map_err(|attempts| SubmitTimeout { attempts });
+            }
+            let due = self
+                .session
+                .next_deadline()
+                .expect("a call in flight has a deadline");
+            let deadline = self.epoch + Duration::from_nanos(due);
+            let got = match self.session.waiting_on() {
+                Some(from) => self.io.recv_from_deadline(from, deadline),
+                None => self.io.recv_deadline(deadline),
+            };
+            let now = self.now();
+            match got {
+                Some((_, Wire::Reply { req_id, value, .. })) => {
+                    self.session.on_reply(req_id, value, now, &mut self.effects);
+                }
+                Some(_) => {}
+                None => self.session.on_deadline(now, &mut self.effects),
+            }
         }
-        Err(SubmitTimeout { attempts })
     }
 
     /// Asks one replica to shut down — fault injection for tests and

@@ -41,9 +41,8 @@ mod poll;
 mod transport;
 mod wire;
 
-pub use cluster::{
-    ClientHandle, Cluster, ClusterBuilder, NodeMetrics, RetryPolicy, SubmitTimeout, QUEUE_SLOTS,
-};
+pub use cluster::{ClientHandle, Cluster, ClusterBuilder, NodeMetrics, SubmitTimeout, QUEUE_SLOTS};
 pub use fault::{FaultPlan, FaultStats, FaultTransport, Partition};
+pub use onepaxos::client::RetryPolicy;
 pub use transport::{MemTransport, Peer, TcpTransport, Transport, TransportStats};
 pub use wire::Wire;

@@ -200,9 +200,9 @@ pub trait Transport<M>: Send {
     fn kill_peer_link(&mut self, _peer: NodeId) {}
 }
 
-/// SplitMix64 step — the deterministic PRNG behind reconnect/retry
-/// jitter and the seeded fault schedules (same generator as the shard
-/// router's key hash).
+/// SplitMix64 step — the deterministic PRNG behind reconnect jitter and
+/// the seeded fault schedules (same generator as the shard router's key
+/// hash and the client session's retry jitter).
 pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;

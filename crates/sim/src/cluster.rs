@@ -20,7 +20,10 @@
 //! Core 0, waits for the commit ACK, and then sends another" (§7.1), with
 //! timeout-driven re-targeting to other replicas ("once the clients
 //! detect the slow leader, they send their requests to other nodes",
-//! §7.6).
+//! §7.6). Each client is one [`ClientSession`] — the client state machine
+//! the threaded runtime runs — on the flat [`RetryPolicy::fixed`]
+//! schedule of [`SimBuilder::client_timeout`]; this module only prices
+//! its sends and wakes it at its deadline.
 //!
 //! Each replica is a [`ShardedEngine`]: S independent consensus groups
 //! with key-hash routing (1 unless [`SimBuilder::shards`] raises it).
@@ -36,7 +39,9 @@
 
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::time::Duration;
 
+use onepaxos::client::{Answer, ClientEffect, ClientSession, Request, RetryPolicy};
 use onepaxos::engine::{
     BatchConfig, CatchUp, EngineConfig, EngineEffect, EngineEvent, EngineStats, ReplicaEngine,
     ReplyMode,
@@ -44,7 +49,7 @@ use onepaxos::engine::{
 use onepaxos::kv::KvStore;
 use onepaxos::rsm::ApplierSnapshot;
 use onepaxos::shard::{ShardId, ShardRouter, ShardedEngine};
-use onepaxos::txn::{Fragment, TxnCoordinator, TxnOutcome, TxnStep};
+use onepaxos::txn::TxnOutcome;
 use onepaxos::{Command, Instance, Nanos, NodeId, Op, Protocol};
 
 use crate::metrics::{LatencyStats, Timeline};
@@ -108,8 +113,8 @@ pub enum Workload {
         /// Contention knob: percentage of per-shard key draws (0–100)
         /// taken from the hot end of the key space (see
         /// [`Workload::ReadMix::hot_pct`]). Raising it makes write sets
-        /// collide, exercising the lock-wait queues and the
-        /// conflict-aware scheduler. 0 is uniform.
+        /// collide, exercising the lock-wait queues and the clients'
+        /// re-probes. 0 is uniform.
         hot_pct: u8,
     },
 }
@@ -227,9 +232,9 @@ pub struct RunReport {
     /// set, so aborts never count as completions).
     pub txn_aborts: u64,
     /// Lock-wait re-probes issued by the client coordinators
-    /// (`Workload::TxnMix` only): each is a deferred re-ask of a
-    /// prepare that parked in a shard's lock-wait queue — retries in
-    /// the conflict sense, not the message-loss sense.
+    /// (`Workload::TxnMix` only): each is a re-ask of a prepare that
+    /// parked in a shard's lock-wait queue or was turned away busy —
+    /// retries in the conflict sense, not the message-loss sense.
     pub txn_retries: u64,
     /// Log-base advances counted by the engines
     /// ([`EngineStats::truncations`]), summed over replica-shard
@@ -284,36 +289,24 @@ enum WorkItem<M> {
     /// Protocol message from a peer replica of the same shard group (the
     /// group is implied by the receiving process).
     Peer { from: NodeId, msg: M },
-    /// A client request arriving at a replica-shard process.
-    ClientReq { client: NodeId, req_id: u64, op: Op },
+    /// A client's request or relaxed read arriving at a replica-shard
+    /// process, as the engine event it becomes (the engine orders the
+    /// request, and serves, parks or orders the read).
+    FromClient(EngineEvent<M>),
     /// A commit acknowledgement arriving back at the client. `value` is
     /// the state-machine output the reply carried (for a transaction
     /// prepare, the shard's vote), `None` when it was not yet applied at
     /// emission.
     Reply { req_id: u64, value: Option<u64> },
-    /// A relaxed read (§7.5) arriving at a replica-shard process, whose
-    /// engine serves, parks or orders it.
-    RelaxedRead {
-        client: NodeId,
-        req_id: u64,
-        key: u64,
-    },
-    /// Wake the process's engine to fire due timers. `due` is the
-    /// deadline this check was scheduled for: a check that no longer
-    /// matches the process's pending wake (it was superseded by an
-    /// earlier one) is stale and must do nothing — in particular it must
-    /// not reschedule, or superseded checks would duplicate forever.
+    /// Wake the process to fire due timers: a replica-shard engine's, or
+    /// a client session's deadline. `due` is the deadline this check was
+    /// scheduled for: a check that no longer matches the process's
+    /// pending wake (it was superseded by an earlier one) is stale and
+    /// must do nothing — in particular it must not reschedule, or
+    /// superseded checks would duplicate forever.
     TimerCheck { due: Nanos },
     /// Client-loop: issue the next request.
     SendNext,
-    /// Client-loop: outstanding-request timeout check.
-    RetryCheck { req_id: u64, epoch: u64 },
-    /// Client-loop: a lock-wait re-probe whose transmission the
-    /// conflict-aware scheduler held back one flush window (so the
-    /// current lock holder can finish before the shard is re-asked).
-    /// Unlike [`WorkItem::RetryCheck`] this does not rotate the target
-    /// replica: the fragment is not lost, just parked.
-    TxnDeferred { req_id: u64, epoch: u64 },
     /// A snapshot to serve at a replica-shard process: a request from
     /// `for_proc`'s engine maintenance (`have` its applied watermark), or
     /// a serve this process's own engine queued for a stale `for_proc`.
@@ -347,11 +340,6 @@ enum Event<M> {
     },
     Stop,
 }
-
-/// How long the conflict-aware scheduler holds back work aimed at a
-/// contended key: one typical batch-flush window, long enough for the
-/// current lock holder's outcome to commit and release the lock.
-const DEFER_WINDOW: Nanos = 20_000;
 
 /// Heap entry ordered by (time, seq) only.
 struct Scheduled<M> {
@@ -390,29 +378,14 @@ struct CoreState<M> {
 }
 
 struct ClientState {
-    node: NodeId,
     /// The client's process index.
     proc: usize,
-    next_req: u64,
-    /// The in-flight request: id, send time, and the operation itself
-    /// (retries resend the *same* operation, so a re-targeted request
-    /// cannot commit under two different payloads or shard routes).
-    outstanding: Option<(u64, Nanos, Op)>,
-    /// Bumped when the target changes; stale retry checks are dropped.
-    epoch: u64,
-    target_idx: usize,
+    /// Request ids, targets, retries and the transaction coordinator.
+    session: ClientSession,
     completed: u64,
     rng: SimRng,
-    /// Client-side 2PC coordinator ([`Workload::TxnMix`] only): owns
-    /// the transaction ids, fragment request ids and vote collection;
-    /// this loop owns transport and retries.
-    coord: TxnCoordinator,
-    /// When the in-flight transaction began (latency measurement).
-    txn_started: Option<Nanos>,
-    /// A generated write set held back one flush window by the
-    /// conflict-aware scheduler because it touched a recently-contended
-    /// key; the next `SendNext` submits it unconditionally.
-    pending_writes: Option<Vec<(u64, u64)>>,
+    /// When the call in flight began (latency measurement).
+    started: Option<Nanos>,
 }
 
 /// Builder-configured simulation of one protocol deployment.
@@ -570,7 +543,9 @@ where
         self
     }
 
-    /// Client patience before re-sending to another replica. Default 1 ms.
+    /// Client patience before re-sending to another replica: every
+    /// client runs [`RetryPolicy::fixed`] on it with an unlimited
+    /// budget. Default 1 ms.
     pub fn client_timeout(mut self, t: Nanos) -> Self {
         self.client_timeout = t;
         self
@@ -717,26 +692,23 @@ where
             })
             .collect();
         let n_replicas = self.replicas;
+        let policy = RetryPolicy::fixed(Duration::from_nanos(self.client_timeout), u32::MAX);
         let clients = (0..self.clients)
             .map(|j| {
                 let proc = if self.joint { j } else { n_replica_procs + j };
-                let node = NodeId(proc as u16);
+                // A joint client's first choice is its own replica; a
+                // spread one starts round-robin; the rest aim at Core 0.
+                let mut replicas = members.clone();
+                if self.joint || self.spread_clients {
+                    replicas.rotate_left(j % n_replicas);
+                }
+                let router = ShardRouter::new(shard_count);
                 ClientState {
-                    node,
                     proc,
-                    next_req: 1,
-                    outstanding: None,
-                    epoch: 0,
-                    target_idx: if self.spread_clients {
-                        j % n_replicas
-                    } else {
-                        0
-                    },
+                    session: ClientSession::new(NodeId(proc as u16), replicas, router, policy, 0),
                     completed: 0,
                     rng: SimRng::seed_from_u64(self.seed ^ (0x9E37_79B9 + j as u64)),
-                    coord: TxnCoordinator::new(node, ShardRouter::new(shard_count)),
-                    txn_started: None,
-                    pending_writes: None,
+                    started: None,
                 }
             })
             .collect();
@@ -784,12 +756,11 @@ where
             heap: BinaryHeap::new(),
             seq: 0,
             now: 0,
-            timer_wake: vec![None; n_replica_procs],
+            timer_wake: vec![None; total_procs],
             link_last: BTreeMap::new(),
             rng: SimRng::seed_from_u64(self.seed),
             workload: self.workload,
             think: self.think,
-            client_timeout: self.client_timeout,
             requests_per_client: if self.duration.is_some() {
                 u64::MAX
             } else {
@@ -802,7 +773,6 @@ where
             server_messages: 0,
             total_messages: 0,
             txn_aborts: 0,
-            txn_retries: 0,
             retired_truncations: 0,
             snapshots_installed: 0,
             snapshot_requests: Vec::new(),
@@ -810,6 +780,7 @@ where
             reset_epochs: vec![0; n_replicas],
             stopped: false,
             scratch: Vec::new(),
+            client_scratch: Vec::new(),
         };
 
         // Protocol bootstrap, every shard group of every replica.
@@ -873,15 +844,13 @@ struct ClusterSim<P: Protocol> {
     heap: BinaryHeap<Scheduled<P::Msg>>,
     seq: u64,
     now: Nanos,
-    /// Earliest pending TimerCheck per replica-shard process, to avoid
-    /// wake-up storms.
+    /// Earliest pending TimerCheck per process, to avoid wake-up storms.
     timer_wake: Vec<Option<Nanos>>,
     /// FIFO enforcement: last arrival time per directed process pair.
     link_last: BTreeMap<(usize, usize), Nanos>,
     rng: SimRng,
     workload: Workload,
     think: Nanos,
-    client_timeout: Nanos,
     requests_per_client: u64,
     warmup: Nanos,
     latency: LatencyStats,
@@ -891,8 +860,6 @@ struct ClusterSim<P: Protocol> {
     total_messages: u64,
     /// Transactions aborted by prepare-phase lock conflicts (TxnMix).
     txn_aborts: u64,
-    /// Lock-wait re-probes deferred by the conflict-aware scheduler.
-    txn_retries: u64,
     /// Truncations counted by engines since replaced by a reset (the
     /// live engines carry the rest in their stats).
     retired_truncations: u64,
@@ -908,6 +875,8 @@ struct ClusterSim<P: Protocol> {
     stopped: bool,
     /// Reusable effect buffer.
     scratch: Effects<P>,
+    /// Reusable client-session effect buffer.
+    client_scratch: Vec<ClientEffect>,
 }
 
 impl<P: Protocol> ClusterSim<P> {
@@ -1021,7 +990,14 @@ impl<P: Protocol> ClusterSim<P> {
     /// deadline, unless an earlier check is already pending.
     fn schedule_timer_check(&mut self, proc: usize) {
         let (r, s) = self.replica_of(proc);
-        let Some(deadline) = self.engines[r].shard(s).next_deadline() else {
+        let deadline = self.engines[r].shard(s).next_deadline();
+        self.arm_wake(proc, deadline);
+    }
+
+    /// Schedules a TimerCheck for `proc` at `deadline`, unless an
+    /// earlier check is already pending.
+    fn arm_wake(&mut self, proc: usize, deadline: Option<Nanos>) {
+        let Some(deadline) = deadline else {
             return;
         };
         if self.timer_wake[proc].is_none_or(|w| deadline < w) {
@@ -1197,258 +1173,144 @@ impl<P: Protocol> ClusterSim<P> {
         writes
     }
 
-    /// Transmits transaction fragments to their shards' current target
-    /// replica, charging the client `marshal + tx + txn_leg` of CPU per
-    /// leg and arming a per-fragment retry check. Returns the client
-    /// service time, cumulative over the legs.
-    fn transmit_fragments(&mut self, j: usize, frags: &[Fragment], start: Nanos) -> Nanos {
-        let proc = self.clients[j].proc;
-        let slowdown = self.slowdown_of(proc);
-        let leg_cost = ((self.profile.tx + self.profile.marshal + self.profile.txn_leg) as f64
-            * slowdown) as Nanos;
-        let target_slot = self.clients[j].target_idx % self.engines.len();
-        let client_node = self.clients[j].node;
-        let mut service = 0;
-        for f in frags {
-            service += leg_cost;
-            let send_done = start + service;
-            self.total_messages += 1;
-            self.deliver(
-                proc,
-                self.proc_of(target_slot, f.shard),
-                send_done,
-                WorkItem::ClientReq {
-                    client: client_node,
-                    req_id: f.req_id,
-                    op: f.op.clone(),
-                },
-            );
-            let epoch = self.clients[j].epoch;
-            self.push_work(
-                send_done + self.client_timeout,
-                proc,
-                WorkItem::RetryCheck {
-                    req_id: f.req_id,
-                    epoch,
-                },
-            );
-        }
-        service
-    }
-
-    /// Feeds a reply to the client's transaction coordinator and prices
-    /// the fallout: outcome legs out, or completion of the closed loop.
-    fn client_txn_reply(
-        &mut self,
-        j: usize,
-        req_id: u64,
-        value: Option<u64>,
-        start: Nanos,
-        base: Nanos,
-    ) -> Nanos {
-        let step = self.clients[j].coord.on_reply(req_id, value);
-        // Conflict-aware defer: a Wait/Busy vote queued a fresh-id
-        // re-probe — hold its transmission back one flush window so the
-        // lock holder can finish, instead of hammering the shard.
-        let deferred = self.clients[j].coord.take_deferred();
-        if !deferred.is_empty() {
-            self.txn_retries += deferred.len() as u64;
-            let (proc, epoch) = (self.clients[j].proc, self.clients[j].epoch);
-            for f in deferred {
-                self.push_work(
-                    start + base + DEFER_WINDOW,
-                    proc,
-                    WorkItem::TxnDeferred {
-                        req_id: f.req_id,
-                        epoch,
-                    },
-                );
-            }
-        }
-        let done = start + base;
-        match step {
-            TxnStep::Pending => base,
-            TxnStep::Submit(frags) => base + self.transmit_fragments(j, &frags, done),
-            TxnStep::Decided { outcome, submit } => {
-                base + self.finish_txn(j, outcome, &submit, done)
-            }
-            // Recovery coordinators finish through Done, with no outcome
-            // legs left to send; the live loop above always decides
-            // early, so drain acknowledgements arrive as Pending.
-            TxnStep::Done(outcome) => base + self.finish_txn(j, outcome, &[], done),
-        }
-    }
-
-    /// Completes client `j`'s transaction with `outcome` at `done` and
-    /// sends its outcome legs. Presumed durability: the recorded votes
-    /// force the outcome whether or not the coordinator survives to
-    /// deliver it, so the client observes completion NOW and the legs
-    /// drain in the background — phase 2 of this transaction overlaps
-    /// phase 1 of the next. Returns the client service time of the legs.
-    fn finish_txn(
-        &mut self,
-        j: usize,
-        outcome: TxnOutcome,
-        submit: &[Fragment],
-        done: Nanos,
-    ) -> Nanos {
-        let c = &mut self.clients[j];
-        c.epoch += 1;
-        let started = c.txn_started.take().unwrap_or(done);
-        match outcome {
-            TxnOutcome::Committed => {
-                c.completed += 1;
-                self.timeline.record(done);
-                if done >= self.warmup {
-                    self.latency.record(done.saturating_sub(started));
-                    self.completed_in_window += 1;
-                }
-            }
-            TxnOutcome::Aborted => {
-                // A prepare-phase lock conflict: the transaction applied
-                // nowhere. The closed loop moves on to a fresh write set
-                // (counting it would inflate committed-txn throughput).
-                self.txn_aborts += 1;
-            }
-        }
-        let service = self.transmit_fragments(j, submit, done);
-        let (completed, proc) = (self.clients[j].completed, self.clients[j].proc);
-        if completed < self.requests_per_client {
-            self.push_work(done + service + self.think, proc, WorkItem::SendNext);
-        }
-        service
-    }
-
-    /// Client issues its next request (or finishes).
+    /// Client issues its next call (or finishes).
     fn client_send_next(&mut self, j: usize, start: Nanos) -> Nanos {
-        let budget = self.requests_per_client;
-        if self.workload.is_txn() {
-            if self.clients[j].completed >= budget || self.clients[j].coord.in_flight() {
-                return 0;
-            }
-            let writes = if let Some(w) = self.clients[j].pending_writes.take() {
-                // A write set the scheduler already held back once goes
-                // out unconditionally — one window of politeness, not a
-                // livelock.
-                w
-            } else {
-                let w = self.gen_txn_writes(j);
-                if self.clients[j].coord.is_hot(&w) {
-                    // Conflict-aware scheduling: this write set touches
-                    // a key that recently drew a conflict vote. Submit
-                    // it one flush window later so the current holder
-                    // can finish, instead of parking behind it (or
-                    // dying young) at the shard.
-                    let c = &mut self.clients[j];
-                    c.pending_writes = Some(w);
-                    let proc = c.proc;
-                    self.push_work(start + DEFER_WINDOW, proc, WorkItem::SendNext);
-                    return 0;
-                }
-                w
-            };
-            let c = &mut self.clients[j];
-            c.txn_started = Some(start);
-            let frags = c.coord.begin(&writes);
-            return self.transmit_fragments(j, &frags, start);
-        }
-        let c = &mut self.clients[j];
-        if c.completed >= budget || c.outstanding.is_some() {
+        if self.clients[j].completed >= self.requests_per_client {
             return 0;
         }
-        let req_id = c.next_req;
-        c.next_req += 1;
-        let op = self.workload.generate(&mut c.rng);
-        c.outstanding = Some((req_id, start, op.clone()));
-        let client_node = c.node;
-        let proc = c.proc;
-        let epoch = c.epoch;
+        self.clients[j].started = Some(start);
+        if self.workload.is_txn() {
+            let writes = self.gen_txn_writes(j);
+            return self.client_step(j, start, 0, |s, now, out| s.txn_put(&writes, now, out));
+        }
+        let c = &mut self.clients[j];
+        match self.workload.generate(&mut c.rng) {
+            // Relaxed-read workloads, and every joint deployment, read
+            // the target replica's own copy (§7.5); its engine serves the
+            // read, waits out a 2PC lock window, or orders it.
+            Op::Get { key } if self.joint || self.workload.relaxed_reads() => {
+                let replica = c.session.target(self.router.route_key(key));
+                self.client_step(j, start, 0, |s, now, out| {
+                    s.read_relaxed(replica, key, now, out)
+                })
+            }
+            op => self.client_step(j, start, 0, |s, now, out| s.submit(op, now, out)),
+        }
+    }
 
-        if self.joint {
-            // Joint deployment: hand the command to the co-located
-            // replica. Reads are relaxed (§7.5): its engine serves them
-            // from the local copy when the protocol allows it, waits out
-            // a 2PC lock window, or orders them (the Paxos family).
-            let client = client_node;
-            let event = match op {
-                Op::Get { key } => EngineEvent::ReadRelaxed {
+    /// Feeds client `j`'s session one input at `start + base` (`base`:
+    /// CPU the client already spent this step) and prices its effects:
+    /// sends go out serially, and a completion closes the loop. Then
+    /// re-arms the client's wake at the session's deadline — except in
+    /// joint mode, where the co-located replica handles leader failover
+    /// itself. Returns the client's service time.
+    fn client_step(
+        &mut self,
+        j: usize,
+        start: Nanos,
+        base: Nanos,
+        input: impl FnOnce(&mut ClientSession, Nanos, &mut Vec<ClientEffect>),
+    ) -> Nanos {
+        let mut effects = std::mem::take(&mut self.client_scratch);
+        input(&mut self.clients[j].session, start + base, &mut effects);
+        let mut service = base;
+        let mut completed = false;
+        for effect in effects.drain(..) {
+            match effect {
+                ClientEffect::Send {
+                    to,
+                    req_id,
+                    request,
+                } => service += self.client_send(j, to, req_id, request, start + service),
+                ClientEffect::Complete { result } => {
+                    completed = true;
+                    self.client_complete(j, result, start + service);
+                }
+            }
+        }
+        self.client_scratch = effects;
+        let proc = self.clients[j].proc;
+        if completed && self.clients[j].completed < self.requests_per_client {
+            self.push_work(start + service + self.think, proc, WorkItem::SendNext);
+        }
+        if !self.joint {
+            let deadline = self.clients[j].session.next_deadline();
+            self.arm_wake(proc, deadline);
+        }
+        service
+    }
+
+    /// Carries one send of client `j`, starting at `at`, to the process
+    /// hosting `to`'s shard group for it. A send costs the client
+    /// `marshal + tx` of CPU, plus [`Profile::txn_leg`] for a command
+    /// only transactions emit. A joint client instead hands the event to
+    /// its co-located replica, paying that replica's `handle`. Returns
+    /// the CPU spent.
+    fn client_send(
+        &mut self,
+        j: usize,
+        to: NodeId,
+        req_id: u64,
+        request: Request,
+        at: Nanos,
+    ) -> Nanos {
+        let proc = self.clients[j].proc;
+        let client = self.clients[j].session.id();
+        let slowdown = self.slowdown_of(proc);
+        let (shard, event) = match request {
+            Request::Op(op) => (
+                self.router.route(client, &op),
+                EngineEvent::ClientRequest { client, req_id, op },
+            ),
+            Request::Read { key } => (
+                self.router.route_key(key),
+                EngineEvent::ReadRelaxed {
                     client,
                     req_id,
                     key,
                 },
-                op => EngineEvent::ClientRequest { client, req_id, op },
-            };
-            let base = (self.profile.handle as f64 * self.slowdown_of(proc)) as Nanos;
-            // No client timeout in joint mode: the local node handles
-            // leader failover itself.
-            self.engine_step(proc, event, start, base)
-        } else {
-            // Send the request to the current target replica of the
-            // shard group owning the operation.
-            self.client_transmit(j, req_id, op, start, epoch)
+            ),
+        };
+        if self.joint {
+            let base = (self.profile.handle as f64 * slowdown) as Nanos;
+            return self.engine_step(proc, event, at, base);
         }
-    }
-
-    /// Transmits (or re-transmits) a client request to its routed target
-    /// and arms the retry check. Returns the client-side service time.
-    fn client_transmit(
-        &mut self,
-        j: usize,
-        req_id: u64,
-        op: Op,
-        start: Nanos,
-        epoch: u64,
-    ) -> Nanos {
-        let proc = self.clients[j].proc;
-        let client_node = self.clients[j].node;
-        let slowdown = self.slowdown_of(proc);
-        let service = ((self.profile.tx + self.profile.marshal) as f64 * slowdown) as Nanos;
-        let shard = self.router.route(client_node, &op);
-        let target_slot = self.clients[j].target_idx % self.engines.len();
-        let target_proc = self.proc_of(target_slot, shard);
-        let send_done = start + service;
+        let leg = match &event {
+            EngineEvent::ClientRequest {
+                op:
+                    Op::MultiPut { .. }
+                    | Op::TxnPrepare { .. }
+                    | Op::TxnCommit { .. }
+                    | Op::TxnAbort { .. },
+                ..
+            } => self.profile.txn_leg,
+            _ => 0,
+        };
+        let cost = ((self.profile.tx + self.profile.marshal + leg) as f64 * slowdown) as Nanos;
         self.total_messages += 1;
-        // Relaxed-read workloads issue their Gets as local-copy reads
-        // (the sim-side `get_relaxed`); everything else is an ordinary
-        // replicated request.
-        let item = match op {
-            Op::Get { key } if self.workload.relaxed_reads() => WorkItem::RelaxedRead {
-                client: client_node,
-                req_id,
-                key,
-            },
-            op => WorkItem::ClientReq {
-                client: client_node,
-                req_id,
-                op,
-            },
-        };
-        self.deliver(proc, target_proc, send_done, item);
-        let at = start + service + self.client_timeout;
-        self.push_work(at, proc, WorkItem::RetryCheck { req_id, epoch });
-        service
+        let to_proc = self.proc_of(to.index(), shard);
+        self.deliver(proc, to_proc, at + cost, WorkItem::FromClient(event));
+        cost
     }
 
-    /// Marks the client's outstanding request completed; returns `false`
-    /// for stale/duplicate replies (a retried request answered by more
-    /// than one node).
-    fn client_complete(&mut self, j: usize, req_id: u64, at: Nanos) -> bool {
+    /// Records client `j`'s completed call at `at`.
+    fn client_complete(&mut self, j: usize, result: Result<Answer, u32>, at: Nanos) {
         let c = &mut self.clients[j];
-        let Some((out_req, sent_at)) = c.outstanding.as_ref().map(|(r, t, _)| (*r, *t)) else {
-            return false;
-        };
-        if out_req != req_id {
-            return false; // stale reply for an older (retried) request
+        let started = c.started.take().unwrap_or(at);
+        if result == Ok(Answer::Txn(TxnOutcome::Aborted)) {
+            // A prepare-phase lock conflict: the transaction applied
+            // nowhere. The closed loop moves on to a fresh write set
+            // (counting it would inflate committed-txn throughput).
+            self.txn_aborts += 1;
+            return;
         }
-        c.outstanding = None;
+        assert!(result.is_ok(), "the simulated client's budget is unlimited");
         c.completed += 1;
-        c.epoch += 1;
         self.timeline.record(at);
         if at >= self.warmup {
-            self.latency.record(at.saturating_sub(sent_at));
+            self.latency.record(at.saturating_sub(started));
             self.completed_in_window += 1;
         }
-        true
     }
 
     fn run_loop(&mut self) {
@@ -1518,32 +1380,12 @@ impl<P: Protocol> ClusterSim<P> {
                 let base = scaled(self.profile.rx + self.profile.handle);
                 self.engine_step(proc, EngineEvent::Message { from, msg }, start, base)
             }
-            WorkItem::ClientReq { client, req_id, op } => {
+            WorkItem::FromClient(event) => {
                 debug_assert!(self.is_replica_proc(proc));
                 let base = scaled(self.profile.rx + self.profile.handle);
-                self.engine_step(
-                    proc,
-                    EngineEvent::ClientRequest { client, req_id, op },
-                    start,
-                    base,
-                )
-            }
-            WorkItem::RelaxedRead {
-                client,
-                req_id,
-                key,
-            } => {
-                debug_assert!(self.is_replica_proc(proc));
-                let base = scaled(self.profile.rx + self.profile.handle);
-                let event = EngineEvent::ReadRelaxed {
-                    client,
-                    req_id,
-                    key,
-                };
                 self.engine_step(proc, event, start, base)
             }
             WorkItem::TimerCheck { due } => {
-                debug_assert!(self.is_replica_proc(proc));
                 if self.timer_wake[proc] != Some(due) {
                     // Superseded by an earlier check: that one owns the
                     // wake and will reschedule; doing anything here would
@@ -1551,6 +1393,10 @@ impl<P: Protocol> ClusterSim<P> {
                     return 0;
                 }
                 self.timer_wake[proc] = None;
+                if !self.is_replica_proc(proc) {
+                    let j = self.client_on(proc).expect("a client process");
+                    return self.client_step(j, start, 0, |s, now, out| s.on_deadline(now, out));
+                }
                 let (r, s) = self.replica_of(proc);
                 let mut effects = std::mem::take(&mut self.scratch);
                 let fired = self.engines[r].shard_mut(s).fire_due(start, &mut effects);
@@ -1562,83 +1408,18 @@ impl<P: Protocol> ClusterSim<P> {
                 service
             }
             WorkItem::Reply { req_id, value } => {
-                let service = scaled(self.profile.rx);
-                if let Some(j) = self.client_on(proc) {
-                    // Transaction fragments are resolved by the client's
-                    // coordinator (which ignores replies it does not
-                    // own, so plain and txn traffic cannot cross wires).
-                    if self.workload.is_txn() {
-                        return self.client_txn_reply(j, req_id, value, start, service);
-                    }
-                    let done = start + service;
-                    // Only a reply that completes the outstanding request
-                    // continues the closed loop; duplicates (a retried
-                    // request answered by several nodes) must not fork it.
-                    if self.client_complete(j, req_id, done)
-                        && self.clients[j].completed < self.requests_per_client
-                    {
-                        let think = self.think;
-                        self.push_work(done + think, proc, WorkItem::SendNext);
-                    }
-                }
-                service
-            }
-            WorkItem::SendNext => {
-                if let Some(j) = self.client_on(proc) {
-                    self.client_send_next(j, start)
-                } else {
-                    0
+                let base = scaled(self.profile.rx);
+                match self.client_on(proc) {
+                    Some(j) => self.client_step(j, start, base, |s, now, out| {
+                        s.on_reply(req_id, value, now, out)
+                    }),
+                    None => base,
                 }
             }
-            WorkItem::TxnDeferred { req_id, epoch } => {
-                let Some(j) = self.client_on(proc) else {
-                    return 0;
-                };
-                if self.clients[j].epoch != epoch {
-                    return 0; // the transaction decided meanwhile
-                }
-                let Some(frag) = self.clients[j].coord.fragment(req_id) else {
-                    return 0; // answered meanwhile
-                };
-                self.transmit_fragments(j, &[frag], start)
-            }
-            WorkItem::RetryCheck { req_id, epoch } => {
-                let Some(j) = self.client_on(proc) else {
-                    return 0;
-                };
-                if self.workload.is_txn() {
-                    // Per-fragment retry: only a still-unanswered
-                    // fragment of the *current* transaction re-sends
-                    // (epoch filters checks armed for finished ones).
-                    if self.clients[j].epoch != epoch {
-                        return 0;
-                    }
-                    let Some(frag) = self.clients[j].coord.fragment(req_id) else {
-                        return 0; // answered meanwhile
-                    };
-                    let n_replicas = self.engines.len();
-                    let c = &mut self.clients[j];
-                    c.target_idx = (c.target_idx + 1) % n_replicas;
-                    return self.transmit_fragments(j, &[frag], start);
-                }
-                let c = &self.clients[j];
-                if c.epoch != epoch || c.outstanding.as_ref().map(|&(r, _, _)| r) != Some(req_id) {
-                    return 0; // answered meanwhile
-                }
-                // "Once the clients detect the slow leader, they send
-                // their requests to other nodes" (§7.6): round-robin to
-                // the next replica slot, same request id, same operation
-                // (so the retry routes to the same shard group).
-                let n_replicas = self.engines.len();
-                let c = &mut self.clients[j];
-                c.target_idx = (c.target_idx + 1) % n_replicas;
-                let op = c
-                    .outstanding
-                    .as_ref()
-                    .map(|(_, _, op)| op.clone())
-                    .expect("checked");
-                self.client_transmit(j, req_id, op, start, epoch)
-            }
+            WorkItem::SendNext => match self.client_on(proc) {
+                Some(j) => self.client_send_next(j, start),
+                None => 0,
+            },
             WorkItem::SnapshotServe { for_proc, have } => {
                 debug_assert!(self.is_replica_proc(proc));
                 let (r, s) = self.replica_of(proc);
@@ -1698,7 +1479,7 @@ impl<P: Protocol> ClusterSim<P> {
             replica_digests,
             engine_stats,
             txn_aborts: self.txn_aborts,
-            txn_retries: self.txn_retries,
+            txn_retries: self.clients.iter().map(|c| c.session.reprobes()).sum(),
             truncations: self.retired_truncations + live_truncations,
             snapshots_installed: self.snapshots_installed,
             snapshot_requests: self.snapshot_requests,
