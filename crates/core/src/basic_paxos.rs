@@ -19,6 +19,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::config::ClusterConfig;
+use crate::hash::WordSet;
 use crate::outbox::{Outbox, Timer};
 use crate::protocol::Protocol;
 use crate::types::{Ballot, Command, Instance, Nanos, NodeId, Op};
@@ -276,7 +277,7 @@ pub struct BasicPaxosNode {
     learner: QuorumLearner<Command>,
     /// Requests this node received directly from clients, for reply
     /// routing.
-    my_clients: BTreeSet<(NodeId, u64)>,
+    my_clients: WordSet<(NodeId, u64)>,
     tick_period: Nanos,
 }
 
@@ -296,7 +297,7 @@ impl BasicPaxosNode {
             queue: VecDeque::new(),
             acceptors: BTreeMap::new(),
             learner: QuorumLearner::new(),
-            my_clients: BTreeSet::new(),
+            my_clients: WordSet::default(),
             tick_period: Self::DEFAULT_TICK,
         }
     }

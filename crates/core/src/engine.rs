@@ -189,12 +189,13 @@
 //! assert_eq!(engine.state().get(1), Some(7));
 //! ```
 
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
+use crate::hash::WordSet;
 use crate::outbox::{Action, Outbox, Timer};
 use crate::protocol::Protocol;
 use crate::rsm::{Applier, StateMachine};
-use crate::types::{Command, Instance, Nanos, NodeId, Op};
+use crate::types::{BatchPayload, Command, Instance, Nanos, NodeId, Op};
 
 /// The engine-internal timer driving batch flushes. Reserved: protocols
 /// must not arm it (they own [`Timer::Tick`] and the low `Custom` ids);
@@ -959,11 +960,12 @@ pub struct ReplicaEngine<P: Protocol, S: StateMachine> {
     /// The adaptive depth controller; `Some` iff `batch` is
     /// [`BatchConfig::Adaptive`].
     ctl: Option<BatchController>,
-    /// Requests waiting for the current batch to flush.
+    /// Requests waiting for the current batch to flush; drained, not
+    /// taken, at flush, so it keeps its capacity.
     batch_buf: Vec<Command>,
     /// Identities of the requests in `batch_buf`, for O(1) retry dedup
     /// (cleared, not dropped, at flush — zero-alloc in steady state).
-    batch_keys: HashSet<(NodeId, u64)>,
+    batch_keys: WordSet<(NodeId, u64)>,
     /// Batching counters (see [`EngineStats`]); plain integer bumps on
     /// the hot path.
     stats: EngineStats,
@@ -971,7 +973,7 @@ pub struct ReplicaEngine<P: Protocol, S: StateMachine> {
     batch_seq: u64,
     /// Batches advocated but not yet committed-and-fanned-out, so a
     /// re-decided batch cannot fan its replies out twice.
-    inflight_batches: BTreeSet<u64>,
+    inflight_batches: WordSet<u64>,
     /// Background maintenance; `None` until
     /// [`Self::enable_maintenance`] switches it on.
     maint: Option<Maintenance>,
@@ -988,6 +990,8 @@ pub struct ReplicaEngine<P: Protocol, S: StateMachine> {
     /// Scratch vector [`Self::absorb`] swaps the outbox's actions into,
     /// so draining a handler's actions allocates nothing in steady state.
     action_scratch: Vec<Action<P::Msg>>,
+    /// Scratch vector [`Self::fire_due`] collects the due timers into.
+    due_scratch: Vec<Timer>,
 }
 
 impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
@@ -1013,16 +1017,17 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
             batch: None,
             ctl: None,
             batch_buf: Vec::new(),
-            batch_keys: HashSet::new(),
+            batch_keys: WordSet::default(),
             stats: EngineStats::default(),
             batch_seq: 0,
-            inflight_batches: BTreeSet::new(),
+            inflight_batches: WordSet::default(),
             maint: None,
             catch_up: VecDeque::new(),
             served: BTreeMap::new(),
             shard: None,
             outbox: Outbox::new(),
             action_scratch: Vec::new(),
+            due_scratch: Vec::new(),
         }
     }
 
@@ -1240,17 +1245,19 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
         if self.blocked {
             return 0;
         }
-        let due: Vec<Timer> = self
-            .timers
-            .iter()
-            .filter(|&(_, &at)| at <= now)
-            .map(|(&t, _)| t)
-            .collect();
+        let mut due = std::mem::take(&mut self.due_scratch);
+        due.extend(
+            self.timers
+                .iter()
+                .filter(|&(_, &at)| at <= now)
+                .map(|(&t, _)| t),
+        );
         let mut fired = 0;
-        for t in due {
+        for t in due.drain(..) {
             // Skips one an earlier handler cancelled or pushed out.
             fired += usize::from(self.fire_one(t, now, effects));
         }
+        self.due_scratch = due;
         fired
     }
 
@@ -1419,21 +1426,22 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
                 &mut self.stats,
             );
         }
-        let cmds = std::mem::take(&mut self.batch_buf);
-        if cmds.len() == 1 {
+        if self.batch_buf.len() == 1 {
             // A singleton batch is indistinguishable from an unbatched
             // command: no synthetic identity, no fan-out bookkeeping.
-            let c = cmds.into_iter().next().expect("len checked");
+            let c = self.batch_buf.pop().expect("len checked");
             self.node
                 .on_client_request(c.client, c.req_id, c.op, now, &mut self.outbox);
         } else {
             self.batch_seq += 1;
-            let batch = Command::batch(self.node.node_id(), self.batch_seq, cmds);
             self.inflight_batches.insert(self.batch_seq);
+            // The payload is built straight from the drain: one
+            // allocation, and the accumulator keeps its capacity.
+            let payload: BatchPayload = self.batch_buf.drain(..).collect();
             self.node.on_client_request(
-                batch.client,
-                batch.req_id,
-                batch.op,
+                self.node.node_id().batch_source(),
+                self.batch_seq,
+                Op::Batch(payload),
                 now,
                 &mut self.outbox,
             );

@@ -7,6 +7,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::hash::WordMap;
 use crate::rsm::{StateMachine, TxnStats};
 use crate::txn::TxnStatus;
 use crate::types::{NodeId, Op, TxnId, TxnVote, TxnWrites};
@@ -43,6 +44,11 @@ pub const FINISHED_WINDOW: u64 = 64;
 /// log-ordered writes to a locked key simply serialize before the staged
 /// fragment.
 ///
+/// The key/value map is a hash table; key order only at
+/// [`entries`](Self::entries)/[`digest`](Self::digest)/snapshot, which
+/// sort at capture. The transaction tables stay ordered: they are
+/// range-scanned by coordinator.
+///
 /// # Examples
 ///
 /// ```
@@ -57,7 +63,7 @@ pub const FINISHED_WINDOW: u64 = 64;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct KvStore {
-    map: BTreeMap<u64, u64>,
+    map: WordMap<u64, u64>,
     writes: u64,
     reads: u64,
     /// Prepared transactions: fragment staged, keys locked, outcome
@@ -151,11 +157,19 @@ impl KvStore {
         self.reads
     }
 
-    /// Iterates the `(key, value)` entries in key order. Sharded
-    /// deployments partition the key space, so merging per-shard replicas
-    /// (for oracles and property tests) is a disjoint union of these.
+    /// Iterates the `(key, value)` entries in key order (sorted at the
+    /// call). Sharded deployments partition the key space, so merging
+    /// per-shard replicas (for oracles and property tests) is a disjoint
+    /// union of these.
     pub fn entries(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.map.iter().map(|(&k, &v)| (k, v))
+        self.sorted_entries().into_iter()
+    }
+
+    /// The `(key, value)` entries, sorted by key.
+    fn sorted_entries(&self) -> Vec<(u64, u64)> {
+        let mut entries: Vec<(u64, u64)> = self.map.iter().map(|(&k, &v)| (k, v)).collect();
+        entries.sort_unstable_by_key(|&(k, _)| k);
+        entries
     }
 
     /// Whether `key` is locked by a prepared (outcome-pending)
@@ -380,7 +394,7 @@ impl KvStore {
     /// checks in tests (FNV-1a over the sorted entries).
     pub fn digest(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for (&k, &v) in &self.map {
+        for (k, v) in self.sorted_entries() {
             for w in [k, v] {
                 for b in w.to_le_bytes() {
                     h ^= b as u64;
@@ -422,7 +436,7 @@ impl StateMachine for KvStore {
 
     fn snapshot(&self) -> KvSnapshot {
         KvSnapshot {
-            map: self.map.iter().map(|(&k, &v)| (k, v)).collect(),
+            map: self.sorted_entries(),
             writes: self.writes,
             reads: self.reads,
             staged: self.staged.iter().map(|(&t, w)| (t, w.clone())).collect(),
@@ -785,5 +799,27 @@ mod tests {
         b.apply(Op::Put { key: 2, value: 20 });
         b.apply(Op::Put { key: 1, value: 10 });
         assert_eq!(a.digest(), b.digest());
+        // Enough keys, inserted ascending and descending, that the two
+        // hash tables grow through different layouts.
+        for key in 3..200 {
+            a.apply(Op::Put {
+                key,
+                value: key * 10,
+            });
+            b.apply(Op::Put {
+                key: 202 - key,
+                value: (202 - key) * 10,
+            });
+        }
+        assert_eq!(a.digest(), b.digest());
+        assert_eq!(a.snapshot(), b.snapshot());
+        let entries: Vec<(u64, u64)> = a.entries().collect();
+        assert_eq!(entries, b.entries().collect::<Vec<_>>());
+        assert!(
+            entries.windows(2).all(|w| w[0].0 < w[1].0),
+            "ascending keys"
+        );
+        assert_eq!(entries.len(), 199);
+        assert_eq!(a.snapshot().map, entries, "snapshot map in key order");
     }
 }

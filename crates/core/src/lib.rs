@@ -75,6 +75,7 @@ pub mod client;
 mod config;
 pub mod engine;
 pub mod failure;
+mod hash;
 pub mod kv;
 pub mod mencius;
 pub mod multipaxos;

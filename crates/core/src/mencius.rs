@@ -25,10 +25,11 @@
 //! throughput-oriented comparison; fault tolerance in Mencius requires
 //! the revocation machinery of the original paper and is out of scope.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::basic_paxos::QuorumLearner;
 use crate::config::ClusterConfig;
+use crate::hash::{WordMap, WordSet};
 use crate::outbox::{Outbox, Timer};
 use crate::protocol::Protocol;
 use crate::types::{Ballot, Command, Instance, Nanos, NodeId, Op};
@@ -83,8 +84,8 @@ pub struct MenciusNode {
     accepted: BTreeMap<Instance, Command>,
     learner: QuorumLearner<Command>,
     watermark: Instance,
-    my_clients: BTreeSet<(NodeId, u64)>,
-    decided_ids: BTreeMap<(NodeId, u64), Instance>,
+    my_clients: WordSet<(NodeId, u64)>,
+    decided_ids: WordMap<(NodeId, u64), Instance>,
     /// Skips this node has proposed (for tests/metrics).
     skips_proposed: u64,
     tick_period: Nanos,
@@ -107,8 +108,8 @@ impl MenciusNode {
             accepted: BTreeMap::new(),
             learner: QuorumLearner::new(),
             watermark: 0,
-            my_clients: BTreeSet::new(),
-            decided_ids: BTreeMap::new(),
+            my_clients: WordSet::default(),
+            decided_ids: WordMap::default(),
             skips_proposed: 0,
             tick_period: Self::DEFAULT_TICK,
             cfg,

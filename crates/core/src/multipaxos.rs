@@ -22,6 +22,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use crate::basic_paxos::QuorumLearner;
 use crate::config::ClusterConfig;
 use crate::failure::FailureDetector;
+use crate::hash::{WordMap, WordSet};
 use crate::outbox::{Outbox, Timer};
 use crate::protocol::Protocol;
 use crate::types::{Ballot, Command, Instance, Nanos, NodeId, Op};
@@ -142,7 +143,7 @@ pub struct MultiPaxosNode {
     learner: QuorumLearner<Command>,
     /// Command id → instance for every decided command (re-proposal
     /// dedup for retries and re-forwards).
-    decided_ids: BTreeMap<(NodeId, u64), Instance>,
+    decided_ids: WordMap<(NodeId, u64), Instance>,
     /// Contiguous chosen prefix (next instance expected to be decided).
     watermark: Instance,
     /// Proposer.
@@ -157,7 +158,7 @@ pub struct MultiPaxosNode {
     /// of §7.6.
     forwarded: BTreeMap<(NodeId, u64), (Command, Nanos)>,
     electing: Option<Electing>,
-    my_clients: BTreeSet<(NodeId, u64)>,
+    my_clients: WordSet<(NodeId, u64)>,
     fd: FailureDetector,
     noop_seq: u64,
 }
@@ -178,7 +179,7 @@ impl MultiPaxosNode {
             promised: Ballot::new(1, leader),
             accepted: BTreeMap::new(),
             learner: QuorumLearner::new(),
-            decided_ids: BTreeMap::new(),
+            decided_ids: WordMap::default(),
             watermark: 0,
             leading,
             leader: Some(leader),
@@ -187,7 +188,7 @@ impl MultiPaxosNode {
             queue: VecDeque::new(),
             forwarded: BTreeMap::new(),
             electing: None,
-            my_clients: BTreeSet::new(),
+            my_clients: WordSet::default(),
             fd,
             noop_seq: 0,
             cfg,

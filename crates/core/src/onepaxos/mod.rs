@@ -39,9 +39,10 @@ mod utility;
 pub use msg::{AbandonRe, Msg, UtilityEntry, UtilityMsg};
 pub use utility::UtilityEvent;
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::config::ClusterConfig;
+use crate::hash::{WordMap, WordSet};
 use crate::outbox::{Outbox, Timer};
 use crate::protocol::Protocol;
 use crate::types::{Ballot, Command, Instance, Nanos, NodeId, Op};
@@ -159,9 +160,9 @@ pub struct OnePaxosNode {
     /// Command id → instance for every decided command, so a stale
     /// forward or retry of an already-decided command is answered (or
     /// dropped) instead of re-proposed.
-    decided_ids: BTreeMap<(NodeId, u64), Instance>,
+    decided_ids: WordMap<(NodeId, u64), Instance>,
     watermark: Instance,
-    my_clients: BTreeSet<(NodeId, u64)>,
+    my_clients: WordSet<(NodeId, u64)>,
     // --- embedded PaxosUtility ---
     utility: PaxosUtility,
     noop_seq: u64,
@@ -225,9 +226,9 @@ impl OnePaxosNode {
             i_am_fresh: true,
             ap: BTreeMap::new(),
             learned: BTreeMap::new(),
-            decided_ids: BTreeMap::new(),
+            decided_ids: WordMap::default(),
             watermark: 0,
-            my_clients: BTreeSet::new(),
+            my_clients: WordSet::default(),
             utility,
             noop_seq: 0,
             freshness_blocks: 0,

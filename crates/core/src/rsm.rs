@@ -18,9 +18,9 @@
 //! batches from one engine can legally commit out of submission order
 //! across leader changes (unlike closed-loop clients).
 
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::collections::{btree_map, hash_map, BTreeMap};
 
+use crate::hash::WordMap;
 use crate::types::{Command, Instance, NodeId, Op};
 
 /// A deterministic state machine replicated by the agreement protocols.
@@ -155,7 +155,9 @@ pub struct Applier<S: StateMachine> {
     /// entry. Only the latest output is kept: the session protocol makes
     /// req_ids monotone per client, so a client never asks about an
     /// older request than its newest, and the table stays O(clients).
-    sessions: BTreeMap<NodeId, (u64, S::Output)>,
+    /// Hash table; key order only at `entries`/`digest`/snapshot
+    /// ([`Self::snapshot`] sorts it by client).
+    sessions: WordMap<NodeId, (u64, S::Output)>,
     /// Applied command log from `log_base` up (cross-replica
     /// consistency checks, duplicate-decision verification).
     applied_log: Vec<Command>,
@@ -172,7 +174,9 @@ pub struct ApplierSnapshot<S: StateMachine> {
     pub state: S::Snapshot,
     /// The session table: highest applied req_id and its output per
     /// client. Without it an installer would re-apply client retries
-    /// the snapshotting replica already executed.
+    /// the snapshotting replica already executed. Sorted by client: the
+    /// live table is a hash table; key order only at
+    /// `entries`/`digest`/snapshot, so equal tables give equal bytes.
     pub sessions: Vec<(NodeId, (u64, S::Output))>,
 }
 
@@ -194,7 +198,7 @@ impl<S: StateMachine> Applier<S> {
             next: 0,
             log_base: 0,
             pending: BTreeMap::new(),
-            sessions: BTreeMap::new(),
+            sessions: WordMap::default(),
             applied_log: Vec::new(),
         }
     }
@@ -227,7 +231,7 @@ impl<S: StateMachine> Applier<S> {
             return 0;
         }
         let mut ready = match self.pending.entry(instance) {
-            Entry::Occupied(prior) => {
+            btree_map::Entry::Occupied(prior) => {
                 assert_eq!(
                     *prior.get(),
                     cmd,
@@ -235,11 +239,11 @@ impl<S: StateMachine> Applier<S> {
                 );
                 return 0;
             }
-            Entry::Vacant(slot) if instance > self.next => {
+            btree_map::Entry::Vacant(slot) if instance > self.next => {
                 slot.insert(cmd);
                 self.pending.remove(&self.next)
             }
-            Entry::Vacant(_) => Some(cmd),
+            btree_map::Entry::Vacant(_) => Some(cmd),
         };
         let mut applied = 0;
         while let Some(cmd) = ready {
@@ -270,13 +274,13 @@ impl<S: StateMachine> Applier<S> {
     fn apply_single(&mut self, cmd: &Command) {
         let state = &mut self.state;
         match self.sessions.entry(cmd.client) {
-            Entry::Occupied(mut session) => {
+            hash_map::Entry::Occupied(mut session) => {
                 if cmd.req_id <= session.get().0 {
                     return;
                 }
                 *session.get_mut() = (cmd.req_id, state.apply(cmd.op.clone()));
             }
-            Entry::Vacant(session) => {
+            hash_map::Entry::Vacant(session) => {
                 session.insert((cmd.req_id, state.apply(cmd.op.clone())));
             }
         }
@@ -299,13 +303,15 @@ impl<S: StateMachine> Applier<S> {
     }
 
     /// Captures the applied prefix `[0, watermark)` as an installable
-    /// snapshot: state-machine image + session table, with
-    /// `watermark = ` the next instance this replica would apply.
+    /// snapshot: state-machine image + session table (sorted by client),
+    /// with `watermark = ` the next instance this replica would apply.
     pub fn snapshot(&self) -> ApplierSnapshot<S> {
+        let mut sessions: Vec<_> = self.sessions.iter().map(|(&c, s)| (c, s.clone())).collect();
+        sessions.sort_unstable_by_key(|&(c, _)| c);
         ApplierSnapshot {
             watermark: self.next,
             state: self.state.snapshot(),
-            sessions: self.sessions.iter().map(|(&c, s)| (c, s.clone())).collect(),
+            sessions,
         }
     }
 
@@ -516,6 +522,16 @@ mod tests {
         // A second client adds exactly one more retained output.
         a.on_decided(10_000, cmd(2, 1, Op::Get { key: 0 }));
         assert_eq!(a.outputs_len(), 2);
+    }
+
+    #[test]
+    fn snapshot_sessions_are_sorted_by_client() {
+        let mut a = Applier::new(KvStore::new());
+        for (i, client) in [9u16, 2, 700, 5, 41, 3].into_iter().enumerate() {
+            a.on_decided(i as Instance, cmd(client, 1, Op::Noop));
+        }
+        let clients: Vec<u16> = a.snapshot().sessions.iter().map(|(c, _)| c.0).collect();
+        assert_eq!(clients, [2, 3, 5, 9, 41, 700]);
     }
 
     #[test]
