@@ -1,11 +1,13 @@
 //! Experiment harness regenerating every table and figure of *"Consensus
 //! Inside"* (MIDDLEWARE 2014).
 //!
-//! Each `fig*`/`tab*`/`sec*`/`exp*` module computes the data behind one
-//! paper artifact; the binaries under `src/bin/` print them as aligned
-//! tables next to the paper's reference values. See `DESIGN.md` §3 for
-//! the experiment index and `EXPERIMENTS.md` for recorded
-//! paper-vs-measured results.
+//! Each paper artefact is one row of the experiment [`registry`]: a
+//! generator that computes its data (in [`experiments`], [`netmeas`] or
+//! [`wire`]) next to the row function that prints it as an aligned table
+//! beside the paper's reference values. The one binary,
+//! `figures <name|all> [--smoke] [--out PATH]`, runs a row by name or
+//! every paper artefact in sequence; [`registry::REGISTRY`] is the
+//! experiment index.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -13,7 +15,9 @@
 
 pub mod experiments;
 pub mod netmeas;
+pub mod registry;
 pub mod report;
 pub mod table;
+pub mod wire;
 
 pub use experiments::{Proto, RunCfg};

@@ -9,7 +9,11 @@
 
 use std::time::Instant;
 
+use manycore_sim::Profile;
 use qc_channel::spsc;
+
+use crate::report::{Outcome, RowArgs};
+use crate::table::Table;
 
 /// Results of the §3 measurements on the current machine, in nanoseconds.
 #[derive(Clone, Copy, Debug)]
@@ -81,6 +85,40 @@ pub fn measure(n: usize) -> NetCharacteristics {
         single_slot_cycle_ns,
         prop_ns,
     }
+}
+
+/// The `tab_net` row. §3 measurements: transmission delay, propagation
+/// delay and their ratio, many-core (measured on this machine over
+/// qc-channel) vs LAN (simulated profile constants; no LAN testbed
+/// available).
+///
+/// Paper values: many-core trans 0.5 µs, prop 0.55 µs (ratio ≈ 1);
+/// LAN trans 2 µs, prop 135 µs (ratio ≈ 0.015).
+pub fn tab_net_row(_: &RowArgs) -> Outcome {
+    let m = measure(400_000);
+    let lan = Profile::lan(2);
+    let mut t = Table::new(&["setting", "trans (ns)", "prop (ns)", "trans/prop"]);
+    t.row(&[
+        "many-core (measured)".to_string(),
+        format!("{:.0}", m.trans_ns),
+        format!("{:.0}", m.prop_ns),
+        format!("{:.3}", m.ratio()),
+    ]);
+    t.row(&["many-core (paper)", "500", "550", "0.909"]);
+    t.row(&[
+        "LAN (simulated profile)".to_string(),
+        format!("{}", lan.tx),
+        format!("{}", lan.prop_remote),
+        format!("{:.3}", lan.trans_prop_ratio()),
+    ]);
+    t.row(&["LAN (paper)", "2000", "135000", "0.015"]);
+    println!(
+        "§3 — network characteristics (single-slot cycle measured: {:.0} ns)\n",
+        m.single_slot_cycle_ns
+    );
+    print!("{}", t.render());
+    println!("\npaper shape: the many-core ratio is ~2 orders of magnitude larger than the LAN's.");
+    Ok(())
 }
 
 #[cfg(test)]

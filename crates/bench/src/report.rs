@@ -1,37 +1,74 @@
-//! Shared scaffolding for the `BENCH_*.json` experiment binaries: the
-//! `--smoke`/`--out` CLI contract and the hand-rolled JSON envelope (the
-//! workspace builds offline, without serde). One implementation, so the
-//! recorded data files cannot silently diverge in shape between
-//! experiments.
+//! Shared scaffolding for the registry's rows: the view of the command
+//! line each row is handed, the one writer of the hand-rolled
+//! `BENCH_*.json` envelope (the workspace builds offline, without serde)
+//! and the acceptance gates. One implementation, so the recorded data
+//! files cannot silently diverge in shape between experiments.
 
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 
-/// The CLI every `BENCH_*.json`-writing binary speaks:
-/// `<bin> [--smoke] [--out PATH]`.
-#[derive(Clone, Debug)]
-pub struct BenchCli {
-    /// Run the reduced CI-speed variant of the sweep.
+/// One row's view of the command line (see [`crate::registry::BenchCli`]).
+#[derive(Clone, Copy, Debug)]
+pub struct RowArgs<'a> {
+    /// Run the reduced CI-speed variant of the row.
     pub smoke: bool,
-    out: Option<String>,
+    /// Where a `BENCH_*.json`-recording row writes its file: `--out` if
+    /// given, else the row's registry default. `None` for rows that
+    /// record nothing.
+    pub out: Option<&'a str>,
 }
 
-impl BenchCli {
-    /// Parses the process arguments.
-    pub fn parse() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        BenchCli {
-            smoke: args.iter().any(|a| a == "--smoke"),
-            out: args
-                .iter()
-                .position(|a| a == "--out")
-                .and_then(|i| args.get(i + 1))
-                .cloned(),
+impl RowArgs<'_> {
+    /// Writes the experiment envelope (see [`render_json`]) for this run
+    /// to [`RowArgs::out`] and prints where it went.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row has no output file or the write fails.
+    pub fn write_json(
+        &self,
+        experiment: &str,
+        protocol: &str,
+        meta: &[(&str, String)],
+        rows: &[String],
+    ) {
+        let path = self.out.expect("the row records a BENCH_*.json");
+        let json = render_json(experiment, protocol, meta, self.smoke, rows);
+        std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        println!("\nwrote {path}");
+    }
+}
+
+/// A row's result: `Err` when one of its acceptance gates failed.
+pub type Outcome = Result<(), GateFailed>;
+
+/// At least one acceptance gate of a row failed (each printed its own
+/// `FAIL:` line).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct GateFailed;
+
+/// A row's acceptance gates. Every check is evaluated; a failed one
+/// prints `FAIL: <why>` to stderr at once.
+#[derive(Debug, Default)]
+pub struct Gates {
+    failed: bool,
+}
+
+impl Gates {
+    /// Records one gate: it holds when `ok`.
+    pub fn check(&mut self, ok: bool, why: impl Display) {
+        if !ok {
+            eprintln!("FAIL: {why}");
+            self.failed = true;
         }
     }
 
-    /// The output path: `--out` if given, else `default`.
-    pub fn out_path<'a>(&'a self, default: &'a str) -> &'a str {
-        self.out.as_deref().unwrap_or(default)
+    /// The row's outcome: `Err` if any check failed.
+    pub fn outcome(self) -> Outcome {
+        if self.failed {
+            Err(GateFailed)
+        } else {
+            Ok(())
+        }
     }
 }
 
@@ -89,6 +126,17 @@ mod tests {
              \"profile\": \"opteron-48\",\n  \"clients\": 4,\n  \"smoke\": true,\n  \
              \"points\": [\n    {\"x\": 1},\n    {\"x\": 2}\n  ]\n}\n"
         );
+    }
+
+    #[test]
+    fn gates_fail_on_any_failed_check() {
+        let mut g = Gates::default();
+        g.check(true, "holds");
+        assert_eq!(g.outcome(), Ok(()));
+        let mut g = Gates::default();
+        g.check(false, "first");
+        g.check(true, "holds");
+        assert_eq!(g.outcome(), Err(GateFailed));
     }
 
     #[test]

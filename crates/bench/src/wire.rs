@@ -1,8 +1,8 @@
-//! Wire-transport experiment: the same threaded 1Paxos cluster, closed
-//! loop and client count, deployed twice — once over shared-memory
-//! qc-channel queues (`.spawn()`), once over loopback TCP sockets
-//! (`.spawn_tcp()`), where every message crosses the kernel as a
-//! length-prefixed `onepaxos::wire` frame.
+//! The `exp_wire` row. Wire-transport experiment: the same threaded
+//! 1Paxos cluster, closed loop and client count, deployed twice — once
+//! over shared-memory qc-channel queues (`.spawn()`), once over loopback
+//! TCP sockets (`.spawn_tcp()`), where every message crosses the kernel
+//! as a length-prefixed `onepaxos::wire` frame.
 //!
 //! The gap between the two rows is the price of the codec plus the
 //! socket path (syscalls, copies, TCP_NODELAY-sized writes); the §6.1
@@ -17,18 +17,17 @@
 //! both transports, a tcp/mem throughput-ratio floor (0.2, a regression
 //! backstop under the ~0.39 measured band), and — on full runs — the sim
 //! prediction landing within a small factor of the measured tcp row.
-//!
-//! Usage: `exp_wire [--smoke] [--out PATH]`
 
 use std::time::{Duration, Instant};
 
-use consensus_bench::report::{render_json, BenchCli};
-use consensus_bench::table::{ops, us, Table};
 use manycore_sim::metrics::LatencyStats;
 use manycore_sim::{Profile, SimBuilder, Workload};
 use onepaxos::onepaxos::{Msg, OnePaxosNode, Timing};
 use onepaxos::{ClusterConfig, NodeId};
 use onepaxos_runtime::{ClientHandle, ClusterBuilder, Transport};
+
+use crate::report::{Gates, Outcome, RowArgs};
+use crate::table::{ops, us, Table};
 
 /// Replicas in every deployment (the paper's f=1 triple).
 const REPLICAS: usize = 3;
@@ -153,10 +152,9 @@ fn sim_point(clients: usize, duration: Duration) -> Point {
     }
 }
 
-fn main() {
-    let cli = BenchCli::parse();
-    let out_path = cli.out_path("BENCH_wire.json");
-    let (clients, duration) = if cli.smoke {
+/// The `exp_wire` row (see the module docs).
+pub fn exp_wire_row(args: &RowArgs) -> Outcome {
+    let (clients, duration) = if args.smoke {
         (2usize, Duration::from_millis(500))
     } else {
         (4usize, Duration::from_secs(3))
@@ -166,7 +164,7 @@ fn main() {
         "Wire transport — 1Paxos replicas={REPLICAS} clients={clients} \
          duration={}ms{}\n",
         duration.as_millis(),
-        if cli.smoke { " (smoke)" } else { "" }
+        if args.smoke { " (smoke)" } else { "" }
     );
 
     let (cluster, mem_clients) = builder(clients).spawn();
@@ -221,7 +219,7 @@ fn main() {
             )
         })
         .collect();
-    let json = render_json(
+    args.write_json(
         "wire_transport",
         "1Paxos",
         &[
@@ -229,38 +227,35 @@ fn main() {
             ("clients", clients.to_string()),
             ("duration_ms", duration.as_millis().to_string()),
         ],
-        cli.smoke,
         &rows,
     );
-    std::fs::write(out_path, &json).expect("write bench json");
-    println!("\nwrote {out_path}");
 
     // Gate 1: everything must actually replicate.
+    let mut gates = Gates::default();
     for p in &points {
-        assert!(
+        gates.check(
             p.committed > 0 && p.p99_us > 0.0,
-            "{} transport made no progress",
-            p.transport
+            format!("{} transport made no progress", p.transport),
         );
     }
 
     // Gate 2: the tcp/mem throughput ratio must not regress.
-    assert!(
+    gates.check(
         ratio >= MIN_RATIO,
-        "tcp throughput fell to {ratio:.2}x of mem (floor {MIN_RATIO})"
+        format!("tcp throughput fell to {ratio:.2}x of mem (floor {MIN_RATIO})"),
     );
 
     // Gate 3 (full runs only — smoke windows are too short to trust):
     // the simulator under the measurement-derived profile must land
     // within a small factor of the measured tcp row, or the profile's
     // cost model has drifted from reality.
-    if !cli.smoke {
-        assert!(
-            (0.3..=3.0).contains(&sim_vs_tcp),
+    gates.check(
+        args.smoke || (0.3..=3.0).contains(&sim_vs_tcp),
+        format!(
             "sim predicted {:.0} op/s vs measured {:.0} ({sim_vs_tcp:.2}x): \
              loopback_tcp profile no longer matches measurement",
-            points[2].throughput,
-            points[1].throughput
-        );
-    }
+            points[2].throughput, points[1].throughput
+        ),
+    );
+    gates.outcome()
 }
