@@ -16,10 +16,10 @@
 //! the four server-side message delays the paper attributes to
 //! Basic-Paxos (§8).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
+use crate::advocate::Advocate;
 use crate::config::ClusterConfig;
-use crate::hash::WordSet;
 use crate::outbox::{Outbox, Timer};
 use crate::protocol::Protocol;
 use crate::types::{Ballot, Command, Instance, Nanos, NodeId, Op};
@@ -272,12 +272,12 @@ pub struct BasicPaxosNode {
     round: u32,
     next_instance: Instance,
     proposing: BTreeMap<Instance, ProposerInstance>,
-    queue: VecDeque<Command>,
     acceptors: BTreeMap<Instance, InstanceAcceptor<Command>>,
     learner: QuorumLearner<Command>,
-    /// Requests this node received directly from clients, for reply
-    /// routing.
-    my_clients: WordSet<(NodeId, u64)>,
+    /// Owed answers, decided ids and queued commands (forwards are not
+    /// tracked: the proposer is fixed, so a stall has nothing to
+    /// trigger).
+    adv: Advocate,
     tick_period: Nanos,
 }
 
@@ -294,10 +294,9 @@ impl BasicPaxosNode {
             round: 0,
             next_instance: 0,
             proposing: BTreeMap::new(),
-            queue: VecDeque::new(),
             acceptors: BTreeMap::new(),
             learner: QuorumLearner::new(),
-            my_clients: WordSet::default(),
+            adv: Advocate::default(),
             tick_period: Self::DEFAULT_TICK,
         }
     }
@@ -417,16 +416,13 @@ impl BasicPaxosNode {
         let quorum = self.cfg.majority();
         if let Some(chosen) = self.learner.on_learn(inst, from, bal, cmd, quorum) {
             let id = chosen.id();
-            out.commit(inst, chosen);
+            self.adv.decide(inst, chosen, out);
             if let Some(p) = self.proposing.remove(&inst) {
                 // A competing proposer's value won this instance: advocate
                 // our command again in a fresh instance (drained on tick).
                 if p.cmd.id() != id {
-                    self.queue.push_back(p.cmd);
+                    self.adv.queue.push_back(p.cmd);
                 }
-            }
-            if self.my_clients.remove(&id) {
-                out.reply(id.0, id.1, inst);
             }
         }
     }
@@ -464,7 +460,7 @@ impl Protocol for BasicPaxosNode {
     fn on_message(&mut self, from: NodeId, msg: Msg, _now: Nanos, out: &mut Outbox<Msg>) {
         match msg {
             Msg::Forward { cmd } => {
-                if self.me() == self.proposer_node {
+                if self.me() == self.proposer_node && !self.adv.is_decided(cmd.id()) {
                     self.start_instance(cmd, out);
                 }
             }
@@ -542,7 +538,7 @@ impl Protocol for BasicPaxosNode {
     fn on_timer(&mut self, timer: Timer, _now: Nanos, out: &mut Outbox<Msg>) {
         if timer == Timer::Tick {
             // Drain queued commands (one instance each).
-            while let Some(cmd) = self.queue.pop_front() {
+            while let Some(cmd) = self.adv.queue.pop_front() {
                 self.start_instance(cmd, out);
             }
             out.set_timer(Timer::Tick, self.tick_period);
@@ -557,8 +553,9 @@ impl Protocol for BasicPaxosNode {
         _now: Nanos,
         out: &mut Outbox<Msg>,
     ) {
-        let cmd = Command::new(client, req_id, op);
-        self.my_clients.insert(cmd.id());
+        let Some(cmd) = self.adv.request(Command::new(client, req_id, op), out) else {
+            return;
+        };
         if self.me() == self.proposer_node {
             self.start_instance(cmd, out);
         } else {
@@ -568,10 +565,6 @@ impl Protocol for BasicPaxosNode {
 
     fn is_leader(&self) -> bool {
         self.me() == self.proposer_node
-    }
-
-    fn leader_hint(&self) -> Option<NodeId> {
-        Some(self.proposer_node)
     }
 
     fn instance_of(&self, msg: &Msg) -> Option<Instance> {
@@ -590,9 +583,10 @@ impl Protocol for BasicPaxosNode {
         // that survives; the RSM session layer deduplicates.
         let keep = self.proposing.split_off(&watermark);
         let orphans = std::mem::replace(&mut self.proposing, keep);
-        self.queue.extend(orphans.into_values().map(|p| p.cmd));
+        self.adv.queue.extend(orphans.into_values().map(|p| p.cmd));
         self.acceptors = self.acceptors.split_off(&watermark);
         self.learner.truncate(watermark);
+        self.adv.prune(watermark);
         self.next_instance = self.next_instance.max(watermark);
     }
 }

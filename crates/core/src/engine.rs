@@ -30,7 +30,7 @@
 //! * [`EngineEffect::Committed`] — a slot was decided locally (already
 //!   recorded and applied by the engine; emitted for oracles and metrics).
 //!
-//! Everything stateful in between — arm/cancel/fire ordering of timers,
+//! Everything stateful in between — arm/fire ordering of timers,
 //! in-order application with at-most-once execution, commit-log
 //! consistency checking, deferred replies waiting for a log gap to fill,
 //! and the §7.5 relaxed-read fast path — happens inside the engine, behind
@@ -39,7 +39,8 @@
 //! # Timers
 //!
 //! The engine keeps absolute deadlines per [`Timer`]. Re-arming a timer
-//! replaces its deadline; cancelling removes it; [`Self::next_deadline`]
+//! replaces its deadline (a size flush cancels the engine's own flush
+//! deadline); [`Self::next_deadline`]
 //! lets schedulers (the simulator) plan wake-ups. A timer fires at most
 //! once per arm: firing disarms it before the handler runs, so a handler
 //! re-arming the same timer starts a fresh deadline.
@@ -302,14 +303,14 @@ impl Default for BatchConfig {
 ///
 /// * **Grow** (additive, +1): a flush was size-triggered *and* the next
 ///   request arrived within `max_delay` of it — demand exceeded the
-///   depth inside one flush window. `grow_after` consecutive such
-///   signals raise the depth, unless the commit backlog (batches
-///   advocated but not yet committed) has reached `backlog_knee`.
+///   depth inside one flush window. Each such signal raises the depth,
+///   unless the commit backlog (batches advocated but not yet
+///   committed) has reached the knee of 4 batches.
 /// * **Shrink** (snap to demand): consecutive deadline flushes at half
 ///   the depth or less drop the depth to the largest fill observed since
 ///   the last shrink — so a transient remainder flush behind a full one
 ///   never shrinks, while a real load drop converges in a couple of
-///   windows. A commit backlog at twice the knee halves the depth
+///   windows. A commit backlog at twice the knee (8) halves the depth
 ///   outright.
 /// * **Goodput veto** (the hill-climb half): arrival rate and mean fill
 ///   are measured per window of 32 flush deadlines. A window that ran
@@ -323,8 +324,8 @@ impl Default for BatchConfig {
 ///   (whose replies echo requests back within one flush window at *any*
 ///   depth) from talking the controller into batching a load too light
 ///   to profit from it.
-/// * **Idle decay**: a request arriving after `idle_after` of silence
-///   resets the depth to 1, so a trickle flushes every command
+/// * **Idle decay**: a request arriving after `16 × max_delay` of
+///   silence resets the depth to 1, so a trickle flushes every command
 ///   immediately instead of waiting out `max_delay`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AdaptiveBatch {
@@ -332,20 +333,11 @@ pub struct AdaptiveBatch {
     pub max_commands: usize,
     /// Flush deadline, as in the fixed policy.
     pub max_delay: Nanos,
-    /// Consecutive demand signals required before growing by one.
-    pub grow_after: u32,
-    /// Commit-backlog knee: at `backlog_knee` in-flight batches the
-    /// depth stops growing, at twice that it halves.
-    pub backlog_knee: usize,
-    /// Idle gap after which the depth decays back to 1.
-    pub idle_after: Nanos,
 }
 
 impl AdaptiveBatch {
     /// Creates a controller config bounded by `max_commands` with flush
-    /// deadline `max_delay`, using the default pacing knobs (grow on
-    /// every demand signal, backlog knee 4, idle decay after 16 flush
-    /// windows).
+    /// deadline `max_delay`.
     ///
     /// # Panics
     ///
@@ -355,10 +347,12 @@ impl AdaptiveBatch {
         AdaptiveBatch {
             max_commands,
             max_delay,
-            grow_after: 1,
-            backlog_knee: 4,
-            idle_after: 16 * max_delay.max(1),
         }
+    }
+
+    /// Idle gap after which the depth decays back to 1.
+    fn idle_after(&self) -> Nanos {
+        IDLE_WINDOWS * self.max_delay.max(1)
     }
 }
 
@@ -570,6 +564,14 @@ impl EngineStats {
     }
 }
 
+/// Commit-backlog knee of the adaptive controller: at this many
+/// in-flight batches the depth stops growing, at twice that it halves.
+const BACKLOG_KNEE: usize = 4;
+
+/// Silence, in flush windows (`max_delay` units), after which the
+/// adaptive depth decays back to 1.
+const IDLE_WINDOWS: u64 = 16;
+
 /// Consecutive low-fill deadline flushes required before the depth
 /// snaps down to the observed demand. Two, not one: a remainder flush
 /// trailing a size-triggered flush is noise, two windows of low fill is
@@ -598,8 +600,6 @@ struct BatchController {
     cfg: AdaptiveBatch,
     /// Current flush depth, always in `[1, cfg.max_commands]`.
     depth: usize,
-    /// Consecutive grow signals observed (see [`AdaptiveBatch`]).
-    full_streak: u32,
     /// Consecutive low-fill deadline flushes observed.
     low_streak: u32,
     /// Largest fill since the last shrink evaluation — the demand level
@@ -634,7 +634,6 @@ impl BatchController {
         BatchController {
             cfg,
             depth: 1,
-            full_streak: 0,
             low_streak: 0,
             peak_fill: 0,
             last_size_flush: None,
@@ -679,7 +678,6 @@ impl BatchController {
                 // only depth that cannot wait is 1.
                 self.depth = 1;
                 self.frozen_until = now + FREEZE_WINDOWS * win;
-                self.full_streak = 0;
                 stats.shrinks += 1;
             }
         }
@@ -687,7 +685,6 @@ impl BatchController {
             if clean && self.depth > anchor_depth && rate <= 0.95 * anchor_rate {
                 self.depth = anchor_depth;
                 self.frozen_until = now + FREEZE_WINDOWS * win;
-                self.full_streak = 0;
                 stats.shrinks += 1;
             }
         }
@@ -707,23 +704,17 @@ impl BatchController {
             if now.saturating_sub(flushed_at) <= self.cfg.max_delay {
                 // The previous batch filled and more demand arrived
                 // within one flush window: the depth is too small.
-                self.full_streak += 1;
-                if self.full_streak >= self.cfg.grow_after
-                    && backlog < self.cfg.backlog_knee
+                if backlog < BACKLOG_KNEE
                     && now >= self.frozen_until
                     && self.depth < self.cfg.max_commands
                 {
                     self.depth += 1;
-                    self.full_streak = 0;
                     stats.grows += 1;
                 }
-            } else {
-                self.full_streak = 0;
             }
         }
-        if self.depth > 1 && now.saturating_sub(self.last_activity) >= self.cfg.idle_after {
+        if self.depth > 1 && now.saturating_sub(self.last_activity) >= self.cfg.idle_after() {
             self.depth = 1;
-            self.full_streak = 0;
             self.low_streak = 0;
             self.peak_fill = 0;
             // A fresh regime: stale goodput anchors must not veto it.
@@ -776,7 +767,7 @@ impl BatchController {
                 }
             }
         }
-        if backlog >= 2 * self.cfg.backlog_knee && self.depth > 1 {
+        if backlog >= 2 * BACKLOG_KNEE && self.depth > 1 {
             // Commits are falling behind the advocacy rate: the knee of
             // the latency curve. Multiplicative decrease, immediately.
             self.depth = (self.depth / 2).max(1);
@@ -1114,24 +1105,19 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
         }
     }
 
-    /// Raises the batch sequence number to at least `floor`.
+    /// Moves the batch sequence into incarnation `incarnation`'s epoch
+    /// (2³² batch ids each).
     ///
     /// Batch identities are `(batch_source, seq)` and the protocols
-    /// deduplicate decided identities forever — so a deployment that
-    /// **rebuilds** an engine in place (the paper's silently rebooted
-    /// node) must move the replacement into a fresh sequence epoch, or
-    /// its recycled batch ids would be dropped as already-decided
-    /// duplicates by surviving peers and the batched clients would never
-    /// be answered. `TestNet::reset_node` shifts each incarnation by
-    /// [`Self::BATCH_EPOCH`]; long-running deployments without in-place
-    /// rebuilds never need this.
-    pub fn set_batch_seq_floor(&mut self, floor: u64) {
-        self.batch_seq = self.batch_seq.max(floor);
+    /// deduplicate decided identities — so an engine **rebuilt** in place
+    /// (a restarted replica, the paper's silently rebooted node) must not
+    /// recycle its predecessor's ids, or surviving peers would drop its
+    /// batches as already decided and the batched clients would never be
+    /// answered. [`ShardedEngine::deploy`](crate::ShardedEngine::deploy)
+    /// calls this with the slot's incarnation.
+    pub(crate) fn enter_batch_epoch(&mut self, incarnation: u64) {
+        self.batch_seq = self.batch_seq.max(incarnation << 32);
     }
-
-    /// Sequence-number span reserved per engine incarnation (2^32
-    /// batches) for [`Self::set_batch_seq_floor`].
-    pub const BATCH_EPOCH: u64 = 1 << 32;
 
     /// Enables or disables commit-log and reply-record retention
     /// (default on). Turn it off for long-running deployments: duplicate
@@ -1233,8 +1219,9 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
     /// The due set is computed before any handler runs, so a handler
     /// re-arming its own timer (the periodic-tick pattern) cannot make it
     /// fire twice in one call — but each timer's armed state is
-    /// re-checked just before it fires, so a handler cancelling or
-    /// re-arming a *sibling* due timer takes effect within the same pass
+    /// re-checked just before it fires, so a handler re-arming a
+    /// *sibling* due timer (or flushing the batch whose deadline is due)
+    /// takes effect within the same pass
     /// (identical to delivering each deadline via
     /// [`EngineEvent::TimerDue`]).
     pub fn fire_due(
@@ -1511,9 +1498,6 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
                 }
                 Action::SetTimer { timer, after } => {
                     self.timers.insert(timer, now + after);
-                }
-                Action::CancelTimer { timer } => {
-                    self.timers.remove(&timer);
                 }
             }
         }
@@ -1811,10 +1795,6 @@ mod tests {
             true
         }
 
-        fn leader_hint(&self) -> Option<NodeId> {
-            Some(self.me)
-        }
-
         fn supports_local_reads(&self) -> bool {
             true
         }
@@ -1874,37 +1854,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_after_set_wins_and_set_after_cancel_wins() {
-        let mut e = engine();
-        // Same handler: arm then cancel → not armed.
-        drive(
-            &mut e,
-            vec![
-                Action::SetTimer {
-                    timer: Timer::Tick,
-                    after: 10,
-                },
-                Action::CancelTimer { timer: Timer::Tick },
-            ],
-            0,
-        );
-        assert_eq!(e.timer_deadline(Timer::Tick), None);
-        // Same handler: cancel then arm → armed.
-        drive(
-            &mut e,
-            vec![
-                Action::CancelTimer { timer: Timer::Tick },
-                Action::SetTimer {
-                    timer: Timer::Tick,
-                    after: 10,
-                },
-            ],
-            0,
-        );
-        assert_eq!(e.timer_deadline(Timer::Tick), Some(10));
-    }
-
-    #[test]
     fn fired_timer_is_disarmed_and_rearm_in_handler_is_fresh() {
         let mut e = engine();
         drive(
@@ -1957,20 +1906,16 @@ mod tests {
     }
 
     #[test]
-    fn handler_cancelling_a_sibling_due_timer_takes_effect_in_the_same_pass() {
+    fn handler_re_arming_a_sibling_due_timer_takes_effect_in_the_same_pass() {
         let mut e = engine();
-        // Tick and Custom(0) both due at 100; Tick fires first (Timer
-        // order) and its handler cancels Custom(0) and re-arms Custom(1)
-        // far in the future.
+        // Tick and Custom(1) both due at 100; Tick fires first (Timer
+        // order) and its handler re-arms Custom(1) far in the future,
+        // which is re-checked just before it would fire.
         drive(
             &mut e,
             vec![
                 Action::SetTimer {
                     timer: Timer::Tick,
-                    after: 100,
-                },
-                Action::SetTimer {
-                    timer: Timer::Custom(0),
                     after: 100,
                 },
                 Action::SetTimer {
@@ -1980,19 +1925,13 @@ mod tests {
             ],
             0,
         );
-        e.node_mut().script = vec![
-            Action::CancelTimer {
-                timer: Timer::Custom(0),
-            },
-            Action::SetTimer {
-                timer: Timer::Custom(1),
-                after: 10_000,
-            },
-        ];
+        e.node_mut().script = vec![Action::SetTimer {
+            timer: Timer::Custom(1),
+            after: 10_000,
+        }];
         let mut fx = Vec::new();
         assert_eq!(e.fire_due(100, &mut fx), 1, "only Tick may fire");
         assert_eq!(e.node().timer_fires, vec![(Timer::Tick, 100)]);
-        assert_eq!(e.timer_deadline(Timer::Custom(0)), None);
         assert_eq!(e.timer_deadline(Timer::Custom(1)), Some(10_100));
     }
 
@@ -2468,10 +2407,6 @@ mod tests {
         fn is_leader(&self) -> bool {
             true
         }
-
-        fn leader_hint(&self) -> Option<NodeId> {
-            Some(self.me)
-        }
     }
 
     type D = ReplicaEngine<Deciding, KvStore>;
@@ -2705,7 +2640,7 @@ mod tests {
         // spaced wider than the window but inside the idle threshold.
         let cfg = adaptive_cfg(16, 1_000);
         let mut e = adaptive(16, 1_000);
-        assert!(5 * 1_000 < cfg.idle_after, "spacing must not look idle");
+        assert!(5 * 1_000 < cfg.idle_after(), "spacing must not look idle");
         let mut depths = Vec::new();
         for round in 0..20u64 {
             let t = round * 5_000;
@@ -2757,7 +2692,7 @@ mod tests {
         assert!(e.stats().depth > 1);
         // A long silence, then one request: it must flush immediately at
         // depth 1 instead of waiting out the deadline at the old depth.
-        let later = 1_000 + cfg.idle_after;
+        let later = 1_000 + cfg.idle_after();
         let fx = request(&mut e, 77, 1, Op::Noop, later);
         assert_eq!(reply_ids(&fx), vec![(NodeId(77), 1)]);
         assert_eq!(e.stats().depth, 1);
@@ -2767,14 +2702,13 @@ mod tests {
     #[test]
     fn adaptive_backlog_knee_stops_growth() {
         // Scripted never commits, so every multi-command batch stays in
-        // flight: with a knee of 1 the controller must stop growing (and
-        // halve) as soon as one batch is outstanding, keeping the depth
-        // pinned low no matter how hot the demand looks.
-        let mut cfg = adaptive_cfg(32, 1_000);
-        cfg.backlog_knee = 1;
+        // flight: the controller must stop growing once BACKLOG_KNEE
+        // batches are outstanding (and halve at twice that), keeping the
+        // depth pinned low no matter how hot the demand looks.
         let mut e = ReplicaEngine::new(Scripted::new(), KvStore::new())
-            .with_batching(BatchConfig::adaptive(cfg));
+            .with_batching(BatchConfig::adaptive(adaptive_cfg(32, 1_000)));
         let mut fx = Vec::new();
+        let mut depths = Vec::new();
         for i in 0..100u64 {
             e.handle(
                 EngineEvent::ClientRequest {
@@ -2785,9 +2719,16 @@ mod tests {
                 0,
                 &mut fx,
             );
-            let d = e.stats().depth;
-            assert!(d <= 2, "backlog past the knee must cap growth, got {d}");
+            depths.push(e.stats().depth);
         }
+        // Growth stops with the knee's worth of batches in flight...
+        let peak = depths.iter().copied().max().unwrap();
+        assert!(
+            peak <= BACKLOG_KNEE + 1,
+            "backlog past the knee must cap growth: {depths:?}"
+        );
+        // ...and twice the knee halves the depth down to 1.
+        assert_eq!(depths.last(), Some(&1), "depths: {depths:?}");
     }
 
     #[test]

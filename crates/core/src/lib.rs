@@ -70,6 +70,7 @@
 #![warn(missing_debug_implementations)]
 #![deny(unsafe_code)]
 
+mod advocate;
 pub mod basic_paxos;
 pub mod client;
 mod config;

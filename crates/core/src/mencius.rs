@@ -27,9 +27,9 @@
 
 use std::collections::BTreeMap;
 
+use crate::advocate::Advocate;
 use crate::basic_paxos::QuorumLearner;
 use crate::config::ClusterConfig;
-use crate::hash::{WordMap, WordSet};
 use crate::outbox::{Outbox, Timer};
 use crate::protocol::Protocol;
 use crate::types::{Ballot, Command, Instance, Nanos, NodeId, Op};
@@ -84,8 +84,8 @@ pub struct MenciusNode {
     accepted: BTreeMap<Instance, Command>,
     learner: QuorumLearner<Command>,
     watermark: Instance,
-    my_clients: WordSet<(NodeId, u64)>,
-    decided_ids: WordMap<(NodeId, u64), Instance>,
+    /// Owed answers and decided ids (Mencius never forwards).
+    adv: Advocate,
     /// Skips this node has proposed (for tests/metrics).
     skips_proposed: u64,
     tick_period: Nanos,
@@ -108,8 +108,7 @@ impl MenciusNode {
             accepted: BTreeMap::new(),
             learner: QuorumLearner::new(),
             watermark: 0,
-            my_clients: WordSet::default(),
-            decided_ids: WordMap::default(),
+            adv: Advocate::default(),
             skips_proposed: 0,
             tick_period: Self::DEFAULT_TICK,
             cfg,
@@ -175,14 +174,9 @@ impl MenciusNode {
         let quorum = self.cfg.majority();
         let bal = self.slot_ballot(inst);
         if let Some(chosen) = self.learner.on_learn(inst, from, bal, cmd, quorum) {
-            let id = chosen.id();
-            out.commit(inst, chosen);
-            self.decided_ids.entry(id).or_insert(inst);
+            self.adv.decide(inst, chosen, out);
             while self.learner.chosen(self.watermark).is_some() {
                 self.watermark += 1;
-            }
-            if self.my_clients.remove(&id) {
-                out.reply(id.0, id.1, inst);
             }
         }
     }
@@ -242,24 +236,16 @@ impl Protocol for MenciusNode {
         _now: Nanos,
         out: &mut Outbox<Msg>,
     ) {
-        let cmd = Command::new(client, req_id, op);
-        if let Some(&inst) = self.decided_ids.get(&cmd.id()) {
-            out.reply(client, req_id, inst);
-            return;
-        }
-        self.my_clients.insert(cmd.id());
         // Multi-leader: this node advocates the command in its own slots,
         // no forwarding.
-        self.propose_own(cmd, out);
+        if let Some(cmd) = self.adv.request(Command::new(client, req_id, op), out) {
+            self.propose_own(cmd, out);
+        }
     }
 
     /// Every Mencius node leads its own slot range.
     fn is_leader(&self) -> bool {
         true
-    }
-
-    fn leader_hint(&self) -> Option<NodeId> {
-        Some(self.me())
     }
 
     fn instance_of(&self, msg: &Msg) -> Option<Instance> {
@@ -271,7 +257,7 @@ impl Protocol for MenciusNode {
     fn truncate(&mut self, watermark: Instance) {
         self.accepted = self.accepted.split_off(&watermark);
         self.learner.truncate(watermark);
-        self.decided_ids.retain(|_, &mut inst| inst >= watermark);
+        self.adv.prune(watermark);
         self.watermark = self.watermark.max(watermark);
         while self.learner.chosen(self.watermark).is_some() {
             self.watermark += 1;

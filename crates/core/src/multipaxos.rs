@@ -17,12 +17,12 @@
 //! elected at ballot `(1, leader)`, modelling the steady state the paper
 //! measures; failover runs a real phase 1.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
+use crate::advocate::Advocate;
 use crate::basic_paxos::QuorumLearner;
 use crate::config::ClusterConfig;
 use crate::failure::FailureDetector;
-use crate::hash::{WordMap, WordSet};
 use crate::outbox::{Outbox, Timer};
 use crate::protocol::Protocol;
 use crate::types::{Ballot, Command, Instance, Nanos, NodeId, Op};
@@ -141,9 +141,6 @@ pub struct MultiPaxosNode {
     accepted: BTreeMap<Instance, (Ballot, Command)>,
     /// Learner.
     learner: QuorumLearner<Command>,
-    /// Command id → instance for every decided command (re-proposal
-    /// dedup for retries and re-forwards).
-    decided_ids: WordMap<(NodeId, u64), Instance>,
     /// Contiguous chosen prefix (next instance expected to be decided).
     watermark: Instance,
     /// Proposer.
@@ -151,14 +148,12 @@ pub struct MultiPaxosNode {
     leader: Option<NodeId>,
     next_instance: Instance,
     proposed: BTreeMap<Instance, Command>,
-    queue: VecDeque<Command>,
-    /// Commands forwarded to the leader with forwarding time: if they are
-    /// not decided within the suspicion timeout, the leader is slow even
-    /// if its heartbeats still trickle in — the demand-driven detection
-    /// of §7.6.
-    forwarded: BTreeMap<(NodeId, u64), (Command, Nanos)>,
+    /// Owed answers, decided ids, queued commands and forwards: a
+    /// forward not decided within the suspicion timeout means the leader
+    /// is slow even if its heartbeats still trickle in — the
+    /// demand-driven detection of §7.6.
+    adv: Advocate,
     electing: Option<Electing>,
-    my_clients: WordSet<(NodeId, u64)>,
     fd: FailureDetector,
     noop_seq: u64,
 }
@@ -179,16 +174,13 @@ impl MultiPaxosNode {
             promised: Ballot::new(1, leader),
             accepted: BTreeMap::new(),
             learner: QuorumLearner::new(),
-            decided_ids: WordMap::default(),
             watermark: 0,
             leading,
             leader: Some(leader),
             next_instance: 0,
             proposed: BTreeMap::new(),
-            queue: VecDeque::new(),
-            forwarded: BTreeMap::new(),
+            adv: Advocate::default(),
             electing: None,
-            my_clients: WordSet::default(),
             fd,
             noop_seq: 0,
             cfg,
@@ -207,20 +199,12 @@ impl MultiPaxosNode {
 
     /// Number of commands waiting for a leader.
     pub fn queue_len(&self) -> usize {
-        self.queue.len()
+        self.adv.queue.len()
     }
 
-    /// Proposes `cmd` in a fresh instance (leader only). A command that is
-    /// already decided is answered (if we owe its client a reply) instead
-    /// of being re-proposed.
+    /// Proposes the undecided `cmd` in a fresh instance (leader only).
     fn propose(&mut self, cmd: Command, out: &mut Outbox<Msg>) {
         debug_assert!(self.leading);
-        if let Some(&inst) = self.decided_ids.get(&cmd.id()) {
-            if self.my_clients.remove(&cmd.id()) {
-                out.reply(cmd.client, cmd.req_id, inst);
-            }
-            return;
-        }
         let inst = self.next_instance;
         self.next_instance += 1;
         self.proposed.insert(inst, cmd.clone());
@@ -265,21 +249,16 @@ impl MultiPaxosNode {
         let quorum = self.cfg.majority();
         if let Some(chosen) = self.learner.on_learn(inst, from, bal, cmd, quorum) {
             let id = chosen.id();
-            out.commit(inst, chosen);
-            self.decided_ids.entry(id).or_insert(inst);
-            self.forwarded.remove(&id);
+            self.adv.decide(inst, chosen, out);
             if let Some(pinned) = self.proposed.remove(&inst) {
                 // Our proposal lost the slot to another leader's command:
                 // re-advocate it instead of dropping it.
-                if pinned.id() != id && !self.decided_ids.contains_key(&pinned.id()) {
-                    self.queue.push_back(pinned);
+                if pinned.id() != id && !self.adv.is_decided(pinned.id()) {
+                    self.adv.queue.push_back(pinned);
                 }
             }
             while self.learner.chosen(self.watermark).is_some() {
                 self.watermark += 1;
-            }
-            if self.my_clients.remove(&id) {
-                out.reply(id.0, id.1, inst);
             }
         }
     }
@@ -385,7 +364,7 @@ impl MultiPaxosNode {
         // cases where both copies commit.
         let orphans: Vec<Command> = self.proposed.values().cloned().collect();
         self.proposed.clear();
-        self.queue.extend(orphans);
+        self.adv.queue.extend(orphans);
     }
 
     fn leader_suspected(&self, now: Nanos) -> bool {
@@ -396,12 +375,20 @@ impl MultiPaxosNode {
         }
     }
 
-    /// Proposes every queued command in a fresh instance (leader only).
+    /// Proposes every queued undecided command in a fresh instance
+    /// (leader only).
     fn propose_queued(&mut self, out: &mut Outbox<Msg>) {
-        for cmd in std::mem::take(&mut self.queue) {
-            self.propose(cmd, out);
+        for cmd in std::mem::take(&mut self.adv.queue) {
+            if !self.adv.is_decided(cmd.id()) {
+                self.propose(cmd, out);
+            }
         }
     }
+}
+
+/// Wraps a command into the forward to the leader.
+fn forward(cmd: Command) -> Msg {
+    Msg::Forward { cmd }
 }
 
 impl Protocol for MultiPaxosNode {
@@ -422,14 +409,18 @@ impl Protocol for MultiPaxosNode {
         self.fd.heard(from, now);
         match msg {
             Msg::Forward { cmd } => {
-                // The node the client contacted owns the reply; the leader
-                // only advocates the command.
+                // The node the client contacted answers it, at the
+                // decision or at once from its decided table; the leader
+                // only agrees the command, and drops a decided one.
+                if self.adv.is_decided(cmd.id()) {
+                    return;
+                }
                 if self.leading {
                     self.propose(cmd, out);
                 } else {
                     // Not the leader (any more): queue; the tick will
                     // re-forward or take over.
-                    self.queue.push_back(cmd);
+                    self.adv.queue.push_back(cmd);
                 }
             }
             Msg::Prepare { bal, from_inst } => {
@@ -505,32 +496,18 @@ impl Protocol for MultiPaxosNode {
             // Demand-driven suspicion (§7.6): forwarded commands that the
             // leader has not decided within the timeout mean the leader is
             // too slow, even if heartbeats still trickle in.
-            let stalled = self
-                .forwarded
-                .values()
-                .any(|&(_, t)| now.saturating_sub(t) > self.timing.suspect_after);
-            if stalled {
-                let reclaimed: Vec<Command> =
-                    self.forwarded.values().map(|(c, _)| c.clone()).collect();
-                self.forwarded.clear();
-                self.queue.extend(reclaimed);
+            if self.adv.reclaim_stalled(now, self.timing.suspect_after) {
                 if self.electing.is_none() {
                     self.start_election(out);
                 }
-            } else if !self.queue.is_empty() {
+            } else if !self.adv.queue.is_empty() {
                 if self.leader_suspected(now) {
                     if self.electing.is_none() {
                         self.start_election(out);
                     }
                 } else if let Some(leader) = self.leader {
                     // Re-forward queued commands to the (new) leader.
-                    for cmd in std::mem::take(&mut self.queue) {
-                        if self.decided_ids.contains_key(&cmd.id()) {
-                            continue;
-                        }
-                        self.forwarded.insert(cmd.id(), (cmd.clone(), now));
-                        out.send(leader, Msg::Forward { cmd });
-                    }
+                    self.adv.forward_queue(leader, now, out, forward);
                 }
             }
         }
@@ -545,22 +522,22 @@ impl Protocol for MultiPaxosNode {
         now: Nanos,
         out: &mut Outbox<Msg>,
     ) {
-        let cmd = Command::new(client, req_id, op);
-        self.my_clients.insert(cmd.id());
+        let Some(cmd) = self.adv.request(Command::new(client, req_id, op), out) else {
+            return;
+        };
         if self.leading {
             self.propose(cmd, out);
         } else if !self.leader_suspected(now) {
             if let Some(leader) = self.leader {
-                self.forwarded.insert(cmd.id(), (cmd.clone(), now));
-                out.send(leader, Msg::Forward { cmd });
+                self.adv.forward(leader, cmd, now, out, forward);
                 return;
             }
-            self.queue.push_back(cmd);
+            self.adv.queue.push_back(cmd);
         } else {
             // "After receiving the clients' request, the non-leader node
             // tries to become leader" (§7.6, for 1Paxos; Multi-Paxos
             // behaves identically here).
-            self.queue.push_back(cmd);
+            self.adv.queue.push_back(cmd);
             if self.electing.is_none() {
                 self.start_election(out);
             }
@@ -569,10 +546,6 @@ impl Protocol for MultiPaxosNode {
 
     fn is_leader(&self) -> bool {
         self.leading
-    }
-
-    fn leader_hint(&self) -> Option<NodeId> {
-        self.leader
     }
 
     fn instance_of(&self, msg: &Msg) -> Option<Instance> {
@@ -596,12 +569,12 @@ impl Protocol for MultiPaxosNode {
         let keep = self.proposed.split_off(&watermark);
         let orphans: Vec<Command> = std::mem::replace(&mut self.proposed, keep)
             .into_values()
-            .filter(|c| !self.decided_ids.contains_key(&c.id()))
+            .filter(|c| !self.adv.is_decided(c.id()))
             .collect();
-        self.queue.extend(orphans);
+        self.adv.queue.extend(orphans);
         self.accepted = self.accepted.split_off(&watermark);
         self.learner.truncate(watermark);
-        self.decided_ids.retain(|_, &mut inst| inst >= watermark);
+        self.adv.prune(watermark);
         self.watermark = self.watermark.max(watermark);
         while self.learner.chosen(self.watermark).is_some() {
             self.watermark += 1;

@@ -39,10 +39,10 @@ mod utility;
 pub use msg::{AbandonRe, Msg, UtilityEntry, UtilityMsg};
 pub use utility::UtilityEvent;
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
+use crate::advocate::Advocate;
 use crate::config::ClusterConfig;
-use crate::hash::{WordMap, WordSet};
 use crate::outbox::{Outbox, Timer};
 use crate::protocol::Protocol;
 use crate::types::{Ballot, Command, Instance, Nanos, NodeId, Op};
@@ -135,11 +135,10 @@ pub struct OnePaxosNode {
     /// `registerProposals`). Entries are dropped once learned.
     proposed: BTreeMap<Instance, Command>,
     next_instance: Instance,
-    /// Commands waiting for us to become (or be confirmed) leader.
-    queue: VecDeque<Command>,
-    /// Commands forwarded to the leader, with forwarding time (leader
+    /// Owed answers, decided ids, and the commands waiting for us to
+    /// become (or be confirmed) leader or forwarded to the leader (leader
     /// suspicion is demand-driven, §7.6).
-    forwarded: BTreeMap<(NodeId, u64), (Command, Nanos)>,
+    adv: Advocate,
     /// Outstanding accept requests (instance → send time).
     inflight: BTreeMap<Instance, Nanos>,
     /// Outstanding prepare request (pn, send time).
@@ -157,12 +156,7 @@ pub struct OnePaxosNode {
     ap: BTreeMap<Instance, (Ballot, Command)>,
     // --- learner state ---
     learned: BTreeMap<Instance, Command>,
-    /// Command id → instance for every decided command, so a stale
-    /// forward or retry of an already-decided command is answered (or
-    /// dropped) instead of re-proposed.
-    decided_ids: WordMap<(NodeId, u64), Instance>,
     watermark: Instance,
-    my_clients: WordSet<(NodeId, u64)>,
     // --- embedded PaxosUtility ---
     utility: PaxosUtility,
     noop_seq: u64,
@@ -216,8 +210,7 @@ impl OnePaxosNode {
             active_acceptor: Some(acceptor),
             proposed: BTreeMap::new(),
             next_instance: 0,
-            queue: VecDeque::new(),
-            forwarded: BTreeMap::new(),
+            adv: Advocate::default(),
             inflight: BTreeMap::new(),
             prepare_state: None,
             pending_op: PendingOp::None,
@@ -226,9 +219,7 @@ impl OnePaxosNode {
             i_am_fresh: true,
             ap: BTreeMap::new(),
             learned: BTreeMap::new(),
-            decided_ids: WordMap::default(),
             watermark: 0,
-            my_clients: WordSet::default(),
             utility,
             noop_seq: 0,
             freshness_blocks: 0,
@@ -277,7 +268,7 @@ impl OnePaxosNode {
 
     /// Commands queued locally waiting for leadership or a leader.
     pub fn queue_len(&self) -> usize {
-        self.queue.len() + self.forwarded.len()
+        self.adv.pending()
     }
 
     fn me(&self) -> NodeId {
@@ -323,36 +314,9 @@ impl OnePaxosNode {
     }
 
     fn drain_queue(&mut self, now: Nanos, out: &mut Outbox<Msg>) {
-        while let Some(cmd) = self.queue.pop_front() {
-            if self.decided_ids.contains_key(&cmd.id()) {
-                continue;
-            }
-            self.propose_cmd(cmd, now, out);
-        }
-    }
-
-    /// Routes a command: propose if leader, forward if a leader is known,
-    /// otherwise queue and try to take over. Commands already decided are
-    /// answered immediately (a client retry of a committed command).
-    fn route(&mut self, cmd: Command, now: Nanos, out: &mut Outbox<Msg>) {
-        if let Some(&inst) = self.decided_ids.get(&cmd.id()) {
-            if self.my_clients.remove(&cmd.id()) {
-                out.reply(cmd.client, cmd.req_id, inst);
-            }
-            return;
-        }
-        if self.i_am_leader {
-            self.propose_cmd(cmd, now, out);
-            return;
-        }
-        match self.utility.global_leader() {
-            Some(l) if l != self.me() => {
-                self.forwarded.insert(cmd.id(), (cmd.clone(), now));
-                out.send(l, Msg::Forward { cmd });
-            }
-            _ => {
-                self.queue.push_back(cmd);
-                self.try_takeover(now, out);
+        while let Some(cmd) = self.adv.queue.pop_front() {
+            if !self.adv.is_decided(cmd.id()) {
+                self.propose_cmd(cmd, now, out);
             }
         }
     }
@@ -396,7 +360,7 @@ impl OnePaxosNode {
         // acceptor's `ap`, but values whose accepts never arrived anywhere
         // would otherwise be lost. The RSM layer deduplicates.
         let orphans: Vec<Command> = self.proposed.values().cloned().collect();
-        self.queue.extend(orphans);
+        self.adv.queue.extend(orphans);
     }
 
     /// `registerProposals(proposals)` (Fig 13): pin values so `getAny`
@@ -461,23 +425,18 @@ impl OnePaxosNode {
             );
             return;
         }
-        self.decided_ids.entry(cmd.id()).or_insert(inst);
+        let id = cmd.id();
+        self.adv.decide(inst, cmd, out);
         if let Some(pinned) = self.proposed.remove(&inst) {
             // Our proposal lost the slot to another leader's command:
             // re-advocate it in a fresh instance instead of dropping it.
-            if pinned.id() != cmd.id() && !self.decided_ids.contains_key(&pinned.id()) {
-                self.queue.push_back(pinned);
+            if pinned.id() != id && !self.adv.is_decided(pinned.id()) {
+                self.adv.queue.push_back(pinned);
             }
         }
         self.inflight.remove(&inst);
-        let id = cmd.id();
-        self.forwarded.remove(&id);
-        out.commit(inst, cmd);
         while self.learned.contains_key(&self.watermark) {
             self.watermark += 1;
-        }
-        if self.my_clients.remove(&id) {
-            out.reply(id.0, id.1, inst);
         }
     }
 
@@ -536,14 +495,7 @@ impl OnePaxosNode {
                         self.expect_fresh_for = None;
                     }
                     // Re-forward queued commands to the new leader.
-                    let cmds: Vec<Command> = self.queue.drain(..).collect();
-                    for cmd in cmds {
-                        if self.decided_ids.contains_key(&cmd.id()) {
-                            continue;
-                        }
-                        self.forwarded.insert(cmd.id(), (cmd.clone(), now));
-                        out.send(leader, Msg::Forward { cmd });
-                    }
+                    self.adv.forward_queue(leader, now, out, forward);
                 }
             }
             UtilityEntry::AcceptorChange {
@@ -579,10 +531,7 @@ impl OnePaxosNode {
                 if success {
                     // We are the Global leader; reclaim forwarded commands
                     // and get adopted by the active acceptor (Fig 5 Step 3).
-                    let reclaimed: Vec<Command> =
-                        self.forwarded.values().map(|(c, _)| c.clone()).collect();
-                    self.forwarded.clear();
-                    self.queue.extend(reclaimed);
+                    self.adv.reclaim();
                     self.send_prepare(now, out);
                 } else {
                     // Someone else won the slot; Chosen handling already
@@ -666,6 +615,11 @@ impl OnePaxosNode {
     }
 }
 
+/// Wraps a command into the forward to the leader.
+fn forward(cmd: Command) -> Msg {
+    Msg::Forward { cmd }
+}
+
 impl Protocol for OnePaxosNode {
     type Msg = Msg;
 
@@ -684,15 +638,16 @@ impl Protocol for OnePaxosNode {
     fn on_message(&mut self, from: NodeId, msg: Msg, now: Nanos, out: &mut Outbox<Msg>) {
         match msg {
             Msg::Forward { cmd } => {
-                if self.decided_ids.contains_key(&cmd.id()) {
-                    // Stale forward of an already-decided command.
-                } else if self.i_am_leader {
+                if self.adv.is_decided(cmd.id()) {
+                    return;
+                }
+                if self.i_am_leader {
                     self.propose_cmd(cmd, now, out);
                 } else {
                     // Misdirected: queue it; the tick re-routes it to the
                     // current leader or takes over if commands stall
                     // (never re-forward inline — avoids loops).
-                    self.queue.push_back(cmd);
+                    self.adv.queue.push_back(cmd);
                 }
             }
             Msg::PrepareReq { pn, expect_fresh } => {
@@ -865,27 +820,12 @@ impl Protocol for OnePaxosNode {
         // Follower: forwarded commands stalled → the leader is slow; take
         // over (§7.6).
         if !self.i_am_leader {
-            let stale = self
-                .forwarded
-                .values()
-                .any(|&(_, t)| now.saturating_sub(t) > self.timing.suspect_after);
-            if stale {
-                let reclaimed: Vec<Command> =
-                    self.forwarded.values().map(|(c, _)| c.clone()).collect();
-                self.forwarded.clear();
-                self.queue.extend(reclaimed);
+            if self.adv.reclaim_stalled(now, self.timing.suspect_after) {
                 self.try_takeover(now, out);
-            } else if !self.queue.is_empty() {
+            } else if !self.adv.queue.is_empty() {
                 match self.utility.global_leader() {
                     Some(l) if l != self.me() && self.pending_op == PendingOp::None => {
-                        let cmds: Vec<Command> = self.queue.drain(..).collect();
-                        for cmd in cmds {
-                            if self.decided_ids.contains_key(&cmd.id()) {
-                                continue;
-                            }
-                            self.forwarded.insert(cmd.id(), (cmd.clone(), now));
-                            out.send(l, Msg::Forward { cmd });
-                        }
+                        self.adv.forward_queue(l, now, out, forward);
                     }
                     _ => self.try_takeover(now, out),
                 }
@@ -901,17 +841,26 @@ impl Protocol for OnePaxosNode {
         now: Nanos,
         out: &mut Outbox<Msg>,
     ) {
-        let cmd = Command::new(client, req_id, op);
-        self.my_clients.insert(cmd.id());
-        self.route(cmd, now, out);
+        let Some(cmd) = self.adv.request(Command::new(client, req_id, op), out) else {
+            return;
+        };
+        // Propose if leader, forward if a leader is known, otherwise
+        // queue and try to take over.
+        if self.i_am_leader {
+            self.propose_cmd(cmd, now, out);
+            return;
+        }
+        match self.utility.global_leader() {
+            Some(l) if l != self.me() => self.adv.forward(l, cmd, now, out, forward),
+            _ => {
+                self.adv.queue.push_back(cmd);
+                self.try_takeover(now, out);
+            }
+        }
     }
 
     fn is_leader(&self) -> bool {
         self.i_am_leader
-    }
-
-    fn leader_hint(&self) -> Option<NodeId> {
-        self.utility.global_leader()
     }
 
     fn supports_local_reads(&self) -> bool {
@@ -942,13 +891,13 @@ impl Protocol for OnePaxosNode {
         let keep = self.proposed.split_off(&watermark);
         let orphans: Vec<Command> = std::mem::replace(&mut self.proposed, keep)
             .into_values()
-            .filter(|c| !self.decided_ids.contains_key(&c.id()))
+            .filter(|c| !self.adv.is_decided(c.id()))
             .collect();
-        self.queue.extend(orphans);
+        self.adv.queue.extend(orphans);
         self.learned = self.learned.split_off(&watermark);
         self.ap = self.ap.split_off(&watermark);
         self.inflight = self.inflight.split_off(&watermark);
-        self.decided_ids.retain(|_, &mut inst| inst >= watermark);
+        self.adv.prune(watermark);
         self.watermark = self.watermark.max(watermark);
         while self.learned.contains_key(&self.watermark) {
             self.watermark += 1;

@@ -37,7 +37,11 @@ pub enum Action<M> {
         msg: M,
     },
     /// Reply to a client: the command `(client, req_id)` has committed in
-    /// slot `instance`.
+    /// slot `instance`. In the Paxos family only the node the client sent
+    /// the request to emits it, when the command is decided (at once,
+    /// with the first instance, if it already was); in 2PC the
+    /// coordinator emits it once every participant acknowledged the
+    /// commit.
     Reply {
         /// Client to notify.
         client: NodeId,
@@ -60,11 +64,6 @@ pub enum Action<M> {
         timer: Timer,
         /// Delay from now, in nanoseconds.
         after: Nanos,
-    },
-    /// Cancel a pending timer; a no-op if it is not armed.
-    CancelTimer {
-        /// Which timer.
-        timer: Timer,
     },
 }
 
@@ -128,11 +127,6 @@ impl<M> Outbox<M> {
     /// Arms a timer.
     pub fn set_timer(&mut self, timer: Timer, after: Nanos) {
         self.actions.push(Action::SetTimer { timer, after });
-    }
-
-    /// Cancels a timer.
-    pub fn cancel_timer(&mut self, timer: Timer) {
-        self.actions.push(Action::CancelTimer { timer });
     }
 
     /// Number of queued actions.
@@ -237,7 +231,7 @@ mod tests {
     fn into_iter_yields_actions() {
         let mut out: Outbox<u32> = Outbox::new();
         out.send(NodeId(3), 7);
-        out.cancel_timer(Timer::Tick);
+        out.set_timer(Timer::Tick, 1);
         let v: Vec<_> = out.into_iter().collect();
         assert_eq!(v.len(), 2);
     }

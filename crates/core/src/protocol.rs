@@ -1,5 +1,20 @@
 //! The sans-IO protocol interface implemented by every agreement protocol
 //! in this crate (1Paxos, Multi-Paxos, Basic-Paxos, Mencius, 2PC).
+//!
+//! # Who answers a client
+//!
+//! In the Paxos family (1Paxos, Multi-Paxos, Mencius, Basic-Paxos) a
+//! client's request is answered by the replica it was sent to, never by
+//! the leader that merely agreed a forward of it. That replica answers
+//! once the command is decided — at once if it already was, with the
+//! first instance it was decided in — so a client that re-sends to
+//! another replica after a timeout (§7.6) is answered without the command
+//! being agreed twice.
+//!
+//! 2PC answers differently: its coordinator answers every command,
+//! forwarded ones included, and only after every participant
+//! acknowledged the commit (§2.2) — until then the command is not
+//! applied everywhere, which is what a 2PC answer promises.
 
 use crate::outbox::{Outbox, Timer};
 use crate::types::{Instance, Nanos, NodeId, Op};
@@ -34,9 +49,12 @@ pub trait Protocol {
     fn on_timer(&mut self, timer: Timer, now: Nanos, out: &mut Outbox<Self::Msg>);
 
     /// A client submitted operation `op` with id `(client, req_id)` to this
-    /// node. The node advocates the command (possibly forwarding it to the
-    /// current leader) and eventually some node emits
-    /// [`Action::Reply`](crate::Action::Reply) for it.
+    /// node, which advocates the command (possibly forwarding it to the
+    /// current leader). A Paxos-family node owes the answer and emits
+    /// [`Action::Reply`](crate::Action::Reply) itself once the command is
+    /// decided (at once if it already was); in 2PC the coordinator answers
+    /// once every participant acknowledged the commit (see the module
+    /// docs).
     fn on_client_request(
         &mut self,
         client: NodeId,
@@ -49,9 +67,6 @@ pub trait Protocol {
     /// Whether this node currently believes itself to be the leader
     /// (coordinator). Used by harnesses for metrics and by tests.
     fn is_leader(&self) -> bool;
-
-    /// The node this one currently believes to be the leader, if any.
-    fn leader_hint(&self) -> Option<NodeId>;
 
     /// Whether this protocol ever serves reads from the local replica
     /// without agreement traffic (§7.5). The Paxos family defaults to
@@ -91,68 +106,5 @@ pub trait Protocol {
     /// history ignore it.
     fn truncate(&mut self, watermark: Instance) {
         let _ = watermark;
-    }
-}
-
-/// Convenience: a boxed protocol is also a protocol (enables heterogeneous
-/// harness code and trait-object deployments).
-impl<P: Protocol + ?Sized> Protocol for Box<P> {
-    type Msg = P::Msg;
-
-    fn node_id(&self) -> NodeId {
-        (**self).node_id()
-    }
-
-    fn on_start(&mut self, now: Nanos, out: &mut Outbox<Self::Msg>) {
-        (**self).on_start(now, out)
-    }
-
-    fn on_message(
-        &mut self,
-        from: NodeId,
-        msg: Self::Msg,
-        now: Nanos,
-        out: &mut Outbox<Self::Msg>,
-    ) {
-        (**self).on_message(from, msg, now, out)
-    }
-
-    fn on_timer(&mut self, timer: Timer, now: Nanos, out: &mut Outbox<Self::Msg>) {
-        (**self).on_timer(timer, now, out)
-    }
-
-    fn on_client_request(
-        &mut self,
-        client: NodeId,
-        req_id: u64,
-        op: Op,
-        now: Nanos,
-        out: &mut Outbox<Self::Msg>,
-    ) {
-        (**self).on_client_request(client, req_id, op, now, out)
-    }
-
-    fn is_leader(&self) -> bool {
-        (**self).is_leader()
-    }
-
-    fn leader_hint(&self) -> Option<NodeId> {
-        (**self).leader_hint()
-    }
-
-    fn supports_local_reads(&self) -> bool {
-        (**self).supports_local_reads()
-    }
-
-    fn can_read_locally(&self, key: u64) -> bool {
-        (**self).can_read_locally(key)
-    }
-
-    fn instance_of(&self, msg: &Self::Msg) -> Option<Instance> {
-        (**self).instance_of(msg)
-    }
-
-    fn truncate(&mut self, watermark: Instance) {
-        (**self).truncate(watermark)
     }
 }

@@ -367,16 +367,6 @@ impl<P: Protocol, S: StateMachine> ShardedEngine<P, S> {
         total
     }
 
-    /// Raises every shard's batch sequence floor (see
-    /// [`ReplicaEngine::set_batch_seq_floor`]): a rebuilt node must move
-    /// **all** of its shard engines into a fresh epoch, since each shard
-    /// group deduplicates its advocate's batch ids independently.
-    pub fn set_batch_seq_floor(&mut self, floor: u64) {
-        for e in &mut self.shards {
-            e.set_batch_seq_floor(floor);
-        }
-    }
-
     /// Switches background maintenance on for every shard group (see
     /// [`ReplicaEngine::enable_maintenance`]); call before
     /// [`Self::start`].
@@ -449,15 +439,24 @@ impl<P: Protocol> ShardedEngine<P, crate::kv::KvStore> {
     /// must not grow with its length). Background maintenance stays off:
     /// whether to run it is the harness's one
     /// [`Self::enable_maintenance`] call.
+    ///
+    /// `incarnation` counts the slot's engines: 0 at boot, one more per
+    /// restart. Each incarnation advocates batches in its own id range,
+    /// so a restarted replica never reuses a batch id its predecessor got
+    /// decided (surviving peers would drop it as a duplicate).
     pub fn deploy(
         config: EngineConfig,
         reply_mode: ReplyMode,
+        incarnation: u64,
         mut node: impl FnMut() -> P,
     ) -> Self {
         let mut e = ShardedEngine::new(config.shards, |shard| {
-            ReplicaEngine::with_reply_mode(node(), crate::kv::KvStore::new(), reply_mode)
-                .with_history(false)
-                .with_shard(shard)
+            let mut e =
+                ReplicaEngine::with_reply_mode(node(), crate::kv::KvStore::new(), reply_mode)
+                    .with_history(false)
+                    .with_shard(shard);
+            e.enter_batch_epoch(incarnation);
+            e
         });
         e.set_batching(config.batching);
         e
@@ -576,10 +575,6 @@ mod tests {
         fn is_leader(&self) -> bool {
             true
         }
-
-        fn leader_hint(&self) -> Option<NodeId> {
-            Some(self.me)
-        }
     }
 
     type Sharded = ShardedEngine<Deciding, KvStore>;
@@ -589,6 +584,26 @@ mod tests {
         ShardedEngine::new(shards, |s| {
             ReplicaEngine::new(Deciding::new(), KvStore::new()).with_shard(s)
         })
+    }
+
+    #[test]
+    fn each_incarnation_advocates_batches_above_its_epoch() {
+        for k in [0, 1, 3] {
+            let cfg = EngineConfig::new().batching(BatchConfig::new(2, 1_000));
+            let mut e = Sharded::deploy(cfg, crate::engine::ReplyMode::Immediate, k, Deciding::new);
+            let mut fx = Fx::new();
+            for c in [1, 2] {
+                e.submit(NodeId(c), 1, Op::Put { key: 7, value: 1 }, 0, &mut fx);
+            }
+            let s = e.router().route_key(7);
+            let first = e.shard(s).node().requests[0];
+            assert_eq!(first.0, NodeId(0).batch_source());
+            assert!(
+                first.1 > k << 32,
+                "incarnation {k} advocated batch {}",
+                first.1
+            );
+        }
     }
 
     #[test]

@@ -51,14 +51,16 @@ pub struct ReplyRecord {
 /// The tagged effect stream produced by a `TestNet` node's engines.
 type Effects<P> = ShardedEffects<<P as Protocol>::Msg, Option<u64>>;
 
-/// One node's engines. Maintenance runs only when the config carries
+/// One node's engines, in incarnation `incarnation` (0 at build, one more
+/// per reset). Maintenance runs only when the config carries
 /// `truncate_every`, so default nets keep an untouched timer table.
 fn deploy<P: Protocol>(
     config: EngineConfig,
     members: &[NodeId],
+    incarnation: u64,
     node: impl FnMut() -> P,
 ) -> ShardedEngine<P, KvStore> {
-    let mut e = ShardedEngine::deploy(config, ReplyMode::Immediate, node);
+    let mut e = ShardedEngine::deploy(config, ReplyMode::Immediate, incarnation, node);
     if config.truncate_every.is_some() {
         e.enable_maintenance(members, config.truncate_every);
     }
@@ -247,7 +249,7 @@ impl<P: Protocol> TestNet<P> {
             // the harness itself, so the records survive node resets.
             engines: members
                 .iter()
-                .map(|&me| deploy(config, &members, || make(&members, me)))
+                .map(|&me| deploy(config, &members, 0, || make(&members, me)))
                 .collect(),
             config,
             links: BTreeMap::new(),
@@ -354,13 +356,9 @@ impl<P: Protocol> TestNet<P> {
     pub fn reset_node(&mut self, id: NodeId, mut fresh: impl FnMut() -> P) {
         let was_blocked = self.engines[id.index()].is_blocked();
         let members: Vec<NodeId> = (0..self.engines.len() as u16).map(NodeId).collect();
-        self.engines[id.index()] = deploy(self.config, &members, &mut fresh);
-        // A rebuilt engine must not reuse its predecessor's batch
-        // identities (surviving peers deduplicate them forever).
-        let epoch = self.resets.entry(id).or_insert(0);
-        *epoch += 1;
-        let floor = *epoch * ReplicaEngine::<P, KvStore>::BATCH_EPOCH;
-        self.engines[id.index()].set_batch_seq_floor(floor);
+        let incarnation = self.resets.entry(id).or_insert(0);
+        *incarnation += 1;
+        self.engines[id.index()] = deploy(self.config, &members, *incarnation, &mut fresh);
         self.engines[id.index()].set_blocked(was_blocked);
         self.start_node(id);
     }
@@ -947,10 +945,6 @@ mod tests {
 
         fn is_leader(&self) -> bool {
             false
-        }
-
-        fn leader_hint(&self) -> Option<NodeId> {
-            None
         }
     }
 

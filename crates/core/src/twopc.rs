@@ -390,10 +390,6 @@ impl Protocol for TwoPcNode {
         self.is_coordinator()
     }
 
-    fn leader_hint(&self) -> Option<NodeId> {
-        Some(self.coordinator)
-    }
-
     /// 2PC serves reads from the local copy (Fig 10's 2PC-Joint).
     fn supports_local_reads(&self) -> bool {
         true

@@ -89,9 +89,9 @@ proptest! {
         cap in 2usize..9,
     ) {
         const DELAY: u64 = 1_000;
-        const SPACING: u64 = 5 * DELAY; // wider than a window, far under idle_after
-        let mut cfg = AdaptiveBatch::new(cap, DELAY);
-        cfg.idle_after = u64::MAX; // rounds must never read as idle
+        // Wider than a window, far under the 16-window idle decay.
+        const SPACING: u64 = 5 * DELAY;
+        let cfg = AdaptiveBatch::new(cap, DELAY);
         // A single-node group decides every agreement synchronously, so
         // the only dynamics left are the controller's.
         let mut net = TestNet::builder(1).adaptive_batching(cfg).build(make);

@@ -191,10 +191,6 @@ impl Protocol for Sink {
     fn is_leader(&self) -> bool {
         true
     }
-
-    fn leader_hint(&self) -> Option<NodeId> {
-        Some(NodeId(0))
-    }
 }
 
 #[test]

@@ -194,10 +194,6 @@ impl Protocol for Relay {
     fn is_leader(&self) -> bool {
         false
     }
-
-    fn leader_hint(&self) -> Option<NodeId> {
-        None
-    }
 }
 
 /// The donors `from` asked about a gap, in order.

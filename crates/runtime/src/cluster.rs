@@ -299,7 +299,7 @@ where
         let threads = (0..r)
             .map(|i| {
                 let io = endpoints.next().expect("replica slot");
-                launcher.launch(i, &mut self.factory, move || io)
+                launcher.launch(i, 0, &mut self.factory, move || io)
             })
             .collect();
         let clients = (r..r + c)
@@ -352,7 +352,7 @@ where
                 let me = launcher.members[i];
                 let lower = replica_addrs[..i].to_vec();
                 let expect_accepts = (r - 1 - i) + c + 1;
-                launcher.launch(i, &mut self.factory, move || {
+                launcher.launch(i, 0, &mut self.factory, move || {
                     transport::replica_transport::<P::Msg>(me, listener, &lower, expect_accepts)
                         .expect("tcp replica setup")
                 })
@@ -376,12 +376,15 @@ where
         // Restart (`Cluster::restart_replica`): fresh engines from the
         // factory — which moves in here, so restarts can mint them long
         // after this builder is gone — on the slot's old address,
-        // rejoining lazily through the reconnect lifecycle.
+        // rejoining lazily through the reconnect lifecycle, each one the
+        // slot's next incarnation.
         let mut factory = self.factory;
+        let mut incarnations = vec![0; r];
         let respawn: Respawn = Box::new(move |launcher, i| {
             let (me, my_addr) = replica_addrs[i];
             let lower = replica_addrs[..i].to_vec();
-            launcher.launch(i, &mut factory, move || {
+            incarnations[i] += 1;
+            launcher.launch(i, incarnations[i], &mut factory, move || {
                 transport::rejoin_replica_transport::<P::Msg>(me, my_addr, &lower)
                     .expect("tcp replica setup")
             })
@@ -429,12 +432,14 @@ impl Launcher {
 
     /// Starts replica slot `i`'s thread: engines around one protocol
     /// instance per shard group from `factory` (built here, on the
-    /// caller's thread), the transport from `make_io` (called on the new
+    /// caller's thread, as the slot's `incarnation`: 0 at boot, one more
+    /// per restart), the transport from `make_io` (called on the new
     /// thread, where a TCP handshake may block), wrapped in the fault
     /// plan if there is one.
     fn launch<P, T>(
         &self,
         i: usize,
+        incarnation: u64,
         factory: &mut impl FnMut(&[NodeId], NodeId) -> P,
         make_io: impl FnOnce() -> T + Send + 'static,
     ) -> JoinHandle<()>
@@ -444,7 +449,9 @@ impl Launcher {
     {
         let (me, members) = (self.members[i], &self.members);
         let mut engine =
-            ShardedEngine::deploy(self.config, ReplyMode::AfterApply, || factory(members, me));
+            ShardedEngine::deploy(self.config, ReplyMode::AfterApply, incarnation, || {
+                factory(members, me)
+            });
         // Here maintenance is on even without truncation: the gap watch
         // and the boot probe are what let a restarted slot rejoin.
         engine.enable_maintenance(members, self.config.truncate_every);

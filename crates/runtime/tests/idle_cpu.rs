@@ -179,10 +179,6 @@ impl Protocol for SlowTick {
         self.0.is_leader()
     }
 
-    fn leader_hint(&self) -> Option<NodeId> {
-        self.0.leader_hint()
-    }
-
     fn supports_local_reads(&self) -> bool {
         self.0.supports_local_reads()
     }

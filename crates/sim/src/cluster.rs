@@ -43,8 +43,7 @@ use std::time::Duration;
 
 use onepaxos::client::{Answer, ClientEffect, ClientSession, Request, RetryPolicy};
 use onepaxos::engine::{
-    BatchConfig, CatchUp, EngineConfig, EngineEffect, EngineEvent, EngineStats, ReplicaEngine,
-    ReplyMode,
+    BatchConfig, CatchUp, EngineConfig, EngineEffect, EngineEvent, EngineStats, ReplyMode,
 };
 use onepaxos::kv::KvStore;
 use onepaxos::rsm::ApplierSnapshot;
@@ -672,23 +671,28 @@ where
         let factory = &mut self.factory;
         // Maintenance only with truncation, so default runs keep their
         // exact event schedule.
-        let mut build = |me: NodeId| {
-            let mut e =
-                ShardedEngine::deploy(config, ReplyMode::Immediate, || factory(&members, me));
+        let mut build = |me: NodeId, incarnation: u64| {
+            let mut e = ShardedEngine::deploy(config, ReplyMode::Immediate, incarnation, || {
+                factory(&members, me)
+            });
             if config.truncate_every.is_some() {
                 e.enable_maintenance(&members, config.truncate_every);
             }
             e
         };
-        let engines: Vec<ShardedEngine<P, KvStore>> = members.iter().map(|&me| build(me)).collect();
+        let engines: Vec<ShardedEngine<P, KvStore>> =
+            members.iter().map(|&me| build(me, 0)).collect();
         // One pre-built fresh engine per scheduled reset, constructed up
-        // front because the factory is consumed before the sim runs.
+        // front because the factory is consumed before the sim runs; the
+        // slot's k-th scheduled reset builds its incarnation k.
+        let mut incarnations = vec![0; self.replicas];
         let spare_engines: Vec<Option<ShardedEngine<P, KvStore>>> = self
             .resets
             .iter()
             .map(|&(_, r)| {
                 assert!(r < self.replicas, "reset of nonexistent replica {r}");
-                Some(build(members[r]))
+                incarnations[r] += 1;
+                Some(build(members[r], incarnations[r]))
             })
             .collect();
         let n_replicas = self.replicas;
@@ -777,7 +781,6 @@ where
             snapshots_installed: 0,
             snapshot_requests: Vec::new(),
             spare_engines,
-            reset_epochs: vec![0; n_replicas],
             stopped: false,
             scratch: Vec::new(),
             client_scratch: Vec::new(),
@@ -869,9 +872,6 @@ struct ClusterSim<P: Protocol> {
     snapshot_requests: Vec<(usize, usize)>,
     /// Fresh engines awaiting their scheduled [`Event::ResetReplica`].
     spare_engines: Vec<Option<ShardedEngine<P, KvStore>>>,
-    /// Times each replica slot has been reset (spaces the batch-sequence
-    /// id ranges of successive incarnations apart, as `TestNet` does).
-    reset_epochs: Vec<u64>,
     stopped: bool,
     /// Reusable effect buffer.
     scratch: Effects<P>,
@@ -960,8 +960,8 @@ impl<P: Protocol> ClusterSim<P> {
     }
 
     /// Crash-restarts replica slot `r` with amnesia: swaps in the
-    /// pre-built fresh engine, spaces its batch-sequence range away from
-    /// the dead incarnation's, and re-runs the protocol bootstrap. Work
+    /// pre-built fresh engine (a new incarnation, so its batch ids stay
+    /// clear of the dead one's) and re-runs the protocol bootstrap. Work
     /// already queued or in flight toward the slot's processes still
     /// arrives — the fresh engine sees it as a new replica would: decided
     /// instances above the truncated prefix defer behind the gap until a
@@ -970,9 +970,6 @@ impl<P: Protocol> ClusterSim<P> {
         let fresh = self.spare_engines[idx].take().expect("one spare per reset");
         let dead = std::mem::replace(&mut self.engines[r], fresh);
         self.retired_truncations += dead.merged_stats().truncations;
-        self.reset_epochs[r] += 1;
-        self.engines[r]
-            .set_batch_seq_floor(self.reset_epochs[r] * ReplicaEngine::<P, KvStore>::BATCH_EPOCH);
         for s in 0..self.shards {
             let shard = ShardId(s as u16);
             let proc = self.proc_of(r, shard);
