@@ -9,173 +9,26 @@
 //! the learners. A learner learns the proposal after receiving the message
 //! from a majority of acceptors" (§2.3).
 //!
-//! This module provides the reusable single-decree building blocks
-//! ([`InstanceAcceptor`], [`QuorumLearner`]) — also the engine behind
-//! 1Paxos's *PaxosUtility* — and a complete collapsed deployment
-//! ([`BasicPaxosNode`]) that runs both phases for every command, giving
-//! the four server-side message delays the paper attributes to
-//! Basic-Paxos (§8).
-
-use std::collections::{BTreeMap, BTreeSet};
+//! This module exports the single-decree building blocks
+//! ([`InstanceAcceptor`], [`QuorumLearner`]) and a complete collapsed
+//! deployment ([`BasicPaxosNode`]) that runs both phases for every
+//! command, giving the four server-side message delays the paper
+//! attributes to Basic-Paxos (§8).
+//!
+//! The Synod rules themselves (answer, phase 1 → phase 2, restart,
+//! learn) live once in the crate-private `synod.rs`, which 1Paxos's
+//! *PaxosUtility* drives too. This node keeps only its policy: the fixed
+//! proposer, one fresh instance per command, and an immediate restart
+//! under a higher ballot when a nack outbids its proposal.
 
 use crate::advocate::Advocate;
 use crate::config::ClusterConfig;
 use crate::outbox::{Outbox, Timer};
 use crate::protocol::Protocol;
+use crate::synod::{Phase, Synod, SynodMsg};
 use crate::types::{Ballot, Command, Instance, Nanos, NodeId, Op};
 
-/// Acceptor state for one Paxos instance: the promise and the accepted
-/// proposal. This is the "short-term memory" role of the acceptor (§4.1).
-#[derive(Clone, Debug, Default)]
-pub struct InstanceAcceptor<V> {
-    promised: Ballot,
-    accepted: Option<(Ballot, V)>,
-}
-
-impl<V: Clone> InstanceAcceptor<V> {
-    /// Creates a fresh acceptor (promised = the paper's `-∞`).
-    pub fn new() -> Self {
-        InstanceAcceptor {
-            promised: Ballot::ZERO,
-            accepted: None,
-        }
-    }
-
-    /// Phase-1: handle `prepare(bal)`.
-    ///
-    /// On success (bal strictly greater than any prior promise) returns the
-    /// previously accepted proposal to be echoed in the promise; on failure
-    /// returns the higher promised ballot (for a NACK).
-    pub fn on_prepare(&mut self, bal: Ballot) -> Result<Option<(Ballot, V)>, Ballot> {
-        if bal > self.promised {
-            self.promised = bal;
-            Ok(self.accepted.clone())
-        } else {
-            Err(self.promised)
-        }
-    }
-
-    /// Phase-2: handle `accept(bal, v)`.
-    ///
-    /// Accepts iff `bal` is at least the promised ballot; returns the
-    /// higher promised ballot otherwise.
-    pub fn on_accept(&mut self, bal: Ballot, v: V) -> Result<(), Ballot> {
-        if bal >= self.promised {
-            self.promised = bal;
-            self.accepted = Some((bal, v));
-            Ok(())
-        } else {
-            Err(self.promised)
-        }
-    }
-
-    /// The highest promised ballot.
-    pub fn promised(&self) -> Ballot {
-        self.promised
-    }
-
-    /// The accepted proposal, if any.
-    pub fn accepted(&self) -> Option<&(Ballot, V)> {
-        self.accepted.as_ref()
-    }
-}
-
-/// Learner that declares a value chosen once a majority of acceptors have
-/// reported accepting the *same ballot* for an instance.
-#[derive(Clone, Debug)]
-pub struct QuorumLearner<V> {
-    votes: BTreeMap<Instance, BTreeMap<Ballot, (V, BTreeSet<NodeId>)>>,
-    chosen: BTreeMap<Instance, V>,
-}
-
-impl<V: Clone + PartialEq + std::fmt::Debug> QuorumLearner<V> {
-    /// Creates an empty learner.
-    pub fn new() -> Self {
-        QuorumLearner {
-            votes: BTreeMap::new(),
-            chosen: BTreeMap::new(),
-        }
-    }
-
-    /// Records that acceptor `from` accepted `(bal, v)` for `inst`;
-    /// returns the newly chosen value when the `quorum`-th vote arrives
-    /// (and `None` on duplicates or if already chosen).
-    ///
-    /// Votes arriving after the instance is decided are ignored even if
-    /// they carry a different value: a *single* stale acceptance under a
-    /// lower ballot is legal in Paxos (quorum intersection only forbids a
-    /// second majority). End-to-end consistency is asserted at commit
-    /// level by the harnesses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if two different values gather votes under the *same*
-    /// ballot, which only a buggy proposer can produce.
-    pub fn on_learn(
-        &mut self,
-        inst: Instance,
-        from: NodeId,
-        bal: Ballot,
-        v: V,
-        quorum: usize,
-    ) -> Option<V> {
-        if self.chosen.contains_key(&inst) {
-            return None;
-        }
-        let slot = self.votes.entry(inst).or_default();
-        let (value, voters) = slot
-            .entry(bal)
-            .or_insert_with(|| (v.clone(), BTreeSet::new()));
-        assert_eq!(
-            *value, v,
-            "two different values under ballot {bal} for instance {inst}"
-        );
-        voters.insert(from);
-        if voters.len() >= quorum {
-            self.chosen.insert(inst, v.clone());
-            self.votes.remove(&inst);
-            Some(v)
-        } else {
-            None
-        }
-    }
-
-    /// The chosen value for `inst`, if decided.
-    pub fn chosen(&self, inst: Instance) -> Option<&V> {
-        self.chosen.get(&inst)
-    }
-
-    /// Number of decided instances.
-    pub fn decided_count(&self) -> usize {
-        self.chosen.len()
-    }
-
-    /// The length of the contiguous decided prefix starting at instance 0.
-    pub fn contiguous_prefix(&self) -> Instance {
-        let mut n = 0;
-        while self.chosen.contains_key(&n) {
-            n += 1;
-        }
-        n
-    }
-
-    /// Drops chosen values and pending votes below `floor` (agreed
-    /// truncation: everything below is decided, applied and covered by a
-    /// snapshot). A truncated instance could gather a quorum a second
-    /// time from below-floor votes; inside a replica the engine drops
-    /// those before they reach the protocol (see
-    /// [`Protocol::instance_of`]).
-    pub fn truncate(&mut self, floor: Instance) {
-        self.votes = self.votes.split_off(&floor);
-        self.chosen = self.chosen.split_off(&floor);
-    }
-}
-
-impl<V: Clone + PartialEq + std::fmt::Debug> Default for QuorumLearner<V> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+pub use crate::synod::{InstanceAcceptor, QuorumLearner};
 
 /// Wire messages of the collapsed Basic-Paxos deployment.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -235,16 +88,29 @@ pub enum Msg {
     },
 }
 
-/// Per-instance proposer bookkeeping.
-#[derive(Debug)]
-struct ProposerInstance {
-    bal: Ballot,
-    cmd: Command,
-    promises: BTreeSet<NodeId>,
-    /// Highest-ballot accepted proposal seen in promises; must be proposed
-    /// instead of our own command if present.
-    prior: Option<(Ballot, Command)>,
-    phase2: bool,
+impl SynodMsg<Command> for Msg {
+    fn prepare(inst: Instance, bal: Ballot) -> Self {
+        Msg::Prepare { inst, bal }
+    }
+    fn promise(inst: Instance, bal: Ballot, accepted: Option<(Ballot, Command)>) -> Self {
+        Msg::Promise {
+            inst,
+            bal,
+            accepted,
+        }
+    }
+    fn prepare_nack(inst: Instance, promised: Ballot) -> Self {
+        Msg::PrepareNack { inst, promised }
+    }
+    fn accept(inst: Instance, bal: Ballot, cmd: Command) -> Self {
+        Msg::Accept { inst, bal, cmd }
+    }
+    fn accept_nack(inst: Instance, promised: Ballot) -> Self {
+        Msg::AcceptNack { inst, promised }
+    }
+    fn learn(inst: Instance, bal: Ballot, cmd: Command) -> Self {
+        Msg::Learn { inst, bal, cmd }
+    }
 }
 
 /// A collapsed Basic-Paxos node (proposer + acceptor + learner on every
@@ -267,13 +133,9 @@ struct ProposerInstance {
 /// ```
 #[derive(Debug)]
 pub struct BasicPaxosNode {
-    cfg: ClusterConfig,
     proposer_node: NodeId,
-    round: u32,
     next_instance: Instance,
-    proposing: BTreeMap<Instance, ProposerInstance>,
-    acceptors: BTreeMap<Instance, InstanceAcceptor<Command>>,
-    learner: QuorumLearner<Command>,
+    synod: Synod<Command>,
     /// Owed answers, decided ids and queued commands (forwards are not
     /// tracked: the proposer is fixed, so a stall has nothing to
     /// trigger).
@@ -287,162 +149,48 @@ impl BasicPaxosNode {
 
     /// Creates a node; `cfg.initial_leader()` is the (fixed) proposer.
     pub fn new(cfg: ClusterConfig) -> Self {
-        let proposer_node = cfg.initial_leader();
         BasicPaxosNode {
-            cfg,
-            proposer_node,
-            round: 0,
+            proposer_node: cfg.initial_leader(),
             next_instance: 0,
-            proposing: BTreeMap::new(),
-            acceptors: BTreeMap::new(),
-            learner: QuorumLearner::new(),
+            synod: Synod::new(cfg),
             adv: Advocate::default(),
             tick_period: Self::DEFAULT_TICK,
         }
     }
 
     fn me(&self) -> NodeId {
-        self.cfg.me()
+        self.synod.cfg().me()
     }
 
     fn start_instance(&mut self, cmd: Command, out: &mut Outbox<Msg>) {
         let inst = self.next_instance;
         self.next_instance += 1;
-        self.round += 1;
-        let bal = Ballot::new(self.round, self.me());
-        self.proposing.insert(
-            inst,
-            ProposerInstance {
-                bal,
-                cmd,
-                promises: BTreeSet::new(),
-                prior: None,
-                phase2: false,
-            },
-        );
-        // Collapsed roles: prepare locally without a message, remotely via
-        // messages.
-        for peer in self.cfg.others() {
-            out.send(peer, Msg::Prepare { inst, bal });
-        }
-        self.local_prepare(inst, bal, out);
+        let chosen = self.synod.propose(inst, cmd, out);
+        self.learned(inst, chosen, out);
     }
 
-    fn local_prepare(&mut self, inst: Instance, bal: Ballot, out: &mut Outbox<Msg>) {
-        let acc = self
-            .acceptors
-            .entry(inst)
-            .or_insert_with(InstanceAcceptor::new);
-        if let Ok(accepted) = acc.on_prepare(bal) {
-            let me = self.me();
-            self.on_promise(me, inst, bal, accepted, out);
+    /// A nack outbidding our proposal in `phase` means a higher ballot
+    /// exists: retry phase 1 at once with a larger round for the same
+    /// instance and command.
+    fn on_nack(&mut self, inst: Instance, promised: Ballot, phase: Phase, out: &mut Outbox<Msg>) {
+        if self.synod.outbid(inst, promised) == Some(phase) {
+            let chosen = self.synod.restart(inst, out);
+            self.learned(inst, chosen, out);
         }
     }
 
-    fn on_promise(
-        &mut self,
-        from: NodeId,
-        inst: Instance,
-        bal: Ballot,
-        accepted: Option<(Ballot, Command)>,
-        out: &mut Outbox<Msg>,
-    ) {
-        let majority = self.cfg.majority();
-        let Some(p) = self.proposing.get_mut(&inst) else {
+    /// Decides `chosen`, if the Synod chose a value for `inst`.
+    fn learned(&mut self, inst: Instance, chosen: Option<Command>, out: &mut Outbox<Msg>) {
+        let Some(cmd) = chosen else {
             return;
         };
-        if p.bal != bal || p.phase2 {
-            return;
+        let id = cmd.id();
+        self.adv.decide(inst, cmd, out);
+        // A competing proposer's value won this instance: advocate our
+        // command again in a fresh instance (drained on tick).
+        if let Some(want) = self.synod.retire(inst).filter(|w| w.id() != id) {
+            self.adv.queue.push_back(want);
         }
-        p.promises.insert(from);
-        if let Some((abal, acmd)) = accepted {
-            if p.prior.as_ref().is_none_or(|(pb, _)| abal > *pb) {
-                p.prior = Some((abal, acmd));
-            }
-        }
-        if p.promises.len() >= majority {
-            p.phase2 = true;
-            // Non-triviality: propose the highest-ballot accepted value if
-            // one exists, else our own command.
-            let cmd = p
-                .prior
-                .clone()
-                .map(|(_, c)| c)
-                .unwrap_or_else(|| p.cmd.clone());
-            let bal = p.bal;
-            for peer in self.cfg.others() {
-                out.send(
-                    peer,
-                    Msg::Accept {
-                        inst,
-                        bal,
-                        cmd: cmd.clone(),
-                    },
-                );
-            }
-            self.local_accept(inst, bal, cmd, out);
-        }
-    }
-
-    fn local_accept(&mut self, inst: Instance, bal: Ballot, cmd: Command, out: &mut Outbox<Msg>) {
-        let acc = self
-            .acceptors
-            .entry(inst)
-            .or_insert_with(InstanceAcceptor::new);
-        if acc.on_accept(bal, cmd.clone()).is_ok() {
-            for peer in self.cfg.others() {
-                out.send(
-                    peer,
-                    Msg::Learn {
-                        inst,
-                        bal,
-                        cmd: cmd.clone(),
-                    },
-                );
-            }
-            let me = self.me();
-            self.on_learn_vote(me, inst, bal, cmd, out);
-        }
-    }
-
-    fn on_learn_vote(
-        &mut self,
-        from: NodeId,
-        inst: Instance,
-        bal: Ballot,
-        cmd: Command,
-        out: &mut Outbox<Msg>,
-    ) {
-        let quorum = self.cfg.majority();
-        if let Some(chosen) = self.learner.on_learn(inst, from, bal, cmd, quorum) {
-            let id = chosen.id();
-            self.adv.decide(inst, chosen, out);
-            if let Some(p) = self.proposing.remove(&inst) {
-                // A competing proposer's value won this instance: advocate
-                // our command again in a fresh instance (drained on tick).
-                if p.cmd.id() != id {
-                    self.adv.queue.push_back(p.cmd);
-                }
-            }
-        }
-    }
-
-    fn retry_instance(&mut self, inst: Instance, out: &mut Outbox<Msg>) {
-        // A NACK told us a higher ballot exists: retry phase 1 with a
-        // larger round for the same instance and command.
-        let Some(p) = self.proposing.get_mut(&inst) else {
-            return;
-        };
-        self.round += 1;
-        let bal = Ballot::new(self.round, self.cfg.me());
-        p.bal = bal;
-        p.promises.clear();
-        p.prior = None;
-        p.phase2 = false;
-        for peer in self.cfg.others() {
-            out.send(peer, Msg::Prepare { inst, bal });
-        }
-        self.local_prepare(inst, bal, out);
     }
 }
 
@@ -450,7 +198,7 @@ impl Protocol for BasicPaxosNode {
     type Msg = Msg;
 
     fn node_id(&self) -> NodeId {
-        self.cfg.me()
+        self.me()
     }
 
     fn on_start(&mut self, _now: Nanos, out: &mut Outbox<Msg>) {
@@ -460,77 +208,28 @@ impl Protocol for BasicPaxosNode {
     fn on_message(&mut self, from: NodeId, msg: Msg, _now: Nanos, out: &mut Outbox<Msg>) {
         match msg {
             Msg::Forward { cmd } => {
-                if self.me() == self.proposer_node && !self.adv.is_decided(cmd.id()) {
+                if self.is_leader() && !self.adv.is_decided(cmd.id()) {
                     self.start_instance(cmd, out);
                 }
             }
-            Msg::Prepare { inst, bal } => {
-                let acc = self
-                    .acceptors
-                    .entry(inst)
-                    .or_insert_with(InstanceAcceptor::new);
-                match acc.on_prepare(bal) {
-                    Ok(accepted) => out.send(
-                        from,
-                        Msg::Promise {
-                            inst,
-                            bal,
-                            accepted,
-                        },
-                    ),
-                    Err(promised) => out.send(from, Msg::PrepareNack { inst, promised }),
-                }
-            }
+            Msg::Prepare { inst, bal } => self.synod.on_prepare(from, inst, bal, out),
             Msg::Promise {
                 inst,
                 bal,
                 accepted,
             } => {
-                self.on_promise(from, inst, bal, accepted, out);
+                let chosen = self.synod.on_promise(from, inst, bal, accepted, out);
+                self.learned(inst, chosen.chosen(), out);
             }
-            Msg::PrepareNack { inst, promised } => {
-                if self
-                    .proposing
-                    .get(&inst)
-                    .is_some_and(|p| !p.phase2 && promised > p.bal)
-                {
-                    self.retry_instance(inst, out);
-                }
-            }
+            Msg::PrepareNack { inst, promised } => self.on_nack(inst, promised, Phase::One, out),
             Msg::Accept { inst, bal, cmd } => {
-                let acc = self
-                    .acceptors
-                    .entry(inst)
-                    .or_insert_with(InstanceAcceptor::new);
-                match acc.on_accept(bal, cmd.clone()) {
-                    Ok(()) => {
-                        for peer in self.cfg.others() {
-                            out.send(
-                                peer,
-                                Msg::Learn {
-                                    inst,
-                                    bal,
-                                    cmd: cmd.clone(),
-                                },
-                            );
-                        }
-                        let me = self.me();
-                        self.on_learn_vote(me, inst, bal, cmd, out);
-                    }
-                    Err(promised) => out.send(from, Msg::AcceptNack { inst, promised }),
-                }
+                let chosen = self.synod.on_accept(from, inst, bal, cmd, out);
+                self.learned(inst, chosen, out);
             }
-            Msg::AcceptNack { inst, promised } => {
-                if self
-                    .proposing
-                    .get(&inst)
-                    .is_some_and(|p| p.phase2 && promised > p.bal)
-                {
-                    self.retry_instance(inst, out);
-                }
-            }
+            Msg::AcceptNack { inst, promised } => self.on_nack(inst, promised, Phase::Two, out),
             Msg::Learn { inst, bal, cmd } => {
-                self.on_learn_vote(from, inst, bal, cmd, out);
+                let chosen = self.synod.on_learn(from, inst, bal, cmd);
+                self.learned(inst, chosen, out);
             }
         }
     }
@@ -556,7 +255,7 @@ impl Protocol for BasicPaxosNode {
         let Some(cmd) = self.adv.request(Command::new(client, req_id, op), out) else {
             return;
         };
-        if self.me() == self.proposer_node {
+        if self.is_leader() {
             self.start_instance(cmd, out);
         } else {
             out.send(self.proposer_node, Msg::Forward { cmd });
@@ -577,15 +276,11 @@ impl Protocol for BasicPaxosNode {
     }
 
     fn truncate(&mut self, watermark: Instance) {
-        // Every instance below `watermark` is decided here, so proposer
-        // bookkeeping for those instances is gone (removed on learn)
-        // unless a snapshot install skipped the learns. Re-advocate any
-        // that survives; the RSM session layer deduplicates.
-        let keep = self.proposing.split_off(&watermark);
-        let orphans = std::mem::replace(&mut self.proposing, keep);
-        self.adv.queue.extend(orphans.into_values().map(|p| p.cmd));
-        self.acceptors = self.acceptors.split_off(&watermark);
-        self.learner.truncate(watermark);
+        // Every instance below `watermark` is decided here, so proposals
+        // for those instances are gone (retired on learn) unless a
+        // snapshot install skipped the learns. Re-advocate any that
+        // survives; the RSM session layer deduplicates.
+        self.adv.queue.extend(self.synod.truncate(watermark));
         self.adv.prune(watermark);
         self.next_instance = self.next_instance.max(watermark);
     }

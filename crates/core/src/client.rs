@@ -91,7 +91,7 @@
 
 use std::time::Duration;
 
-use crate::shard::{mix64, ShardId, ShardRouter};
+use crate::shard::{splitmix64, ShardId, ShardRouter};
 use crate::txn::{Fragment, TxnCoordinator, TxnOutcome, TxnStep};
 use crate::types::{Nanos, NodeId, Op};
 
@@ -155,8 +155,7 @@ impl RetryPolicy {
         let backed = self.base.saturating_mul(1u32 << attempt.min(8));
         let capped = backed.min(self.cap);
         let magnitude = f64::from(self.jitter_permille.min(1000)) / 1000.0;
-        *rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let draw = (mix64(*rng) % 1024) as f64 / 1024.0;
+        let draw = (splitmix64(rng) % 1024) as f64 / 1024.0;
         let patience = capped + capped.mul_f64(magnitude * draw);
         Nanos::try_from(patience.as_nanos()).unwrap_or(Nanos::MAX)
     }

@@ -19,10 +19,10 @@
 //! * [`EngineEvent::Message`] — a peer message was delivered.
 //! * [`EngineEvent::ClientRequest`] — a client submitted a command.
 //! * [`EngineEvent::ReadRelaxed`] — a client asked for a relaxed read.
-//! * [`EngineEvent::TimerDue`] — a *specific* timer's deadline passed.
-//! * [`EngineEvent::Tick`] — fire every timer whose deadline passed.
 //!
-//! and receives [`EngineEffect`]s back:
+//! Time is the harness's too: it calls [`ReplicaEngine::fire_due`] at
+//! or after [`ReplicaEngine::next_deadline`] to fire every timer that is
+//! due. It receives [`EngineEffect`]s back:
 //!
 //! * [`EngineEffect::SendTo`] — transport this message to that node.
 //! * [`EngineEffect::ReplyTo`] — notify this client of its commit (with
@@ -160,12 +160,6 @@
 //! enables maintenance; the simulator and `TestNet` only when
 //! [`EngineConfig::truncate_every`] is set, so their default runs keep
 //! an unchanged timer table and effect stream.
-//!
-//! # Fault injection
-//!
-//! [`Self::set_blocked`] is the uniform slow-core hook: a blocked engine
-//! refuses to fire timers and tells the harness (via [`Self::is_blocked`])
-//! to keep inbound messages queued.
 //!
 //! # Example
 //!
@@ -808,13 +802,6 @@ pub enum EngineEvent<M> {
         /// Key to read.
         key: u64,
     },
-    /// The deadline of `timer` passed; fire it if it is still armed.
-    TimerDue {
-        /// Which timer.
-        timer: Timer,
-    },
-    /// Fire every armed timer whose deadline is at or before `now`.
-    Tick,
 }
 
 /// One output of a [`ReplicaEngine`]: something the harness must transport.
@@ -939,7 +926,6 @@ pub struct ReplicaEngine<P: Protocol, S: StateMachine> {
     /// Relaxed reads waiting for their key to become readable, as
     /// `(client, req_id, key)`; at most one per client.
     parked_reads: Vec<(NodeId, u64, u64)>,
-    blocked: bool,
     reply_mode: ReplyMode,
     /// Whether to retain the commit log and reply records. Test harnesses
     /// assert on them; long-running deployments (the simulator, the
@@ -1002,7 +988,6 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
             replies: Vec::new(),
             deferred: Vec::new(),
             parked_reads: Vec::new(),
-            blocked: false,
             reply_mode,
             record_history: true,
             batch: None,
@@ -1131,10 +1116,6 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
 
     /// Feeds one event to the node at time `now`, appending the resulting
     /// effects to `effects`.
-    ///
-    /// Blocked engines still process events handed to them — blocking
-    /// gates *delivery* (the harness holds messages back, checked via
-    /// [`Self::is_blocked`]) and *timer firing*, not explicit calls.
     pub fn handle(
         &mut self,
         event: EngineEvent<P::Msg>,
@@ -1183,12 +1164,6 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
                     self.submit(client, req_id, Op::Get { key }, now, effects);
                 }
             }
-            EngineEvent::TimerDue { timer } => {
-                self.fire_one(timer, now, effects);
-            }
-            EngineEvent::Tick => {
-                self.fire_due(now, effects);
-            }
         }
     }
 
@@ -1213,25 +1188,19 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
     }
 
     /// Fires every armed timer whose deadline is at or before `now`, in
-    /// [`Timer`] order; returns how many fired. A blocked engine fires
-    /// nothing (the slow core is not getting cycles).
+    /// [`Timer`] order; returns how many fired.
     ///
     /// The due set is computed before any handler runs, so a handler
     /// re-arming its own timer (the periodic-tick pattern) cannot make it
     /// fire twice in one call — but each timer's armed state is
     /// re-checked just before it fires, so a handler re-arming a
     /// *sibling* due timer (or flushing the batch whose deadline is due)
-    /// takes effect within the same pass
-    /// (identical to delivering each deadline via
-    /// [`EngineEvent::TimerDue`]).
+    /// takes effect within the same pass.
     pub fn fire_due(
         &mut self,
         now: Nanos,
         effects: &mut Vec<EngineEffect<P::Msg, S::Output>>,
     ) -> usize {
-        if self.blocked {
-            return 0;
-        }
         let mut due = std::mem::take(&mut self.due_scratch);
         due.extend(
             self.timers
@@ -1254,9 +1223,6 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
         now: Nanos,
         effects: &mut Vec<EngineEffect<P::Msg, S::Output>>,
     ) -> bool {
-        if self.blocked {
-            return false;
-        }
         match self.timers.get(&timer) {
             Some(&at) if at <= now => {}
             _ => return false, // cancelled, re-armed later, or never armed
@@ -1606,22 +1572,6 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
     }
 
     // ----------------------------------------------------------------
-    // Fault injection.
-    // ----------------------------------------------------------------
-
-    /// Marks this replica as a blocked/slow core (or unblocks it).
-    /// Blocked engines fire no timers; harnesses must also hold back
-    /// message delivery while [`Self::is_blocked`] returns `true`.
-    pub fn set_blocked(&mut self, blocked: bool) {
-        self.blocked = blocked;
-    }
-
-    /// Whether this replica is currently blocked.
-    pub fn is_blocked(&self) -> bool {
-        self.blocked
-    }
-
-    // ----------------------------------------------------------------
     // Snapshots & catch-up (see `Applier::snapshot`).
     // ----------------------------------------------------------------
 
@@ -1948,32 +1898,34 @@ mod tests {
         );
         let mut fx = Vec::new();
         // Not yet due.
-        e.handle(EngineEvent::TimerDue { timer: Timer::Tick }, 99, &mut fx);
+        assert_eq!(e.fire_due(99, &mut fx), 0);
         assert!(e.node().timer_fires.is_empty());
         // Due.
-        e.handle(EngineEvent::TimerDue { timer: Timer::Tick }, 100, &mut fx);
+        assert_eq!(e.fire_due(100, &mut fx), 1);
         assert_eq!(e.node().timer_fires.len(), 1);
-        // Already fired: a second due notification is stale.
-        e.handle(EngineEvent::TimerDue { timer: Timer::Tick }, 200, &mut fx);
+        // Already fired: a later pass finds nothing armed.
+        assert_eq!(e.fire_due(200, &mut fx), 0);
         assert_eq!(e.node().timer_fires.len(), 1);
     }
 
+    /// Blocking is the harness's (a slow core gets no cycles, so its
+    /// harness does not call `fire_due`); `TestNet` is that harness.
     #[test]
     fn blocked_engine_fires_no_timers() {
-        let mut e = engine();
-        drive(
-            &mut e,
-            vec![Action::SetTimer {
+        let mut net = crate::testnet::TestNet::builder(1).build(|_, _| {
+            let mut node = Scripted::new();
+            node.script = vec![Action::SetTimer {
                 timer: Timer::Tick,
                 after: 10,
-            }],
-            0,
-        );
-        e.set_blocked(true);
-        let mut fx = Vec::new();
-        assert_eq!(e.fire_due(1_000, &mut fx), 0);
-        e.set_blocked(false);
-        assert_eq!(e.fire_due(1_000, &mut fx), 1);
+            }];
+            node
+        });
+        net.block(NodeId(0));
+        net.advance(1_000);
+        assert!(net.node(NodeId(0)).timer_fires.is_empty());
+        net.unblock(NodeId(0));
+        net.advance(0);
+        assert_eq!(net.node(NodeId(0)).timer_fires, vec![(Timer::Tick, 1_000)]);
     }
 
     fn put(client: u16, req: u64, key: u64, value: u64) -> Command {
@@ -2575,15 +2527,18 @@ mod tests {
 
     #[test]
     fn blocked_engine_holds_the_batch_until_unblocked() {
-        let mut e = batched(BatchConfig::new(100, 500));
-        request(&mut e, 9, 1, Op::Noop, 0);
-        e.set_blocked(true);
-        let mut fx = Vec::new();
-        assert_eq!(e.fire_due(10_000, &mut fx), 0, "slow core gets no cycles");
-        assert_eq!(e.pending_batch(), 1);
-        e.set_blocked(false);
-        assert_eq!(e.fire_due(10_000, &mut fx), 1);
-        assert_eq!(reply_ids(&fx), vec![(NodeId(9), 1)]);
+        let mut net = crate::testnet::TestNet::builder(1)
+            .batching(BatchConfig::new(100, 500))
+            .build(|_, _| Deciding::new());
+        net.client_request(NodeId(0), NodeId(9), 1, Op::Noop);
+        net.block(NodeId(0));
+        net.advance(10_000);
+        assert!(net.replies().is_empty(), "slow core gets no cycles");
+        assert_eq!(net.engine(NodeId(0)).pending_batch(), 1);
+        net.unblock(NodeId(0));
+        net.advance(0);
+        assert_eq!(net.engine(NodeId(0)).pending_batch(), 0);
+        assert_eq!(net.replies().len(), 1);
     }
 
     // ----------------------------------------------------------------

@@ -17,8 +17,8 @@
 //!   embedded *PaxosUtility* log.
 //! * [`multipaxos`] — collapsed Multi-Paxos, the strongest practical
 //!   baseline (§2.3).
-//! * [`basic_paxos`] — single-decree Basic-Paxos (Synod), also the engine
-//!   behind PaxosUtility.
+//! * [`basic_paxos`] — single-decree Basic-Paxos (Synod); its Synod core
+//!   also runs PaxosUtility.
 //! * [`twopc`] — 2PC in its agreement form, the blocking baseline used by
 //!   Barrelfish (§2.2).
 //! * [`mencius`] — Mencius-style multi-leader consensus (§8), the
@@ -85,6 +85,7 @@ mod outbox;
 mod protocol;
 pub mod rsm;
 pub mod shard;
+mod synod;
 pub mod testnet;
 pub mod twopc;
 pub mod txn;

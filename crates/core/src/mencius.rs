@@ -28,10 +28,10 @@
 use std::collections::BTreeMap;
 
 use crate::advocate::Advocate;
-use crate::basic_paxos::QuorumLearner;
 use crate::config::ClusterConfig;
 use crate::outbox::{Outbox, Timer};
 use crate::protocol::Protocol;
+use crate::synod::QuorumLearner;
 use crate::types::{Ballot, Command, Instance, Nanos, NodeId, Op};
 
 /// Wire messages of the Mencius-style protocol.

@@ -20,11 +20,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::advocate::Advocate;
-use crate::basic_paxos::QuorumLearner;
 use crate::config::ClusterConfig;
 use crate::failure::FailureDetector;
 use crate::outbox::{Outbox, Timer};
 use crate::protocol::Protocol;
+use crate::synod::QuorumLearner;
 use crate::types::{Ballot, Command, Instance, Nanos, NodeId, Op};
 
 /// Wire messages of collapsed Multi-Paxos.

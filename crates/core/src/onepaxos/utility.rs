@@ -14,12 +14,18 @@
 //! `LeaderChange`, remembers the tail index, and proposes at that index —
 //! "the failure of this phase implies that another node has inserted
 //! something in the meanwhile" (Appendix B).
+//!
+//! Each slot is agreed by the Synod core in the crate-private `synod.rs`,
+//! the same code that runs the Basic-Paxos baseline. The utility keeps
+//! only its policy: the chosen log and the CAS outcome, the majority
+//! query, a restart after a stalled tick (the threshold grows with the
+//! node id), and a nack that only raises the round for that restart.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::basic_paxos::{InstanceAcceptor, QuorumLearner};
 use crate::config::ClusterConfig;
 use crate::outbox::Outbox;
+use crate::synod::{Promised, Synod, SynodMsg};
 use crate::types::{Ballot, Instance, NodeId};
 
 use super::msg::{Msg, UtilityEntry, UtilityMsg};
@@ -50,18 +56,37 @@ pub enum UtilityEvent {
     },
 }
 
+impl SynodMsg<UtilityEntry> for Msg {
+    fn prepare(uinst: Instance, bal: Ballot) -> Self {
+        Msg::Utility(UtilityMsg::Prepare { uinst, bal })
+    }
+    fn promise(uinst: Instance, bal: Ballot, accepted: Option<(Ballot, UtilityEntry)>) -> Self {
+        Msg::Utility(UtilityMsg::Promise {
+            uinst,
+            bal,
+            accepted,
+        })
+    }
+    fn prepare_nack(uinst: Instance, promised: Ballot) -> Self {
+        Msg::Utility(UtilityMsg::PrepareNack { uinst, promised })
+    }
+    fn accept(uinst: Instance, bal: Ballot, entry: UtilityEntry) -> Self {
+        Msg::Utility(UtilityMsg::Accept { uinst, bal, entry })
+    }
+    fn accept_nack(uinst: Instance, promised: Ballot) -> Self {
+        Msg::Utility(UtilityMsg::AcceptNack { uinst, promised })
+    }
+    fn learn(uinst: Instance, bal: Ballot, entry: UtilityEntry) -> Self {
+        Msg::Utility(UtilityMsg::Learn { uinst, bal, entry })
+    }
+}
+
+/// Our compare-and-swap in flight; its proposal lives in the Synod.
 #[derive(Debug)]
 struct Cas {
     uinst: Instance,
-    bal: Ballot,
-    /// The entry we want chosen.
-    want: UtilityEntry,
-    /// The entry we are driving in phase 2 (ours, or a prior accepted one
-    /// that Paxos obliges us to finish).
-    driving: Option<UtilityEntry>,
-    promises: BTreeSet<NodeId>,
-    prior: Option<(Ballot, UtilityEntry)>,
-    phase2: bool,
+    /// Ticks since the start, the last counted promise or the last
+    /// restart.
     stalled_ticks: u32,
 }
 
@@ -75,10 +100,7 @@ struct Query {
 /// The utility log state machine owned by one node.
 #[derive(Debug)]
 pub(crate) struct PaxosUtility {
-    cfg: ClusterConfig,
-    round: u32,
-    acceptors: BTreeMap<Instance, InstanceAcceptor<UtilityEntry>>,
-    learner: QuorumLearner<UtilityEntry>,
+    synod: Synod<UtilityEntry>,
     /// Contiguous chosen prefix.
     log: Vec<UtilityEntry>,
     /// Chosen out of order, waiting for the gap to fill.
@@ -97,10 +119,7 @@ impl PaxosUtility {
     /// all nodes that initial knowledge.
     pub fn with_seed(cfg: ClusterConfig, seed: Vec<UtilityEntry>) -> Self {
         PaxosUtility {
-            cfg,
-            round: 0,
-            acceptors: BTreeMap::new(),
-            learner: QuorumLearner::new(),
+            synod: Synod::new(cfg),
             log: seed,
             chosen_ahead: BTreeMap::new(),
             cas: None,
@@ -143,24 +162,12 @@ impl PaxosUtility {
     pub fn start_cas(&mut self, entry: UtilityEntry, out: &mut Outbox<Msg>) -> Instance {
         assert!(self.cas.is_none(), "one utility CAS at a time");
         let uinst = self.log.len() as Instance;
-        self.round += 1;
-        let bal = Ballot::new(self.round, self.cfg.me());
         self.cas = Some(Cas {
             uinst,
-            bal,
-            want: entry,
-            driving: None,
-            promises: BTreeSet::new(),
-            prior: None,
-            phase2: false,
             stalled_ticks: 0,
         });
-        for peer in self.cfg.others() {
-            out.send(peer, Msg::Utility(UtilityMsg::Prepare { uinst, bal }));
-        }
-        let mut events = Vec::new();
-        self.local_prepare(uinst, bal, out, &mut events);
-        debug_assert!(events.is_empty(), "CAS cannot finish from one promise");
+        let chosen = self.synod.propose(uinst, entry, out);
+        debug_assert!(chosen.is_none(), "CAS cannot finish from one promise");
         uinst
     }
 
@@ -180,7 +187,7 @@ impl PaxosUtility {
             done: false,
         });
         let have = self.log.len() as Instance;
-        for peer in self.cfg.others() {
+        for peer in self.synod.cfg().others() {
             out.send(peer, Msg::Utility(UtilityMsg::Query { qid, have }));
         }
         qid
@@ -190,31 +197,18 @@ impl PaxosUtility {
     /// The retry threshold grows with the node id, giving contending
     /// proposers a deterministic priority order (duelling avoidance).
     pub fn tick(&mut self, out: &mut Outbox<Msg>) {
-        let me = self.cfg.me();
+        let threshold = 2 + self.synod.cfg().me().index() as u32;
         let Some(cas) = self.cas.as_mut() else {
             return;
         };
         cas.stalled_ticks += 1;
-        let threshold = 2 + me.index() as u32;
         if cas.stalled_ticks < threshold {
             return;
         }
         // Restart phase 1 for the same slot with a bigger ballot.
-        self.round += 1;
-        let bal = Ballot::new(self.round, me);
-        let uinst = cas.uinst;
-        cas.bal = bal;
-        cas.promises.clear();
-        cas.prior = None;
-        cas.driving = None;
-        cas.phase2 = false;
         cas.stalled_ticks = 0;
-        for peer in self.cfg.others() {
-            out.send(peer, Msg::Utility(UtilityMsg::Prepare { uinst, bal }));
-        }
-        let mut events = Vec::new();
-        self.local_prepare(uinst, bal, out, &mut events);
-        debug_assert!(events.is_empty());
+        let chosen = self.synod.restart(cas.uinst, out);
+        debug_assert!(chosen.is_none());
     }
 
     /// Handles a utility message, returning events for the owning node.
@@ -226,80 +220,36 @@ impl PaxosUtility {
     ) -> Vec<UtilityEvent> {
         let mut events = Vec::new();
         match msg {
-            UtilityMsg::Prepare { uinst, bal } => {
-                let acc = self
-                    .acceptors
-                    .entry(uinst)
-                    .or_insert_with(InstanceAcceptor::new);
-                match acc.on_prepare(bal) {
-                    Ok(accepted) => out.send(
-                        from,
-                        Msg::Utility(UtilityMsg::Promise {
-                            uinst,
-                            bal,
-                            accepted,
-                        }),
-                    ),
-                    Err(promised) => out.send(
-                        from,
-                        Msg::Utility(UtilityMsg::PrepareNack { uinst, promised }),
-                    ),
-                }
-            }
+            UtilityMsg::Prepare { uinst, bal } => self.synod.on_prepare(from, uinst, bal, out),
             UtilityMsg::Promise {
                 uinst,
                 bal,
                 accepted,
             } => {
-                self.on_promise(from, uinst, bal, accepted, out, &mut events);
+                if let Promised::Counted(chosen) =
+                    self.synod.on_promise(from, uinst, bal, accepted, out)
+                {
+                    if let Some(cas) = self.cas.as_mut() {
+                        cas.stalled_ticks = 0;
+                    }
+                    self.learned(uinst, chosen, &mut events);
+                }
             }
-            UtilityMsg::PrepareNack { uinst, promised } => {
+            UtilityMsg::PrepareNack { uinst, promised }
+            | UtilityMsg::AcceptNack { uinst, promised } => {
                 // A higher ballot exists: let the tick retry with a bigger
                 // one; remember the round so the next ballot clears it.
-                if self
-                    .cas
-                    .as_ref()
-                    .is_some_and(|c| c.uinst == uinst && promised > c.bal)
-                {
-                    self.round = self.round.max(promised.round);
+                if self.synod.outbid(uinst, promised).is_some() {
+                    self.synod.raise_round(promised.round);
                 }
             }
             UtilityMsg::Accept { uinst, bal, entry } => {
-                let acc = self
-                    .acceptors
-                    .entry(uinst)
-                    .or_insert_with(InstanceAcceptor::new);
-                match acc.on_accept(bal, entry.clone()) {
-                    Ok(()) => {
-                        for peer in self.cfg.others() {
-                            out.send(
-                                peer,
-                                Msg::Utility(UtilityMsg::Learn {
-                                    uinst,
-                                    bal,
-                                    entry: entry.clone(),
-                                }),
-                            );
-                        }
-                        self.on_learn_vote(self.cfg.me(), uinst, bal, entry, &mut events);
-                    }
-                    Err(promised) => out.send(
-                        from,
-                        Msg::Utility(UtilityMsg::AcceptNack { uinst, promised }),
-                    ),
-                }
-            }
-            UtilityMsg::AcceptNack { uinst, promised } => {
-                if self
-                    .cas
-                    .as_ref()
-                    .is_some_and(|c| c.uinst == uinst && promised > c.bal)
-                {
-                    self.round = self.round.max(promised.round);
-                }
+                let chosen = self.synod.on_accept(from, uinst, bal, entry, out);
+                self.learned(uinst, chosen, &mut events);
             }
             UtilityMsg::Learn { uinst, bal, entry } => {
-                self.on_learn_vote(from, uinst, bal, entry, &mut events);
+                let chosen = self.synod.on_learn(from, uinst, bal, entry);
+                self.learned(uinst, chosen, &mut events);
             }
             UtilityMsg::Query { qid, have } => {
                 let entries: Vec<(Instance, UtilityEntry)> = self
@@ -315,7 +265,7 @@ impl PaxosUtility {
                 for (uinst, entry) in entries {
                     self.absorb_chosen(uinst, entry, &mut events);
                 }
-                let majority = self.cfg.majority();
+                let majority = self.synod.cfg().majority();
                 if let Some(q) = self.query.as_mut() {
                     if q.qid == qid && !q.done {
                         q.replied.insert(from);
@@ -332,97 +282,15 @@ impl PaxosUtility {
         events
     }
 
-    fn local_prepare(
+    /// Absorbs `chosen`, if the Synod chose an entry for `uinst`.
+    fn learned(
         &mut self,
         uinst: Instance,
-        bal: Ballot,
-        out: &mut Outbox<Msg>,
+        chosen: Option<UtilityEntry>,
         events: &mut Vec<UtilityEvent>,
     ) {
-        let acc = self
-            .acceptors
-            .entry(uinst)
-            .or_insert_with(InstanceAcceptor::new);
-        if let Ok(accepted) = acc.on_prepare(bal) {
-            self.on_promise(self.cfg.me(), uinst, bal, accepted, out, events);
-        }
-    }
-
-    fn on_promise(
-        &mut self,
-        from: NodeId,
-        uinst: Instance,
-        bal: Ballot,
-        accepted: Option<(Ballot, UtilityEntry)>,
-        out: &mut Outbox<Msg>,
-        events: &mut Vec<UtilityEvent>,
-    ) {
-        let majority = self.cfg.majority();
-        let Some(cas) = self.cas.as_mut() else {
-            return;
-        };
-        if cas.uinst != uinst || cas.bal != bal || cas.phase2 {
-            return;
-        }
-        cas.stalled_ticks = 0;
-        cas.promises.insert(from);
-        if let Some((abal, entry)) = accepted {
-            if cas.prior.as_ref().is_none_or(|(pb, _)| abal > *pb) {
-                cas.prior = Some((abal, entry));
-            }
-        }
-        if cas.promises.len() < majority {
-            return;
-        }
-        cas.phase2 = true;
-        // Paxos obliges us to finish a prior proposal if one exists.
-        let driving = cas
-            .prior
-            .as_ref()
-            .map(|(_, e)| e.clone())
-            .unwrap_or_else(|| cas.want.clone());
-        cas.driving = Some(driving.clone());
-        for peer in self.cfg.others() {
-            out.send(
-                peer,
-                Msg::Utility(UtilityMsg::Accept {
-                    uinst,
-                    bal,
-                    entry: driving.clone(),
-                }),
-            );
-        }
-        // Local accept + self learn vote.
-        let acc = self
-            .acceptors
-            .entry(uinst)
-            .or_insert_with(InstanceAcceptor::new);
-        if acc.on_accept(bal, driving.clone()).is_ok() {
-            for peer in self.cfg.others() {
-                out.send(
-                    peer,
-                    Msg::Utility(UtilityMsg::Learn {
-                        uinst,
-                        bal,
-                        entry: driving.clone(),
-                    }),
-                );
-            }
-            self.on_learn_vote(self.cfg.me(), uinst, bal, driving, events);
-        }
-    }
-
-    fn on_learn_vote(
-        &mut self,
-        from: NodeId,
-        uinst: Instance,
-        bal: Ballot,
-        entry: UtilityEntry,
-        events: &mut Vec<UtilityEvent>,
-    ) {
-        let quorum = self.cfg.majority();
-        if let Some(chosen) = self.learner.on_learn(uinst, from, bal, entry, quorum) {
-            self.absorb_chosen(uinst, chosen, events);
+        if let Some(entry) = chosen {
+            self.absorb_chosen(uinst, entry, events);
         }
     }
 
@@ -450,15 +318,13 @@ impl PaxosUtility {
                 uinst: slot,
                 entry: e.clone(),
             });
-            if let Some(cas) = self.cas.as_ref() {
-                if cas.uinst == slot {
-                    let success = e == cas.want;
-                    events.push(UtilityEvent::CasFinished {
-                        uinst: slot,
-                        success,
-                    });
-                    self.cas = None;
-                }
+            if self.cas.as_ref().is_some_and(|cas| cas.uinst == slot) {
+                let success = self.synod.retire(slot).is_some_and(|want| want == e);
+                events.push(UtilityEvent::CasFinished {
+                    uinst: slot,
+                    success,
+                });
+                self.cas = None;
             }
         }
     }

@@ -127,6 +127,16 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// One SplitMix64 step (Steele, Lea & Flood): advances `state` by the
+/// golden-ratio increment and returns it through `mix64`. The one
+/// deterministic generator behind the client's retry jitter, the
+/// simulator's `SimRng`, the runtime's reconnect jitter and its seeded
+/// fault schedules.
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    mix64(*state)
+}
+
 impl ShardRouter {
     /// Creates a router over `shards` groups.
     ///
@@ -321,20 +331,6 @@ impl<P: Protocol, S: StateMachine> ShardedEngine<P, S> {
     /// different cores.
     pub fn next_deadline(&self) -> Option<Nanos> {
         self.shards.iter().filter_map(|e| e.next_deadline()).min()
-    }
-
-    /// Marks every shard blocked/unblocked: blocking models a slow *core*,
-    /// and all shards hosted on that core starve together.
-    pub fn set_blocked(&mut self, blocked: bool) {
-        for e in &mut self.shards {
-            e.set_blocked(blocked);
-        }
-    }
-
-    /// Whether the shards are currently blocked (uniform across shards by
-    /// construction).
-    pub fn is_blocked(&self) -> bool {
-        self.shards.iter().any(ReplicaEngine::is_blocked)
     }
 
     /// Enables or disables command batching on every shard. Each shard
@@ -793,20 +789,41 @@ mod tests {
         assert_eq!(e.shard(ShardId(2)).next_deadline(), Some(300));
     }
 
+    /// Blocking models a slow *core*: every shard group hosted on it
+    /// starves together, so a waiting batch is held in each of them.
     #[test]
     fn blocking_gates_every_shard() {
-        let mut e = ShardedEngine::new(2, |s| {
-            ReplicaEngine::new(Deciding::new(), KvStore::new())
-                .with_shard(s)
-                .with_batching(BatchConfig::new(8, 100))
-        });
-        let mut fx: Fx = Vec::new();
-        e.submit(NodeId(9), 1, Op::Noop, 0, &mut fx);
-        e.set_blocked(true);
-        assert!(e.is_blocked());
-        assert_eq!(e.fire_due(10_000, &mut fx), 0, "blocked core fires nothing");
-        e.set_blocked(false);
-        assert_eq!(e.fire_due(10_000, &mut fx), 1);
+        let mut net = crate::testnet::TestNet::builder(1)
+            .shards(2)
+            .batching(BatchConfig::new(8, 100))
+            .build(|_, _| Deciding::new());
+        for key in 0..8 {
+            net.client_request(NodeId(0), NodeId(9), key + 1, Op::Put { key, value: 1 });
+        }
+        let e = net.sharded_engine(NodeId(0));
+        let waiting = |s| e.shard(ShardId(s)).pending_batch();
+        assert!(waiting(0) > 0 && waiting(1) > 0, "both shards hold a batch");
+        net.block(NodeId(0));
+        net.advance(10_000);
+        assert!(net.replies().is_empty(), "blocked core fires nothing");
+        net.unblock(NodeId(0));
+        net.advance(0);
+        assert_eq!(net.replies().len(), 8);
+    }
+
+    #[test]
+    fn splitmix64_matches_the_reference_stream() {
+        // Seed 0 of the reference implementation (Vigna, splitmix64.c).
+        let mut state = 0;
+        let stream: Vec<u64> = (0..3).map(|_| splitmix64(&mut state)).collect();
+        assert_eq!(
+            stream,
+            [
+                0xe220_a839_7b1d_cdaf,
+                0x6e78_9e6a_a1b9_65f4,
+                0x06c4_5d18_8009_454f
+            ]
+        );
     }
 
     #[test]

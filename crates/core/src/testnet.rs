@@ -145,6 +145,9 @@ impl<P: Protocol> TestNetBuilder<P> {
 /// ```
 pub struct TestNet<P: Protocol> {
     engines: Vec<ShardedEngine<P, KvStore>>,
+    /// Per node: a slow core, whose timers do not fire and whose inbound
+    /// messages stay queued.
+    blocked: Vec<bool>,
     /// The deployment shape (shard groups, batching, truncation),
     /// remembered so a [`Self::reset_node`] rebuild keeps it.
     config: EngineConfig,
@@ -251,6 +254,7 @@ impl<P: Protocol> TestNet<P> {
                 .iter()
                 .map(|&me| deploy(config, &members, 0, || make(&members, me)))
                 .collect(),
+            blocked: vec![false; members.len()],
             config,
             links: BTreeMap::new(),
             now: 0,
@@ -354,12 +358,10 @@ impl<P: Protocol> TestNet<P> {
     /// sharded net, *every* shard group's member at that node reboots
     /// (the whole core went away), each into a fresh batch epoch.
     pub fn reset_node(&mut self, id: NodeId, mut fresh: impl FnMut() -> P) {
-        let was_blocked = self.engines[id.index()].is_blocked();
         let members: Vec<NodeId> = (0..self.engines.len() as u16).map(NodeId).collect();
         let incarnation = self.resets.entry(id).or_insert(0);
         *incarnation += 1;
         self.engines[id.index()] = deploy(self.config, &members, *incarnation, &mut fresh);
-        self.engines[id.index()].set_blocked(was_blocked);
         self.start_node(id);
     }
 
@@ -410,17 +412,17 @@ impl<P: Protocol> TestNet<P> {
     /// Blocks a node: it stops processing messages and timers (a slow
     /// core). Messages addressed to it queue up.
     pub fn block(&mut self, id: NodeId) {
-        self.engines[id.index()].set_blocked(true);
+        self.blocked[id.index()] = true;
     }
 
     /// Unblocks a node; queued input becomes deliverable again.
     pub fn unblock(&mut self, id: NodeId) {
-        self.engines[id.index()].set_blocked(false);
+        self.blocked[id.index()] = false;
     }
 
     /// Whether `id` is currently blocked.
     pub fn is_blocked(&self, id: NodeId) -> bool {
-        self.engines[id.index()].is_blocked()
+        self.blocked[id.index()]
     }
 
     /// Submits a client request to `target`, routing it to the owning
@@ -743,6 +745,9 @@ impl<P: Protocol> TestNet<P> {
         self.now += delta;
         let now = self.now;
         for i in 0..self.engines.len() {
+            if self.blocked[i] {
+                continue; // the slow core is not getting cycles
+            }
             let mut effects = std::mem::take(&mut self.scratch);
             self.engines[i].fire_due(now, &mut effects);
             self.absorb(NodeId(i as u16), &mut effects);

@@ -46,7 +46,6 @@ use onepaxos::wire::{decode_exact, encode_to_vec, Codec};
 use onepaxos::{EngineEvent, Instance, Nanos, NodeId, Op, Protocol, TxnOutcome};
 use qc_channel::{spsc, Receiver, Sender};
 
-use crate::affinity;
 use crate::fault::{FaultPlan, FaultTransport};
 use crate::transport::{self, MemTransport, Peer, TcpTransport, Transport, TransportStats};
 use crate::wire::Wire;
@@ -146,7 +145,6 @@ pub struct ClusterBuilder<P, F> {
     clients: usize,
     config: EngineConfig,
     factory: F,
-    pin_cores: bool,
     faults: Option<FaultPlan>,
     _marker: std::marker::PhantomData<fn() -> P>,
 }
@@ -157,7 +155,6 @@ impl<P, F> std::fmt::Debug for ClusterBuilder<P, F> {
             .field("replicas", &self.replicas)
             .field("clients", &self.clients)
             .field("shards", &self.config.shards)
-            .field("pin_cores", &self.pin_cores)
             .finish_non_exhaustive()
     }
 }
@@ -175,7 +172,6 @@ where
             clients: 1,
             config: EngineConfig::new(),
             factory,
-            pin_cores: false,
             faults: None,
             _marker: std::marker::PhantomData,
         }
@@ -207,13 +203,6 @@ where
     /// config describes a deployment across all three harnesses.
     pub fn config(mut self, cfg: EngineConfig) -> Self {
         self.config = cfg;
-        self
-    }
-
-    /// Pin replica threads to distinct cores (the paper's `taskset`),
-    /// when the machine has enough cores. Best-effort. Default off.
-    pub fn pin_cores(mut self, pin: bool) -> Self {
-        self.pin_cores = pin;
         self
     }
 
@@ -408,9 +397,6 @@ struct Launcher {
     members: Vec<NodeId>,
     config: EngineConfig,
     metrics: Vec<Arc<NodeMetrics>>,
-    /// Cores to pin replica threads to; empty without
-    /// [`ClusterBuilder::pin_cores`].
-    core_ids: Vec<affinity::CoreId>,
     faults: Option<FaultPlan>,
 }
 
@@ -421,11 +407,6 @@ impl Launcher {
             members: (0..b.replicas as u16).map(NodeId).collect(),
             config: b.config,
             metrics: (0..b.replicas).map(|_| Arc::default()).collect(),
-            core_ids: if b.pin_cores {
-                affinity::get_core_ids().unwrap_or_default()
-            } else {
-                Vec::new()
-            },
             faults: b.faults.clone(),
         }
     }
@@ -455,15 +436,11 @@ impl Launcher {
         // Here maintenance is on even without truncation: the gap watch
         // and the boot probe are what let a restarted slot rejoin.
         engine.enable_maintenance(members, self.config.truncate_every);
-        let core = self.core_ids.get(i % self.core_ids.len().max(1)).copied();
         let faults = self.faults.as_ref().map(|plan| plan.for_node(me));
         let metrics = Arc::clone(&self.metrics[i]);
         std::thread::Builder::new()
             .name(format!("replica-{me}"))
             .spawn(move || {
-                if let Some(core) = core {
-                    let _ = affinity::set_for_current(core);
-                }
                 let io = make_io();
                 match faults {
                     Some(plan) => replica_loop(engine, FaultTransport::new(io, plan), &metrics),

@@ -21,9 +21,10 @@
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
+use onepaxos::shard::splitmix64;
 use onepaxos::NodeId;
 
-use crate::transport::{splitmix64, Peer, Transport, TransportStats};
+use crate::transport::{Peer, Transport, TransportStats};
 use crate::wire::Wire;
 
 /// A timed window during which traffic to and from a peer (or every

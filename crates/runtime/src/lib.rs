@@ -2,8 +2,7 @@
 //! [`qc_channel`] shared-memory message passing.
 //!
 //! One OS thread per replica, a pair of lock-free SPSC queues between
-//! every two processes (§6.1), optional `core_affinity` pinning (the
-//! paper's `taskset`, §7.1), and synchronous client handles running the
+//! every two processes (§6.1), and synchronous client handles running the
 //! paper's closed loop.
 //!
 //! # Example
@@ -34,7 +33,6 @@
 #![warn(missing_debug_implementations)]
 #![deny(unsafe_code)]
 
-pub mod affinity;
 mod cluster;
 mod fault;
 mod poll;

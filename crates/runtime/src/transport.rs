@@ -28,6 +28,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd as _;
 use std::time::{Duration, Instant};
 
+use onepaxos::shard::splitmix64;
 use onepaxos::wire::{self, Codec, DecodeError, Reader, RecvBuf, SendQueue};
 use onepaxos::NodeId;
 use qc_channel::{Mailbox, Receiver, Sender};
@@ -198,17 +199,6 @@ pub trait Transport<M>: Send {
     /// Frames in flight are lost — exactly what the delivery contract
     /// already permits. Default: no-op (queue links cannot break).
     fn kill_peer_link(&mut self, _peer: NodeId) {}
-}
-
-/// SplitMix64 step — the deterministic PRNG behind reconnect jitter and
-/// the seeded fault schedules (same generator as the shard router's key
-/// hash and the client session's retry jitter).
-pub(crate) fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Empty turns [`Transport::idle_wait`] answers with a yield before it

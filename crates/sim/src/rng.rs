@@ -2,11 +2,15 @@
 //!
 //! The simulator only needs reproducible jitter and workload sampling —
 //! not cryptographic quality — and the build environment cannot fetch the
-//! `rand` crate, so this is a self-contained splitmix64 generator. Same
-//! seed, same run: the determinism tests depend on it.
+//! `rand` crate, so this is a splitmix64 generator over core's
+//! `shard::splitmix64`. Same seed, same run: the determinism tests depend
+//! on it.
+
+use onepaxos::shard::splitmix64;
 
 /// A splitmix64 generator (Steele, Lea & Flood; the seed sequencer of the
-/// xoshiro family). 2⁶⁴ period, passes BigCrush when used as a stream.
+/// xoshiro family), stepped by core's [`splitmix64`]. 2⁶⁴ period, passes
+/// BigCrush when used as a stream.
 #[derive(Clone, Debug)]
 pub struct SimRng(u64);
 
@@ -20,11 +24,7 @@ impl SimRng {
 
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        splitmix64(&mut self.0)
     }
 
     /// Uniform value in `0..n`.

@@ -385,22 +385,6 @@ fn metrics_reflect_message_flow() {
 }
 
 #[test]
-fn pinned_cluster_works_when_cores_exist() {
-    // Pinning is best-effort; the cluster must work either way.
-    let t = one_timing();
-    let (cluster, mut clients) = ClusterBuilder::new(3, move |m: &[NodeId], me| {
-        OnePaxosNode::with_timing(cfg(m, me), t)
-    })
-    .clients(1)
-    .pin_cores(true)
-    .spawn();
-    let c = &mut clients[0];
-    c.set_timeout(Duration::from_secs(2));
-    assert_eq!(c.put(1, 2).expect("commit"), None);
-    cluster.shutdown();
-}
-
-#[test]
 fn txn_put_commits_atomically_across_shard_groups() {
     use consensus_inside::onepaxos::{ShardRouter, TxnOutcome};
     let t = one_timing();

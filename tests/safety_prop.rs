@@ -2,6 +2,7 @@
 //! must hold under *every* delivery schedule, block/unblock pattern and
 //! client behaviour — and liveness must return once the network heals.
 
+use consensus_inside::onepaxos::basic_paxos::BasicPaxosNode;
 use consensus_inside::onepaxos::mencius::MenciusNode;
 use consensus_inside::onepaxos::multipaxos::MultiPaxosNode;
 use consensus_inside::onepaxos::onepaxos::OnePaxosNode;
@@ -144,6 +145,18 @@ proptest! {
         explore(
             &steps,
             |m, me| MultiPaxosNode::new(ClusterConfig::new(m.to_vec(), me)),
+            true,
+        )?;
+    }
+
+    #[test]
+    fn basic_paxos_is_safe_and_heals(steps in prop::collection::vec(step_strategy(), 0..80)) {
+        // One fixed proposer runs both Synod phases per command; a nack
+        // restarts phase 1 at once and a lost instance re-queues its
+        // command, so every request commits once the network heals.
+        explore(
+            &steps,
+            |m, me| BasicPaxosNode::new(ClusterConfig::new(m.to_vec(), me)),
             true,
         )?;
     }
