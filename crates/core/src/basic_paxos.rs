@@ -409,7 +409,7 @@ mod tests {
         net.run_to_quiescence();
         let commits = net.commits(NodeId(1));
         assert_eq!(commits.len(), 10);
-        for (&inst, cmd) in commits {
+        for (inst, cmd) in commits {
             assert_eq!(cmd.req_id, inst + 1);
         }
         net.assert_consistent();

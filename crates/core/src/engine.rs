@@ -846,6 +846,20 @@ pub enum EngineEffect<M, O> {
     },
 }
 
+/// Where an engine writes its effects: a harness's plain vector, or a
+/// [`ShardedEngine`](crate::ShardedEngine)'s sink that tags each effect
+/// with its shard as it is made, so nothing is copied to be tagged.
+pub(crate) trait EffectSink<M, O> {
+    /// Appends one effect.
+    fn push(&mut self, effect: EngineEffect<M, O>);
+}
+
+impl<M, O> EffectSink<M, O> for Vec<EngineEffect<M, O>> {
+    fn push(&mut self, effect: EngineEffect<M, O>) {
+        Vec::push(self, effect);
+    }
+}
+
 /// When [`EngineEffect::ReplyTo`] is emitted relative to application.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ReplyMode {
@@ -1122,6 +1136,16 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
         now: Nanos,
         effects: &mut Vec<EngineEffect<P::Msg, S::Output>>,
     ) {
+        self.handle_into(event, now, effects);
+    }
+
+    /// [`Self::handle`] into any [`EffectSink`].
+    pub(crate) fn handle_into(
+        &mut self,
+        event: EngineEvent<P::Msg>,
+        now: Nanos,
+        effects: &mut impl EffectSink<P::Msg, S::Output>,
+    ) {
         match event {
             EngineEvent::Start => {
                 self.node.on_start(now, &mut self.outbox);
@@ -1175,7 +1199,7 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
         req_id: u64,
         op: Op,
         now: Nanos,
-        effects: &mut Vec<EngineEffect<P::Msg, S::Output>>,
+        effects: &mut impl EffectSink<P::Msg, S::Output>,
     ) {
         // Pre-built batches bypass the accumulator (never nest).
         if self.batch.is_some() && !matches!(op, Op::Batch(_)) {
@@ -1201,6 +1225,15 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
         now: Nanos,
         effects: &mut Vec<EngineEffect<P::Msg, S::Output>>,
     ) -> usize {
+        self.fire_due_into(now, effects)
+    }
+
+    /// [`Self::fire_due`] into any [`EffectSink`].
+    pub(crate) fn fire_due_into(
+        &mut self,
+        now: Nanos,
+        effects: &mut impl EffectSink<P::Msg, S::Output>,
+    ) -> usize {
         let mut due = std::mem::take(&mut self.due_scratch);
         due.extend(
             self.timers
@@ -1221,7 +1254,7 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
         &mut self,
         timer: Timer,
         now: Nanos,
-        effects: &mut Vec<EngineEffect<P::Msg, S::Output>>,
+        effects: &mut impl EffectSink<P::Msg, S::Output>,
     ) -> bool {
         match self.timers.get(&timer) {
             Some(&at) if at <= now => {}
@@ -1288,7 +1321,7 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
 
     /// One [`MAINTENANCE`] firing: re-arm, watch the apply gap, and — as
     /// leader — propose the next agreed truncation.
-    fn maintain(&mut self, now: Nanos, effects: &mut Vec<EngineEffect<P::Msg, S::Output>>) {
+    fn maintain(&mut self, now: Nanos, effects: &mut impl EffectSink<P::Msg, S::Output>) {
         self.timers.insert(MAINTENANCE, now + MAINT_PERIOD);
         let m = self.maint.as_mut().expect("armed only when enabled");
         let truncate_every = m.truncate_every;
@@ -1327,7 +1360,7 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
         req_id: u64,
         op: Op,
         now: Nanos,
-        effects: &mut Vec<EngineEffect<P::Msg, S::Output>>,
+        effects: &mut impl EffectSink<P::Msg, S::Output>,
     ) {
         let cfg = self.batch.expect("checked by the caller");
         // O(1) retry dedup: a linear scan of `batch_buf` here would make
@@ -1357,7 +1390,7 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
         &mut self,
         trigger: FlushTrigger,
         now: Nanos,
-        effects: &mut Vec<EngineEffect<P::Msg, S::Output>>,
+        effects: &mut impl EffectSink<P::Msg, S::Output>,
     ) {
         self.timers.remove(&BATCH_FLUSH);
         self.batch_keys.clear();
@@ -1409,7 +1442,7 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
     /// scratch vector instead of allocating a fresh one per handler
     /// invocation — both buffers keep their capacity, so the hottest
     /// loop in the workspace settles at zero allocations.
-    fn absorb(&mut self, now: Nanos, effects: &mut Vec<EngineEffect<P::Msg, S::Output>>) {
+    fn absorb(&mut self, now: Nanos, effects: &mut impl EffectSink<P::Msg, S::Output>) {
         let mut actions = std::mem::take(&mut self.action_scratch);
         self.outbox.take_into(&mut actions);
         for action in actions.drain(..) {
@@ -1475,7 +1508,7 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
 
     /// Answers every parked relaxed read whose key the handler just
     /// absorbed made readable.
-    fn answer_parked_reads(&mut self, effects: &mut Vec<EngineEffect<P::Msg, S::Output>>) {
+    fn answer_parked_reads(&mut self, effects: &mut impl EffectSink<P::Msg, S::Output>) {
         let mut parked = std::mem::take(&mut self.parked_reads);
         parked.retain(|&(client, req_id, key)| {
             let Some(value) = self.local_read(key) else {
@@ -1492,7 +1525,7 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
         client: NodeId,
         req_id: u64,
         instance: Instance,
-        effects: &mut Vec<EngineEffect<P::Msg, S::Output>>,
+        effects: &mut impl EffectSink<P::Msg, S::Output>,
     ) {
         if client.is_batch_source() || client == MAINT_CLIENT {
             // The protocol acknowledging a batch to its synthetic
@@ -1521,7 +1554,7 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
         req_id: u64,
         instance: Instance,
         value: Option<S::Output>,
-        effects: &mut Vec<EngineEffect<P::Msg, S::Output>>,
+        effects: &mut impl EffectSink<P::Msg, S::Output>,
     ) {
         if self.record_history {
             self.replies.push(ReplyRecord {
@@ -1542,7 +1575,7 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
     /// Retries deferred replies after new commands were applied. Each is
     /// re-run through [`Self::reply`], which emits it when the output now
     /// exists and re-defers it otherwise.
-    fn flush_deferred(&mut self, effects: &mut Vec<EngineEffect<P::Msg, S::Output>>) {
+    fn flush_deferred(&mut self, effects: &mut impl EffectSink<P::Msg, S::Output>) {
         if self.deferred.is_empty() {
             return;
         }

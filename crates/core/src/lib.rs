@@ -36,6 +36,8 @@
 //!   the participant shard's own log (classic 2PC-over-Paxos).
 //! * [`rsm`]/[`kv`] — a replicated-state-machine layer and a key/value
 //!   state machine.
+//! * [`instance_log`] — the dense instance-indexed table behind every
+//!   per-instance table on the commit path.
 //! * [`testnet`] — a deterministic harness for driving the protocols in
 //!   tests.
 //!
@@ -77,6 +79,7 @@ mod config;
 pub mod engine;
 pub mod failure;
 mod hash;
+pub mod instance_log;
 pub mod kv;
 pub mod mencius;
 pub mod multipaxos;

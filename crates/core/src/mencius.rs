@@ -24,11 +24,14 @@
 //! slot is its only proposer. This suffices for the paper's
 //! throughput-oriented comparison; fault tolerance in Mencius requires
 //! the revocation machinery of the original paper and is out of scope.
-
-use std::collections::BTreeMap;
+//!
+//! The acceptor's `accepted` table is an
+//! [`InstanceLog`](crate::instance_log): slots are dense across the
+//! owners' interleaved ranges, so it is indexed, not searched.
 
 use crate::advocate::Advocate;
 use crate::config::ClusterConfig;
+use crate::instance_log::InstanceLog;
 use crate::outbox::{Outbox, Timer};
 use crate::protocol::Protocol;
 use crate::synod::QuorumLearner;
@@ -81,7 +84,7 @@ pub struct MenciusNode {
     max_seen: Instance,
     /// Acceptor state: accepted command per slot (the implicit ballot is
     /// `(1, owner)`; without revocation no other ballot ever appears).
-    accepted: BTreeMap<Instance, Command>,
+    accepted: InstanceLog<Command>,
     learner: QuorumLearner<Command>,
     watermark: Instance,
     /// Owed answers and decided ids (Mencius never forwards).
@@ -105,7 +108,7 @@ impl MenciusNode {
         MenciusNode {
             next_own: my_idx as Instance,
             max_seen: 0,
-            accepted: BTreeMap::new(),
+            accepted: InstanceLog::new(),
             learner: QuorumLearner::new(),
             watermark: 0,
             adv: Advocate::default(),
@@ -255,7 +258,7 @@ impl Protocol for MenciusNode {
     }
 
     fn truncate(&mut self, watermark: Instance) {
-        self.accepted = self.accepted.split_off(&watermark);
+        self.accepted.drain_below(watermark);
         self.learner.truncate(watermark);
         self.adv.prune(watermark);
         self.watermark = self.watermark.max(watermark);
@@ -367,9 +370,9 @@ mod tests {
         net.run_to_quiescence();
         let commits = net.commits(NodeId(0));
         // n1's commands occupy slots 1, 4, 7 in submission order.
-        assert_eq!(commits.get(&1).map(|c| c.req_id), Some(1));
-        assert_eq!(commits.get(&4).map(|c| c.req_id), Some(2));
-        assert_eq!(commits.get(&7).map(|c| c.req_id), Some(3));
+        assert_eq!(commits.get(1).map(|c| c.req_id), Some(1));
+        assert_eq!(commits.get(4).map(|c| c.req_id), Some(2));
+        assert_eq!(commits.get(7).map(|c| c.req_id), Some(3));
     }
 
     #[test]

@@ -16,12 +16,17 @@
 //! Bootstrap: all nodes start with the configured initial leader already
 //! elected at ballot `(1, leader)`, modelling the steady state the paper
 //! measures; failover runs a real phase 1.
+//!
+//! The acceptor's `accepted` and the proposer's `proposed` are
+//! [`InstanceLog`](crate::instance_log)s: dense instance-indexed tables,
+//! not ordered maps.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::advocate::Advocate;
 use crate::config::ClusterConfig;
 use crate::failure::FailureDetector;
+use crate::instance_log::InstanceLog;
 use crate::outbox::{Outbox, Timer};
 use crate::protocol::Protocol;
 use crate::synod::QuorumLearner;
@@ -138,7 +143,7 @@ pub struct MultiPaxosNode {
     /// Acceptor: highest promised ballot.
     promised: Ballot,
     /// Acceptor: accepted proposal per instance.
-    accepted: BTreeMap<Instance, (Ballot, Command)>,
+    accepted: InstanceLog<(Ballot, Command)>,
     /// Learner.
     learner: QuorumLearner<Command>,
     /// Contiguous chosen prefix (next instance expected to be decided).
@@ -147,7 +152,7 @@ pub struct MultiPaxosNode {
     leading: bool,
     leader: Option<NodeId>,
     next_instance: Instance,
-    proposed: BTreeMap<Instance, Command>,
+    proposed: InstanceLog<Command>,
     /// Owed answers, decided ids, queued commands and forwards: a
     /// forward not decided within the suspicion timeout means the leader
     /// is slow even if its heartbeats still trickle in — the
@@ -172,13 +177,13 @@ impl MultiPaxosNode {
         let fd = FailureDetector::new(timing.suspect_after);
         MultiPaxosNode {
             promised: Ballot::new(1, leader),
-            accepted: BTreeMap::new(),
+            accepted: InstanceLog::new(),
             learner: QuorumLearner::new(),
             watermark: 0,
             leading,
             leader: Some(leader),
             next_instance: 0,
-            proposed: BTreeMap::new(),
+            proposed: InstanceLog::new(),
             adv: Advocate::default(),
             electing: None,
             fd,
@@ -250,7 +255,7 @@ impl MultiPaxosNode {
         if let Some(chosen) = self.learner.on_learn(inst, from, bal, cmd, quorum) {
             let id = chosen.id();
             self.adv.decide(inst, chosen, out);
-            if let Some(pinned) = self.proposed.remove(&inst) {
+            if let Some(pinned) = self.proposed.remove(inst) {
                 // Our proposal lost the slot to another leader's command:
                 // re-advocate it instead of dropping it.
                 if pinned.id() != id && !self.adv.is_decided(pinned.id()) {
@@ -285,8 +290,8 @@ impl MultiPaxosNode {
 
     fn accepted_suffix(&self, from_inst: Instance) -> Vec<(Instance, Ballot, Command)> {
         self.accepted
-            .range(from_inst..)
-            .map(|(&i, (b, c))| (i, *b, c.clone()))
+            .range_from(from_inst)
+            .map(|(i, (b, c))| (i, *b, c.clone()))
             .collect()
     }
 
@@ -566,13 +571,14 @@ impl Protocol for MultiPaxosNode {
     fn truncate(&mut self, watermark: Instance) {
         // Re-advocate pinned-but-undecided proposals from truncated slots
         // *before* pruning the dedup map that filters them.
-        let keep = self.proposed.split_off(&watermark);
-        let orphans: Vec<Command> = std::mem::replace(&mut self.proposed, keep)
-            .into_values()
+        let orphans: Vec<Command> = self
+            .proposed
+            .drain_below(watermark)
+            .into_iter()
             .filter(|c| !self.adv.is_decided(c.id()))
             .collect();
         self.adv.queue.extend(orphans);
-        self.accepted = self.accepted.split_off(&watermark);
+        self.accepted.drain_below(watermark);
         self.learner.truncate(watermark);
         self.adv.prune(watermark);
         self.watermark = self.watermark.max(watermark);
@@ -714,7 +720,7 @@ mod tests {
             commits
                 .iter()
                 .find(|(_, c)| c.req_id == req && c.client == NodeId(9))
-                .map(|(&i, _)| i)
+                .map(|(i, _)| i)
         };
         let (i1, i2) = (inst_of(1).unwrap(), inst_of(2).unwrap());
         assert!(i1 < i2, "recovered proposal must keep its earlier slot");

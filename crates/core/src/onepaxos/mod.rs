@@ -32,6 +32,13 @@
 //! discussion). If the leader and the active acceptor are unresponsive
 //! *simultaneously*, 1Paxos blocks — by design — until one of them
 //! responds again (§5.4); safety is never affected.
+//!
+//! # State
+//!
+//! Every per-instance table — the learner's `learned`, the proposer's
+//! `proposed` and `inflight`, the acceptor's `ap` — is an
+//! [`InstanceLog`](crate::instance_log): instances are dense and retired
+//! from the bottom, so each is indexed rather than searched.
 
 mod msg;
 mod utility;
@@ -39,10 +46,9 @@ mod utility;
 pub use msg::{AbandonRe, Msg, UtilityEntry, UtilityMsg};
 pub use utility::UtilityEvent;
 
-use std::collections::BTreeMap;
-
 use crate::advocate::Advocate;
 use crate::config::ClusterConfig;
+use crate::instance_log::InstanceLog;
 use crate::outbox::{Outbox, Timer};
 use crate::protocol::Protocol;
 use crate::types::{Ballot, Command, Instance, Nanos, NodeId, Op};
@@ -133,14 +139,14 @@ pub struct OnePaxosNode {
     active_acceptor: Option<NodeId>,
     /// `proposed[]`: value pinning across role switches (`getAny`,
     /// `registerProposals`). Entries are dropped once learned.
-    proposed: BTreeMap<Instance, Command>,
+    proposed: InstanceLog<Command>,
     next_instance: Instance,
     /// Owed answers, decided ids, and the commands waiting for us to
     /// become (or be confirmed) leader or forwarded to the leader (leader
     /// suspicion is demand-driven, §7.6).
     adv: Advocate,
     /// Outstanding accept requests (instance → send time).
-    inflight: BTreeMap<Instance, Nanos>,
+    inflight: InstanceLog<Nanos>,
     /// Outstanding prepare request (pn, send time).
     prepare_state: Option<(Ballot, Nanos)>,
     pending_op: PendingOp,
@@ -153,9 +159,9 @@ pub struct OnePaxosNode {
     /// `IamFresh`: no leader has adopted this acceptor yet.
     i_am_fresh: bool,
     /// `ap`: accepted proposals.
-    ap: BTreeMap<Instance, (Ballot, Command)>,
+    ap: InstanceLog<(Ballot, Command)>,
     // --- learner state ---
-    learned: BTreeMap<Instance, Command>,
+    learned: InstanceLog<Command>,
     watermark: Instance,
     // --- embedded PaxosUtility ---
     utility: PaxosUtility,
@@ -208,17 +214,17 @@ impl OnePaxosNode {
             pn: Ballot::ZERO,
             max_round: 0,
             active_acceptor: Some(acceptor),
-            proposed: BTreeMap::new(),
+            proposed: InstanceLog::new(),
             next_instance: 0,
             adv: Advocate::default(),
-            inflight: BTreeMap::new(),
+            inflight: InstanceLog::new(),
             prepare_state: None,
             pending_op: PendingOp::None,
             expect_fresh_for: (me == leader).then_some(acceptor),
             hpn: Ballot::ZERO,
             i_am_fresh: true,
-            ap: BTreeMap::new(),
-            learned: BTreeMap::new(),
+            ap: InstanceLog::new(),
+            learned: InstanceLog::new(),
             watermark: 0,
             utility,
             noop_seq: 0,
@@ -370,7 +376,7 @@ impl OnePaxosNode {
         proposals: impl IntoIterator<Item = &'a (Instance, Command)>,
     ) {
         for (inst, cmd) in proposals {
-            if !self.learned.contains_key(inst) {
+            if !self.learned.contains_key(*inst) {
                 self.proposed.insert(*inst, cmd.clone());
             }
         }
@@ -381,8 +387,8 @@ impl OnePaxosNode {
     /// beyond everything known.
     fn repropose_unlearned(&mut self, now: Nanos, out: &mut Outbox<Msg>) {
         let max_known = [
-            self.proposed.keys().next_back().map(|&i| i + 1),
-            self.learned.keys().next_back().map(|&i| i + 1),
+            self.proposed.last_key().map(|i| i + 1),
+            self.learned.last_key().map(|i| i + 1),
         ]
         .into_iter()
         .flatten()
@@ -391,10 +397,10 @@ impl OnePaxosNode {
         .max(self.watermark)
         .max(self.next_instance);
         for inst in self.watermark..max_known {
-            if self.learned.contains_key(&inst) {
+            if self.learned.contains_key(inst) {
                 continue;
             }
-            let cmd = match self.proposed.get(&inst) {
+            let cmd = match self.proposed.get(inst) {
                 Some(c) => c.clone(),
                 None => {
                     // Hole: propose a no-op so the log stays contiguous.
@@ -427,15 +433,15 @@ impl OnePaxosNode {
         }
         let id = cmd.id();
         self.adv.decide(inst, cmd, out);
-        if let Some(pinned) = self.proposed.remove(&inst) {
+        if let Some(pinned) = self.proposed.remove(inst) {
             // Our proposal lost the slot to another leader's command:
             // re-advocate it in a fresh instance instead of dropping it.
             if pinned.id() != id && !self.adv.is_decided(pinned.id()) {
                 self.adv.queue.push_back(pinned);
             }
         }
-        self.inflight.remove(&inst);
-        while self.learned.contains_key(&self.watermark) {
+        self.inflight.remove(inst);
+        while self.learned.contains_key(self.watermark) {
             self.watermark += 1;
         }
     }
@@ -598,7 +604,7 @@ impl OnePaxosNode {
                     return; // no candidate (e.g. 2-node cluster): wait
                 };
                 let uncommitted: Vec<(Instance, Command)> =
-                    self.proposed.iter().map(|(&i, c)| (i, c.clone())).collect();
+                    self.proposed.iter().map(|(i, c)| (i, c.clone())).collect();
                 let entry = UtilityEntry::AcceptorChange {
                     by: self.me(),
                     acceptor: new_acceptor,
@@ -673,7 +679,7 @@ impl Protocol for OnePaxosNode {
                     let accepted: Vec<(Instance, Ballot, Command)> = self
                         .ap
                         .iter()
-                        .map(|(&i, (b, c))| (i, *b, c.clone()))
+                        .map(|(i, (b, c))| (i, *b, c.clone()))
                         .collect();
                     out.send(from, Msg::PrepareResp { pn, accepted });
                 } else {
@@ -717,7 +723,7 @@ impl Protocol for OnePaxosNode {
                             re: AbandonRe::Accept,
                         },
                     );
-                } else if let Some((apn, acmd)) = self.ap.get(&inst).cloned() {
+                } else if let Some((apn, acmd)) = self.ap.get(inst).cloned() {
                     // Already accepted: re-broadcast the learn "to cover
                     // the cases that the lost learn message has motivated
                     // the proposer to retry" (Appendix A).
@@ -888,18 +894,19 @@ impl Protocol for OnePaxosNode {
     fn truncate(&mut self, watermark: Instance) {
         // Re-advocate pinned-but-unlearned proposals from truncated slots
         // *before* pruning the dedup map that filters them.
-        let keep = self.proposed.split_off(&watermark);
-        let orphans: Vec<Command> = std::mem::replace(&mut self.proposed, keep)
-            .into_values()
+        let orphans: Vec<Command> = self
+            .proposed
+            .drain_below(watermark)
+            .into_iter()
             .filter(|c| !self.adv.is_decided(c.id()))
             .collect();
         self.adv.queue.extend(orphans);
-        self.learned = self.learned.split_off(&watermark);
-        self.ap = self.ap.split_off(&watermark);
-        self.inflight = self.inflight.split_off(&watermark);
+        self.learned.drain_below(watermark);
+        self.ap.drain_below(watermark);
+        self.inflight.drain_below(watermark);
         self.adv.prune(watermark);
         self.watermark = self.watermark.max(watermark);
-        while self.learned.contains_key(&self.watermark) {
+        while self.learned.contains_key(self.watermark) {
             self.watermark += 1;
         }
         self.next_instance = self.next_instance.max(watermark);

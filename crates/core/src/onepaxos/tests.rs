@@ -67,7 +67,7 @@ fn pipelining_many_commands() {
     assert_eq!(net.node(NodeId(0)).watermark(), 20);
     // Commands occupy consecutive instances in submission order.
     let commits = net.commits(NodeId(2));
-    for (&inst, cmd) in commits {
+    for (inst, cmd) in commits {
         assert_eq!(cmd.req_id, inst + 1);
     }
     net.assert_consistent();
@@ -153,7 +153,7 @@ fn acceptor_switch_pins_uncommitted_values() {
     net.advance_and_settle(timing().io_timeout + TICK, 6);
     assert_eq!(net.replies().len(), 1);
     let commits = net.commits(NodeId(0));
-    assert_eq!(commits.get(&0).map(|c| c.req_id), Some(1));
+    assert_eq!(commits.get(0).map(|c| c.req_id), Some(1));
     // n1 wakes: its queued accept was for the same pinned value; safe
     // either way because its pn is stale.
     net.unblock(NodeId(1));

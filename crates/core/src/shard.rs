@@ -75,8 +75,8 @@
 use std::fmt;
 
 use crate::engine::{
-    BatchConfig, CatchUp, EngineConfig, EngineEffect, EngineEvent, EngineStats, ReplicaEngine,
-    ReplyMode,
+    BatchConfig, CatchUp, EffectSink, EngineConfig, EngineEffect, EngineEvent, EngineStats,
+    ReplicaEngine, ReplyMode,
 };
 use crate::protocol::Protocol;
 use crate::rsm::{ApplierSnapshot, StateMachine};
@@ -199,14 +199,25 @@ impl ShardRouter {
 /// each [`EngineEffect`].
 pub type ShardedEffects<M, O> = Vec<(ShardId, EngineEffect<M, O>)>;
 
+/// The sink one shard's engine writes through: each effect lands in the
+/// caller's stream already tagged with `shard`.
+struct Tagged<'a, M, O> {
+    shard: ShardId,
+    effects: &'a mut ShardedEffects<M, O>,
+}
+
+impl<M, O> EffectSink<M, O> for Tagged<'_, M, O> {
+    fn push(&mut self, effect: EngineEffect<M, O>) {
+        self.effects.push((self.shard, effect));
+    }
+}
+
 /// S independent [`ReplicaEngine`]s behind one key-hash router; see the
 /// [module docs](self) for the model.
 #[derive(Debug)]
 pub struct ShardedEngine<P: Protocol, S: StateMachine> {
     router: ShardRouter,
     shards: Vec<ReplicaEngine<P, S>>,
-    /// Reusable untagged-effect buffer for per-shard dispatch.
-    scratch: Vec<EngineEffect<P::Msg, S::Output>>,
 }
 
 impl<P: Protocol, S: StateMachine> ShardedEngine<P, S> {
@@ -219,7 +230,6 @@ impl<P: Protocol, S: StateMachine> ShardedEngine<P, S> {
         ShardedEngine {
             router: ShardRouter::new(shards),
             shards: (0..shards).map(|s| make(ShardId(s))).collect(),
-            scratch: Vec::new(),
         }
     }
 
@@ -229,7 +239,6 @@ impl<P: Protocol, S: StateMachine> ShardedEngine<P, S> {
         ShardedEngine {
             router: ShardRouter::new(1),
             shards: vec![engine],
-            scratch: Vec::new(),
         }
     }
 
@@ -271,10 +280,8 @@ impl<P: Protocol, S: StateMachine> ShardedEngine<P, S> {
         now: Nanos,
         effects: &mut ShardedEffects<P::Msg, S::Output>,
     ) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.shards[s.index()].handle(event, now, &mut scratch);
-        effects.extend(scratch.drain(..).map(|e| (s, e)));
-        self.scratch = scratch;
+        let mut sink = Tagged { shard: s, effects };
+        self.shards[s.index()].handle_into(event, now, &mut sink);
     }
 
     /// Routes a client request to its owning shard, feeds it there, and
@@ -315,12 +322,12 @@ impl<P: Protocol, S: StateMachine> ShardedEngine<P, S> {
         effects: &mut ShardedEffects<P::Msg, S::Output>,
     ) -> usize {
         let mut fired = 0;
-        for i in 0..self.shards.len() {
-            let s = ShardId(i as u16);
-            let mut scratch = std::mem::take(&mut self.scratch);
-            fired += self.shards[i].fire_due(now, &mut scratch);
-            effects.extend(scratch.drain(..).map(|e| (s, e)));
-            self.scratch = scratch;
+        for (i, engine) in self.shards.iter_mut().enumerate() {
+            let mut sink = Tagged {
+                shard: ShardId(i as u16),
+                effects: &mut *effects,
+            };
+            fired += engine.fire_due_into(now, &mut sink);
         }
         fired
     }

@@ -15,13 +15,18 @@
 //! the threaded runtime deploy. Sharded nets multiplex every shard
 //! group's messages over the same per-pair links, each message tagged
 //! with its [`ShardId`].
+//!
+//! Per-message bookkeeping is O(1): links are one FIFO per directed pair
+//! in a flat table indexed `from·n + to`, and the commit oracle is one
+//! [`InstanceLog`] per (node, shard).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::engine::{
     AdaptiveBatch, BatchConfig, CatchUp, EngineConfig, EngineEffect, EngineEvent, EngineStats,
     ReplicaEngine, ReplyMode,
 };
+use crate::instance_log::InstanceLog;
 use crate::kv::KvStore;
 use crate::protocol::Protocol;
 use crate::shard::{ShardId, ShardedEffects, ShardedEngine};
@@ -152,17 +157,20 @@ pub struct TestNet<P: Protocol> {
     /// remembered so a [`Self::reset_node`] rebuild keeps it.
     config: EngineConfig,
     /// Per-link FIFO queues, mirroring the paper's per-pair message
-    /// queues. One FIFO per directed pair carries **all** shard groups'
-    /// messages, each tagged with its group — the multiplexing a real
-    /// per-core link would do.
-    links: BTreeMap<(NodeId, NodeId), LinkQueue<P>>,
+    /// queues, indexed `from·n + to`. One FIFO per directed pair carries
+    /// **all** shard groups' messages, each tagged with its group — the
+    /// multiplexing a real per-core link would do.
+    links: Vec<LinkQueue<P>>,
+    /// Reusable list of the links one [`Self::run_to_quiescence`] pass
+    /// visits.
+    pass: Vec<usize>,
     now: Nanos,
-    /// Harness-level commit oracle (node, shard → instance → command).
-    /// Held outside the engines so it survives [`Self::reset_node`]: a
-    /// silently rebooted node loses its state, but the *oracle* must
-    /// still catch the rebooted node re-deciding an old instance
-    /// differently (§5, Appendix A).
-    commits: BTreeMap<(NodeId, ShardId), BTreeMap<Instance, Command>>,
+    /// Harness-level commit oracle, one log per (node, shard), indexed
+    /// `node·shards + shard`. Held outside the engines so it survives
+    /// [`Self::reset_node`]: a silently rebooted node loses its state,
+    /// but the *oracle* must still catch the rebooted node re-deciding
+    /// an old instance differently (§5, Appendix A).
+    commits: Vec<InstanceLog<Command>>,
     replies: Vec<ReplyRecord>,
     delivered: u64,
     /// Every catch-up request carried so far, as `(requester, donor)`.
@@ -172,7 +180,7 @@ pub struct TestNet<P: Protocol> {
     /// Rebuilds per node, so each engine incarnation advocates batches
     /// in a fresh sequence epoch (recycled batch ids would be dropped as
     /// already-decided duplicates by surviving peers).
-    resets: BTreeMap<NodeId, u64>,
+    resets: Vec<u64>,
     /// Request ids already allocated to [`Self::txn_status_agreed`]
     /// probes (issued under [`Self::PROBE_CLIENT`]).
     probe_reqs: u64,
@@ -256,14 +264,19 @@ impl<P: Protocol> TestNet<P> {
                 .collect(),
             blocked: vec![false; members.len()],
             config,
-            links: BTreeMap::new(),
+            links: (0..members.len() * members.len())
+                .map(|_| VecDeque::new())
+                .collect(),
+            pass: Vec::new(),
             now: 0,
-            commits: BTreeMap::new(),
+            commits: (0..members.len() * usize::from(config.shards))
+                .map(|_| InstanceLog::new())
+                .collect(),
             replies: Vec::new(),
             delivered: 0,
             snapshot_requests: Vec::new(),
             snapshot_serves: Vec::new(),
-            resets: BTreeMap::new(),
+            resets: vec![0; members.len()],
             probe_reqs: 0,
             scratch: Vec::new(),
         };
@@ -359,7 +372,7 @@ impl<P: Protocol> TestNet<P> {
     /// (the whole core went away), each into a fresh batch epoch.
     pub fn reset_node(&mut self, id: NodeId, mut fresh: impl FnMut() -> P) {
         let members: Vec<NodeId> = (0..self.engines.len() as u16).map(NodeId).collect();
-        let incarnation = self.resets.entry(id).or_insert(0);
+        let incarnation = &mut self.resets[id.index()];
         *incarnation += 1;
         self.engines[id.index()] = deploy(self.config, &members, *incarnation, &mut fresh);
         self.start_node(id);
@@ -655,13 +668,31 @@ impl<P: Protocol> TestNet<P> {
         self.engines[node.index()].txn_parked()
     }
 
+    /// The index of link `(from, to)` in `links`.
+    fn link(&self, from: NodeId, to: NodeId) -> usize {
+        let n = self.engines.len();
+        assert!(from.index() < n && to.index() < n, "no link {from} → {to}");
+        from.index() * n + to.index()
+    }
+
+    /// The `(from, to)` pair of link `i`.
+    fn link_ends(&self, i: usize) -> (NodeId, NodeId) {
+        let n = self.engines.len();
+        (NodeId((i / n) as u16), NodeId((i % n) as u16))
+    }
+
+    /// Whether link `i` holds a message its (unblocked) destination can
+    /// take.
+    fn is_deliverable(&self, i: usize) -> bool {
+        !self.links[i].is_empty() && !self.blocked[i % self.engines.len()]
+    }
+
     /// Links `(from, to)` that currently hold at least one deliverable
-    /// message (destination not blocked), in deterministic order.
+    /// message (destination not blocked), in `(from, to)` order.
     pub fn deliverable_links(&self) -> Vec<(NodeId, NodeId)> {
-        self.links
-            .iter()
-            .filter(|((_, to), q)| !q.is_empty() && !self.is_blocked(*to))
-            .map(|(&l, _)| l)
+        (0..self.links.len())
+            .filter(|&i| self.is_deliverable(i))
+            .map(|i| self.link_ends(i))
             .collect()
     }
 
@@ -672,10 +703,8 @@ impl<P: Protocol> TestNet<P> {
         if self.is_blocked(to) {
             return false;
         }
-        let Some(q) = self.links.get_mut(&(from, to)) else {
-            return false;
-        };
-        let Some((shard, msg)) = q.pop_front() else {
+        let i = self.link(from, to);
+        let Some((shard, msg)) = self.links[i].pop_front() else {
             return false;
         };
         self.delivered += 1;
@@ -697,15 +726,14 @@ impl<P: Protocol> TestNet<P> {
     /// use this only to emulate a message that is still in flight forever
     /// behind a blocked core.
     pub fn drop_one(&mut self, from: NodeId, to: NodeId) -> bool {
-        self.links
-            .get_mut(&(from, to))
-            .and_then(|q| q.pop_front())
-            .is_some()
+        let i = self.link(from, to);
+        self.links[i].pop_front().is_some()
     }
 
     /// Delivers messages in deterministic (link-ordered, FIFO) rounds until
-    /// no deliverable message remains. Panics if `limit` deliveries are
-    /// exceeded (a livelock guard for tests).
+    /// no deliverable message remains: each round drains, in `(from, to)`
+    /// order, the links that were deliverable when it began. Panics if
+    /// `limit` deliveries are exceeded (a livelock guard for tests).
     ///
     /// # Panics
     ///
@@ -722,12 +750,16 @@ impl<P: Protocol> TestNet<P> {
     /// Panics if the budget is exhausted.
     pub fn run_to_quiescence_limit(&mut self, limit: u64) {
         let mut budget = limit;
+        let mut pass = std::mem::take(&mut self.pass);
         loop {
-            let links = self.deliverable_links();
-            if links.is_empty() {
+            pass.clear();
+            pass.extend((0..self.links.len()).filter(|&i| self.is_deliverable(i)));
+            if pass.is_empty() {
+                self.pass = pass;
                 return;
             }
-            for (from, to) in links {
+            for &i in &pass {
+                let (from, to) = self.link_ends(i);
                 while self.deliver_one(from, to) {
                     budget = budget.checked_sub(1).unwrap_or_else(|| {
                         panic!("run_to_quiescence exceeded {limit} deliveries (livelock?)")
@@ -795,14 +827,24 @@ impl<P: Protocol> TestNet<P> {
     /// the record belongs to the harness oracle, not to the (rebootable)
     /// node. Sharded nets inspect each group with
     /// [`Self::shard_commits`].
-    pub fn commits(&self, node: NodeId) -> &BTreeMap<Instance, Command> {
+    pub fn commits(&self, node: NodeId) -> &InstanceLog<Command> {
         self.shard_commits(node, ShardId(0))
     }
 
     /// Commits recorded at one shard group's member on `node`.
-    pub fn shard_commits(&self, node: NodeId, shard: ShardId) -> &BTreeMap<Instance, Command> {
-        static EMPTY: BTreeMap<Instance, Command> = BTreeMap::new();
-        self.commits.get(&(node, shard)).unwrap_or(&EMPTY)
+    pub fn shard_commits(&self, node: NodeId, shard: ShardId) -> &InstanceLog<Command> {
+        &self.commits[self.commit_log(node, shard)]
+    }
+
+    /// The index of `(node, shard)`'s log in `commits`.
+    fn commit_log(&self, node: NodeId, shard: ShardId) -> usize {
+        let shards = usize::from(self.config.shards);
+        assert!(
+            node.index() < self.engines.len() && shard.index() < shards,
+            "no commit log for {node} shard {}",
+            shard.index()
+        );
+        node.index() * shards + shard.index()
     }
 
     /// All recorded client replies, in emission order.
@@ -832,18 +874,20 @@ impl<P: Protocol> TestNet<P> {
     ///
     /// Panics on violation, naming the shard and instance.
     pub fn assert_consistent(&self) {
-        let mut chosen: BTreeMap<(ShardId, Instance), (NodeId, &Command)> = BTreeMap::new();
-        for (&(node, shard), commits) in &self.commits {
-            for (&inst, cmd) in commits {
-                match chosen.get(&(shard, inst)) {
-                    None => {
-                        chosen.insert((shard, inst), (node, cmd));
+        for shard in (0..self.config.shards).map(ShardId) {
+            let mut chosen: InstanceLog<(NodeId, &Command)> = InstanceLog::new();
+            for node in (0..self.engines.len() as u16).map(NodeId) {
+                for (inst, cmd) in self.shard_commits(node, shard) {
+                    match chosen.get(inst) {
+                        None => {
+                            chosen.insert(inst, (node, cmd));
+                        }
+                        Some(&(other, prior)) => assert_eq!(
+                            prior, cmd,
+                            "shard {shard} instance {inst}: {other} learned {prior:?} \
+                             but {node} learned {cmd:?}"
+                        ),
                     }
-                    Some(&(other, prior)) => assert_eq!(
-                        prior, cmd,
-                        "shard {shard} instance {inst}: {other} learned {prior:?} \
-                         but {node} learned {cmd:?}"
-                    ),
                 }
             }
         }
@@ -858,10 +902,8 @@ impl<P: Protocol> TestNet<P> {
         for (shard, effect) in effects.drain(..) {
             match effect {
                 EngineEffect::SendTo { to, msg } => {
-                    self.links
-                        .entry((me, to))
-                        .or_default()
-                        .push_back((shard, msg));
+                    let i = self.link(me, to);
+                    self.links[i].push_back((shard, msg));
                 }
                 EngineEffect::ReplyTo {
                     client,
@@ -876,11 +918,8 @@ impl<P: Protocol> TestNet<P> {
                     value: value.flatten(),
                 }),
                 EngineEffect::Committed { instance, cmd } => {
-                    let prior = self
-                        .commits
-                        .entry((me, shard))
-                        .or_default()
-                        .insert(instance, cmd.clone());
+                    let log = self.commit_log(me, shard);
+                    let prior = self.commits[log].insert(instance, cmd.clone());
                     if let Some(prior) = prior {
                         assert_eq!(
                             prior, cmd,
@@ -905,6 +944,8 @@ mod tests {
         me: NodeId,
         peers: Vec<NodeId>,
         seen: usize,
+        /// Senders of the messages received, in delivery order.
+        heard: Vec<NodeId>,
     }
 
     impl Protocol for Echo {
@@ -918,8 +959,9 @@ mod tests {
             out.set_timer(Timer::Tick, 1_000);
         }
 
-        fn on_message(&mut self, _from: NodeId, msg: u64, _now: Nanos, out: &mut Outbox<u64>) {
+        fn on_message(&mut self, from: NodeId, msg: u64, _now: Nanos, out: &mut Outbox<u64>) {
             self.seen += 1;
+            self.heard.push(from);
             if msg > 0 {
                 for &p in &self.peers {
                     if p != self.me {
@@ -958,6 +1000,7 @@ mod tests {
             me,
             peers: members.to_vec(),
             seen: 0,
+            heard: Vec::new(),
         })
     }
 
@@ -1004,6 +1047,28 @@ mod tests {
         net.unblock(NodeId(0));
         net.advance(0);
         assert_eq!(net.node(NodeId(0)).seen, 100);
+    }
+
+    #[test]
+    fn a_pass_visits_only_the_links_deliverable_when_it_began() {
+        let mut net = echo_net(3);
+        // n2's and n0's fan-outs fill (0,1), (0,2), (2,0) and (2,1).
+        net.client_request(NodeId(2), NodeId(9), 1, Op::Noop);
+        net.client_request(NodeId(0), NodeId(9), 1, Op::Noop);
+        assert_eq!(net.deliverable_links().len(), 4);
+        net.run_to_quiescence();
+        // Draining (0,1) fills (1,0), which sorts before (2,0) but was
+        // empty when the pass began: n0 hears n1 only in the next pass.
+        let heard = &net.node(NodeId(0)).heard;
+        assert_eq!(heard, &[NodeId(2), NodeId(2), NodeId(1), NodeId(1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "no commit log")]
+    fn a_shard_past_the_config_has_no_commit_log() {
+        // One shard: (n0, shard 1) would index n1's log.
+        let net = echo_net(2);
+        net.shard_commits(NodeId(0), ShardId(1));
     }
 
     #[test]
@@ -1066,7 +1131,7 @@ mod tests {
         assert!(populated.len() > 1, "all keys landed on one shard");
         for &s in &populated {
             assert_eq!(
-                *net.shard_commits(NodeId(0), s).keys().next().unwrap(),
+                net.shard_commits(NodeId(0), s).keys().next().unwrap(),
                 0,
                 "group {s} must own an independent instance log"
             );
@@ -1233,5 +1298,59 @@ mod tests {
             }
         }
         net.assert_consistent();
+    }
+
+    /// The `engine_burst` shape for 200 rounds (3 nodes, 4 shards,
+    /// batches of 16, 64 puts a round to node 0): messages delivered,
+    /// node 0's `(flushes, size, deadline)` flush counts, and a hash of
+    /// the `(client, req_id, instance, from)` reply sequence.
+    fn burst_schedule<P: Protocol>(
+        make: impl FnMut(&[NodeId], NodeId) -> P,
+    ) -> (u64, (u64, u64, u64), u64) {
+        use crate::shard::mix64;
+        let mut net = TestNet::builder(3)
+            .shards(4)
+            .batching(BatchConfig::new(16, 20_000))
+            .build(make);
+        net.run_to_quiescence();
+        for round in 0..200u64 {
+            for c in 0..64u64 {
+                let key = c * 16 + (round * 7 + c) % 16;
+                let op = Op::Put { key, value: round };
+                net.client_request(NodeId(0), NodeId(100 + c as u16), round + 1, op);
+            }
+            net.run_to_quiescence();
+            net.advance(20_000);
+            net.run_to_quiescence();
+        }
+        assert_eq!(net.replies().len(), 200 * 64);
+        let hash = net.replies().iter().fold(0u64, |h, r| {
+            [
+                u64::from(r.client.0),
+                r.req_id,
+                r.instance,
+                u64::from(r.from.0),
+            ]
+            .into_iter()
+            .fold(h, |h, x| mix64(h ^ x))
+        });
+        let stats = net.engine_stats(NodeId(0));
+        let flushes = (stats.flushes, stats.size_flushes, stats.deadline_flushes);
+        (net.delivered(), flushes, hash)
+    }
+
+    /// Pins the delivery schedule: the counts and the reply hash must not
+    /// move when the harness's bookkeeping changes. 1Paxos is the
+    /// benchmark's protocol; Mencius sends between every pair of nodes,
+    /// so its pin also fixes the order links are visited in.
+    #[test]
+    fn burst_schedule_is_pinned() {
+        use crate::mencius::MenciusNode;
+        use crate::onepaxos::OnePaxosNode;
+        use crate::ClusterConfig;
+        let one = burst_schedule(|m, me| OnePaxosNode::new(ClusterConfig::new(m.to_vec(), me)));
+        assert_eq!(one, (3614, (1202, 489, 713), 0xecc1_c958_2fb9_b17f));
+        let mencius = burst_schedule(|m, me| MenciusNode::new(ClusterConfig::new(m.to_vec(), me)));
+        assert_eq!(mencius, (28736, (1202, 489, 713), 0x92f6_2ab8_7a65_6004));
     }
 }

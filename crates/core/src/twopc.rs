@@ -436,7 +436,7 @@ mod tests {
         net.run_to_quiescence();
         let commits = net.commits(NodeId(1));
         assert_eq!(commits.len(), 5);
-        for (i, (&inst, cmd)) in commits.iter().enumerate() {
+        for (i, (inst, cmd)) in commits.iter().enumerate() {
             assert_eq!(inst, i as Instance);
             assert_eq!(cmd.req_id, i as u64 + 1);
         }

@@ -32,7 +32,7 @@ fn single_command_reaches_agreement_on_all_nodes() {
     // owned by n0).
     for n in 0..3u16 {
         let commits = net.commits(NodeId(n));
-        assert_eq!(commits.get(&0).map(|c| c.req_id), Some(1), "node {n}");
+        assert_eq!(commits.get(0).map(|c| c.req_id), Some(1), "node {n}");
     }
     net.assert_consistent();
 }
@@ -160,7 +160,7 @@ fn mencius_full_batch_travels_through_one_agreement() {
     for n in 0..3u16 {
         let commits = net.commits(NodeId(n));
         assert_eq!(commits.len(), 1, "node {n}");
-        assert_eq!(commits.get(&0).map(|c| c.command_count()), Some(4));
+        assert_eq!(commits.get(0).map(|c| c.command_count()), Some(4));
         for c in 0..4u64 {
             assert_eq!(net.state(NodeId(n)).get(c), Some(7), "node {n} key {c}");
         }
