@@ -19,6 +19,8 @@
 //! * [`EngineEvent::Message`] — a peer message was delivered.
 //! * [`EngineEvent::ClientRequest`] — a client submitted a command.
 //! * [`EngineEvent::ReadRelaxed`] — a client asked for a relaxed read.
+//! * [`EngineEvent::CatchUp`] — a peer's snapshot ask or snapshot was
+//!   delivered (see [Maintenance](#maintenance)).
 //!
 //! Time is the harness's too: it calls [`ReplicaEngine::fire_due`] at
 //! or after [`ReplicaEngine::next_deadline`] to fire every timer that is
@@ -132,32 +134,36 @@
 //! * **Catch up.** An apply gap ([`EngineStats::gap_backlog`]) that
 //!   outlives [`GAP_PATIENCE`] cannot be assumed replay-fillable — the
 //!   missing prefix may be truncated on every peer — so the engine asks
-//!   one peer for a snapshot. The patience re-arms with every request
-//!   and the donor cursor rotates (staggered by node id + shard), so a
-//!   lost request or a donor with nothing newer costs one window.
-//! * **Boot probe.** `Start` itself issues one request (`have = 0`), so
-//!   a restarted replica rejoins warm without waiting for traffic; on a
+//!   one peer for a snapshot. The patience re-arms with every ask and
+//!   the donor cursor rotates (staggered by node id + shard), so a lost
+//!   ask, a lost snapshot or a donor with nothing newer costs one window.
+//! * **Boot probe.** `Start` itself sends one ask (`have = 0`), so a
+//!   restarted replica rejoins warm without waiting for traffic; on a
 //!   fresh cluster every donor refuses it.
 //! * **Stale peer.** The applier's log base is the one truncation floor:
 //!   a peer message whose [`Protocol::instance_of`] lies below it is
 //!   dropped before the protocol sees it — that slot is decided, applied
 //!   and snapshotted, so promising, accepting or counting a vote there
 //!   could re-decide it. The sender is evidently behind, so the engine
-//!   serves it this replica's snapshot, at most once per peer per
+//!   sends it this replica's snapshot unasked, at most once per peer per
 //!   [`GAP_PATIENCE`]. This part needs no timer and runs whether or not
 //!   maintenance is enabled; it only ever fires once a floor exists.
 //!
-//! Catch-up leaves through a side queue, not an [`EngineEffect`], in two
-//! kinds of [`CatchUp`]: *ask a donor* (gap and boot probe) and *serve a
-//! peer* (stale peer). The harness drains [`ReplicaEngine::take_catch_up`]
-//! after `Start` and after firing timers or delivering messages (the
-//! threaded runtime once per loop turn). It
-//! carries an ask over its own transport to the donor and a serve to the
-//! peer; either way the serving engine's [`ReplicaEngine::serve_snapshot`]
-//! offers a snapshot (only if strictly newer than `have`) and the
-//! receiver feeds it to [`ReplicaEngine::install_snapshot`], which also
-//! refuses anything not strictly ahead. The threaded runtime always
-//! enables maintenance; the simulator and `TestNet` only when
+//! Catch-up is a peer message, [`CatchUp`], that only engines send,
+//! answer and install: an [`Ask`](CatchUp::Ask) (gap and boot probe) or
+//! a [`Snapshot`](CatchUp::Snapshot) (the answer to an ask, or the
+//! unasked serve of a stale peer). A peer's message arrives as
+//! [`EngineEvent::CatchUp`]. The engine answers an ask only with a
+//! snapshot strictly newer than the asker's `have`, and installs a
+//! snapshot only if it is strictly ahead of what it applied, so a late,
+//! duplicated or crossing message changes nothing. What the engine sends
+//! waits as ready-to-send `(to, message)` pairs in one outgoing queue,
+//! [`ReplicaEngine::take_catch_up`]; a snapshot carries the state
+//! machine's type, which [`EngineEffect`] does not, so it leaves there
+//! and not in the effect stream. A harness drains the queue after every
+//! step and carries each message to its peer like any other; it decides
+//! nothing about catch-up. The threaded runtime always enables
+//! maintenance; the simulator and `TestNet` only when
 //! [`EngineConfig::truncate_every`] is set, so their default runs keep
 //! an unchanged timer table and effect stream.
 //!
@@ -189,7 +195,7 @@ use std::collections::{BTreeMap, VecDeque};
 use crate::hash::WordSet;
 use crate::outbox::{Action, Outbox, Timer};
 use crate::protocol::Protocol;
-use crate::rsm::{Applier, StateMachine};
+use crate::rsm::{Applier, ApplierSnapshot, StateMachine};
 use crate::types::{BatchPayload, Command, Instance, Nanos, NodeId, Op};
 
 /// The engine-internal timer driving batch flushes. Reserved: protocols
@@ -516,6 +522,14 @@ pub struct EngineStats {
     /// ([`ReplicaEngine::deferred_replies`]; [`ReplyMode::AfterApply`]
     /// only). Drains to zero once the log has no gap.
     pub deferred_replies: usize,
+    /// Snapshot asks this engine sent: boot probes and asks about a
+    /// persistent apply gap.
+    pub snapshot_asks: u64,
+    /// Snapshots this engine sent: answers to asks and unasked serves
+    /// of stale peers.
+    pub snapshots_served: u64,
+    /// Peer snapshots this engine installed.
+    pub snapshots_installed: u64,
 }
 
 impl EngineStats {
@@ -555,6 +569,9 @@ impl EngineStats {
         self.applied += other.applied;
         self.finished_len += other.finished_len;
         self.deferred_replies += other.deferred_replies;
+        self.snapshot_asks += other.snapshot_asks;
+        self.snapshots_served += other.snapshots_served;
+        self.snapshots_installed += other.snapshots_installed;
     }
 }
 
@@ -771,8 +788,11 @@ impl BatchController {
 }
 
 /// One input to a [`ReplicaEngine`]: something the outside world did.
+///
+/// `M` is the protocol's wire message type, `S` the state machine (the
+/// type a [`CatchUp`] snapshot carries).
 #[derive(Clone, Debug)]
-pub enum EngineEvent<M> {
+pub enum EngineEvent<M, S: StateMachine> {
     /// Bootstrap the node (runs the protocol's `on_start`).
     Start,
     /// A message from peer `from` was delivered.
@@ -801,6 +821,14 @@ pub enum EngineEvent<M> {
         req_id: u64,
         /// Key to read.
         key: u64,
+    },
+    /// A catch-up message from peer `from` was delivered (see the
+    /// [module docs](self#maintenance)).
+    CatchUp {
+        /// Sending node.
+        from: NodeId,
+        /// The snapshot ask or snapshot.
+        msg: CatchUp<S>,
     },
 }
 
@@ -890,19 +918,21 @@ pub struct ReplyRecord {
     pub from: NodeId,
 }
 
-/// One entry of an engine's catch-up side queue (see the
-/// [module docs](self#maintenance)). Both kinds end the same way: the
-/// serving engine's [`ReplicaEngine::serve_snapshot`]`(have)` is
-/// installed at the receiver.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CatchUp {
-    /// `Ask(donor, have)`: this replica is behind; ask `donor` for a
-    /// snapshot past `have`, the first instance it has not applied.
-    Ask(NodeId, Instance),
-    /// `Serve(peer, have)`: `peer` reached below this replica's floor
-    /// with a message about instance `have`; send it this replica's
-    /// snapshot.
-    Serve(NodeId, Instance),
+/// A catch-up message between two members of one group (see the
+/// [module docs](self#maintenance)). Engines send it through
+/// [`ReplicaEngine::take_catch_up`] and take it as
+/// [`EngineEvent::CatchUp`]; harnesses only carry it.
+#[derive(Clone, Debug)]
+pub enum CatchUp<S: StateMachine> {
+    /// The sender is behind and asks for a snapshot past `have`, the
+    /// first instance it has not applied.
+    Ask {
+        /// The asker's applied watermark.
+        have: Instance,
+    },
+    /// The sender's applied state: the answer to an ask, or served
+    /// unasked to a peer whose message reached below the sender's floor.
+    Snapshot(Box<ApplierSnapshot<S>>),
 }
 
 /// Per-group state of the background maintenance policy; see the
@@ -968,8 +998,9 @@ pub struct ReplicaEngine<P: Protocol, S: StateMachine> {
     /// Background maintenance; `None` until
     /// [`Self::enable_maintenance`] switches it on.
     maint: Option<Maintenance>,
-    /// Catch-up waiting for the harness ([`Self::take_catch_up`]).
-    catch_up: VecDeque<CatchUp>,
+    /// Catch-up messages waiting for the harness to send them
+    /// ([`Self::take_catch_up`]), as `(to, message)`.
+    catch_up: VecDeque<(NodeId, CatchUp<S>)>,
     /// When each stale peer was last served a snapshot.
     served: BTreeMap<NodeId, Nanos>,
     /// The consensus group this engine belongs to in a sharded
@@ -1132,7 +1163,7 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
     /// effects to `effects`.
     pub fn handle(
         &mut self,
-        event: EngineEvent<P::Msg>,
+        event: EngineEvent<P::Msg, S>,
         now: Nanos,
         effects: &mut Vec<EngineEffect<P::Msg, S::Output>>,
     ) {
@@ -1142,7 +1173,7 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
     /// [`Self::handle`] into any [`EffectSink`].
     pub(crate) fn handle_into(
         &mut self,
-        event: EngineEvent<P::Msg>,
+        event: EngineEvent<P::Msg, S>,
         now: Nanos,
         effects: &mut impl EffectSink<P::Msg, S::Output>,
     ) {
@@ -1159,7 +1190,7 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
                 }
             }
             EngineEvent::Message { from, msg } => match self.node.instance_of(&msg) {
-                Some(inst) if inst < self.applier.log_base() => self.serve_stale(from, inst, now),
+                Some(inst) if inst < self.applier.log_base() => self.serve_stale(from, now),
                 _ => {
                     self.node.on_message(from, msg, now, &mut self.outbox);
                     self.absorb(now, effects);
@@ -1188,6 +1219,17 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
                     self.submit(client, req_id, Op::Get { key }, now, effects);
                 }
             }
+            EngineEvent::CatchUp { from, msg } => match msg {
+                // Only a strictly newer snapshot is an answer: a stale
+                // ask or a boot probe against an empty group goes
+                // unanswered instead of bouncing state the asker has.
+                CatchUp::Ask { have } => {
+                    if self.applied_next() > have {
+                        self.queue_snapshot(from);
+                    }
+                }
+                CatchUp::Snapshot(snap) => self.install_snapshot(*snap),
+            },
         }
     }
 
@@ -1296,27 +1338,35 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
         self.applier.applied_up_to().map_or(0, |i| i + 1)
     }
 
-    /// Queues a catch-up request to the next donor in rotation (none in
-    /// a single-member group).
+    /// Queues a snapshot ask to the next donor in rotation (none in a
+    /// single-member group).
     fn request_snapshot(&mut self) {
         let have = self.applied_next();
         let m = self.maint.as_mut().expect("maintenance enabled");
         if !m.peers.is_empty() {
             let donor = m.peers[m.donor_rr % m.peers.len()];
-            self.catch_up.push_back(CatchUp::Ask(donor, have));
+            self.catch_up.push_back((donor, CatchUp::Ask { have }));
+            self.stats.snapshot_asks += 1;
             m.donor_rr += 1;
         }
     }
 
-    /// `peer`'s message reached below the floor at `inst` and was
-    /// dropped: queue this replica's snapshot for it, unless it was
-    /// served within the last [`GAP_PATIENCE`].
-    fn serve_stale(&mut self, peer: NodeId, inst: Instance, now: Nanos) {
+    /// `peer`'s message reached below the floor and was dropped: queue
+    /// this replica's snapshot for it, unless it was served within the
+    /// last [`GAP_PATIENCE`].
+    fn serve_stale(&mut self, peer: NodeId, now: Nanos) {
         let due = |&at: &Nanos| now.saturating_sub(at) >= GAP_PATIENCE;
         if self.served.get(&peer).is_none_or(due) {
             self.served.insert(peer, now);
-            self.catch_up.push_back(CatchUp::Serve(peer, inst));
+            self.queue_snapshot(peer);
         }
+    }
+
+    /// Queues this replica's snapshot for `peer`.
+    fn queue_snapshot(&mut self, peer: NodeId) {
+        let snap = Box::new(self.applier.snapshot());
+        self.catch_up.push_back((peer, CatchUp::Snapshot(snap)));
+        self.stats.snapshots_served += 1;
     }
 
     /// One [`MAINTENANCE`] firing: re-arm, watch the apply gap, and — as
@@ -1340,10 +1390,10 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
         }
     }
 
-    /// Takes the oldest queued catch-up, if any: the harness carries a
-    /// [`CatchUp::Ask`] to its donor and a [`CatchUp::Serve`] to its
-    /// peer, each answered through [`Self::serve_snapshot`].
-    pub fn take_catch_up(&mut self) -> Option<CatchUp> {
+    /// Takes the oldest catch-up message waiting to be sent, as
+    /// `(to, message)`: the harness delivers it to `to`'s engine as an
+    /// [`EngineEvent::CatchUp`] from this node.
+    pub fn take_catch_up(&mut self) -> Option<(NodeId, CatchUp<S>)> {
         self.catch_up.pop_front()
     }
 
@@ -1605,27 +1655,18 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
     }
 
     // ----------------------------------------------------------------
-    // Snapshots & catch-up (see `Applier::snapshot`).
+    // Snapshot install (see `Applier::snapshot`).
     // ----------------------------------------------------------------
 
-    /// The serving side of catch-up ([`CatchUp`]): a snapshot for a peer
-    /// that asked with `have` or reached below the floor at `have` — but
-    /// only one strictly past it, so stale requests and boot probes
-    /// against an empty group go unanswered instead of bouncing state the
-    /// requester already has.
-    pub fn serve_snapshot(&self, have: Instance) -> Option<crate::rsm::ApplierSnapshot<S>> {
-        (self.applied_next() > have).then(|| self.applier.snapshot())
-    }
-
     /// Installs a peer's snapshot, fast-forwarding the applier *and* the
-    /// protocol past its watermark in one step. Returns `false` (and
-    /// changes nothing) if the snapshot is at or below what this replica
-    /// already applied.
-    pub fn install_snapshot(&mut self, snap: crate::rsm::ApplierSnapshot<S>) -> bool {
+    /// protocol past its watermark in one step; changes nothing if the
+    /// snapshot is at or below what this replica already applied.
+    fn install_snapshot(&mut self, snap: ApplierSnapshot<S>) {
         let watermark = snap.watermark;
         if !self.applier.install_snapshot(snap) {
-            return false;
+            return;
         }
+        self.stats.snapshots_installed += 1;
         self.floor_rose();
         if let Some(m) = &mut self.maint {
             m.gap_since = None; // whatever gap remains starts a fresh window
@@ -1634,7 +1675,6 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
         // clients re-send, and the retry is answered from the installed
         // session table (at-most-once) instead of re-applying.
         self.deferred.retain(|&(_, _, inst)| inst >= watermark);
-        true
     }
 
     /// The applier's log base — the one truncation floor — just rose:

@@ -44,9 +44,11 @@
 //! groups. [`ShardedEngine::next_deadline`] merges the per-shard timer
 //! tables for sleep-until-deadline schedulers. Background maintenance
 //! (see [`crate::engine`]) is per group too:
-//! [`ShardedEngine::enable_maintenance`] switches it on everywhere and
-//! [`ShardedEngine::take_catch_up`] drains the groups' catch-up queues,
-//! shard-tagged like everything else.
+//! [`ShardedEngine::enable_maintenance`] switches it on everywhere.
+//! Catch-up messages travel like protocol messages, shard-tagged both
+//! ways: [`ShardedEngine::take_catch_up`] yields each one a group sends,
+//! and the receiving node hands it to the same group's
+//! [`ShardedEngine::handle`] as an [`EngineEvent::CatchUp`].
 //!
 //! # Example
 //!
@@ -79,8 +81,8 @@ use crate::engine::{
     ReplicaEngine, ReplyMode,
 };
 use crate::protocol::Protocol;
-use crate::rsm::{ApplierSnapshot, StateMachine};
-use crate::types::{Instance, Nanos, NodeId, Op};
+use crate::rsm::StateMachine;
+use crate::types::{Nanos, NodeId, Op};
 
 /// Identifier of one consensus group (shard) inside a sharded deployment.
 ///
@@ -276,7 +278,7 @@ impl<P: Protocol, S: StateMachine> ShardedEngine<P, S> {
     pub fn handle(
         &mut self,
         s: ShardId,
-        event: EngineEvent<P::Msg>,
+        event: EngineEvent<P::Msg, S>,
         now: Nanos,
         effects: &mut ShardedEffects<P::Msg, S::Output>,
     ) {
@@ -379,28 +381,15 @@ impl<P: Protocol, S: StateMachine> ShardedEngine<P, S> {
         }
     }
 
-    /// Takes the next catch-up any shard group queued (see
-    /// [`ReplicaEngine::take_catch_up`]), tagged with its shard — for the
-    /// harness to carry after [`Self::start`], [`Self::fire_due`] and
-    /// each delivered message.
-    pub fn take_catch_up(&mut self) -> Option<(ShardId, CatchUp)> {
-        self.shards
-            .iter_mut()
-            .enumerate()
-            .find_map(|(i, e)| Some((ShardId(i as u16), e.take_catch_up()?)))
-    }
-
-    /// Shard `s`'s side of a catch-up: a snapshot only if strictly newer
-    /// than `have` (see [`ReplicaEngine::serve_snapshot`]).
-    pub fn serve_snapshot(&self, s: ShardId, have: Instance) -> Option<ApplierSnapshot<S>> {
-        self.shards[s.index()].serve_snapshot(have)
-    }
-
-    /// Installs a peer's snapshot into shard `s` (see
-    /// [`ReplicaEngine::install_snapshot`]). Returns `false` if the
-    /// snapshot is at or below what the shard already applied.
-    pub fn install_shard_snapshot(&mut self, s: ShardId, snap: ApplierSnapshot<S>) -> bool {
-        self.shards[s.index()].install_snapshot(snap)
+    /// Takes the next catch-up message any shard group is sending (see
+    /// [`ReplicaEngine::take_catch_up`]), as `(shard, to, message)` —
+    /// for the harness to send after [`Self::start`], [`Self::fire_due`]
+    /// and each handled event.
+    pub fn take_catch_up(&mut self) -> Option<(ShardId, NodeId, CatchUp<S>)> {
+        self.shards.iter_mut().enumerate().find_map(|(i, e)| {
+            let (to, msg) = e.take_catch_up()?;
+            Some((ShardId(i as u16), to, msg))
+        })
     }
 
     /// Routes a relaxed read (§7.5) of `key` to its owning shard, feeds

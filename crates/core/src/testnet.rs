@@ -9,12 +9,20 @@
 //!
 //! Each node is a [`ShardedEngine`] (one shard unless the
 //! [`builder`](TestNet::builder) asked for more), so `TestNet` itself is only a
-//! scheduler over per-link FIFOs of protocol messages: it decides *when*
+//! scheduler over per-link FIFOs of peer messages: it decides *when*
 //! an [`EngineEffect`] crosses a link, while the engines own all timer,
 //! commit, apply and reply semantics — the same engines the simulator and
 //! the threaded runtime deploy. Sharded nets multiplex every shard
 //! group's messages over the same per-pair links, each message tagged
 //! with its [`ShardId`].
+//!
+//! Catch-up messages ([`CatchUp`]) share those links, so [`TestNet::block`]
+//! holds them and [`TestNet::drop_one`] can lose them like any message.
+//! They are carried eagerly: after every step, each one at the head of a
+//! link to an unblocked node is delivered at once. An ask and its
+//! snapshot thus complete inside the step that sent the ask unless the
+//! test holds them, and a boot probe never stands in front of a
+//! protocol message a test delivers by hand.
 //!
 //! Per-message bookkeeping is O(1): links are one FIFO per directed pair
 //! in a flat table indexed `from·n + to`, and the commit oracle is one
@@ -72,8 +80,9 @@ fn deploy<P: Protocol>(
     e
 }
 
-/// One directed link's FIFO: shard-tagged protocol messages.
-type LinkQueue<P> = VecDeque<(ShardId, <P as Protocol>::Msg)>;
+/// One directed link's FIFO: the shard-tagged events in flight to the
+/// destination's engines — protocol messages and catch-up messages.
+type LinkQueue<P> = VecDeque<(ShardId, EngineEvent<<P as Protocol>::Msg, KvStore>)>;
 
 /// Configures and builds a [`TestNet`] (see [`TestNet::builder`]): node
 /// count plus the harness-shared [`EngineConfig`].
@@ -164,6 +173,8 @@ pub struct TestNet<P: Protocol> {
     /// Reusable list of the links one [`Self::run_to_quiescence`] pass
     /// visits.
     pass: Vec<usize>,
+    /// Catch-up messages on the links.
+    catch_ups: usize,
     now: Nanos,
     /// Harness-level commit oracle, one log per (node, shard), indexed
     /// `node·shards + shard`. Held outside the engines so it survives
@@ -173,9 +184,9 @@ pub struct TestNet<P: Protocol> {
     commits: Vec<InstanceLog<Command>>,
     replies: Vec<ReplyRecord>,
     delivered: u64,
-    /// Every catch-up request carried so far, as `(requester, donor)`.
+    /// Every snapshot ask sent so far, as `(requester, donor)`.
     snapshot_requests: Vec<(NodeId, NodeId)>,
-    /// Every snapshot served to a stale peer so far, as `(server, peer)`.
+    /// Every snapshot sent so far, as `(server, peer)`.
     snapshot_serves: Vec<(NodeId, NodeId)>,
     /// Rebuilds per node, so each engine incarnation advocates batches
     /// in a fresh sequence epoch (recycled batch ids would be dropped as
@@ -268,6 +279,7 @@ impl<P: Protocol> TestNet<P> {
                 .map(|_| VecDeque::new())
                 .collect(),
             pass: Vec::new(),
+            catch_ups: 0,
             now: 0,
             commits: (0..members.len() * usize::from(config.shards))
                 .map(|_| InstanceLog::new())
@@ -289,11 +301,21 @@ impl<P: Protocol> TestNet<P> {
     /// Bootstraps node `id`'s engines and routes the fallout (boot
     /// probes included).
     fn start_node(&mut self, id: NodeId) {
-        let now = self.now;
+        self.step(id, |e, now, fx| e.start(now, fx));
+    }
+
+    /// Runs `f` on node `id`'s engines at the current time and routes
+    /// what they emit.
+    fn step<R>(
+        &mut self,
+        id: NodeId,
+        f: impl FnOnce(&mut ShardedEngine<P, KvStore>, Nanos, &mut Effects<P>) -> R,
+    ) -> R {
         let mut effects = std::mem::take(&mut self.scratch);
-        self.engines[id.index()].start(now, &mut effects);
+        let r = f(&mut self.engines[id.index()], self.now, &mut effects);
         self.absorb(id, &mut effects);
         self.scratch = effects;
+        r
     }
 
     /// Current virtual time.
@@ -378,22 +400,25 @@ impl<P: Protocol> TestNet<P> {
         self.start_node(id);
     }
 
-    /// Reboots `id` like [`Self::reset_node`], then immediately installs
-    /// into every shard group a state snapshot taken from the live peer
-    /// `donor` — the snapshot-install catch-up path. The fresh engines
-    /// resume applying from the donor's applied watermark instead of
-    /// replaying (possibly truncated, hence unreplayable) history from
-    /// instance 0, and their protocol nodes fast-forward their truncation
-    /// floors to the same watermark. A donor shard that has applied
-    /// nothing yet contributes nothing (its watermark-0 snapshot is
-    /// rejected by the installer), which leaves that group cold — exactly
-    /// the plain reset behaviour.
+    /// Reboots `id` like [`Self::reset_node`], then hands every shard
+    /// group a state snapshot taken from the live peer `donor`, as a
+    /// catch-up message from it — the snapshot-install catch-up path.
+    /// The fresh engines resume applying from the donor's applied
+    /// watermark instead of replaying (possibly truncated, hence
+    /// unreplayable) history from instance 0, and their protocol nodes
+    /// fast-forward their truncation floors to the same watermark. A
+    /// donor shard that has applied nothing yet contributes nothing (its
+    /// watermark-0 snapshot is rejected by the installer), which leaves
+    /// that group cold — exactly the plain reset behaviour.
     pub fn reset_node_warm(&mut self, id: NodeId, donor: NodeId, fresh: impl FnMut() -> P) {
         self.reset_node(id, fresh);
         for s in (0..self.config.shards).map(ShardId) {
-            if let Some(snap) = self.engines[donor.index()].serve_snapshot(s, 0) {
-                self.engines[id.index()].install_shard_snapshot(s, snap);
-            }
+            let snap = Box::new(self.engines[donor.index()].shard(s).applier().snapshot());
+            let event = EngineEvent::CatchUp {
+                from: donor,
+                msg: CatchUp::Snapshot(snap),
+            };
+            self.step(id, |e, now, fx| e.handle(s, event, now, fx));
         }
     }
 
@@ -407,18 +432,14 @@ impl<P: Protocol> TestNet<P> {
     /// [`Self::advance_and_settle`]) like any other request.
     pub fn propose_truncate(&mut self, target: NodeId, shard: ShardId) -> Instance {
         self.probe_reqs += 1;
-        let engine = &mut self.engines[target.index()];
-        let watermark = engine.stats(shard).applied;
+        let watermark = self.engines[target.index()].stats(shard).applied;
         // Keyless, so handed to its shard directly instead of routed.
         let event = EngineEvent::ClientRequest {
             client: Self::PROBE_CLIENT,
             req_id: self.probe_reqs,
             op: Op::Truncate { watermark },
         };
-        let mut effects = std::mem::take(&mut self.scratch);
-        engine.handle(shard, event, self.now, &mut effects);
-        self.absorb(target, &mut effects);
-        self.scratch = effects;
+        self.step(target, |e, now, fx| e.handle(shard, event, now, fx));
         watermark
     }
 
@@ -448,12 +469,7 @@ impl<P: Protocol> TestNet<P> {
         req_id: u64,
         op: Op,
     ) -> ShardId {
-        let now = self.now;
-        let mut effects = std::mem::take(&mut self.scratch);
-        let shard = self.engines[target.index()].submit(client, req_id, op, now, &mut effects);
-        self.absorb(target, &mut effects);
-        self.scratch = effects;
-        shard
+        self.step(target, |e, now, fx| e.submit(client, req_id, op, now, fx))
     }
 
     /// Sends a relaxed read (§7.5) of `key` to `target`, routed to the
@@ -466,13 +482,9 @@ impl<P: Protocol> TestNet<P> {
         req_id: u64,
         key: u64,
     ) -> ShardId {
-        let now = self.now;
-        let mut effects = std::mem::take(&mut self.scratch);
-        let shard =
-            self.engines[target.index()].read_relaxed(client, req_id, key, now, &mut effects);
-        self.absorb(target, &mut effects);
-        self.scratch = effects;
-        shard
+        self.step(target, |e, now, fx| {
+            e.read_relaxed(client, req_id, key, now, fx)
+        })
     }
 
     /// The gate [`Self::read_relaxed`] serves through, as an oracle:
@@ -696,6 +708,16 @@ impl<P: Protocol> TestNet<P> {
             .collect()
     }
 
+    /// Takes the head-of-line message off link `i`, keeping the
+    /// catch-up count.
+    fn pop(&mut self, i: usize) -> Option<(ShardId, EngineEvent<P::Msg, KvStore>)> {
+        let head = self.links[i].pop_front()?;
+        if let (_, EngineEvent::CatchUp { .. }) = head {
+            self.catch_ups -= 1;
+        }
+        Some(head)
+    }
+
     /// Delivers the head-of-line message on `(from, to)` to its shard
     /// group. Returns `false` if there was none or the destination is
     /// blocked.
@@ -703,21 +725,11 @@ impl<P: Protocol> TestNet<P> {
         if self.is_blocked(to) {
             return false;
         }
-        let i = self.link(from, to);
-        let Some((shard, msg)) = self.links[i].pop_front() else {
+        let Some((shard, event)) = self.pop(self.link(from, to)) else {
             return false;
         };
         self.delivered += 1;
-        let now = self.now;
-        let mut effects = std::mem::take(&mut self.scratch);
-        self.engines[to.index()].handle(
-            shard,
-            EngineEvent::Message { from, msg },
-            now,
-            &mut effects,
-        );
-        self.absorb(to, &mut effects);
-        self.scratch = effects;
+        self.step(to, |e, now, fx| e.handle(shard, event, now, fx));
         true
     }
 
@@ -726,8 +738,7 @@ impl<P: Protocol> TestNet<P> {
     /// use this only to emulate a message that is still in flight forever
     /// behind a blocked core.
     pub fn drop_one(&mut self, from: NodeId, to: NodeId) -> bool {
-        let i = self.link(from, to);
-        self.links[i].pop_front().is_some()
+        self.pop(self.link(from, to)).is_some()
     }
 
     /// Delivers messages in deterministic (link-ordered, FIFO) rounds until
@@ -771,45 +782,35 @@ impl<P: Protocol> TestNet<P> {
 
     /// Advances virtual time by `delta`, firing every due timer of every
     /// unblocked node (in node order, shards within a node in shard
-    /// order), then returns. Does not deliver messages (snapshot
-    /// catch-up, when maintenance is on, is handed across directly).
+    /// order), then returns. Delivers no protocol message; catch-up
+    /// messages are carried eagerly, as after any step (see the
+    /// [module docs](self)).
     pub fn advance(&mut self, delta: Nanos) {
         self.now += delta;
-        let now = self.now;
-        for i in 0..self.engines.len() {
-            if self.blocked[i] {
-                continue; // the slow core is not getting cycles
+        for i in 0..self.engines.len() as u16 {
+            if !self.is_blocked(NodeId(i)) {
+                // The slow core is not getting cycles.
+                self.step(NodeId(i), |e, now, fx| e.fire_due(now, fx));
             }
-            let mut effects = std::mem::take(&mut self.scratch);
-            self.engines[i].fire_due(now, &mut effects);
-            self.absorb(NodeId(i as u16), &mut effects);
-            self.scratch = effects;
         }
     }
 
-    /// The catch-up transport, bypassing the link FIFOs: hands each ask
-    /// `me`'s engines queued straight to its donor and the donor's
-    /// snapshot straight back, and each serve's snapshot straight to its
-    /// peer. A blocked donor (a slow core) answers nothing — the request
-    /// is lost and the policy must retry.
-    fn carry_catch_up(&mut self, me: NodeId) {
-        while let Some((shard, catch_up)) = self.engines[me.index()].take_catch_up() {
-            let (from, to, have) = match catch_up {
-                CatchUp::Ask(donor, have) => {
-                    self.snapshot_requests.push((me, donor));
-                    (donor, me, have)
-                }
-                CatchUp::Serve(peer, have) => {
-                    self.snapshot_serves.push((me, peer));
-                    (me, peer, have)
-                }
+    /// Delivers every catch-up message at the head of a link to an
+    /// unblocked node, and the catch-up those deliveries send in turn.
+    fn deliver_catch_up(&mut self) {
+        while self.catch_ups > 0 {
+            let head_is_catch_up = |i: usize| {
+                self.is_deliverable(i)
+                    && matches!(
+                        self.links[i].front(),
+                        Some((_, EngineEvent::CatchUp { .. }))
+                    )
             };
-            if self.is_blocked(from) {
-                continue;
-            }
-            if let Some(snap) = self.engines[from.index()].serve_snapshot(shard, have) {
-                self.engines[to.index()].install_shard_snapshot(shard, snap);
-            }
+            let Some(i) = (0..self.links.len()).find(|&i| head_is_catch_up(i)) else {
+                return;
+            };
+            let (from, to) = self.link_ends(i);
+            self.deliver_one(from, to);
         }
     }
 
@@ -852,15 +853,16 @@ impl<P: Protocol> TestNet<P> {
         &self.replies
     }
 
-    /// Every catch-up request the engines' maintenance emitted, as
-    /// `(requester, donor)` in emission order (empty unless the config
-    /// set `truncate_every`).
+    /// Every snapshot ask the engines' maintenance sent, as
+    /// `(requester, donor)` in send order (empty unless the config set
+    /// `truncate_every`).
     pub fn snapshot_requests(&self) -> &[(NodeId, NodeId)] {
         &self.snapshot_requests
     }
 
-    /// Every snapshot an engine served to a peer that reached below its
-    /// truncation floor, as `(server, peer)` in emission order.
+    /// Every snapshot an engine sent, as `(server, peer)` in send order:
+    /// answers to asks as well as unasked serves of peers that reached
+    /// below the server's truncation floor.
     pub fn snapshot_serves(&self) -> &[(NodeId, NodeId)] {
         &self.snapshot_serves
     }
@@ -896,14 +898,16 @@ impl<P: Protocol> TestNet<P> {
     /// Routes one node's tagged effects: sends into per-link FIFOs
     /// (multiplexing all shard groups, tagged), replies and commits into
     /// the harness-level records (which outlive node resets, unlike the
-    /// engines they came from). Then carries the catch-up the node's
-    /// engines queued in the same step.
+    /// engines they came from). Then puts the catch-up messages the
+    /// node's engines sent in the same step on their links, and carries
+    /// what can go at once.
     fn absorb(&mut self, me: NodeId, effects: &mut Effects<P>) {
         for (shard, effect) in effects.drain(..) {
             match effect {
                 EngineEffect::SendTo { to, msg } => {
                     let i = self.link(me, to);
-                    self.links[i].push_back((shard, msg));
+                    let event = EngineEvent::Message { from: me, msg };
+                    self.links[i].push_back((shard, event));
                 }
                 EngineEffect::ReplyTo {
                     client,
@@ -930,7 +934,16 @@ impl<P: Protocol> TestNet<P> {
                 }
             }
         }
-        self.carry_catch_up(me);
+        while let Some((shard, to, msg)) = self.engines[me.index()].take_catch_up() {
+            match msg {
+                CatchUp::Ask { .. } => self.snapshot_requests.push((me, to)),
+                CatchUp::Snapshot(_) => self.snapshot_serves.push((me, to)),
+            }
+            let i = self.link(me, to);
+            self.links[i].push_back((shard, EngineEvent::CatchUp { from: me, msg }));
+            self.catch_ups += 1;
+        }
+        self.deliver_catch_up();
     }
 }
 

@@ -253,7 +253,8 @@ fn assert_served_in_time<P: Protocol>(
 }
 
 /// Reboots `stale` cold while `donor`, the first peer in its snapshot
-/// rotation, is blocked, so its boot probe goes unanswered.
+/// rotation, is blocked, and drops its boot probe on the link, so it
+/// goes unanswered.
 fn reset_cold<P: Protocol>(
     net: &mut TestNet<P>,
     stale: NodeId,
@@ -262,6 +263,7 @@ fn reset_cold<P: Protocol>(
 ) {
     net.block(donor);
     net.reset_node(stale, fresh);
+    assert!(net.drop_one(stale, donor));
     net.unblock(donor);
     assert_eq!(
         net.engine_stats(stale).truncations,

@@ -4,10 +4,16 @@
 //! own `MAINTENANCE` timer does, carried by `TestNet::advance` exactly
 //! as the runtime loop and the simulator carry it.
 
-use onepaxos::engine::{EngineConfig, GAP_PATIENCE, MAINTENANCE, MAINT_PERIOD};
+use std::collections::VecDeque;
+
+use onepaxos::engine::{
+    CatchUp, EngineConfig, EngineEffect, EngineEvent, ReplyMode, GAP_PATIENCE, MAINTENANCE,
+    MAINT_PERIOD,
+};
+use onepaxos::kv::KvStore;
 use onepaxos::multipaxos::MultiPaxosNode;
 use onepaxos::onepaxos::OnePaxosNode;
-use onepaxos::shard::ShardId;
+use onepaxos::shard::{ShardId, ShardedEngine};
 use onepaxos::testnet::TestNet;
 use onepaxos::{
     BatchConfig, ClusterConfig, Command, Instance, Nanos, NodeId, Op, Outbox, Protocol, Timer,
@@ -109,11 +115,12 @@ fn cold_backup_installs_a_snapshot_after_the_patience_window() {
     }
     assert!(net.engine_stats(N0).truncations > 0, "prefix not truncated");
 
-    // Node 2's rotation starts at node 0; block it across the reboot so
-    // the boot probe goes unanswered.
+    // Node 2's rotation starts at node 0; hold node 0 across the reboot
+    // and drop the boot probe on its link, so it goes unanswered.
     let before = net.snapshot_requests().len();
     net.block(N0);
     net.reset_node(N2, || onepaxos(&[N0, N1, N2], N2));
+    assert!(net.drop_one(N2, N0));
     net.unblock(N0);
     assert_eq!(net.snapshot_requests()[before..], [(N2, N0)]);
     assert_eq!(net.engine_stats(N2).truncations, 0, "probe answered");
@@ -140,6 +147,216 @@ fn cold_backup_installs_a_snapshot_after_the_patience_window() {
         net.sharded_engine(N2).kv_digest(),
         net.sharded_engine(N0).kv_digest()
     );
+}
+
+/// (7) A snapshot lost on its link costs one patience window: the
+/// requester re-asks the next donor in rotation, installs its answer and
+/// converges.
+#[test]
+fn a_lost_snapshot_is_re_asked_from_the_next_donor() {
+    let mut net = TestNet::builder(3).config(truncating(32)).build(onepaxos);
+    let mut req = 0;
+    for _ in 0..8 {
+        puts(&mut net, &mut req, 16);
+        net.advance_and_settle(MAINT_PERIOD, 1);
+    }
+    assert!(net.engine_stats(N0).truncations > 0, "prefix not truncated");
+
+    // Node 2 reboots held, so node 0's answer to its boot probe waits on
+    // the link; it is lost there.
+    let (asks, serves) = (net.snapshot_requests().len(), net.snapshot_serves().len());
+    net.block(N2);
+    net.reset_node(N2, || onepaxos(&[N0, N1, N2], N2));
+    assert_eq!(net.snapshot_requests()[asks..], [(N2, N0)]);
+    assert_eq!(net.snapshot_serves()[serves..], [(N0, N2)]);
+    assert!(net.drop_one(N0, N2));
+    net.unblock(N2);
+
+    // The gap stays open for one patience window, then node 2 asks node
+    // 1, the next donor, whose snapshot arrives.
+    let reset_at = net.now();
+    while net.now() < reset_at + GAP_PATIENCE + 2 * MAINT_PERIOD {
+        puts(&mut net, &mut req, 4);
+        net.advance_and_settle(MAINT_PERIOD, 1);
+        if net.now() < reset_at + GAP_PATIENCE {
+            assert!(net.engine_stats(N2).gap_backlog > 0, "no gap to watch");
+            assert_eq!(net.snapshot_requests().len(), asks + 1, "asked early");
+        }
+    }
+    assert_eq!(net.snapshot_requests()[asks..], [(N2, N0), (N2, N1)]);
+    assert_eq!(net.engine_stats(N2).snapshots_installed, 1);
+
+    puts(&mut net, &mut req, 8);
+    net.assert_consistent();
+    assert_eq!(net.engine_stats(N2).gap_backlog, 0);
+    assert_eq!(
+        net.sharded_engine(N2).kv_digest(),
+        net.sharded_engine(N0).kv_digest()
+    );
+}
+
+type Engine = ShardedEngine<OnePaxosNode, KvStore>;
+type Event = EngineEvent<onepaxos::onepaxos::Msg, KvStore>;
+
+/// The one shard group of the replay test.
+const SHARD: ShardId = ShardId(0);
+
+/// One input of a replica's engines.
+#[derive(Clone)]
+enum Input {
+    Event(Event),
+    FireDue,
+}
+
+/// Something a replica's engines emitted.
+#[derive(Debug)]
+enum Output {
+    Effect(EngineEffect<onepaxos::onepaxos::Msg, Option<u64>>),
+    CatchUp(NodeId, CatchUp<KvStore>),
+}
+
+/// Feeds `input` to `engine` at `now`; returns what the engine emitted:
+/// its effects, then the catch-up messages it sent.
+fn feed(engine: &mut Engine, now: Nanos, input: Input) -> Vec<Output> {
+    let mut effects = Vec::new();
+    match input {
+        Input::Event(event) => engine.handle(SHARD, event, now, &mut effects),
+        Input::FireDue => {
+            engine.fire_due(now, &mut effects);
+        }
+    }
+    let mut out: Vec<Output> = effects
+        .into_iter()
+        .map(|(_, e)| Output::Effect(e))
+        .collect();
+    while let Some((_, to, msg)) = engine.take_catch_up() {
+        out.push(Output::CatchUp(to, msg));
+    }
+    out
+}
+
+/// Three single-group replicas over one FIFO of peer events, in virtual
+/// time, recording every input and output of one of them.
+struct Recorder {
+    engines: Vec<Engine>,
+    /// `(to, event)` in send order.
+    queue: VecDeque<(NodeId, Event)>,
+    now: Nanos,
+    recorded: Option<NodeId>,
+    inputs: Vec<(Nanos, Input)>,
+    outputs: Vec<String>,
+}
+
+impl Recorder {
+    fn step(&mut self, id: NodeId, input: Input) {
+        let record = self.recorded == Some(id);
+        if record {
+            self.inputs.push((self.now, input.clone()));
+        }
+        for out in feed(&mut self.engines[id.index()], self.now, input) {
+            if record {
+                self.outputs.push(format!("{out:?}"));
+            }
+            let (to, event) = match out {
+                Output::Effect(EngineEffect::SendTo { to, msg }) => {
+                    (to, EngineEvent::Message { from: id, msg })
+                }
+                Output::CatchUp(to, msg) => (to, EngineEvent::CatchUp { from: id, msg }),
+                Output::Effect(_) => continue,
+            };
+            self.queue.push_back((to, event));
+        }
+    }
+
+    /// Delivers until nothing is in flight.
+    fn settle(&mut self) {
+        while let Some((to, event)) = self.queue.pop_front() {
+            self.step(to, Input::Event(event));
+        }
+    }
+
+    /// Submits `count` numbered puts at node 0, continuing `next_req`,
+    /// then moves time on by one maintenance period.
+    fn puts_then_tick(&mut self, next_req: &mut u64, count: u64) {
+        for _ in 0..count {
+            *next_req += 1;
+            let (key, value) = (*next_req % 16, *next_req);
+            let op = Op::Put { key, value };
+            let event = EngineEvent::ClientRequest {
+                client: CLIENT,
+                req_id: *next_req,
+                op,
+            };
+            self.step(N0, Input::Event(event));
+        }
+        self.settle();
+        self.now += MAINT_PERIOD;
+        for id in 0..3 {
+            self.step(NodeId(id), Input::FireDue);
+        }
+        self.settle();
+    }
+}
+
+/// (8) A replica that caught up is a function of its inputs: every
+/// `EngineEvent` (the snapshot install included) and `fire_due` of a
+/// cold-rebooted replica replays into a fresh engine to the same state,
+/// applied watermark and output.
+#[test]
+fn a_caught_up_replica_replays_from_its_inputs() {
+    let members = [N0, N1, N2];
+    let config = truncating(32);
+    let deploy = |me: NodeId, incarnation| {
+        let node = || onepaxos(&members, me);
+        let mut e = ShardedEngine::deploy(config, ReplyMode::Immediate, incarnation, node);
+        e.enable_maintenance(&members, config.truncate_every);
+        e
+    };
+    let mut net = Recorder {
+        engines: members.iter().map(|&me| deploy(me, 0)).collect(),
+        queue: VecDeque::new(),
+        now: 0,
+        recorded: None,
+        inputs: Vec::new(),
+        outputs: Vec::new(),
+    };
+    for id in members {
+        net.step(id, Input::Event(EngineEvent::Start));
+    }
+    net.settle();
+    let mut req = 0;
+    for _ in 0..8 {
+        net.puts_then_tick(&mut req, 16);
+    }
+    assert!(
+        net.engines[0].stats(SHARD).truncations > 0,
+        "prefix not truncated"
+    );
+
+    // Node 2 reboots cold and is recorded from its first input on: its
+    // boot probe is answered, and it keeps up with the traffic after.
+    net.engines[2] = deploy(N2, 1);
+    net.recorded = Some(N2);
+    net.step(N2, Input::Event(EngineEvent::Start));
+    net.settle();
+    for _ in 0..4 {
+        net.puts_then_tick(&mut req, 8);
+    }
+    let live = &net.engines[2];
+    let stats = live.stats(SHARD);
+    assert_eq!(stats.snapshots_installed, 1);
+    assert_eq!(stats.gap_backlog, 0);
+    assert_eq!(live.kv_digest(), net.engines[0].kv_digest());
+
+    let mut fresh = deploy(N2, 1);
+    let mut replayed = Vec::new();
+    for (now, input) in net.inputs.clone() {
+        let out = feed(&mut fresh, now, input);
+        replayed.extend(out.iter().map(|o| format!("{o:?}")));
+    }
+    assert_eq!(fresh.kv_digest(), live.kv_digest());
+    assert_eq!(fresh.stats(SHARD).applied, stats.applied);
+    assert_eq!(replayed, net.outputs);
 }
 
 /// A sequencer that orders nothing: whatever a node is asked to submit,

@@ -6,7 +6,7 @@
 //! A replica thread owns a [`ShardedEngine`] (one consensus group unless
 //! [`ClusterBuilder::shards`] raises it) and does nothing but IO: poll
 //! its transport, feed events to the engines, push what they emit —
-//! [`EngineEffect`]s and queued catch-up requests — back onto the wire
+//! [`EngineEffect`]s and catch-up messages — back onto the wire
 //! (transports buffer instead of blocking, so a busy link never wedges
 //! the loop). Timers, commits, replies, the state machines and every
 //! background decision (when to truncate, when a gap means "fetch a
@@ -38,12 +38,12 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use onepaxos::client::{Answer, ClientEffect, ClientSession, Request, RetryPolicy};
-use onepaxos::engine::{BatchConfig, CatchUp, EngineConfig, EngineEffect, ReplyMode};
+use onepaxos::engine::{BatchConfig, CatchUp, EngineConfig, EngineEffect, EngineStats, ReplyMode};
 use onepaxos::kv::KvStore;
 use onepaxos::rsm::ApplierSnapshot;
 use onepaxos::shard::{ShardId, ShardRouter, ShardedEffects, ShardedEngine};
 use onepaxos::wire::{decode_exact, encode_to_vec, Codec};
-use onepaxos::{EngineEvent, Instance, Nanos, NodeId, Op, Protocol, TxnOutcome};
+use onepaxos::{EngineEvent, Nanos, NodeId, Op, Protocol, TxnOutcome};
 use qc_channel::{spsc, Receiver, Sender};
 
 use crate::fault::{FaultPlan, FaultTransport};
@@ -101,11 +101,14 @@ pub struct NodeMetrics {
     pub conn_kills: AtomicU64,
     /// The subset of `conn_kills` caused by an undecodable frame.
     pub corrupt_frames: AtomicU64,
-    /// State snapshots this replica served to catching-up peers.
+    /// State snapshots this replica sent to catching-up peers, counted
+    /// by its engines ([`EngineStats::snapshots_served`]) and carried
+    /// across restarts like `truncations`.
     pub snapshots_served: AtomicU64,
     /// State snapshots this replica installed — each one a catch-up
     /// fast-forward past log entries agreed truncation made
-    /// unreplayable.
+    /// unreplayable ([`EngineStats::snapshots_installed`], carried
+    /// across restarts like `truncations`).
     pub snapshots_installed: AtomicU64,
     /// Agreed truncations this replica applied, counted by its engines
     /// as log-base advances (snapshot installs count too: installing
@@ -647,12 +650,13 @@ fn dispatch_effects<P: Protocol, T: Transport<P::Msg>>(
 /// adaptive batch depth move — and, for the bounded-memory gates, the
 /// retained-state gauges (applied log, retired outputs, finished-txn
 /// records, gap backlog) that must stay flat under periodic truncation.
-/// `truncations_before` is what earlier incarnations of the slot had
-/// counted: the metrics block outlives a restart, and its truncation
-/// total must not step back when a fresh engine starts from zero.
+/// `before` holds what earlier incarnations of the slot had counted:
+/// the metrics block outlives a restart, and its truncation and
+/// snapshot totals must not step back when a fresh engine starts from
+/// zero.
 fn publish_engine_stats<P: Protocol>(
     engine: &ShardedEngine<P, KvStore>,
-    truncations_before: u64,
+    before: &EngineStats,
     metrics: &NodeMetrics,
 ) {
     let stats = engine.merged_stats();
@@ -674,7 +678,15 @@ fn publish_engine_stats<P: Protocol>(
         .store(stats.applied_log_len as u64, Ordering::Relaxed);
     metrics
         .truncations
-        .store(truncations_before + stats.truncations, Ordering::Relaxed);
+        .store(before.truncations + stats.truncations, Ordering::Relaxed);
+    metrics.snapshots_served.store(
+        before.snapshots_served + stats.snapshots_served,
+        Ordering::Relaxed,
+    );
+    metrics.snapshots_installed.store(
+        before.snapshots_installed + stats.snapshots_installed,
+        Ordering::Relaxed,
+    );
     metrics
         .outputs_len
         .store(stats.outputs_len as u64, Ordering::Relaxed);
@@ -701,44 +713,24 @@ fn publish_transport_stats(stats: &TransportStats, metrics: &NodeMetrics) {
         .store(stats.corrupt_frames, Ordering::Relaxed);
 }
 
-/// Carries the catch-up the engines queued, each on its shard group's
-/// topic: an ask (boot probe, persistent apply gap) goes to its donor as
-/// a snapshot request, a serve goes to its stale peer as the snapshot.
+/// Sends the catch-up messages the engines queued, each on its shard
+/// group's topic: an ask as a [`Wire::SnapshotRequest`], a snapshot as
+/// a [`Wire::Snapshot`].
 fn send_catch_up<P: Protocol, T: Transport<P::Msg>>(
     engine: &mut ShardedEngine<P, KvStore>,
     io: &mut T,
     metrics: &NodeMetrics,
 ) {
-    while let Some((ShardId(shard), catch_up)) = engine.take_catch_up() {
-        match catch_up {
-            CatchUp::Ask(donor, have) => {
-                io.send(donor, shard, Wire::SnapshotRequest { shard, have });
-                metrics.sent.fetch_add(1, Ordering::Relaxed);
-            }
-            CatchUp::Serve(peer, have) => send_snapshot(engine, io, metrics, peer, shard, have),
-        }
-    }
-}
-
-/// Sends `to` shard `shard`'s snapshot if the engine has one strictly
-/// past `have` — the answer to a peer's request and to a stale peer
-/// alike.
-fn send_snapshot<P: Protocol, T: Transport<P::Msg>>(
-    engine: &ShardedEngine<P, KvStore>,
-    io: &mut T,
-    metrics: &NodeMetrics,
-    to: NodeId,
-    shard: u16,
-    have: Instance,
-) {
-    if let Some(snap) = engine.serve_snapshot(ShardId(shard), have) {
-        let frame = Wire::Snapshot {
-            shard,
-            watermark: snap.watermark,
-            bytes: encode_to_vec(&snap),
+    while let Some((ShardId(shard), to, msg)) = engine.take_catch_up() {
+        let frame = match msg {
+            CatchUp::Ask { have } => Wire::SnapshotRequest { shard, have },
+            CatchUp::Snapshot(snap) => Wire::Snapshot {
+                shard,
+                watermark: snap.watermark,
+                bytes: encode_to_vec(&*snap),
+            },
         };
         io.send(to, shard, frame);
-        metrics.snapshots_served.fetch_add(1, Ordering::Relaxed);
         metrics.sent.fetch_add(1, Ordering::Relaxed);
     }
 }
@@ -753,13 +745,18 @@ fn replica_loop<P: Protocol, T: Transport<P::Msg>>(
     let start = Instant::now();
     let now_ns = || start.elapsed().as_nanos() as Nanos;
     let shard_count = engine.shards();
-    let truncations_before = metrics.truncations.load(Ordering::Relaxed);
+    let before = EngineStats {
+        truncations: metrics.truncations.load(Ordering::Relaxed),
+        snapshots_served: metrics.snapshots_served.load(Ordering::Relaxed),
+        snapshots_installed: metrics.snapshots_installed.load(Ordering::Relaxed),
+        ..EngineStats::default()
+    };
     let mut effects: Effects<P> = Vec::new();
 
     engine.start(now_ns(), &mut effects);
     dispatch_effects::<P, T>(&mut effects, &mut io, metrics);
     send_catch_up(&mut engine, &mut io, metrics);
-    publish_engine_stats(&engine, truncations_before, metrics);
+    publish_engine_stats(&engine, &before, metrics);
 
     // Consecutive turns that found nothing to do; the transport's idle
     // policy reads it (`Transport::idle_wait`).
@@ -820,45 +817,41 @@ fn replica_loop<P: Protocol, T: Transport<P::Msg>>(
                     engine.read_relaxed(client, req_id, key, now, &mut effects);
                 }
                 Wire::Reply { .. } => {} // replicas ignore replies
-                Wire::SnapshotRequest { shard, have } => {
-                    // Serve a catching-up peer, if the engine has
-                    // anything newer to offer.
-                    if shard < shard_count {
-                        send_snapshot(&engine, &mut io, metrics, from, shard, have);
-                    }
+                // Catch-up frames become the engine's catch-up events;
+                // the engine decides whether to answer or install. Only
+                // the frame is checked here: a shard this node hosts, and
+                // a payload that decodes to exactly the snapshot its
+                // header advertises.
+                Wire::SnapshotRequest { shard, have } if shard < shard_count => {
+                    let msg = CatchUp::Ask { have };
+                    let event = EngineEvent::CatchUp { from, msg };
+                    engine.handle(ShardId(shard), event, now, &mut effects);
                 }
                 Wire::Snapshot {
                     shard,
                     watermark,
                     bytes,
-                } => {
-                    // Install iff the payload decodes, matches its
-                    // advertised watermark, and is newer than the local
-                    // apply frontier (the installer enforces the last
-                    // part). The install fast-forwards the applier,
-                    // truncates the protocol node's learner state below
-                    // the watermark and drops parked out-of-gap commands
-                    // the snapshot already covers.
-                    if shard < shard_count {
-                        if let Ok(snap) = decode_exact::<ApplierSnapshot<KvStore>>(&bytes) {
-                            if snap.watermark == watermark
-                                && engine.install_shard_snapshot(ShardId(shard), snap)
-                            {
-                                metrics.snapshots_installed.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
+                } if shard < shard_count => {
+                    let snap = decode_exact::<ApplierSnapshot<KvStore>>(&bytes).ok();
+                    if let Some(snap) = snap.filter(|s| s.watermark == watermark) {
+                        let msg = CatchUp::Snapshot(Box::new(snap));
+                        let event = EngineEvent::CatchUp { from, msg };
+                        engine.handle(ShardId(shard), event, now, &mut effects);
                     }
                 }
+                // A shard this node does not host.
+                Wire::SnapshotRequest { .. } | Wire::Snapshot { .. } => {}
                 Wire::Shutdown => return,
             }
             dispatch_effects::<P, T>(&mut effects, &mut io, metrics);
         }
-        // Catch-up queued this turn — the maintenance tick's requests,
-        // snapshots owed to peers whose messages fell below the floor.
+        // Catch-up the engines sent this turn — the maintenance tick's
+        // asks, answers to peers' asks, snapshots owed to peers whose
+        // messages fell below the floor.
         send_catch_up(&mut engine, &mut io, metrics);
         if progressed {
             empty_turns = 0;
-            publish_engine_stats(&engine, truncations_before, metrics);
+            publish_engine_stats(&engine, &before, metrics);
             metrics.loop_turns.store(loop_turns, Ordering::Relaxed);
             metrics.idle_waits.store(idle_waits, Ordering::Relaxed);
         } else {

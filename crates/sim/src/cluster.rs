@@ -34,8 +34,8 @@
 //! throughput scales with the cores hosting shard leaders. The engines
 //! own protocol dispatch, timers, commits, the applied KV replicas and
 //! background maintenance, while this module only prices what they emit
-//! — [`EngineEffect`]s and queued snapshot requests — in CPU time and
-//! moves it between cores.
+//! — [`EngineEffect`]s and catch-up messages — in CPU time and moves it
+//! between cores.
 
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -46,7 +46,6 @@ use onepaxos::engine::{
     BatchConfig, CatchUp, EngineConfig, EngineEffect, EngineEvent, EngineStats, ReplyMode,
 };
 use onepaxos::kv::KvStore;
-use onepaxos::rsm::ApplierSnapshot;
 use onepaxos::shard::{ShardId, ShardRouter, ShardedEngine};
 use onepaxos::txn::TxnOutcome;
 use onepaxos::{Command, Instance, Nanos, NodeId, Op, Protocol};
@@ -242,10 +241,11 @@ pub struct RunReport {
     /// here). Zero unless [`SimBuilder::truncate_every`] is set.
     pub truncations: u64,
     /// State snapshots installed by lagging replicas during
-    /// snapshot-install catch-up. Zero unless
+    /// snapshot-install catch-up ([`EngineStats::snapshots_installed`],
+    /// summed like `truncations`). Zero unless
     /// [`SimBuilder::truncate_every`] is set.
     pub snapshots_installed: u64,
-    /// Every catch-up request the engines' maintenance emitted, as
+    /// Every snapshot ask the engines' maintenance sent, as
     /// `(requester, donor)` replica slots in send order — boot probes
     /// included. Empty unless [`SimBuilder::truncate_every`] is set.
     pub snapshot_requests: Vec<(usize, usize)>,
@@ -285,13 +285,12 @@ impl RunReport {
 }
 
 enum WorkItem<M> {
-    /// Protocol message from a peer replica of the same shard group (the
-    /// group is implied by the receiving process).
-    Peer { from: NodeId, msg: M },
-    /// A client's request or relaxed read arriving at a replica-shard
-    /// process, as the engine event it becomes (the engine orders the
-    /// request, and serves, parks or orders the read).
-    FromClient(EngineEvent<M>),
+    /// An input arriving at a replica-shard process, as the engine event
+    /// it becomes: a protocol or catch-up message from a peer replica of
+    /// the same shard group (the group is implied by the receiving
+    /// process), or a client's request or relaxed read (the engine
+    /// orders the request, and serves, parks or orders the read).
+    Engine(EngineEvent<M, KvStore>),
     /// A commit acknowledgement arriving back at the client. `value` is
     /// the state-machine output the reply carried (for a transaction
     /// prepare, the shard's vote), `None` when it was not yet applied at
@@ -306,15 +305,6 @@ enum WorkItem<M> {
     TimerCheck { due: Nanos },
     /// Client-loop: issue the next request.
     SendNext,
-    /// A snapshot to serve at a replica-shard process: a request from
-    /// `for_proc`'s engine maintenance (`have` its applied watermark), or
-    /// a serve this process's own engine queued for a stale `for_proc`.
-    /// The server serializes and transmits its snapshot (`snapshot +
-    /// marshal + tx` of CPU) only when its engine offers one.
-    SnapshotServe { for_proc: usize, have: Instance },
-    /// A state snapshot arriving at a lagging replica-shard process;
-    /// installing costs `rx + snapshot` of CPU.
-    SnapshotInstall { snap: ApplierSnapshot<KvStore> },
 }
 
 enum Event<M> {
@@ -777,8 +767,7 @@ where
             server_messages: 0,
             total_messages: 0,
             txn_aborts: 0,
-            retired_truncations: 0,
-            snapshots_installed: 0,
+            retired: EngineStats::default(),
             snapshot_requests: Vec::new(),
             spare_engines,
             stopped: false,
@@ -863,12 +852,10 @@ struct ClusterSim<P: Protocol> {
     total_messages: u64,
     /// Transactions aborted by prepare-phase lock conflicts (TxnMix).
     txn_aborts: u64,
-    /// Truncations counted by engines since replaced by a reset (the
-    /// live engines carry the rest in their stats).
-    retired_truncations: u64,
-    /// Peer snapshots installed by lagging replicas.
-    snapshots_installed: u64,
-    /// `(requester, donor)` replica slots of every catch-up request.
+    /// Counters of the engines since replaced by a reset (the live
+    /// engines carry the rest in their stats).
+    retired: EngineStats,
+    /// `(requester, donor)` replica slots of every snapshot ask.
     snapshot_requests: Vec<(usize, usize)>,
     /// Fresh engines awaiting their scheduled [`Event::ResetReplica`].
     spare_engines: Vec<Option<ShardedEngine<P, KvStore>>>,
@@ -969,7 +956,7 @@ impl<P: Protocol> ClusterSim<P> {
     fn reset_replica(&mut self, r: usize, idx: usize, at: Nanos) {
         let fresh = self.spare_engines[idx].take().expect("one spare per reset");
         let dead = std::mem::replace(&mut self.engines[r], fresh);
-        self.retired_truncations += dead.merged_stats().truncations;
+        self.retired.absorb(&dead.merged_stats());
         for s in 0..self.shards {
             let shard = ShardId(s as u16);
             let proc = self.proc_of(r, shard);
@@ -1033,10 +1020,8 @@ impl<P: Protocol> ClusterSim<P> {
                     // destination is the same shard's engine at replica
                     // slot `to`.
                     let to_proc = self.proc_of(to.index(), shard);
-                    let item = WorkItem::Peer {
-                        from: self.members[r],
-                        msg,
-                    };
+                    let from = self.members[r];
+                    let item = WorkItem::Engine(EngineEvent::Message { from, msg });
                     if to_proc == proc {
                         // Collapsed roles on one process: local hand-off,
                         // no transmission cost (§2.3 footnote 5).
@@ -1085,27 +1070,21 @@ impl<P: Protocol> ClusterSim<P> {
                 }
             }
         }
-        // Catch-up the engine queued during this step: an ask (boot probe
-        // or persistent gap) leaves like any message; a serve for a stale
-        // peer is this process's own next work item.
-        while let Some(catch_up) = self.engines[r].shard_mut(shard).take_catch_up() {
-            match catch_up {
-                CatchUp::Ask(donor, have) => {
-                    service += out_cost;
-                    self.server_messages += 1;
-                    self.total_messages += 1;
-                    self.snapshot_requests.push((r, donor.index()));
-                    let item = WorkItem::SnapshotServe {
-                        for_proc: proc,
-                        have,
-                    };
-                    outbound.push((self.proc_of(donor.index(), shard), item));
-                }
-                CatchUp::Serve(peer, have) => {
-                    let for_proc = self.proc_of(peer.index(), shard);
-                    local.push(WorkItem::SnapshotServe { for_proc, have });
+        // Catch-up the engine sent during this step leaves like any
+        // message; a snapshot first costs its serialization.
+        while let Some((to, msg)) = self.engines[r].shard_mut(shard).take_catch_up() {
+            service += out_cost;
+            match msg {
+                CatchUp::Ask { .. } => self.snapshot_requests.push((r, to.index())),
+                CatchUp::Snapshot(_) => {
+                    service += (self.profile.snapshot as f64 * slowdown) as Nanos;
                 }
             }
+            self.server_messages += 1;
+            self.total_messages += 1;
+            let from = self.members[r];
+            let item = WorkItem::Engine(EngineEvent::CatchUp { from, msg });
+            outbound.push((self.proc_of(to.index(), shard), item));
         }
         let done = start + service;
         for (to_proc, item) in outbound {
@@ -1123,7 +1102,7 @@ impl<P: Protocol> ClusterSim<P> {
     fn engine_step(
         &mut self,
         proc: usize,
-        event: EngineEvent<P::Msg>,
+        event: EngineEvent<P::Msg, KvStore>,
         start: Nanos,
         base: Nanos,
     ) -> Nanos {
@@ -1286,7 +1265,7 @@ impl<P: Protocol> ClusterSim<P> {
         let cost = ((self.profile.tx + self.profile.marshal + leg) as f64 * slowdown) as Nanos;
         self.total_messages += 1;
         let to_proc = self.proc_of(to.index(), shard);
-        self.deliver(proc, to_proc, at + cost, WorkItem::FromClient(event));
+        self.deliver(proc, to_proc, at + cost, WorkItem::Engine(event));
         cost
     }
 
@@ -1372,14 +1351,19 @@ impl<P: Protocol> ClusterSim<P> {
         let slowdown = self.slowdown_of(proc);
         let scaled = |ns: Nanos| (ns as f64 * slowdown) as Nanos;
         match item {
-            WorkItem::Peer { from, msg } => {
+            WorkItem::Engine(event) => {
                 debug_assert!(self.is_replica_proc(proc));
-                let base = scaled(self.profile.rx + self.profile.handle);
-                self.engine_step(proc, EngineEvent::Message { from, msg }, start, base)
-            }
-            WorkItem::FromClient(event) => {
-                debug_assert!(self.is_replica_proc(proc));
-                let base = scaled(self.profile.rx + self.profile.handle);
+                // Installing a snapshot costs its deserialization; any
+                // other input, a snapshot ask included, costs what a peer
+                // message costs.
+                let work = match &event {
+                    EngineEvent::CatchUp {
+                        msg: CatchUp::Snapshot(_),
+                        ..
+                    } => self.profile.snapshot,
+                    _ => self.profile.handle,
+                };
+                let base = scaled(self.profile.rx + work);
                 self.engine_step(proc, event, start, base)
             }
             WorkItem::TimerCheck { due } => {
@@ -1417,33 +1401,6 @@ impl<P: Protocol> ClusterSim<P> {
                 Some(j) => self.client_send_next(j, start),
                 None => 0,
             },
-            WorkItem::SnapshotServe { for_proc, have } => {
-                debug_assert!(self.is_replica_proc(proc));
-                let (r, s) = self.replica_of(proc);
-                let base = scaled(self.profile.rx);
-                let Some(snap) = self.engines[r].serve_snapshot(s, have) else {
-                    return base; // nothing newer to offer
-                };
-                let service =
-                    base + scaled(self.profile.snapshot + self.profile.marshal + self.profile.tx);
-                self.server_messages += 1;
-                self.total_messages += 1;
-                self.deliver(
-                    proc,
-                    for_proc,
-                    start + service,
-                    WorkItem::SnapshotInstall { snap },
-                );
-                service
-            }
-            WorkItem::SnapshotInstall { snap } => {
-                debug_assert!(self.is_replica_proc(proc));
-                let (r, s) = self.replica_of(proc);
-                let service = scaled(self.profile.rx + self.profile.snapshot);
-                self.snapshots_installed +=
-                    u64::from(self.engines[r].install_shard_snapshot(s, snap));
-                service
-            }
         }
     }
 
@@ -1462,7 +1419,10 @@ impl<P: Protocol> ClusterSim<P> {
             .iter()
             .flat_map(|e| e.iter().map(|(s, _)| e.stats(s)).collect::<Vec<_>>())
             .collect();
-        let live_truncations: u64 = engine_stats.iter().map(|s| s.truncations).sum();
+        let mut total = self.retired;
+        for s in &engine_stats {
+            total.absorb(s);
+        }
         RunReport {
             completed: self.completed_in_window,
             duration,
@@ -1477,8 +1437,8 @@ impl<P: Protocol> ClusterSim<P> {
             engine_stats,
             txn_aborts: self.txn_aborts,
             txn_retries: self.clients.iter().map(|c| c.session.reprobes()).sum(),
-            truncations: self.retired_truncations + live_truncations,
-            snapshots_installed: self.snapshots_installed,
+            truncations: total.truncations,
+            snapshots_installed: total.snapshots_installed,
             snapshot_requests: self.snapshot_requests,
         }
     }
