@@ -4,16 +4,17 @@
 //! Before this module existed, each harness — [`TestNet`](crate::testnet),
 //! the `manycore-sim` cluster and the `onepaxos-runtime` node loop —
 //! hand-rolled its own copy of [`Action`] dispatch, timer bookkeeping,
-//! commit tracking and reply recording. The paper's portability claim
+//! commit application and client replies. The paper's portability claim
 //! (protocol state machines "can be easily ported to a network system with
 //! no change", §6.2) holds for the *protocols*; the engine extends it to
 //! the *plumbing*, so a harness is only a transport.
 //!
 //! # The Event/Effect contract
 //!
-//! A [`ReplicaEngine`] owns one protocol node plus its timer table, its
-//! commit log, the replicated-state-machine [`Applier`] and the per-client
-//! reply records. The harness feeds it [`EngineEvent`]s:
+//! A [`ReplicaEngine`] owns one protocol node plus its timer table and
+//! the replicated-state-machine [`Applier`], and holds nothing a
+//! deployment does not need: no commit log, no record of replies. The
+//! harness feeds it [`EngineEvent`]s:
 //!
 //! * [`EngineEvent::Start`] — bootstrap; run once before anything else.
 //! * [`EngineEvent::Message`] — a peer message was delivered.
@@ -30,13 +31,15 @@
 //! * [`EngineEffect::ReplyTo`] — notify this client of its commit (with
 //!   the state-machine output when it is already applied).
 //! * [`EngineEffect::Committed`] — a slot was decided locally (already
-//!   recorded and applied by the engine; emitted for oracles and metrics).
+//!   applied by the engine; emitted for the harness's agreement oracle,
+//!   [`crate::oracle::Agreement`], and its metrics).
 //!
 //! Everything stateful in between — arm/fire ordering of timers,
-//! in-order application with at-most-once execution, commit-log
-//! consistency checking, deferred replies waiting for a log gap to fill,
-//! and the §7.5 relaxed-read fast path — happens inside the engine, behind
-//! the single `Action` dispatch in the workspace.
+//! in-order application with at-most-once execution (the [`Applier`]
+//! refuses an instance re-decided with another command), deferred
+//! replies waiting for a log gap to fill, and the §7.5 relaxed-read fast
+//! path — happens inside the engine, behind the single `Action` dispatch
+//! in the workspace.
 //!
 //! # Timers
 //!
@@ -864,8 +867,8 @@ pub enum EngineEffect<M, O> {
         value: Option<O>,
     },
     /// Slot `instance` was decided locally with `cmd`. The engine has
-    /// already recorded and applied it; harnesses use this for global
-    /// consistency oracles and commit metrics.
+    /// already applied it; harnesses feed it to their agreement oracle
+    /// ([`crate::oracle::Agreement`]) and their commit metrics.
     Committed {
         /// Decided slot.
         instance: Instance,
@@ -902,20 +905,6 @@ pub enum ReplyMode {
     /// the earlier one's output is gone for good, so its reply goes out
     /// at once with `value: None`.
     AfterApply,
-}
-
-/// A recorded client reply (who was answered, for what, from where).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ReplyRecord {
-    /// The client that was answered.
-    pub client: NodeId,
-    /// The request id that committed.
-    pub req_id: u64,
-    /// The slot it committed in (the applied watermark for a relaxed
-    /// read served locally).
-    pub instance: Instance,
-    /// The node that produced the reply.
-    pub from: NodeId,
 }
 
 /// A catch-up message between two members of one group (see the
@@ -959,22 +948,12 @@ pub struct ReplicaEngine<P: Protocol, S: StateMachine> {
     applier: Applier<S>,
     /// Absolute deadline per armed timer.
     timers: BTreeMap<Timer, Nanos>,
-    /// Local commit log (instance → decided command); only populated
-    /// while `record_history` is on.
-    commits: BTreeMap<Instance, Command>,
-    /// Every reply emitted by this node, in emission order; only
-    /// populated while `record_history` is on.
-    replies: Vec<ReplyRecord>,
     /// Replies waiting for the state machine to catch up (AfterApply).
     deferred: Vec<(NodeId, u64, Instance)>,
     /// Relaxed reads waiting for their key to become readable, as
     /// `(client, req_id, key)`; at most one per client.
     parked_reads: Vec<(NodeId, u64, u64)>,
     reply_mode: ReplyMode,
-    /// Whether to retain the commit log and reply records. Test harnesses
-    /// assert on them; long-running deployments (the simulator, the
-    /// threaded runtime) turn recording off so memory stays bounded.
-    record_history: bool,
     /// Command-batching knobs; `None` = every request is its own
     /// agreement.
     batch: Option<BatchConfig>,
@@ -1004,8 +983,8 @@ pub struct ReplicaEngine<P: Protocol, S: StateMachine> {
     /// When each stale peer was last served a snapshot.
     served: BTreeMap<NodeId, Nanos>,
     /// The consensus group this engine belongs to in a sharded
-    /// deployment, if any; diagnostics only (safety-violation panics name
-    /// the shard so multi-group harness failures localize).
+    /// deployment, if any; it offsets the snapshot donor rotation so the
+    /// groups of one node spread their asks.
     shard: Option<crate::shard::ShardId>,
     /// Reusable action buffer handed to protocol handlers.
     outbox: Outbox<P::Msg>,
@@ -1029,12 +1008,9 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
             node,
             applier: Applier::new(state),
             timers: BTreeMap::new(),
-            commits: BTreeMap::new(),
-            replies: Vec::new(),
             deferred: Vec::new(),
             parked_reads: Vec::new(),
             reply_mode,
-            record_history: true,
             batch: None,
             ctl: None,
             batch_buf: Vec::new(),
@@ -1053,8 +1029,7 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
     }
 
     /// Labels this engine with the shard (consensus group) it serves in a
-    /// sharded deployment (see [`crate::shard::ShardedEngine`]). Purely
-    /// diagnostic: consistency panics name the shard.
+    /// sharded deployment (see [`crate::shard::ShardedEngine`]).
     pub fn with_shard(mut self, shard: crate::shard::ShardId) -> Self {
         self.shard = Some(shard);
         self
@@ -1149,13 +1124,12 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
         self.batch_seq = self.batch_seq.max(incarnation << 32);
     }
 
-    /// Enables or disables commit-log and reply-record retention
-    /// (default on). Turn it off for long-running deployments: duplicate
-    /// decisions are still checked by the [`Applier`] either way, but the
-    /// per-command history is not retained, so memory stays bounded by
-    /// live state rather than by run length.
-    pub fn with_history(mut self, record: bool) -> Self {
-        self.record_history = record;
+    /// Does nothing: the engine keeps no commit or reply history to
+    /// switch. It remains only because the repository benchmark
+    /// (`benchmark/src/pipeline.rs`) still calls `.with_history(false)`;
+    /// the next change to the benchmark drops that call and this method.
+    #[doc(hidden)]
+    pub fn with_history(self, _record: bool) -> Self {
         self
     }
 
@@ -1205,7 +1179,12 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
                 key,
             } => {
                 if let Some(value) = self.local_read(key) {
-                    self.emit_reply(client, req_id, self.applied_next(), Some(value), effects);
+                    effects.push(EngineEffect::ReplyTo {
+                        client,
+                        req_id,
+                        instance: self.applied_next(),
+                        value: Some(value),
+                    });
                 } else if self.node.supports_local_reads() {
                     // Inside a lock window: wait it out. Clients are
                     // synchronous, so a newer read supersedes an older
@@ -1504,22 +1483,9 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
                     instance,
                 } => self.reply(client, req_id, instance, effects),
                 Action::Commit { instance, cmd } => {
-                    if self.record_history {
-                        let me = self.node.node_id();
-                        let prior = self.commits.insert(instance, cmd.clone());
-                        if let Some(prior) = prior {
-                            let group = self
-                                .shard
-                                .map_or(String::new(), |s| format!(" (shard {s})"));
-                            assert_eq!(
-                                prior, cmd,
-                                "{me}{group} re-learned instance {instance} with a different command"
-                            );
-                        }
-                    }
-                    // The applier independently rejects a re-decided
-                    // instance with a different command, so safety
-                    // checking does not depend on the history log.
+                    // The applier rejects an instance re-decided here
+                    // with a different command; agreement across nodes
+                    // is the harness oracle's to check.
                     let base_before = self.applier.log_base();
                     self.applier.on_decided(instance, cmd.clone());
                     if self.applier.log_base() > base_before {
@@ -1564,7 +1530,12 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
             let Some(value) = self.local_read(key) else {
                 return true;
             };
-            self.emit_reply(client, req_id, self.applied_next(), Some(value), effects);
+            effects.push(EngineEffect::ReplyTo {
+                client,
+                req_id,
+                instance: self.applied_next(),
+                value: Some(value),
+            });
             false
         });
         self.parked_reads = parked;
@@ -1581,8 +1552,8 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
             // The protocol acknowledging a batch to its synthetic
             // advocate (possibly another engine's): per-client replies
             // are fanned out at commit time by the advocating engine, so
-            // this must never reach a real wire or the records. Nobody
-            // waits for a maintenance-proposed truncation either.
+            // this must never reach a real wire. Nobody waits for a
+            // maintenance-proposed truncation either.
             return;
         }
         let value = self.applier.output_of(client, req_id).cloned();
@@ -1593,26 +1564,6 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
         if value.is_none() && after_apply && !self.applier.applied_past(client, req_id) {
             self.deferred.push((client, req_id, instance));
             return;
-        }
-        self.emit_reply(client, req_id, instance, value, effects);
-    }
-
-    /// Emits one client reply, recording it while history is on.
-    fn emit_reply(
-        &mut self,
-        client: NodeId,
-        req_id: u64,
-        instance: Instance,
-        value: Option<S::Output>,
-        effects: &mut impl EffectSink<P::Msg, S::Output>,
-    ) {
-        if self.record_history {
-            self.replies.push(ReplyRecord {
-                client,
-                req_id,
-                instance,
-                from: self.node.node_id(),
-            });
         }
         effects.push(EngineEffect::ReplyTo {
             client,
@@ -1678,13 +1629,12 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
     }
 
     /// The applier's log base — the one truncation floor — just rose:
-    /// the protocol and the engine's commit history drop everything
-    /// below it. The only caller of [`Protocol::truncate`], so each call
-    /// passes a strictly larger floor.
+    /// the protocol drops everything below it. The only caller of
+    /// [`Protocol::truncate`], so each call passes a strictly larger
+    /// floor.
     fn floor_rose(&mut self) {
         let floor = self.applier.log_base();
         self.node.truncate(floor);
-        self.commits = self.commits.split_off(&floor);
         self.stats.truncations += 1;
     }
 
@@ -1728,18 +1678,6 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
     /// The applied state machine.
     pub fn state(&self) -> &S {
         self.applier.state()
-    }
-
-    /// The local commit log (instance → decided command). Empty when
-    /// history recording is off ([`Self::with_history`]).
-    pub fn commits(&self) -> &BTreeMap<Instance, Command> {
-        &self.commits
-    }
-
-    /// Every reply this node has emitted, in emission order. Empty when
-    /// history recording is off ([`Self::with_history`]).
-    pub fn replies(&self) -> &[ReplyRecord] {
-        &self.replies
     }
 
     /// Replies currently waiting for the state machine to catch up
@@ -2010,7 +1948,7 @@ mod tests {
         let mut e = engine();
         // The same (client, req) decided in two instances: the client
         // retried and two advocates won slots. Applied exactly once.
-        drive(
+        let fx = drive(
             &mut e,
             vec![
                 Action::Commit {
@@ -2030,7 +1968,11 @@ mod tests {
         );
         assert_eq!(e.state().writes(), 2, "duplicate must not re-apply");
         assert_eq!(e.state().get(5), Some(60));
-        assert_eq!(e.commits().len(), 3);
+        let commits = fx
+            .iter()
+            .filter(|e| matches!(e, EngineEffect::Committed { .. }))
+            .count();
+        assert_eq!(commits, 3);
     }
 
     #[test]
@@ -2060,7 +2002,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "re-learned instance 0 with a different command")]
+    #[should_panic(
+        expected = "consistency violation: instance 0 decided twice with different commands"
+    )]
     fn relearn_different_command_panics() {
         let mut e = engine();
         drive(
@@ -2082,7 +2026,7 @@ mod tests {
     #[test]
     fn reply_records_are_idempotent_per_request() {
         let mut e = engine();
-        drive(
+        let first = drive(
             &mut e,
             vec![
                 Action::Commit {
@@ -2098,8 +2042,8 @@ mod tests {
             0,
         );
         // A duplicate request is re-answered (e.g. Mencius answering from
-        // its decided-id table): same instance, same value, twice in the
-        // record — identical content, no double application.
+        // its decided-id table): same instance, same value, two identical
+        // replies, no double application.
         let fx = drive(
             &mut e,
             vec![Action::Reply {
@@ -2109,8 +2053,7 @@ mod tests {
             }],
             0,
         );
-        assert_eq!(e.replies().len(), 2);
-        assert_eq!(e.replies()[0], e.replies()[1]);
+        assert_eq!(first[1..], fx[..]);
         match &fx[0] {
             EngineEffect::ReplyTo {
                 instance, value, ..
@@ -2282,12 +2225,11 @@ mod tests {
             instance: 0,
             cmd: put(9, 1, 2, 22),
         };
-        drive(&mut e, vec![commit], 0);
+        assert!(reply_ids(&drive(&mut e, vec![commit], 0)).is_empty());
         e.node_mut().readable = true;
         // An ordinary reply, stamped with the applied watermark.
         assert_eq!(read_relaxed(&mut e, 7, 1, 2), read_reply(7, 1, 1, Some(22)));
         assert_eq!(e.state().reads(), 0, "a local read is not an applied Get");
-        assert_eq!(e.replies().len(), 1, "recorded like any reply");
     }
 
     #[test]
@@ -2329,8 +2271,8 @@ mod tests {
     }
 
     #[test]
-    fn history_off_keeps_no_records_but_still_applies_and_replies() {
-        let mut e = ReplicaEngine::new(Scripted::new(), KvStore::new()).with_history(false);
+    fn a_decided_command_is_applied_and_answered() {
+        let mut e = engine();
         let fx = drive(
             &mut e,
             vec![
@@ -2346,16 +2288,12 @@ mod tests {
             ],
             0,
         );
-        // Effects and state-machine application are unaffected...
         assert!(fx
             .iter()
             .any(|e| matches!(e, EngineEffect::Committed { .. })));
         assert!(fx.iter().any(|e| matches!(e, EngineEffect::ReplyTo { .. })));
         assert_eq!(e.state().get(3), Some(30));
-        // ...but no per-command history is retained.
-        assert!(e.commits().is_empty());
-        assert!(e.replies().is_empty());
-        // The applier still rejects a divergent re-decide on its own.
+        // The applier rejects a divergent re-decide on its own.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             drive(
                 &mut e,
@@ -2514,8 +2452,7 @@ mod tests {
     #[test]
     fn singleton_batch_is_submitted_as_an_unbatched_command() {
         let mut e = batched(BatchConfig::new(8, 500));
-        request(&mut e, 9, 1, Op::Put { key: 7, value: 70 }, 0);
-        let mut fx = Vec::new();
+        let mut fx = request(&mut e, 9, 1, Op::Put { key: 7, value: 70 }, 0);
         e.fire_due(500, &mut fx);
         // The protocol saw the client's own identity, not a batch source.
         assert_eq!(e.node().requests, vec![(NodeId(9), 1)]);
@@ -2527,7 +2464,6 @@ mod tests {
             other => panic!("expected Committed, got {other:?}"),
         }
         assert_eq!(reply_ids(&fx), vec![(NodeId(9), 1)]);
-        assert_eq!(e.replies().len(), 1);
         assert_eq!(e.state().get(7), Some(70));
     }
 
@@ -2547,7 +2483,7 @@ mod tests {
     #[test]
     fn redecided_batch_does_not_fan_replies_out_twice() {
         let mut e = batched(BatchConfig::new(2, 1_000));
-        request(&mut e, 9, 1, Op::Noop, 0);
+        assert!(request(&mut e, 9, 1, Op::Noop, 0).is_empty());
         let fx = request(&mut e, 10, 1, Op::Noop, 0);
         assert_eq!(reply_ids(&fx).len(), 2);
         // A duplicate learn of the same batch decision arrives.
@@ -2566,7 +2502,6 @@ mod tests {
             "the duplicate learn still surfaces for oracles"
         );
         assert!(reply_ids(&fx).is_empty(), "no duplicate client replies");
-        assert_eq!(e.replies().len(), 2);
     }
 
     #[test]
@@ -2582,17 +2517,14 @@ mod tests {
         ];
         let mut plain = ReplicaEngine::new(Deciding::new(), KvStore::new());
         let mut batch = batched(BatchConfig::new(2, 1_000));
+        let (mut plain_fx, mut batch_fx) = (Vec::new(), Vec::new());
         for (c, r, op) in ops.iter().cloned() {
-            request(&mut plain, c, r, op.clone(), 0);
-            request(&mut batch, c, r, op, 0);
+            plain_fx.extend(request(&mut plain, c, r, op.clone(), 0));
+            batch_fx.extend(request(&mut batch, c, r, op, 0));
         }
-        let mut fx = Vec::new();
-        batch.fire_due(1_000, &mut fx); // flush the odd tail
+        batch.fire_due(1_000, &mut batch_fx); // flush the odd tail
         assert_eq!(plain.state().digest(), batch.state().digest());
-        let ids = |e: &D| -> Vec<(NodeId, u64)> {
-            e.replies().iter().map(|r| (r.client, r.req_id)).collect()
-        };
-        assert_eq!(ids(&plain), ids(&batch));
+        assert_eq!(reply_ids(&plain_fx), reply_ids(&batch_fx));
         // Batching needed fewer agreements for the same work.
         assert_eq!(plain.node().requests.len(), 5);
         assert_eq!(batch.node().requests.len(), 3);
@@ -2649,17 +2581,17 @@ mod tests {
         // A flood of concurrent requests: every size flush is followed by
         // another arrival within the window, so the depth climbs — but
         // never past the cap.
+        let mut fx = Vec::new();
         for i in 0..200u64 {
-            request(&mut e, (i % 100) as u16, i / 100 + 1, Op::Noop, 0);
+            fx.extend(request(&mut e, (i % 100) as u16, i / 100 + 1, Op::Noop, 0));
             let d = e.stats().depth;
             assert!((1..=8).contains(&d), "depth {d} escaped [1, 8]");
         }
         assert_eq!(e.stats().depth, 8, "sustained demand must reach the cap");
         assert!(e.stats().grows >= 7);
         // Flush the tail so nothing is stranded.
-        let mut fx = Vec::new();
         e.fire_due(1_000, &mut fx);
-        assert_eq!(e.replies().len(), 200);
+        assert_eq!(reply_ids(&fx).len(), 200);
     }
 
     #[test]
@@ -2770,17 +2702,14 @@ mod tests {
         ];
         let mut plain = ReplicaEngine::new(Deciding::new(), KvStore::new());
         let mut adapt = adaptive(8, 1_000);
+        let (mut plain_fx, mut adapt_fx) = (Vec::new(), Vec::new());
         for (c, r, op) in ops.iter().cloned() {
-            request(&mut plain, c, r, op.clone(), 0);
-            request(&mut adapt, c, r, op, 0);
+            plain_fx.extend(request(&mut plain, c, r, op.clone(), 0));
+            adapt_fx.extend(request(&mut adapt, c, r, op, 0));
         }
-        let mut fx = Vec::new();
-        adapt.fire_due(1_000, &mut fx); // flush any tail
+        adapt.fire_due(1_000, &mut adapt_fx); // flush any tail
         assert_eq!(plain.state().digest(), adapt.state().digest());
-        let ids = |e: &D| -> Vec<(NodeId, u64)> {
-            e.replies().iter().map(|r| (r.client, r.req_id)).collect()
-        };
-        assert_eq!(ids(&plain), ids(&adapt));
+        assert_eq!(reply_ids(&plain_fx), reply_ids(&adapt_fx));
     }
 
     #[test]

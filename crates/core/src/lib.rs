@@ -24,8 +24,8 @@
 //! * [`mencius`] — Mencius-style multi-leader consensus (§8), the
 //!   extension baseline.
 //! * [`engine`] — the shared replica-engine layer: one [`ReplicaEngine`]
-//!   per deployed node owns timers, commits, replies and the applied
-//!   state machine, so every harness is only a transport of
+//!   per deployed node owns timers, the applied state machine and the
+//!   client replies, so every harness is only a transport of
 //!   [`EngineEffect`]s.
 //! * [`shard`] — key-hash-routed multi-group consensus: a
 //!   [`ShardedEngine`] runs S independent engines per node and routes
@@ -40,6 +40,8 @@
 //!   per-instance table on the commit path.
 //! * [`testnet`] — a deterministic harness for driving the protocols in
 //!   tests.
+//! * [`oracle`] — the one agreement check the harnesses feed every
+//!   commit to (Appendix B *consistency*).
 //!
 //! All protocols are **sans-IO state machines** implementing [`Protocol`]:
 //! handlers consume events and emit [`Action`]s into an [`Outbox`]. The
@@ -84,6 +86,7 @@ pub mod kv;
 pub mod mencius;
 pub mod multipaxos;
 pub mod onepaxos;
+pub mod oracle;
 mod outbox;
 mod protocol;
 pub mod rsm;

@@ -426,10 +426,8 @@ impl<P: Protocol, S: StateMachine> ShardedEngine<P, S> {
 impl<P: Protocol> ShardedEngine<P, crate::kv::KvStore> {
     /// One node's engines in the deployment shape `config` describes —
     /// what every harness runs: a KV replica per shard group around
-    /// `node()`, batching as configured, and per-command history off
-    /// (harnesses keep their own oracles and counters, and a long run
-    /// must not grow with its length). Background maintenance stays off:
-    /// whether to run it is the harness's one
+    /// `node()`, and batching as configured. Background maintenance
+    /// stays off: whether to run it is the harness's one
     /// [`Self::enable_maintenance`] call.
     ///
     /// `incarnation` counts the slot's engines: 0 at boot, one more per
@@ -445,7 +443,6 @@ impl<P: Protocol> ShardedEngine<P, crate::kv::KvStore> {
         let mut e = ShardedEngine::new(config.shards, |shard| {
             let mut e =
                 ReplicaEngine::with_reply_mode(node(), crate::kv::KvStore::new(), reply_mode)
-                    .with_history(false)
                     .with_shard(shard);
             e.enter_batch_epoch(incarnation);
             e

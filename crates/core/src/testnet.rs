@@ -25,8 +25,9 @@
 //! protocol message a test delivers by hand.
 //!
 //! Per-message bookkeeping is O(1): links are one FIFO per directed pair
-//! in a flat table indexed `from·n + to`, and the commit oracle is one
-//! [`InstanceLog`] per (node, shard).
+//! in a flat table indexed `from·n + to`, every commit goes to the one
+//! agreement oracle ([`Agreement`]), and each node's commits are recorded
+//! in one [`InstanceLog`] per (node, shard).
 
 use std::collections::VecDeque;
 
@@ -36,6 +37,7 @@ use crate::engine::{
 };
 use crate::instance_log::InstanceLog;
 use crate::kv::KvStore;
+use crate::oracle::Agreement;
 use crate::protocol::Protocol;
 use crate::shard::{ShardId, ShardedEffects, ShardedEngine};
 use crate::txn::{Fragment, TxnCoordinator, TxnOutcome, TxnStatus, TxnStep};
@@ -176,11 +178,14 @@ pub struct TestNet<P: Protocol> {
     /// Catch-up messages on the links.
     catch_ups: usize,
     now: Nanos,
-    /// Harness-level commit oracle, one log per (node, shard), indexed
-    /// `node·shards + shard`. Held outside the engines so it survives
-    /// [`Self::reset_node`]: a silently rebooted node loses its state,
-    /// but the *oracle* must still catch the rebooted node re-deciding
-    /// an old instance differently (§5, Appendix A).
+    /// The agreement oracle every commit is fed to as it is routed. Held
+    /// outside the engines so it survives [`Self::reset_node`]: a
+    /// silently rebooted node loses its state, but the oracle still
+    /// catches it re-deciding an old instance differently (§5,
+    /// Appendix A).
+    agreement: Agreement,
+    /// What each node learned, one log per (node, shard), indexed
+    /// `node·shards + shard`; kept across [`Self::reset_node`] too.
     commits: Vec<InstanceLog<Command>>,
     replies: Vec<ReplyRecord>,
     delivered: u64,
@@ -281,6 +286,7 @@ impl<P: Protocol> TestNet<P> {
             pass: Vec::new(),
             catch_ups: 0,
             now: 0,
+            agreement: Agreement::new(config.shards),
             commits: (0..members.len() * usize::from(config.shards))
                 .map(|_| InstanceLog::new())
                 .collect(),
@@ -353,9 +359,9 @@ impl<P: Protocol> TestNet<P> {
     }
 
     /// The engine wrapping node `id`'s shard 0 (timer table, applier).
-    /// Engine-level commit/reply history is disabled here — the harness
-    /// records both itself so they survive [`Self::reset_node`]; use
-    /// [`Self::commits`]/[`Self::replies`] instead.
+    /// Engines keep no commit or reply history; the harness records both
+    /// itself, so they survive [`Self::reset_node`] ([`Self::commits`],
+    /// [`Self::replies`]).
     pub fn engine(&self, id: NodeId) -> &ReplicaEngine<P, KvStore> {
         self.engines[id.index()].shard(ShardId(0))
     }
@@ -825,9 +831,8 @@ impl<P: Protocol> TestNet<P> {
 
     /// Commits recorded at `node`'s shard 0 (instance → command) — the
     /// whole record on unsharded nets. Survives [`Self::reset_node`]:
-    /// the record belongs to the harness oracle, not to the (rebootable)
-    /// node. Sharded nets inspect each group with
-    /// [`Self::shard_commits`].
+    /// the record belongs to the harness, not to the (rebootable) node.
+    /// Sharded nets inspect each group with [`Self::shard_commits`].
     pub fn commits(&self, node: NodeId) -> &InstanceLog<Command> {
         self.shard_commits(node, ShardId(0))
     }
@@ -868,39 +873,34 @@ impl<P: Protocol> TestNet<P> {
     }
 
     /// Asserts the Appendix B *consistency* property across all nodes,
-    /// per shard group: no two nodes have learned different commands for
-    /// the same instance of the same group. (Instances of *different*
-    /// groups are unrelated logs.)
+    /// per shard group: every command a node's record holds is the one
+    /// the agreement oracle saw chosen for that instance. The oracle
+    /// already panicked at the first learn that disagreed, so this reads
+    /// the oracle instead of comparing the nodes' records pairwise.
     ///
     /// # Panics
     ///
-    /// Panics on violation, naming the shard and instance.
+    /// Panics on violation, naming the node, the shard and the instance.
     pub fn assert_consistent(&self) {
         for shard in (0..self.config.shards).map(ShardId) {
-            let mut chosen: InstanceLog<(NodeId, &Command)> = InstanceLog::new();
             for node in (0..self.engines.len() as u16).map(NodeId) {
                 for (inst, cmd) in self.shard_commits(node, shard) {
-                    match chosen.get(inst) {
-                        None => {
-                            chosen.insert(inst, (node, cmd));
-                        }
-                        Some(&(other, prior)) => assert_eq!(
-                            prior, cmd,
-                            "shard {shard} instance {inst}: {other} learned {prior:?} \
-                             but {node} learned {cmd:?}"
-                        ),
-                    }
+                    let chosen = self.agreement.chosen(shard, inst);
+                    assert!(
+                        chosen == Some(cmd),
+                        "{node} shard {shard} instance {inst}: learned {cmd:?}, chosen {chosen:?}"
+                    );
                 }
             }
         }
     }
 
     /// Routes one node's tagged effects: sends into per-link FIFOs
-    /// (multiplexing all shard groups, tagged), replies and commits into
-    /// the harness-level records (which outlive node resets, unlike the
-    /// engines they came from). Then puts the catch-up messages the
-    /// node's engines sent in the same step on their links, and carries
-    /// what can go at once.
+    /// (multiplexing all shard groups, tagged), commits into the
+    /// agreement oracle, and replies and commits into the harness-level
+    /// records (which outlive node resets, unlike the engines they came
+    /// from). Then puts the catch-up messages the node's engines sent in
+    /// the same step on their links, and carries what can go at once.
     fn absorb(&mut self, me: NodeId, effects: &mut Effects<P>) {
         for (shard, effect) in effects.drain(..) {
             match effect {
@@ -922,15 +922,9 @@ impl<P: Protocol> TestNet<P> {
                     value: value.flatten(),
                 }),
                 EngineEffect::Committed { instance, cmd } => {
+                    self.agreement.learn(shard, me, instance, &cmd);
                     let log = self.commit_log(me, shard);
-                    let prior = self.commits[log].insert(instance, cmd.clone());
-                    if let Some(prior) = prior {
-                        assert_eq!(
-                            prior, cmd,
-                            "{me} (shard {shard}) re-learned instance {instance} \
-                             with a different command"
-                        );
-                    }
+                    self.commits[log].insert(instance, cmd);
                 }
             }
         }

@@ -115,8 +115,8 @@ fn truncate_the_group<P: Protocol>(
 /// The scenario's end state: one history, and every node in `nodes`
 /// holding the same key/value state.
 fn assert_converged<P: Protocol>(net: &TestNet<P>, nodes: &[NodeId]) {
-    // Every node's commit record refuses a re-learned instance with a
-    // different command as it happens; this checks across nodes.
+    // The agreement oracle refused any divergent learn as it happened;
+    // this checks every node's record against it.
     net.assert_consistent();
     let digest = net.sharded_engine(nodes[0]).kv_digest();
     for &id in nodes {
@@ -226,26 +226,51 @@ fn mencius(m: &[NodeId], me: NodeId) -> MenciusNode {
     MenciusNode::new(ClusterConfig::new(m.to_vec(), me))
 }
 
+/// Where the net stood when the stale replica was reset or let run
+/// again: the time, and how many snapshot asks and snapshots it had
+/// recorded.
+struct Mark {
+    since: Nanos,
+    asks: usize,
+    serves: usize,
+}
+
+fn mark<P: Protocol>(net: &TestNet<P>) -> Mark {
+    Mark {
+        since: net.now(),
+        asks: net.snapshot_requests().len(),
+        serves: net.snapshot_serves().len(),
+    }
+}
+
 /// Steps virtual time until `stale` has applied up to `floor` and
 /// advanced its log base once more than its `truncations` so far;
-/// asserts that happens less than [`GAP_PATIENCE`] after `since`, and
-/// through a snapshot a peer served it.
+/// asserts that happens less than [`GAP_PATIENCE`] after the mark, and
+/// that a peer served `stale` a snapshot unasked: a peer `stale` sent no
+/// ask since the mark, so the snapshot answered none.
 fn assert_served_in_time<P: Protocol>(
     net: &mut TestNet<P>,
     stale: NodeId,
     floor: Instance,
     truncations: u64,
-    since: Nanos,
+    mark: Mark,
 ) {
     loop {
         let stats = net.engine_stats(stale);
         let applied = stats.applied;
         if applied >= floor && stats.truncations > truncations {
-            assert!(net.snapshot_serves().iter().any(|&(_, peer)| peer == stale));
+            let asked = &net.snapshot_requests()[mark.asks..];
+            let unasked = |server| !asked.contains(&(stale, server));
+            assert!(
+                net.snapshot_serves()[mark.serves..]
+                    .iter()
+                    .any(|&(server, peer)| peer == stale && unasked(server)),
+                "{stale} was served only answers to its asks"
+            );
             return;
         }
         assert!(
-            net.now() - since < GAP_PATIENCE,
+            net.now() - mark.since < GAP_PATIENCE,
             "{stale} applied {applied} of {floor} after one patience window"
         );
         run_for(net, TICK);
@@ -254,14 +279,15 @@ fn assert_served_in_time<P: Protocol>(
 
 /// Reboots `stale` cold while `donor`, the first peer in its snapshot
 /// rotation, is blocked, and drops its boot probe on the link, so it
-/// goes unanswered.
+/// goes unanswered. Returns the mark taken at the reset.
 fn reset_cold<P: Protocol>(
     net: &mut TestNet<P>,
     stale: NodeId,
     donor: NodeId,
     fresh: impl FnMut() -> P,
-) {
+) -> Mark {
     net.block(donor);
+    let mark = mark(net);
     net.reset_node(stale, fresh);
     assert!(net.drop_one(stale, donor));
     net.unblock(donor);
@@ -270,6 +296,7 @@ fn reset_cold<P: Protocol>(
         0,
         "boot probe answered"
     );
+    mark
 }
 
 #[test]
@@ -282,9 +309,9 @@ fn onepaxos_stale_leader_is_served_a_snapshot() {
     let floor = truncate_the_group(&mut net, &mut load, N2, &[N1, N2]);
 
     net.unblock(N0);
-    let (since, truncations) = (net.now(), net.engine_stats(N0).truncations);
+    let (mark, truncations) = (mark(&net), net.engine_stats(N0).truncations);
     load.puts(&mut net, N0, 1); // an accept request below the floor
-    assert_served_in_time(&mut net, N0, floor, truncations, since);
+    assert_served_in_time(&mut net, N0, floor, truncations, mark);
 }
 
 #[test]
@@ -297,10 +324,10 @@ fn multipaxos_fresh_candidate_is_served_a_snapshot() {
     // Node 2's probe goes to node 0, the leader, which stays blocked: the
     // stalled request makes node 2 campaign from instance 0.
     net.block(N0);
+    let mark = mark(&net);
     net.reset_node(N2, || multipaxos(&members, N2));
-    let since = net.now();
     load.puts(&mut net, N2, 1);
-    assert_served_in_time(&mut net, N2, floor, 0, since);
+    assert_served_in_time(&mut net, N2, floor, 0, mark);
 
     // It is elected from above the floor and commits.
     let answered = load.answered(&net);
@@ -318,11 +345,10 @@ fn basic_paxos_cold_proposer_is_served_a_snapshot() {
 
     // The fixed proposer reboots and starts over at instance 0: its
     // prepare reaches below both acceptors' floor.
-    reset_cold(&mut net, N0, N1, || basic_paxos(&members, N0));
-    let since = net.now();
+    let mark = reset_cold(&mut net, N0, N1, || basic_paxos(&members, N0));
     let answered = load.answered(&net);
     load.puts(&mut net, N0, 1);
-    assert_served_in_time(&mut net, N0, floor, 0, since);
+    assert_served_in_time(&mut net, N0, floor, 0, mark);
 
     // Its request, re-advocated above the floor, commits.
     run_for(&mut net, 2 * TICK);
@@ -339,10 +365,9 @@ fn mencius_cold_replica_is_served_a_snapshot() {
 
     // The rebooted replica proposes in its first own slot, 2, far below
     // the floor.
-    reset_cold(&mut net, N2, N0, || mencius(&members, N2));
-    let since = net.now();
+    let mark = reset_cold(&mut net, N2, N0, || mencius(&members, N2));
     load.puts(&mut net, N2, 1);
-    assert_served_in_time(&mut net, N2, floor, 0, since);
+    assert_served_in_time(&mut net, N2, floor, 0, mark);
 
     // Caught up, it proposes above the floor again.
     let answered = load.answered(&net);

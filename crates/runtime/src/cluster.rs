@@ -736,7 +736,7 @@ fn send_catch_up<P: Protocol, T: Transport<P::Msg>>(
 }
 
 /// Drives one replica slot: the engines own timers, commits, the KV
-/// replicas and reply records; this loop owns only the transport IO.
+/// replicas and client replies; this loop owns only the transport IO.
 fn replica_loop<P: Protocol, T: Transport<P::Msg>>(
     mut engine: ShardedEngine<P, KvStore>,
     mut io: T,

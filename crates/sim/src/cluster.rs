@@ -46,9 +46,10 @@ use onepaxos::engine::{
     BatchConfig, CatchUp, EngineConfig, EngineEffect, EngineEvent, EngineStats, ReplyMode,
 };
 use onepaxos::kv::KvStore;
+use onepaxos::oracle::Agreement;
 use onepaxos::shard::{ShardId, ShardRouter, ShardedEngine};
 use onepaxos::txn::TxnOutcome;
-use onepaxos::{Command, Instance, Nanos, NodeId, Op, Protocol};
+use onepaxos::{Nanos, NodeId, Op, Protocol};
 
 use crate::metrics::{LatencyStats, Timeline};
 use crate::profile::Profile;
@@ -636,7 +637,7 @@ where
     ///
     /// Panics if the deployment does not fit the profile's core count, if
     /// sharding is combined with joint mode, or if a protocol violates
-    /// commit consistency (the safety oracle).
+    /// commit consistency ([`onepaxos::oracle::Agreement`]).
     pub fn run(mut self) -> RunReport {
         let shards = self.config.shards as usize;
         assert!(
@@ -736,7 +737,7 @@ where
             router: ShardRouter::new(shard_count),
             members,
             engines,
-            chosen: BTreeMap::new(),
+            agreement: Agreement::new(shard_count),
             cores: (0..n_cores)
                 .map(|_| CoreState {
                     queue: VecDeque::new(),
@@ -824,12 +825,11 @@ struct ClusterSim<P: Protocol> {
     /// Key-hash routing shared by clients and oracles.
     router: ShardRouter,
     members: Vec<NodeId>,
-    /// One sharded engine per replica slot (protocol + timers + commits
-    /// + KV, per shard group).
+    /// One sharded engine per replica slot (protocol + timers + KV, per
+    /// shard group).
     engines: Vec<ShardedEngine<P, KvStore>>,
-    /// Global safety oracle: (shard, instance) → first command seen
-    /// committed (instances of different groups are unrelated logs).
-    chosen: BTreeMap<(u16, Instance), Command>,
+    /// The agreement oracle every replica's commits are fed to.
+    agreement: Agreement,
     /// Physical cores; processes sharing one serialize on its queue.
     cores: Vec<CoreState<P::Msg>>,
     clients: Vec<ClientState>,
@@ -1056,17 +1056,7 @@ impl<P: Protocol> ClusterSim<P> {
                     // tx/rx per agreement, per-command apply cost.
                     service += ((self.profile.apply * (cmd.command_count() as Nanos - 1)) as f64
                         * slowdown) as Nanos;
-                    // Safety oracle: all replicas of a shard group must
-                    // agree per instance. (The engine already recorded
-                    // and applied the commit.)
-                    let prior = self
-                        .chosen
-                        .entry((shard.0, instance))
-                        .or_insert_with(|| cmd.clone());
-                    assert_eq!(
-                        *prior, cmd,
-                        "consistency violation at shard {shard} instance {instance}"
-                    );
+                    self.agreement.learn(shard, self.members[r], instance, &cmd);
                 }
             }
         }
