@@ -1,9 +1,10 @@
 //! The client, sans-IO: one [`ClientSession`] per client identity turns
-//! calls (`submit`, `txn_put`, `read_relaxed`) and the replies to them
-//! into requests to send, completions to report and one deadline. The
-//! threaded runtime's blocking `ClientHandle` and every simulated client
-//! drive this same state machine, so the simulator predicts the client
-//! the runtime runs.
+//! calls (`submit`, `txn_put`, `read_relaxed`, `recover`) and the
+//! replies to them into requests to send, completions to report and one
+//! deadline. The threaded runtime's blocking `ClientHandle`, every
+//! simulated client and every [`TestNet`](crate::testnet::TestNet)
+//! client drive this same state machine, so the simulator predicts the
+//! client the runtime runs.
 //!
 //! Like [`ReplicaEngine`](crate::engine::ReplicaEngine) on the replica
 //! side, the session does no IO and reads no clock. Every input carries
@@ -62,12 +63,13 @@
 //!   acknowledges. From the simulator. The runtime sent them once and
 //!   rebuilt its coordinator per call, forgetting them. A leg applied
 //!   together with the client's next request to its group is
-//!   acknowledged without a value (see
-//!   [`ReplyMode::AfterApply`](crate::engine::ReplyMode::AfterApply)).
+//!   acknowledged without a value: a valueless reply means only that
+//!   the request was superseded (see the engine's
+//!   [reply rule](crate::engine#replies)).
 //!
 //! The session owns the client's one request-id counter (shared with
 //! its [`TxnCoordinator`], which lives as long as the session), so a
-//! request id and a [`TxnId`](crate::TxnId) never repeat — the appliers'
+//! request id and a [`TxnId`] never repeat — the appliers'
 //! at-most-once sessions and the shards' finished-transaction records
 //! depend on both.
 //!
@@ -93,7 +95,7 @@ use std::time::Duration;
 
 use crate::shard::{splitmix64, ShardId, ShardRouter};
 use crate::txn::{Fragment, TxnCoordinator, TxnOutcome, TxnStep};
-use crate::types::{Nanos, NodeId, Op};
+use crate::types::{Nanos, NodeId, Op, TxnId};
 
 /// The client-side retry schedule: capped exponential backoff with
 /// jitter. It serves both harnesses: the runtime's `ClientHandle`
@@ -398,12 +400,31 @@ impl ClientSession {
     ///
     /// Panics if a call is already in flight or `writes` is empty.
     pub fn txn_put(&mut self, writes: &[(u64, u64)], now: Nanos, out: &mut Vec<ClientEffect>) {
-        self.assert_idle();
-        for f in self.coord.begin(writes) {
-            self.send_fragment(f, out);
-        }
-        self.call = Some(Call::Txn);
-        self.arm(now);
+        let frags = self.coord.begin(writes);
+        self.start_txn(frags, now, out);
+    }
+
+    /// Finishes a dead coordinator's transaction `txn` over `writes`
+    /// (its original write set) with `outcome`, as
+    /// [`crate::txn::recover_outcome`] derived it from the shards'
+    /// agreed statuses: one commit or abort leg per touched shard goes
+    /// out, oldest request id first, and the call completes with
+    /// `outcome` once every shard acknowledged its leg.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a call is already in flight, or if `writes` is empty
+    /// or single-shard (see [`TxnCoordinator::begin_recovery`]).
+    pub fn recover(
+        &mut self,
+        txn: TxnId,
+        writes: &[(u64, u64)],
+        outcome: TxnOutcome,
+        now: Nanos,
+        out: &mut Vec<ClientEffect>,
+    ) {
+        let frags = self.coord.begin_recovery(txn, writes, outcome);
+        self.start_txn(frags, now, out);
     }
 
     /// Consumes the reply to `req_id`, carrying the state-machine output
@@ -512,6 +533,17 @@ impl ClientSession {
         if progressed {
             self.arm(now);
         }
+    }
+
+    /// Sends a transaction's first fragments, in the order given, and
+    /// makes it the call in flight.
+    fn start_txn(&mut self, frags: Vec<Fragment>, now: Nanos, out: &mut Vec<ClientEffect>) {
+        self.assert_idle();
+        for f in frags {
+            self.send_fragment(f, out);
+        }
+        self.call = Some(Call::Txn);
+        self.arm(now);
     }
 
     /// Sends the call in flight's request, when it is a single one: a
@@ -833,6 +865,38 @@ mod tests {
         assert!(matches!(resent[0].2, Request::Op(Op::TxnCommit { .. })));
         s.on_reply(legs[1], None, 20 * MS, &mut out);
         assert_eq!(s.next_deadline(), None, "the drain is empty");
+    }
+
+    #[test]
+    fn recovery_sends_its_legs_oldest_first_and_completes_on_their_acks() {
+        let keys = key_per_shard(2);
+        let mut s = session(2, flat(10));
+        let txn = TxnId::new(NodeId(150), 1);
+        let writes = [(keys[1], 2), (keys[0], 1)];
+        let mut out = Vec::new();
+        s.recover(txn, &writes, TxnOutcome::Aborted, 0, &mut out);
+        let legs = sends(&out);
+        let ids: Vec<u64> = legs.iter().map(|&(_, req_id, _)| req_id).collect();
+        assert_eq!(ids.len(), 2, "one leg per touched shard");
+        assert!(ids[0] < ids[1], "oldest first: {ids:?}");
+        for (_, _, request) in &legs {
+            assert!(
+                matches!(request, Request::Op(Op::TxnAbort { txn: t, .. }) if *t == txn),
+                "not an abort leg of {txn}: {request:?}"
+            );
+        }
+        // A deadline re-sends both, still oldest first.
+        out.clear();
+        s.on_deadline(s.next_deadline().unwrap(), &mut out);
+        let resent: Vec<u64> = sends(&out).iter().map(|&(_, r, _)| r).collect();
+        assert_eq!(resent, ids);
+        // The call completes on the second acknowledgement, not before.
+        out.clear();
+        s.on_reply(ids[0], None, MS, &mut out);
+        assert!(completions(&out).is_empty(), "a leg is unacknowledged");
+        s.on_reply(ids[1], None, MS, &mut out);
+        assert_eq!(completions(&out), [Ok(Answer::Txn(TxnOutcome::Aborted))]);
+        assert_eq!(s.next_deadline(), None);
     }
 
     #[test]

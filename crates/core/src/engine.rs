@@ -28,8 +28,8 @@
 //! due. It receives [`EngineEffect`]s back:
 //!
 //! * [`EngineEffect::SendTo`] — transport this message to that node.
-//! * [`EngineEffect::ReplyTo`] — notify this client of its commit (with
-//!   the state-machine output when it is already applied).
+//! * [`EngineEffect::ReplyTo`] — answer this client with the
+//!   state-machine output of its applied command.
 //! * [`EngineEffect::Committed`] — a slot was decided locally (already
 //!   applied by the engine; emitted for the harness's agreement oracle,
 //!   [`crate::oracle::Agreement`], and its metrics).
@@ -45,22 +45,21 @@
 //!
 //! The engine keeps absolute deadlines per [`Timer`]. Re-arming a timer
 //! replaces its deadline (a size flush cancels the engine's own flush
-//! deadline); [`Self::next_deadline`]
+//! deadline); [`ReplicaEngine::next_deadline`]
 //! lets schedulers (the simulator) plan wake-ups. A timer fires at most
 //! once per arm: firing disarms it before the handler runs, so a handler
 //! re-arming the same timer starts a fresh deadline.
 //!
 //! # Replies
 //!
-//! [`ReplyMode::Immediate`] emits [`EngineEffect::ReplyTo`] the moment the
-//! protocol requests it (the output is attached when already applied) —
-//! the semantics tests and the simulator want. [`ReplyMode::AfterApply`]
-//! holds the reply until the command's state-machine output exists, so a
-//! real client never observes a commit acknowledgement without its read
-//! value — the threaded runtime's contract. A request whose client has
-//! already applied a later one is answered at once without a value: the
-//! session table keeps only the latest output, so waiting would be
-//! forever.
+//! A reply leaves after its command applies: the engine holds
+//! [`EngineEffect::ReplyTo`] until the command's state-machine output
+//! exists, so no client ever sees a commit acknowledgement without its
+//! read value, and every harness answers by this one rule. A command
+//! decided above a log gap is answered once the gap fills. A request
+//! whose client has already applied a later one is answered at once
+//! without a value: the session table keeps only the latest output, so
+//! waiting would be forever.
 //!
 //! # Relaxed reads
 //!
@@ -91,8 +90,8 @@
 //! the first enqueued request, flushes when it reaches the flush depth
 //! or when [`BatchConfig::max_delay`] has passed (via the ordinary timer
 //! table, under the reserved [`BATCH_FLUSH`] timer — so
-//! [`Self::next_deadline`] automatically covers a partially filled batch
-//! and sleep-until-deadline harnesses cannot stall it). A flushed
+//! [`ReplicaEngine::next_deadline`] automatically covers a partially
+//! filled batch and sleep-until-deadline harnesses cannot stall it). A flushed
 //! singleton is submitted as a plain command, so `max_delay` is the only
 //! cost batching can add to an idle system.
 //!
@@ -114,7 +113,7 @@
 //! Batches are advocated under the engine's [`NodeId::batch_source`]
 //! identity. When a batch this engine advocated commits, the engine fans
 //! it back out into per-client [`EngineEffect::ReplyTo`]s (in payload
-//! order, honouring the [`ReplyMode`]); the protocol-level reply for the
+//! order, each once its output is applied); the protocol-level reply for the
 //! batch identity itself is swallowed. Duplicate requests coalesced into
 //! the same batch are submitted once, and the [`Applier`] deduplicates
 //! across batches.
@@ -125,8 +124,9 @@
 //! decision like any other, so it lives here and not in the harnesses.
 //! [`ReplicaEngine::enable_maintenance`] (before [`EngineEvent::Start`])
 //! arms the reserved [`MAINTENANCE`] timer in the ordinary timer table,
-//! so [`Self::next_deadline`] / [`Self::fire_due`] carry it into every
-//! harness with no clock of its own. Each firing, [`MAINT_PERIOD`] apart:
+//! so [`ReplicaEngine::next_deadline`] / [`ReplicaEngine::fire_due`]
+//! carry it into every harness with no clock of its own. Each firing,
+//! [`MAINT_PERIOD`] apart:
 //!
 //! * **Truncate.** A leader with `truncate_every` or more commands
 //!   applied above its log base submits an [`Op::Truncate`] at its
@@ -522,8 +522,8 @@ pub struct EngineStats {
     /// (bounded per coordinator by [`crate::kv::FINISHED_WINDOW`]).
     pub finished_len: usize,
     /// Replies held for an output not yet applied
-    /// ([`ReplicaEngine::deferred_replies`]; [`ReplyMode::AfterApply`]
-    /// only). Drains to zero once the log has no gap.
+    /// ([`ReplicaEngine::deferred_replies`]). Drains to zero once the
+    /// log has no gap.
     pub deferred_replies: usize,
     /// Snapshot asks this engine sent: boot probes and asks about a
     /// persistent apply gap.
@@ -849,13 +849,11 @@ pub enum EngineEffect<M, O> {
         /// Protocol message.
         msg: M,
     },
-    /// Acknowledge to `client` that `(client, req_id)` committed in
-    /// `instance`. `value` carries the state-machine output when the
-    /// command has already been applied locally (always under
-    /// [`ReplyMode::AfterApply`], unless the client has since superseded
-    /// the request). A relaxed read served locally
-    /// answers the same way, with the value read and the applied
-    /// watermark as `instance`.
+    /// Answer `client`: `(client, req_id)` committed in `instance` and
+    /// is applied. `value` is its state-machine output, `None` only when
+    /// the client had already superseded the request (its output is
+    /// gone). A relaxed read served locally answers the same way, with
+    /// the value read and the applied watermark as `instance`.
     ReplyTo {
         /// Client to notify.
         client: NodeId,
@@ -863,7 +861,7 @@ pub enum EngineEffect<M, O> {
         req_id: u64,
         /// Slot in which the command committed.
         instance: Instance,
-        /// State-machine output, when already applied.
+        /// State-machine output; `None` for a superseded request.
         value: Option<O>,
     },
     /// Slot `instance` was decided locally with `cmd`. The engine has
@@ -891,19 +889,16 @@ impl<M, O> EffectSink<M, O> for Vec<EngineEffect<M, O>> {
     }
 }
 
-/// When [`EngineEffect::ReplyTo`] is emitted relative to application.
+/// The one reply rule, kept as a name only: a reply leaves after its
+/// command applies (see the [module docs](self#replies)). It remains
+/// because the repository benchmark (`benchmark/src/pipeline.rs`) still
+/// passes it to `ReplicaEngine::with_reply_mode`; the next change to
+/// the benchmark drops that call, this type and the method.
+#[doc(hidden)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ReplyMode {
-    /// Emit the reply the moment the protocol requests it; `value` is
-    /// attached opportunistically. The deterministic harnesses use this.
+    /// Hold the reply until the command's output has been applied.
     #[default]
-    Immediate,
-    /// Hold the reply until the command's output has been applied, so the
-    /// acknowledgement carries the value. The threaded runtime uses this
-    /// (a log gap must not produce a value-less reply). The one
-    /// exception: once a later request of the same client has applied,
-    /// the earlier one's output is gone for good, so its reply goes out
-    /// at once with `value: None`.
     AfterApply,
 }
 
@@ -948,12 +943,11 @@ pub struct ReplicaEngine<P: Protocol, S: StateMachine> {
     applier: Applier<S>,
     /// Absolute deadline per armed timer.
     timers: BTreeMap<Timer, Nanos>,
-    /// Replies waiting for the state machine to catch up (AfterApply).
+    /// Replies waiting for the state machine to catch up.
     deferred: Vec<(NodeId, u64, Instance)>,
     /// Relaxed reads waiting for their key to become readable, as
     /// `(client, req_id, key)`; at most one per client.
     parked_reads: Vec<(NodeId, u64, u64)>,
-    reply_mode: ReplyMode,
     /// Command-batching knobs; `None` = every request is its own
     /// agreement.
     batch: Option<BatchConfig>,
@@ -996,21 +990,14 @@ pub struct ReplicaEngine<P: Protocol, S: StateMachine> {
 }
 
 impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
-    /// Wraps `node` and a fresh `state` replica, replying
-    /// [immediately](ReplyMode::Immediate).
+    /// Wraps `node` and a fresh `state` replica.
     pub fn new(node: P, state: S) -> Self {
-        Self::with_reply_mode(node, state, ReplyMode::Immediate)
-    }
-
-    /// Wraps `node` with an explicit [`ReplyMode`].
-    pub fn with_reply_mode(node: P, state: S, reply_mode: ReplyMode) -> Self {
         ReplicaEngine {
             node,
             applier: Applier::new(state),
             timers: BTreeMap::new(),
             deferred: Vec::new(),
             parked_reads: Vec::new(),
-            reply_mode,
             batch: None,
             ctl: None,
             batch_buf: Vec::new(),
@@ -1131,6 +1118,14 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
     #[doc(hidden)]
     pub fn with_history(self, _record: bool) -> Self {
         self
+    }
+
+    /// [`Self::new`]: there is one reply rule, so the mode is ignored.
+    /// It remains only because the repository benchmark still calls it;
+    /// the next change to the benchmark drops that call and this method.
+    #[doc(hidden)]
+    pub fn with_reply_mode(node: P, state: S, _reply_mode: ReplyMode) -> Self {
+        Self::new(node, state)
     }
 
     /// Feeds one event to the node at time `now`, appending the resulting
@@ -1560,8 +1555,7 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
         // Only a client's latest output is kept, so a request its client
         // has already superseded never gets one: it is answered bare
         // rather than deferred forever.
-        let after_apply = self.reply_mode == ReplyMode::AfterApply;
-        if value.is_none() && after_apply && !self.applier.applied_past(client, req_id) {
+        if value.is_none() && !self.applier.applied_past(client, req_id) {
             self.deferred.push((client, req_id, instance));
             return;
         }
@@ -1680,8 +1674,7 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
         self.applier.state()
     }
 
-    /// Replies currently waiting for the state machine to catch up
-    /// (only non-empty under [`ReplyMode::AfterApply`]).
+    /// Replies currently waiting for the state machine to catch up.
     pub fn deferred_replies(&self) -> usize {
         self.deferred.len()
     }
@@ -2068,8 +2061,7 @@ mod tests {
 
     #[test]
     fn after_apply_defers_replies_across_log_gaps() {
-        let mut e =
-            ReplicaEngine::with_reply_mode(Scripted::new(), KvStore::new(), ReplyMode::AfterApply);
+        let mut e = engine();
         // Instance 1 decided and replied-to before instance 0 exists: the
         // reply must wait for the gap to fill.
         let fx = drive(
@@ -2115,8 +2107,7 @@ mod tests {
 
     #[test]
     fn after_apply_answers_a_superseded_request_bare() {
-        let mut e =
-            ReplicaEngine::with_reply_mode(Scripted::new(), KvStore::new(), ReplyMode::AfterApply);
+        let mut e = engine();
         // Two requests of one client apply before either is replied to
         // (one batch, or a filled gap): only the later output is kept.
         let fx = drive(
@@ -2152,24 +2143,6 @@ mod tests {
             .collect();
         assert_eq!(replies, [(1, None), (2, Some(None))]);
         assert_eq!(e.deferred_replies(), 0, "nothing waits for a lost output");
-    }
-
-    #[test]
-    fn immediate_mode_replies_without_the_value() {
-        let mut e = engine();
-        let fx = drive(
-            &mut e,
-            vec![Action::Reply {
-                client: NodeId(9),
-                req_id: 1,
-                instance: 4,
-            }],
-            0,
-        );
-        match &fx[0] {
-            EngineEffect::ReplyTo { value, .. } => assert_eq!(*value, None),
-            other => panic!("expected ReplyTo, got {other:?}"),
-        }
     }
 
     #[test]

@@ -100,8 +100,7 @@ pub mod wire;
 
 pub use config::ClusterConfig;
 pub use engine::{
-    AdaptiveBatch, BatchConfig, EngineConfig, EngineEffect, EngineEvent, EngineStats,
-    ReplicaEngine, ReplyMode,
+    AdaptiveBatch, BatchConfig, EngineConfig, EngineEffect, EngineEvent, EngineStats, ReplicaEngine,
 };
 pub use outbox::{Action, Outbox, Timer};
 pub use protocol::Protocol;

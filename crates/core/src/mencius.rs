@@ -314,6 +314,29 @@ mod tests {
     }
 
     #[test]
+    fn a_read_behind_a_gap_is_answered_after_the_skips_with_the_written_value() {
+        let mut net = net(3);
+        // All traffic at node 0: the put takes slot 0, the get slot 3,
+        // above n1's and n2's empty slots 1 and 2.
+        net.client_request(NodeId(0), NodeId(9), 1, Op::Put { key: 7, value: 70 });
+        net.client_request(NodeId(0), NodeId(9), 2, Op::Get { key: 7 });
+        net.run_to_quiescence();
+        let get_reply = |net: &TestNet<MenciusNode>| {
+            let mut replies = net.replies().iter();
+            replies
+                .find(|r| r.client == NodeId(9) && r.req_id == 2)
+                .copied()
+        };
+        assert_eq!(get_reply(&net), None, "answered above an unfilled gap");
+        // The idle owners' skips fill the gap; the get applies and its
+        // reply carries the value the put wrote.
+        net.advance_and_settle(MenciusNode::DEFAULT_TICK, 3);
+        let reply = get_reply(&net).expect("answered once the gap filled");
+        assert_eq!((reply.instance, reply.value), (3, Some(70)));
+        net.assert_consistent();
+    }
+
+    #[test]
     fn unbalanced_load_forces_skips() {
         let mut net = net(3);
         // All traffic at node 0: its slots are 0, 3, 6, ...
@@ -321,12 +344,13 @@ mod tests {
             net.client_request(NodeId(0), NodeId(9), req, Op::Noop);
         }
         net.run_to_quiescence();
-        assert_eq!(net.replies().len(), 5);
         // The log has holes at n1/n2's slots until their ticks skip them.
         assert!(net.node(NodeId(0)).watermark() < 13);
         net.advance_and_settle(MenciusNode::DEFAULT_TICK, 3);
-        // Skips filled the gaps: commands sat at slots 0,3,6,9,12.
+        // Skips filled the gaps: commands sat at slots 0,3,6,9,12, all
+        // applied and answered.
         assert_eq!(net.node(NodeId(0)).watermark(), 13);
+        assert_eq!(net.replies().len(), 5);
         assert!(net.node(NodeId(1)).skips_proposed() >= 4);
         assert!(net.node(NodeId(2)).skips_proposed() >= 4);
         net.assert_consistent();

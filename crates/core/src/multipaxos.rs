@@ -667,8 +667,10 @@ mod tests {
         }
         net.node_mut(NodeId(0)).truncate(1);
         net.advance_and_settle(Timing::default().tick, 1);
-        assert_eq!(net.replies().len(), 1);
-        assert_eq!(net.replies()[0].instance, 1);
+        // Only the protocol's floor rose, so instance 0 is never decided
+        // and nothing applies: the re-proposal shows in the commit log.
+        let req = Command::new(NodeId(9), 1, Op::Noop);
+        assert_eq!(net.commits(NodeId(0)).get(1), Some(&req));
     }
 
     #[test]

@@ -11,11 +11,9 @@
 //! even below every truncation floor. It never drains, so its memory
 //! grows with the run.
 
-use std::sync::Arc;
-
 use crate::instance_log::InstanceLog;
 use crate::shard::ShardId;
-use crate::types::{Command, Instance, NodeId, Op};
+use crate::types::{Command, Instance, NodeId};
 
 /// Per shard group, the first node to learn each instance and the
 /// command it learned. Instances of different groups are unrelated logs.
@@ -33,8 +31,9 @@ impl Agreement {
     }
 
     /// Records that `node` learned `cmd` in `instance` of group `shard`.
-    /// A batch is an [`Arc`], so keeping one costs a reference count and
-    /// comparing copies of one decision costs a pointer compare.
+    /// A batch's payload is shared, so keeping one costs a reference
+    /// count and comparing copies of one decision costs a pointer
+    /// compare (see [`Command`]'s equality).
     ///
     /// # Panics
     ///
@@ -49,7 +48,7 @@ impl Agreement {
                 log.insert(instance, (node, cmd.clone()));
             }
             Some((first, chosen)) => assert!(
-                agree(chosen, cmd),
+                chosen == cmd,
                 "shard {shard} instance {instance}: {first} learned {chosen:?} \
                  but {node} learned {cmd:?}"
             ),
@@ -62,19 +61,12 @@ impl Agreement {
     }
 }
 
-/// Whether two learns are of one command. `Arc`'s `==` compares a
-/// batch's payload command by command, so copies of one batch decision,
-/// which share their payload, are matched by pointer first.
-fn agree(a: &Command, b: &Command) -> bool {
-    match (&a.op, &b.op) {
-        (Op::Batch(x), Op::Batch(y)) if Arc::ptr_eq(x, y) => a.id() == b.id(),
-        _ => a == b,
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+    use crate::types::Op;
 
     const S1: ShardId = ShardId(1);
 

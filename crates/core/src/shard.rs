@@ -78,7 +78,7 @@ use std::fmt;
 
 use crate::engine::{
     BatchConfig, CatchUp, EffectSink, EngineConfig, EngineEffect, EngineEvent, EngineStats,
-    ReplicaEngine, ReplyMode,
+    ReplicaEngine,
 };
 use crate::protocol::Protocol;
 use crate::rsm::StateMachine;
@@ -434,16 +434,9 @@ impl<P: Protocol> ShardedEngine<P, crate::kv::KvStore> {
     /// restart. Each incarnation advocates batches in its own id range,
     /// so a restarted replica never reuses a batch id its predecessor got
     /// decided (surviving peers would drop it as a duplicate).
-    pub fn deploy(
-        config: EngineConfig,
-        reply_mode: ReplyMode,
-        incarnation: u64,
-        mut node: impl FnMut() -> P,
-    ) -> Self {
+    pub fn deploy(config: EngineConfig, incarnation: u64, mut node: impl FnMut() -> P) -> Self {
         let mut e = ShardedEngine::new(config.shards, |shard| {
-            let mut e =
-                ReplicaEngine::with_reply_mode(node(), crate::kv::KvStore::new(), reply_mode)
-                    .with_shard(shard);
+            let mut e = ReplicaEngine::new(node(), crate::kv::KvStore::new()).with_shard(shard);
             e.enter_batch_epoch(incarnation);
             e
         });
@@ -465,7 +458,7 @@ impl<P: Protocol> ShardedEngine<P, crate::kv::KvStore> {
     /// a per-replica test oracle. A replica lagging its group's decided
     /// log under-reports, so coordinator recovery must not read status
     /// here: it goes through the agreed probe
-    /// [`Op::TxnStatus`](crate::types::Op::TxnStatus) instead (see
+    /// [`Op::TxnStatus`] instead (see
     /// [`crate::txn::recover_outcome`]'s freshness contract).
     pub fn txn_status(&self, routing_key: u64, txn: crate::types::TxnId) -> crate::txn::TxnStatus {
         self.shards[self.router.route_key(routing_key).index()]
@@ -579,7 +572,7 @@ mod tests {
     fn each_incarnation_advocates_batches_above_its_epoch() {
         for k in [0, 1, 3] {
             let cfg = EngineConfig::new().batching(BatchConfig::new(2, 1_000));
-            let mut e = Sharded::deploy(cfg, crate::engine::ReplyMode::Immediate, k, Deciding::new);
+            let mut e = Sharded::deploy(cfg, k, Deciding::new);
             let mut fx = Fx::new();
             for c in [1, 2] {
                 e.submit(NodeId(c), 1, Op::Put { key: 7, value: 1 }, 0, &mut fx);

@@ -16,6 +16,11 @@
 //! group's messages over the same per-pair links, each message tagged
 //! with its [`ShardId`].
 //!
+//! Clients are the runtime's own [`ClientSession`]: [`TestNet::session`]
+//! makes one and [`TestNet::call`] carries its requests in, its replies
+//! back and its deadlines forward in virtual time. Engines answer a
+//! client only after its command applies, as in every harness.
+//!
 //! Catch-up messages ([`CatchUp`]) share those links, so [`TestNet::block`]
 //! holds them and [`TestNet::drop_one`] can lose them like any message.
 //! They are carried eagerly: after every step, each one at the head of a
@@ -30,25 +35,25 @@
 //! in one [`InstanceLog`] per (node, shard).
 
 use std::collections::VecDeque;
+use std::time::Duration;
 
+use crate::client::{Answer, ClientEffect, ClientSession, Request, RetryPolicy};
 use crate::engine::{
     AdaptiveBatch, BatchConfig, CatchUp, EngineConfig, EngineEffect, EngineEvent, EngineStats,
-    ReplicaEngine, ReplyMode,
+    ReplicaEngine, MAINT_CLIENT,
 };
 use crate::instance_log::InstanceLog;
 use crate::kv::KvStore;
 use crate::oracle::Agreement;
 use crate::protocol::Protocol;
 use crate::shard::{ShardId, ShardedEffects, ShardedEngine};
-use crate::txn::{Fragment, TxnCoordinator, TxnOutcome, TxnStatus, TxnStep};
+use crate::txn::{Fragment, TxnOutcome, TxnStatus};
 use crate::types::{Command, Instance, Nanos, NodeId, Op, TxnId};
 
 /// A recorded client reply at the harness level: who was answered, for
 /// what, from where — and the state-machine output the reply carried
-/// (`None` when the output was not yet applied at emission under
-/// [`crate::engine::ReplyMode::Immediate`]; for a transaction prepare
-/// the attached output **is** the shard's vote, which is how the
-/// [`TxnCoordinator`] driver reads votes off this harness).
+/// (for a transaction prepare the output **is** the shard's vote, which
+/// is how a [`ClientSession`] reads votes off this harness).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReplyRecord {
     /// The client that was answered.
@@ -59,7 +64,11 @@ pub struct ReplyRecord {
     pub instance: Instance,
     /// The node that produced the reply.
     pub from: NodeId,
-    /// The flattened state-machine output attached to the reply.
+    /// The flattened state-machine output attached to the reply. A reply
+    /// leaves only after its command applied, so this is `None` only
+    /// when the output holds no value (a `Get` of an absent key, a `Put`
+    /// with no prior value) or the client had already superseded the
+    /// request.
     pub value: Option<u64>,
 }
 
@@ -75,12 +84,20 @@ fn deploy<P: Protocol>(
     incarnation: u64,
     node: impl FnMut() -> P,
 ) -> ShardedEngine<P, KvStore> {
-    let mut e = ShardedEngine::deploy(config, ReplyMode::Immediate, incarnation, node);
+    let mut e = ShardedEngine::deploy(config, incarnation, node);
     if config.truncate_every.is_some() {
         e.enable_maintenance(members, config.truncate_every);
     }
     e
 }
+
+/// How long a [`TestNet::session`] waits for a reply before it re-sends:
+/// one 200 µs round of virtual time.
+const CLIENT_PATIENCE: Duration = Duration::from_micros(200);
+
+/// Deadlines one [`TestNet::call`] may pass before it declares a shard
+/// group stuck.
+const CALL_DEADLINES: u32 = 64;
 
 /// One directed link's FIFO: the shard-tagged events in flight to the
 /// destination's engines — protocol messages and catch-up messages.
@@ -197,9 +214,12 @@ pub struct TestNet<P: Protocol> {
     /// in a fresh sequence epoch (recycled batch ids would be dropped as
     /// already-decided duplicates by surviving peers).
     resets: Vec<u64>,
-    /// Request ids already allocated to [`Self::txn_status_agreed`]
-    /// probes (issued under [`Self::PROBE_CLIENT`]).
+    /// Request ids already allocated to [`Self::propose_truncate`]
+    /// (issued under [`Self::PROBE_CLIENT`]).
     probe_reqs: u64,
+    /// [`Self::txn_status_agreed`] probes sent so far; each is its own
+    /// client, numbered up from [`Self::PROBE_CLIENT`].
+    status_probes: u16,
     /// Reusable effect buffer.
     scratch: Effects<P>,
 }
@@ -221,9 +241,11 @@ impl<P: Protocol> std::fmt::Debug for TestNet<P> {
 }
 
 impl<P: Protocol> TestNet<P> {
-    /// The synthetic client identity under which the harness issues its
-    /// own [`Self::txn_status_agreed`] probes — far above any test's
-    /// real client ids, below the reserved batch-source namespace.
+    /// The synthetic client identity under which the harness proposes
+    /// truncations ([`Self::propose_truncate`]); each
+    /// [`Self::txn_status_agreed`] probe is a client numbered up from it.
+    /// Far above any test's real client ids, below the engine's reserved
+    /// identities.
     pub const PROBE_CLIENT: NodeId = NodeId(0x7F00);
 
     /// Builds `n` nodes with ids `0..n` using `make(members, me)` and runs
@@ -296,6 +318,7 @@ impl<P: Protocol> TestNet<P> {
             snapshot_serves: Vec::new(),
             resets: vec![0; members.len()],
             probe_reqs: 0,
+            status_probes: 0,
             scratch: Vec::new(),
         };
         for &id in &members {
@@ -334,8 +357,8 @@ impl<P: Protocol> TestNet<P> {
         self.delivered
     }
 
-    /// Number of consensus groups per node (1 unless built
-    /// [`sharded`](Self::sharded)).
+    /// Number of consensus groups per node (1 unless built with
+    /// [`TestNetBuilder::shards`]).
     pub fn shards(&self) -> u16 {
         self.config.shards
     }
@@ -398,6 +421,12 @@ impl<P: Protocol> TestNet<P> {
     /// node's blocked status (a rebooted slow core is still slow). On a
     /// sharded net, *every* shard group's member at that node reboots
     /// (the whole core went away), each into a fresh batch epoch.
+    ///
+    /// A cold reboot applies nothing until it holds the decided prefix,
+    /// and a reply leaves only after its command applies. So unless the
+    /// config sets `truncate_every` (maintenance then fetches a snapshot
+    /// across the gap) or [`Self::reset_node_warm`] hands it one, the
+    /// rebooted node never answers a client again.
     pub fn reset_node(&mut self, id: NodeId, mut fresh: impl FnMut() -> P) {
         let members: Vec<NodeId> = (0..self.engines.len() as u16).map(NodeId).collect();
         let incarnation = &mut self.resets[id.index()];
@@ -518,108 +547,96 @@ impl<P: Protocol> TestNet<P> {
         }
     }
 
-    /// Runs one complete transaction through `coord` against `target`,
-    /// driving every phase to quiescence: prepares out, votes in,
-    /// outcome out, acknowledgements in. Time advances a little between
-    /// rounds so batch-flush deadlines and protocol ticks fire.
+    /// A client session for `id` that prefers replica `first`, then the
+    /// other nodes in id order. It re-sends what is outstanding every
+    /// 200 µs of virtual time and never gives up on its own; a
+    /// [`Self::call`] bounds the wait.
+    pub fn session(&self, id: NodeId, first: NodeId) -> ClientSession {
+        let others = (0..self.engines.len() as u16)
+            .map(NodeId)
+            .filter(|&n| n != first);
+        let replicas = std::iter::once(first).chain(others).collect();
+        let router = self.engines[first.index()].router();
+        let policy = RetryPolicy::fixed(CLIENT_PATIENCE, u32::MAX);
+        ClientSession::new(id, replicas, router, policy, u64::from(id.0))
+    }
+
+    /// Runs one call of session `s` to its answer. `start` begins the
+    /// call at the current time (e.g. `|s, now, out| s.submit(op, now,
+    /// out)`); each request it sends goes in through
+    /// [`Self::client_request`] or [`Self::read_relaxed`], the net runs
+    /// to quiescence, and `s`'s replies are fed back to it. While the
+    /// call waits, virtual time advances to the session's next deadline.
+    /// Returns once the call completed and no outcome leg is still
+    /// draining, so the next call starts on a quiet network.
     ///
     /// # Panics
     ///
-    /// Panics if the transaction does not finish within the driver's
-    /// round budget (a stuck shard group).
-    pub fn run_txn(
+    /// Panics if the call passes 64 deadlines unfinished (a stuck shard
+    /// group).
+    pub fn call(
         &mut self,
-        target: NodeId,
-        coord: &mut TxnCoordinator,
+        s: &mut ClientSession,
+        start: impl FnOnce(&mut ClientSession, Nanos, &mut Vec<ClientEffect>),
+    ) -> Answer {
+        let mut out = Vec::new();
+        start(s, self.now, &mut out);
+        let (me, mut seen, mut answer, mut deadlines) = (s.id(), self.replies.len(), None, 0);
+        loop {
+            for effect in out.drain(..) {
+                match effect {
+                    ClientEffect::Send {
+                        to,
+                        req_id,
+                        request,
+                    } => match request {
+                        Request::Op(op) => _ = self.client_request(to, me, req_id, op),
+                        Request::Read { key } => _ = self.read_relaxed(to, me, req_id, key),
+                    },
+                    ClientEffect::Complete { result } => answer = result.ok(),
+                }
+            }
+            self.run_to_quiescence();
+            for r in self.replies[seen..].iter().filter(|r| r.client == me) {
+                s.on_reply(r.req_id, r.value, self.now, &mut out);
+            }
+            seen = self.replies.len();
+            if !out.is_empty() {
+                continue;
+            }
+            if let Some(answer) = answer.filter(|_| !s.draining()) {
+                return answer;
+            }
+            deadlines += 1;
+            assert!(
+                deadlines <= CALL_DEADLINES,
+                "call did not finish within {CALL_DEADLINES} deadlines"
+            );
+            let due = s.next_deadline().expect("a waiting call has a deadline");
+            self.advance(due.saturating_sub(self.now));
+            s.on_deadline(self.now, &mut out);
+        }
+    }
+
+    /// Writes `writes` atomically through session `s` (see
+    /// [`ClientSession::txn_put`]) and returns the transaction's outcome.
+    pub fn txn_put(&mut self, s: &mut ClientSession, writes: &[(u64, u64)]) -> TxnOutcome {
+        self.call(s, |s, now, out| s.txn_put(writes, now, out))
+            .txn()
+    }
+
+    /// Drives `outcome` for the dead coordinator's transaction `txn`
+    /// through session `s` (see [`ClientSession::recover`]) and returns
+    /// it once every touched shard acknowledged.
+    pub fn recover(
+        &mut self,
+        s: &mut ClientSession,
+        txn: TxnId,
         writes: &[(u64, u64)],
+        outcome: TxnOutcome,
     ) -> TxnOutcome {
-        let frags = coord.begin(writes);
-        self.drive_txn(target, coord, frags)
-    }
-
-    /// Drives an already-started transaction (or a recovery started with
-    /// [`TxnCoordinator::begin_recovery`]) to its outcome; see
-    /// [`Self::run_txn`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the transaction does not finish within the round
-    /// budget.
-    pub fn drive_txn(
-        &mut self,
-        target: NodeId,
-        coord: &mut TxnCoordinator,
-        mut frags: Vec<Fragment>,
-    ) -> TxnOutcome {
-        let client = coord.client();
-        let mut seen = self.replies.len();
-        // A caller may hand us the fan-out fragments of a transaction
-        // it already saw decided (early ack): with no prepare phase to
-        // drive, the decided outcome is the drain's.
-        let mut decided = if coord.in_flight() {
-            None
-        } else {
-            coord.drain_outcome()
-        };
-        for round in 0..Self::TXN_DRIVER_ROUNDS {
-            self.submit_fragments(target, client, std::mem::take(&mut frags));
-            self.settle_round(round);
-            let mut step = TxnStep::Pending;
-            while seen < self.replies.len() {
-                let r = self.replies[seen];
-                seen += 1;
-                if r.client != client {
-                    continue;
-                }
-                match coord.on_reply(r.req_id, r.value) {
-                    TxnStep::Pending => {}
-                    next => step = next,
-                }
-            }
-            match step {
-                TxnStep::Done(outcome) => return outcome,
-                // Early ack: the outcome is already decided; keep
-                // driving the fan-out until the acknowledgements drain
-                // so the next call starts from a quiet network.
-                TxnStep::Decided { outcome, submit } => {
-                    decided = Some(outcome);
-                    frags = submit;
-                }
-                TxnStep::Submit(next) => frags = next,
-                // No phase transition: re-ask for whatever is still
-                // outstanding — a valueless reply raced its apply (the
-                // protocols re-answer decided ids with the value), or a
-                // lock-wait re-probe was queued for deferred submission
-                // (the deterministic driver submits it right away; the
-                // one-window delay only matters under load).
-                TxnStep::Pending => {
-                    coord.take_deferred();
-                    if let Some(outcome) = decided {
-                        if !coord.draining() {
-                            return outcome;
-                        }
-                    }
-                    frags = coord.outstanding_fragments();
-                }
-            }
-        }
-        panic!("transaction did not finish within the driver budget");
-    }
-
-    /// Round budget shared by the transaction drivers ([`Self::drive_txn`]
-    /// and [`Self::txn_status_agreed`]) before declaring a shard group
-    /// stuck.
-    const TXN_DRIVER_ROUNDS: usize = 64;
-
-    /// One driver round's settling policy, shared by [`Self::drive_txn`]
-    /// and [`Self::txn_status_agreed`]: drain all deliverable messages,
-    /// and on retry rounds also advance time so deadline-driven machinery
-    /// (batch flushes, protocol ticks, retries) makes progress.
-    fn settle_round(&mut self, round: usize) {
-        self.run_to_quiescence();
-        if round > 0 {
-            self.advance_and_settle(200_000, 1);
-        }
+        self.call(s, |s, now, out| s.recover(txn, writes, outcome, now, out))
+            .txn()
     }
 
     /// `node`'s **locally-applied** view of transaction `txn` at the
@@ -642,36 +659,29 @@ impl<P: Protocol> TestNet<P> {
     /// relaxed [`Self::txn_status`] is a per-replica oracle that can
     /// lag).
     ///
+    /// Each probe is a fresh session of its own client id (see
+    /// [`Self::PROBE_CLIENT`]) preferring `target`, run by
+    /// [`Self::call`].
+    ///
     /// # Panics
     ///
-    /// Panics if the probe does not decide within the driver's round
-    /// budget (a stuck shard group), or if a reply carries an output no
+    /// Panics if the probe does not decide within the call's deadline
+    /// budget (a stuck shard group), or if it answers with an output no
     /// probe produces.
     pub fn txn_status_agreed(&mut self, target: NodeId, routing_key: u64, txn: TxnId) -> TxnStatus {
-        self.probe_reqs += 1;
-        let req_id = self.probe_reqs;
+        self.status_probes += 1;
+        let id = NodeId(Self::PROBE_CLIENT.0 + self.status_probes);
+        assert!(id < MAINT_CLIENT, "out of status-probe client ids");
+        let mut s = self.session(id, target);
         let op = Op::TxnStatus {
             txn,
             key: routing_key,
         };
-        let mut seen = self.replies.len();
-        for round in 0..Self::TXN_DRIVER_ROUNDS {
-            // Re-submitting the same (client, req_id) is safe: the
-            // appliers dedup and the protocols re-answer decided ids,
-            // this time with the applied output attached.
-            self.client_request(target, Self::PROBE_CLIENT, req_id, op.clone());
-            self.settle_round(round);
-            while seen < self.replies.len() {
-                let r = self.replies[seen];
-                seen += 1;
-                if r.client == Self::PROBE_CLIENT && r.req_id == req_id {
-                    if let Some(v) = r.value {
-                        return TxnStatus::from_output(v).expect("probe output is a status");
-                    }
-                }
-            }
-        }
-        panic!("status probe did not decide within the driver budget");
+        let answer = self.call(&mut s, |s, now, out| s.submit(op, now, out));
+        answer
+            .value()
+            .and_then(TxnStatus::from_output)
+            .expect("probe output is a status")
     }
 
     /// Transactional locks currently held across every shard replica of
@@ -1209,20 +1219,20 @@ mod tests {
     fn txn_driver_commits_across_shards_and_short_circuits_within_one() {
         use crate::shard::ShardRouter;
         use crate::twopc::TwoPcNode;
-        use crate::txn::{TxnCoordinator, TxnOutcome};
+        use crate::txn::TxnOutcome;
         use crate::ClusterConfig;
         let mut net = TestNet::builder(3)
             .shards(4)
             .build(|m, me| TwoPcNode::new(ClusterConfig::new(m.to_vec(), me)));
         let router = ShardRouter::new(4);
-        let mut coord = TxnCoordinator::new(NodeId(9), router);
+        let mut s = net.session(NodeId(9), NodeId(0));
         // Keys spanning two distinct shards.
         let k0 = 0u64;
         let k1 = (1u64..)
             .find(|&k| router.route_key(k) != router.route_key(k0))
             .unwrap();
         assert_eq!(
-            net.run_txn(NodeId(0), &mut coord, &[(k0, 10), (k1, 11)]),
+            net.txn_put(&mut s, &[(k0, 10), (k1, 11)]),
             TxnOutcome::Committed
         );
         // Atomic: both writes visible on every node, no locks left.
@@ -1237,7 +1247,7 @@ mod tests {
             .find(|&k| k != k0 && router.route_key(k) == router.route_key(k0))
             .unwrap();
         assert_eq!(
-            net.run_txn(NodeId(0), &mut coord, &[(k0, 20), (twin, 21)]),
+            net.txn_put(&mut s, &[(k0, 20), (twin, 21)]),
             TxnOutcome::Committed
         );
         assert_eq!(net.kv_get(NodeId(2), k0), Some(20));
@@ -1249,27 +1259,75 @@ mod tests {
     fn txn_driver_composes_with_batching() {
         use crate::shard::ShardRouter;
         use crate::twopc::TwoPcNode;
-        use crate::txn::{TxnCoordinator, TxnOutcome};
+        use crate::txn::TxnOutcome;
         use crate::ClusterConfig;
         // Fragments ride the per-shard batch accumulators like any
-        // client command; the driver's time advances flush the tails.
+        // client command; the call's deadlines advance time and flush
+        // the tails.
         let mut net = TestNet::builder(3)
             .shards(2)
             .batching(BatchConfig::new(4, 1_000))
             .build(|m, me| TwoPcNode::new(ClusterConfig::new(m.to_vec(), me)));
         let router = ShardRouter::new(2);
-        let mut coord = TxnCoordinator::new(NodeId(9), router);
+        let mut s = net.session(NodeId(9), NodeId(0));
         let k0 = 0u64;
         let k1 = (1u64..)
             .find(|&k| router.route_key(k) != router.route_key(k0))
             .unwrap();
         assert_eq!(
-            net.run_txn(NodeId(0), &mut coord, &[(k0, 1), (k1, 2)]),
+            net.txn_put(&mut s, &[(k0, 1), (k1, 2)]),
             TxnOutcome::Committed
         );
         assert_eq!(net.kv_get(NodeId(1), k0), Some(1));
         assert_eq!(net.kv_get(NodeId(1), k1), Some(2));
         net.assert_consistent();
+    }
+
+    #[test]
+    fn a_session_call_answers_with_the_applied_value() {
+        use crate::twopc::TwoPcNode;
+        use crate::ClusterConfig;
+        let mut net = TestNet::new(3, |m, me| {
+            TwoPcNode::new(ClusterConfig::new(m.to_vec(), me))
+        });
+        let mut s = net.session(NodeId(9), NodeId(1));
+        let put = Op::Put { key: 4, value: 44 };
+        let first = net.call(&mut s, |s, now, out| s.submit(put, now, out));
+        assert_eq!(first, Answer::Value(None), "no prior value");
+        let get = Op::Get { key: 4 };
+        let ordered = net.call(&mut s, |s, now, out| s.submit(get, now, out));
+        assert_eq!(ordered, Answer::Value(Some(44)));
+        let relaxed = net.call(&mut s, |s, now, out| s.read_relaxed(NodeId(2), 4, now, out));
+        assert_eq!(relaxed, Answer::Value(Some(44)));
+        // Each call ran under the session's next id; the coordinator
+        // answers commands, the asked replica the relaxed read.
+        let sent: Vec<_> = net.replies().iter().map(|r| (r.req_id, r.from)).collect();
+        assert_eq!(sent, [(1, NodeId(0)), (2, NodeId(0)), (3, NodeId(2))]);
+    }
+
+    #[test]
+    fn a_session_moves_past_a_blocked_replica() {
+        use crate::onepaxos::OnePaxosNode;
+        use crate::ClusterConfig;
+        let mut net = TestNet::new(3, |m, me| {
+            OnePaxosNode::new(ClusterConfig::new(m.to_vec(), me))
+        });
+        net.run_to_quiescence(); // n0 leads, n1 accepts, n2 idles
+        net.block(NodeId(2));
+        let mut s = net.session(NodeId(9), NodeId(2));
+        let put = Op::Put { key: 4, value: 44 };
+        net.call(&mut s, |s, now, out| s.submit(put, now, out));
+        assert_eq!(s.target(ShardId(0)), NodeId(0), "one deadline moved it");
+        assert_eq!(net.now(), 200_000, "after one 200 µs patience");
+        assert_eq!(net.kv_get(NodeId(0), 4), Some(44));
+    }
+
+    #[test]
+    #[should_panic(expected = "call did not finish within 64 deadlines")]
+    fn a_call_nobody_answers_panics_after_its_deadline_budget() {
+        let mut net = echo_net(2);
+        let mut s = net.session(NodeId(9), NodeId(0));
+        net.call(&mut s, |s, now, out| s.submit(Op::Noop, now, out));
     }
 
     #[test]
@@ -1330,6 +1388,14 @@ mod tests {
             net.advance(20_000);
             net.run_to_quiescence();
         }
+        // A reply leaves once its command applies, so Mencius's last
+        // round waits for the idle owners' skips to fill its gaps.
+        for _ in 0..8 {
+            if net.replies().len() == 200 * 64 {
+                break;
+            }
+            net.advance_and_settle(20_000, 1);
+        }
         assert_eq!(net.replies().len(), 200 * 64);
         let hash = net.replies().iter().fold(0u64, |h, r| {
             [
@@ -1358,6 +1424,6 @@ mod tests {
         let one = burst_schedule(|m, me| OnePaxosNode::new(ClusterConfig::new(m.to_vec(), me)));
         assert_eq!(one, (3614, (1202, 489, 713), 0xecc1_c958_2fb9_b17f));
         let mencius = burst_schedule(|m, me| MenciusNode::new(ClusterConfig::new(m.to_vec(), me)));
-        assert_eq!(mencius, (28736, (1202, 489, 713), 0x92f6_2ab8_7a65_6004));
+        assert_eq!(mencius, (28784, (1202, 489, 713), 0x2dee_93de_5cb3_fcd7));
     }
 }

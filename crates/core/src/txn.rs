@@ -264,15 +264,12 @@ struct Active {
     busys: BTreeMap<ShardId, u32>,
 }
 
-/// One early-acked transaction's outcome fan-out still awaiting shard
-/// acknowledgements. The client already has the outcome; these exist so
-/// the harness can keep retransmitting until every shard has applied it
-/// (the commands are idempotent and log-driven, so duplicates are free).
-#[derive(Debug)]
-struct Drain {
-    outcome: TxnOutcome,
-    outstanding: BTreeMap<u64, (ShardId, Op)>,
-}
+/// One early-acked transaction's outcome legs still awaiting shard
+/// acknowledgements, by request id. The client already has the outcome;
+/// these exist so the harness can keep retransmitting until every shard
+/// has applied it (the commands are idempotent and log-driven, so
+/// duplicates are free).
+type Drain = BTreeMap<u64, (ShardId, Op)>;
 
 /// Client-side 2PC-over-Paxos coordinator; see the [module docs](self)
 /// for the protocol and failure story.
@@ -368,7 +365,7 @@ impl TxnCoordinator {
     /// all drawn before the active transaction's, then that one's.
     pub fn outstanding_fragments(&self) -> Vec<Fragment> {
         let active = self.active.iter().flat_map(|a| a.outstanding.iter());
-        let drains = self.draining.iter().flat_map(|d| d.outstanding.iter());
+        let drains = self.draining.iter().flatten();
         drains
             .chain(active)
             .map(|(&req_id, (shard, op))| Fragment {
@@ -383,14 +380,6 @@ impl TxnCoordinator {
     /// collecting acknowledgements.
     pub fn draining(&self) -> bool {
         !self.draining.is_empty()
-    }
-
-    /// The already-acked outcome of the oldest transaction still
-    /// draining its fan-out, if any — what a driver that was handed the
-    /// outcome fragments of a decided transaction (rather than seeing
-    /// the decision itself) reports once the drain empties.
-    pub fn drain_outcome(&self) -> Option<TxnOutcome> {
-        self.draining.first().map(|d| d.outcome)
     }
 
     /// Takes the re-probe fragments queued by wait/busy votes, for the
@@ -578,10 +567,7 @@ impl TxnCoordinator {
         let a = self.active.take().expect("forcing without a txn");
         // Queued re-probes are for the now-decided prepares: drop them.
         self.deferred.clear();
-        self.draining.push(Drain {
-            outcome,
-            outstanding: a.outstanding,
-        });
+        self.draining.push(a.outstanding);
         TxnStep::Decided { outcome, submit }
     }
 
@@ -613,9 +599,11 @@ impl TxnCoordinator {
     }
 
     /// Consumes one client reply. `value` is the reply's state-machine
-    /// output (the vote, for a prepare); a valueless prepare reply — a
-    /// log gap raced the reply out — leaves the fragment outstanding so
-    /// the harness's retry resends it and collects the vote later.
+    /// output (the vote, for a prepare). Replies leave only after their
+    /// command applied, so a valueless reply means only that the client
+    /// had already superseded the request at that shard; a valueless
+    /// prepare reply carries no vote and leaves the fragment outstanding
+    /// for the session's retry.
     ///
     /// Replies for unknown request ids (stale, duplicate, or other
     /// traffic of the same client) return [`TxnStep::Pending`] and
@@ -626,8 +614,8 @@ impl TxnCoordinator {
         // Drain acknowledgements first: they may interleave with the
         // next transaction's prepare replies.
         for i in 0..self.draining.len() {
-            if self.draining[i].outstanding.remove(&req_id).is_some() {
-                if self.draining[i].outstanding.is_empty() {
+            if self.draining[i].remove(&req_id).is_some() {
+                if self.draining[i].is_empty() {
                     self.draining.remove(i);
                 }
                 return TxnStep::Pending;
@@ -649,7 +637,7 @@ impl TxnCoordinator {
             }
             Phase::Preparing => {
                 let Some(raw) = value else {
-                    return TxnStep::Pending; // vote not applied yet: retry will re-ask
+                    return TxnStep::Pending; // superseded: no vote to read
                 };
                 let (shard, op) = a.outstanding.remove(&req_id).expect("checked");
                 // Unknown encodings count as a no vote (defensive; the

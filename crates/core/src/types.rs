@@ -406,7 +406,11 @@ impl Op {
 /// `(client, req_id)` identifies the batch itself (the advocating
 /// engine's [`NodeId::batch_source`] and its batch sequence number); the
 /// constituent commands keep their own identities inside the payload.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+///
+/// Two copies of one batch decision share their payload, so equality
+/// compares a batch's payload by pointer before it compares it command
+/// by command (`Arc`'s own `==` cannot, for an unsized payload).
+#[derive(Clone, Debug)]
 pub struct Command {
     /// The client that issued the command.
     pub client: NodeId,
@@ -458,9 +462,79 @@ impl Command {
     }
 }
 
+impl PartialEq for Command {
+    fn eq(&self, other: &Self) -> bool {
+        self.id() == other.id()
+            && match (&self.op, &other.op) {
+                (Op::Batch(a), Op::Batch(b)) => Arc::ptr_eq(a, b) || a == b,
+                (a, b) => a == b,
+            }
+    }
+}
+
+impl Eq for Command {}
+
+/// Hashes what [`PartialEq`] compares, so equal commands hash equally.
+impl std::hash::Hash for Command {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.id().hash(state);
+        self.op.hash(state);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn batch(values: &[u64]) -> Command {
+        let cmds = values
+            .iter()
+            .map(|&v| Command::noop(NodeId(9), v))
+            .collect();
+        Command::batch(NodeId(0), 1, cmds)
+    }
+
+    /// `c`'s hash under one fixed-key hasher.
+    fn hash_of(c: &Command) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        c.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn a_batch_equals_its_clone_by_pointer() {
+        let b = batch(&[1, 2]);
+        let copy = b.clone();
+        let (Op::Batch(x), Op::Batch(y)) = (&b.op, &copy.op) else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(x, y), "a clone shares its payload");
+        assert_eq!(b, copy);
+    }
+
+    #[test]
+    fn batches_with_equal_content_in_two_allocations_are_equal() {
+        assert_eq!(batch(&[1, 2]), batch(&[1, 2]));
+    }
+
+    #[test]
+    fn batches_with_unequal_content_differ() {
+        assert_ne!(batch(&[1, 2]), batch(&[1, 3]));
+        assert_ne!(batch(&[1, 2]), batch(&[1]));
+        let mut other = batch(&[1, 2]);
+        other.req_id = 2;
+        assert_ne!(batch(&[1, 2]), other, "same payload, another batch");
+    }
+
+    #[test]
+    fn equal_commands_hash_equally() {
+        let b = batch(&[1, 2]);
+        assert_eq!(hash_of(&b), hash_of(&b.clone()));
+        assert_eq!(hash_of(&b), hash_of(&batch(&[1, 2])));
+        let put = |v| Command::new(NodeId(9), 1, Op::Put { key: 1, value: v });
+        assert_eq!(hash_of(&put(3)), hash_of(&put(3)));
+    }
 
     #[test]
     fn ballot_ordering_is_round_then_node() {

@@ -308,8 +308,8 @@ impl RecvBuf {
             .expect("writable tail exists")
     }
 
-    /// Records `n` bytes as read into the last [`writable`]
-    /// (RecvBuf::writable) slice.
+    /// Records `n` bytes as read into the last
+    /// [`writable`](Self::writable) slice.
     ///
     /// # Panics
     ///

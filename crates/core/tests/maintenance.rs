@@ -7,8 +7,7 @@
 use std::collections::VecDeque;
 
 use onepaxos::engine::{
-    CatchUp, EngineConfig, EngineEffect, EngineEvent, ReplyMode, GAP_PATIENCE, MAINTENANCE,
-    MAINT_PERIOD,
+    CatchUp, EngineConfig, EngineEffect, EngineEvent, GAP_PATIENCE, MAINTENANCE, MAINT_PERIOD,
 };
 use onepaxos::kv::KvStore;
 use onepaxos::multipaxos::MultiPaxosNode;
@@ -308,7 +307,7 @@ fn a_caught_up_replica_replays_from_its_inputs() {
     let config = truncating(32);
     let deploy = |me: NodeId, incarnation| {
         let node = || onepaxos(&members, me);
-        let mut e = ShardedEngine::deploy(config, ReplyMode::Immediate, incarnation, node);
+        let mut e = ShardedEngine::deploy(config, incarnation, node);
         e.enable_maintenance(&members, config.truncate_every);
         e
     };

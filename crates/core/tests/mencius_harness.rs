@@ -6,7 +6,7 @@
 use onepaxos::mencius::MenciusNode;
 use onepaxos::onepaxos::OnePaxosNode;
 use onepaxos::testnet::TestNet;
-use onepaxos::{BatchConfig, ClusterConfig, NodeId, Op};
+use onepaxos::{BatchConfig, ClusterConfig, EngineConfig, NodeId, Op};
 
 fn net(n: u16) -> TestNet<MenciusNode> {
     TestNet::new(n, |m, me| {
@@ -267,8 +267,14 @@ fn rebooted_node_batches_again_under_fresh_identities() {
     // batch sequence must land in a fresh epoch: recycling a decided
     // (batch_source, seq) identity would make surviving peers drop the
     // new batch as an already-decided duplicate, stranding its clients.
-    let mut net = TestNet::builder(3)
+    // A cold reboot applies nothing until it has the decided prefix, so
+    // it answers no client without maintenance: run it, as the runtime
+    // does (the threshold is never reached here).
+    let config = EngineConfig::new()
         .batching(BatchConfig::new(2, 400_000))
+        .truncate_every(1_000);
+    let mut net = TestNet::builder(3)
+        .config(config)
         .build(|m, me| OnePaxosNode::new(ClusterConfig::new(m.to_vec(), me)));
     net.run_to_quiescence(); // leader adoption
     net.client_request(NodeId(1), NodeId(100), 1, Op::Put { key: 1, value: 1 });

@@ -11,7 +11,7 @@ use onepaxos::shard::ShardRouter;
 use onepaxos::testnet::TestNet;
 use onepaxos::twopc::TwoPcNode;
 use onepaxos::txn::{recover_outcome, Fragment, TxnCoordinator, TxnOutcome, TxnStatus};
-use onepaxos::{ClusterConfig, NodeId, Op};
+use onepaxos::{ClusterConfig, NodeId, Op, TxnId};
 
 fn cfg(m: &[NodeId], me: NodeId) -> ClusterConfig {
     ClusterConfig::new(m.to_vec(), me)
@@ -65,10 +65,10 @@ fn coordinator_crash_after_partial_prepare_recovers_to_abort() {
         net.txn_status_agreed(NodeId(0), k1, txn),
     ];
     assert_eq!(recover_outcome(&statuses), TxnOutcome::Aborted);
-    let mut recovery = TxnCoordinator::new(NodeId(200), router);
-    let outcome = recovery.begin_recovery(txn, &[(k0, 10), (k1, 20)], TxnOutcome::Aborted);
+    let mut recovery = net.session(NodeId(200), NodeId(0));
+    let writes = [(k0, 10), (k1, 20)];
     assert_eq!(
-        net.drive_txn(NodeId(0), &mut recovery, outcome),
+        net.recover(&mut recovery, txn, &writes, TxnOutcome::Aborted),
         TxnOutcome::Aborted
     );
     // Converged: locks released, no fragment landed anywhere, the
@@ -125,10 +125,10 @@ fn coordinator_crash_after_full_prepare_recovers_to_commit() {
     ];
     assert_eq!(statuses, [TxnStatus::Prepared, TxnStatus::Prepared]);
     assert_eq!(recover_outcome(&statuses), TxnOutcome::Committed);
-    let mut recovery = TxnCoordinator::new(NodeId(200), router);
-    let outcome = recovery.begin_recovery(txn, &[(k0, 10), (k1, 20)], TxnOutcome::Committed);
+    let mut recovery = net.session(NodeId(200), NodeId(0));
+    let writes = [(k0, 10), (k1, 20)];
     assert_eq!(
-        net.drive_txn(NodeId(0), &mut recovery, outcome),
+        net.recover(&mut recovery, txn, &writes, TxnOutcome::Committed),
         TxnOutcome::Committed
     );
     for n in 0..3u16 {
@@ -153,14 +153,14 @@ fn recovery_status_must_be_read_through_the_log_not_a_lagging_replica() {
         .shards(2)
         .build(|m, me| OnePaxosNode::new(cfg(m, me)));
     net.run_to_quiescence(); // leader adoption in both groups
-    let (k0, k1, router) = cross_shard_keys(2);
+    let (k0, k1, _) = cross_shard_keys(2);
     net.block(NodeId(2)); // the slow core misses everything from here on
-    let mut coord = TxnCoordinator::new(NodeId(100), router);
-    let frags = coord.begin(&[(k0, 7), (k1, 8)]);
-    let txn = coord.current_txn().expect("multi-shard txn");
+    let mut client = net.session(NodeId(100), NodeId(0));
+    // A fresh session's first transaction.
+    let txn = TxnId::new(NodeId(100), 1);
     // The surviving quorum (nodes 0 and 1) commits the transaction.
     assert_eq!(
-        net.drive_txn(NodeId(0), &mut coord, frags),
+        net.txn_put(&mut client, &[(k0, 7), (k1, 8)]),
         TxnOutcome::Committed
     );
     assert_eq!(net.kv_get(NodeId(0), k0), Some(7));
@@ -233,10 +233,14 @@ fn coordinator_crash_while_parked_leaves_no_zombie_waiter() {
         net.txn_status_agreed(NodeId(0), k1, w_txn),
     ];
     assert_eq!(recover_outcome(&statuses), TxnOutcome::Aborted);
-    let mut rec_w = TxnCoordinator::new(NodeId(300), router);
-    let frags = rec_w.begin_recovery(w_txn, &[(k0, 10), (k1, 20)], TxnOutcome::Aborted);
+    let mut rec_w = net.session(NodeId(300), NodeId(0));
     assert_eq!(
-        net.drive_txn(NodeId(0), &mut rec_w, frags),
+        net.recover(
+            &mut rec_w,
+            w_txn,
+            &[(k0, 10), (k1, 20)],
+            TxnOutcome::Aborted
+        ),
         TxnOutcome::Aborted
     );
     // The abort purged the queue entry — no zombie waiter survives.
@@ -252,10 +256,9 @@ fn coordinator_crash_while_parked_leaves_no_zombie_waiter() {
         net.txn_status_agreed(NodeId(0), k1, h_txn),
     ];
     assert_eq!(recover_outcome(&statuses), TxnOutcome::Aborted);
-    let mut rec_h = TxnCoordinator::new(NodeId(301), router);
-    let frags = rec_h.begin_recovery(h_txn, &[(k0, 1), (k1, 2)], TxnOutcome::Aborted);
+    let mut rec_h = net.session(NodeId(301), NodeId(0));
     assert_eq!(
-        net.drive_txn(NodeId(0), &mut rec_h, frags),
+        net.recover(&mut rec_h, h_txn, &[(k0, 1), (k1, 2)], TxnOutcome::Aborted),
         TxnOutcome::Aborted
     );
     for n in 0..3u16 {
@@ -278,8 +281,8 @@ fn coordinator_crash_while_parked_leaves_no_zombie_waiter() {
     assert_eq!(net.txn_parked(NodeId(1)), 0);
     assert_eq!(net.txn_locks(NodeId(1)), 0);
     // The lane is clear: a fresh transaction over the same keys commits.
-    let mut fresh = TxnCoordinator::new(NodeId(400), router);
-    let outcome = net.run_txn(NodeId(0), &mut fresh, &[(k0, 77), (k1, 88)]);
+    let mut fresh = net.session(NodeId(400), NodeId(0));
+    let outcome = net.txn_put(&mut fresh, &[(k0, 77), (k1, 88)]);
     assert_eq!(outcome, TxnOutcome::Committed);
     assert_eq!(net.kv_get(NodeId(0), k0), Some(77));
     net.assert_consistent();

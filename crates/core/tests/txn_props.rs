@@ -76,10 +76,10 @@ proptest! {
                 })
                 .collect()
         };
-        // Live transactions share one long-lived coordinator; every
-        // crashed transaction gets a throwaway one (its ids die with it)
-        // plus a distinct recovery coordinator.
-        let mut live = TxnCoordinator::new(NodeId(100), router);
+        // Live transactions share one long-lived session; every crashed
+        // transaction gets a throwaway coordinator (its ids die with it)
+        // plus a distinct recovery session.
+        let mut live = net.session(NodeId(100), NodeId(0));
         let mut put_reqs = [0u64; 4];
         for (i, step) in schedule.iter().enumerate() {
             let target = NodeId((i % 3) as u16);
@@ -98,7 +98,7 @@ proptest! {
                 }
                 Step::Txn { keys } => {
                     let writes = alloc(keys);
-                    let outcome = net.run_txn(target, &mut live, &writes);
+                    let outcome = net.txn_put(&mut live, &writes);
                     // Serial execution, no coordinator failure: locks are
                     // always free, so the transaction must commit.
                     prop_assert_eq!(outcome, TxnOutcome::Committed);
@@ -160,10 +160,8 @@ proptest! {
                         if all_landed { TxnOutcome::Committed } else { TxnOutcome::Aborted },
                         "statuses {:?}", statuses
                     );
-                    let mut recovery =
-                        TxnCoordinator::new(NodeId(200 + i as u16), router);
-                    let outcome_frags = recovery.begin_recovery(txn, &writes, outcome);
-                    let driven = net.drive_txn(target, &mut recovery, outcome_frags);
+                    let mut recovery = net.session(NodeId(200 + i as u16), target);
+                    let driven = net.recover(&mut recovery, txn, &writes, outcome);
                     prop_assert_eq!(driven, outcome);
                     if outcome == TxnOutcome::Committed {
                         for &(k, v) in &writes {
@@ -216,8 +214,8 @@ proptest! {
         net.run_to_quiescence();
         prop_assert_eq!(net.txn_status(NodeId(1), k0, txn), TxnStatus::Prepared);
         // A live transaction overlapping the locked key must abort…
-        let mut live = TxnCoordinator::new(NodeId(100), router);
-        let outcome = net.run_txn(NodeId(1), &mut live, &[(k0, 10), (k1, 20)]);
+        let mut live = net.session(NodeId(100), NodeId(1));
+        let outcome = net.txn_put(&mut live, &[(k0, 10), (k1, 20)]);
         prop_assert_eq!(outcome, TxnOutcome::Aborted);
         for n in 0..3u16 {
             prop_assert_eq!(net.kv_get(NodeId(n), k0), None, "fragment leaked");
@@ -230,11 +228,9 @@ proptest! {
             net.txn_status_agreed(NodeId(0), k1, txn),
         ];
         prop_assert_eq!(recover_outcome(&statuses), TxnOutcome::Aborted);
-        let mut recovery = TxnCoordinator::new(NodeId(200), router);
-        let outcome_frags =
-            recovery.begin_recovery(txn, &[(k0, 1), (k1, 2)], TxnOutcome::Aborted);
-        net.drive_txn(NodeId(0), &mut recovery, outcome_frags);
-        let retry = net.run_txn(NodeId(1), &mut live, &[(k0, 10), (k1, 20)]);
+        let mut recovery = net.session(NodeId(200), NodeId(0));
+        net.recover(&mut recovery, txn, &[(k0, 1), (k1, 2)], TxnOutcome::Aborted);
+        let retry = net.txn_put(&mut live, &[(k0, 10), (k1, 20)]);
         prop_assert_eq!(retry, TxnOutcome::Committed);
         for n in 0..3u16 {
             prop_assert_eq!(net.kv_get(NodeId(n), k0), Some(10));

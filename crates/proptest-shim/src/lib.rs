@@ -3,7 +3,7 @@
 //!
 //! The build environment cannot reach crates.io, so the real crate is
 //! unavailable; this shim implements the same surface — the [`proptest!`]
-//! macro, [`Strategy`] with `prop_map`, range/tuple/collection strategies,
+//! macro, [`Strategy`](strategy::Strategy) with `prop_map`, range/tuple/collection strategies,
 //! [`prop_oneof!`], `any::<T>()`, `prop::sample::Index`, the assertion
 //! macros and [`test_runner::Config`] — over a deterministic splitmix64
 //! generator. Differences from upstream: no shrinking (a failing case is
@@ -399,7 +399,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Clone, Debug)]
     pub struct VecStrategy<S> {
         element: S,

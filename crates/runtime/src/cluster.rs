@@ -38,7 +38,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use onepaxos::client::{Answer, ClientEffect, ClientSession, Request, RetryPolicy};
-use onepaxos::engine::{BatchConfig, CatchUp, EngineConfig, EngineEffect, EngineStats, ReplyMode};
+use onepaxos::engine::{BatchConfig, CatchUp, EngineConfig, EngineEffect, EngineStats};
 use onepaxos::kv::KvStore;
 use onepaxos::rsm::ApplierSnapshot;
 use onepaxos::shard::{ShardId, ShardRouter, ShardedEffects, ShardedEngine};
@@ -432,10 +432,7 @@ impl Launcher {
         T: Transport<P::Msg> + 'static,
     {
         let (me, members) = (self.members[i], &self.members);
-        let mut engine =
-            ShardedEngine::deploy(self.config, ReplyMode::AfterApply, incarnation, || {
-                factory(members, me)
-            });
+        let mut engine = ShardedEngine::deploy(self.config, incarnation, || factory(members, me));
         // Here maintenance is on even without truncation: the gap watch
         // and the boot probe are what let a restarted slot rejoin.
         engine.enable_maintenance(members, self.config.truncate_every);
@@ -606,10 +603,10 @@ impl Cluster {
 }
 
 /// Pushes one replica's tagged effects onto the wire: peer messages on
-/// their shard group's topic, replies on the client topic. Replies always
-/// carry their state-machine output: the engines run in
-/// [`ReplyMode::AfterApply`], so an acknowledgement is only released once
-/// the command is applied.
+/// their shard group's topic, replies on the client topic. An engine
+/// releases a reply only once its command is applied, so a reply carries
+/// its state-machine output unless the client had already superseded the
+/// request.
 fn dispatch_effects<P: Protocol, T: Transport<P::Msg>>(
     effects: &mut Effects<P>,
     io: &mut T,

@@ -88,8 +88,8 @@ pub struct TransportStats {
 ///   `onepaxos::failure::FailureDetector` contract).
 pub trait Transport<M>: Send {
     /// Queues `msg` for `(to, topic)`. Never blocks: if the link is
-    /// full the message is buffered and retried by [`flush`]
-    /// (Transport::flush). Messages to unknown peers are dropped.
+    /// full the message is buffered and retried by
+    /// [`flush`](Transport::flush). Messages to unknown peers are dropped.
     fn send(&mut self, to: NodeId, topic: u16, msg: Wire<M>);
 
     /// Retries buffered sends. Returns `true` while anything remains
@@ -602,9 +602,9 @@ struct Redial<M> {
 ///
 /// * **Dialer** (this endpoint connected): the peer moves to a
 ///   **backoff** state and is redialed with capped exponential backoff
-///   plus jitter ([`RECONNECT_BASE`] → [`RECONNECT_CAP`]), re-running
+///   plus jitter (`RECONNECT_BASE` → `RECONNECT_CAP`), re-running
 ///   the hello-frame handshake. Frames sent meanwhile are buffered (up
-///   to [`RECONNECT_PENDING_CAP`]) and ride the fresh connection.
+///   to `RECONNECT_PENDING_CAP`) and ride the fresh connection.
 /// * **Acceptor** (the peer connected): the slot is simply purged; the
 ///   peer redials through this endpoint's listener, which every
 ///   readiness query includes, and the accept that follows installs
@@ -1024,7 +1024,7 @@ impl<M: Codec + Send> Transport<M> for TcpTransport<M> {
     /// the kernel delivers the wakeup the moment the reply's bytes land.
     /// The blocking mode persists across calls (the steady-state request
     /// → reply cycle makes exactly one write and one read syscall on the
-    /// transport), and each park is a bounded [`PARK_SLICE`]; on an
+    /// transport), and each park is a bounded `PARK_SLICE`; on an
     /// empty slice the other connections get a nonblocking sweep, so a
     /// message arriving from an unexpected peer is still delivered. May
     /// overshoot `deadline` by up to one slice.

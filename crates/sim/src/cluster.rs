@@ -43,7 +43,7 @@ use std::time::Duration;
 
 use onepaxos::client::{Answer, ClientEffect, ClientSession, Request, RetryPolicy};
 use onepaxos::engine::{
-    BatchConfig, CatchUp, EngineConfig, EngineEffect, EngineEvent, EngineStats, ReplyMode,
+    BatchConfig, CatchUp, EngineConfig, EngineEffect, EngineEvent, EngineStats,
 };
 use onepaxos::kv::KvStore;
 use onepaxos::oracle::Agreement;
@@ -75,7 +75,7 @@ pub enum Workload {
         /// Key-space size.
         keys: u64,
         /// Contention knob: percentage of operations (0–100) whose key
-        /// is drawn from the [`HOT_SET`]-sized hot set at the bottom of
+        /// is drawn from the `HOT_SET`-sized hot set at the bottom of
         /// the key space instead of uniformly — the YCSB-style hotspot
         /// approximation of a zipfian access pattern. 0 is uniform.
         hot_pct: u8,
@@ -292,10 +292,10 @@ enum WorkItem<M> {
     /// process), or a client's request or relaxed read (the engine
     /// orders the request, and serves, parks or orders the read).
     Engine(EngineEvent<M, KvStore>),
-    /// A commit acknowledgement arriving back at the client. `value` is
-    /// the state-machine output the reply carried (for a transaction
-    /// prepare, the shard's vote), `None` when it was not yet applied at
-    /// emission.
+    /// A reply arriving back at the client, sent once its command
+    /// applied. `value` is the state-machine output it carried (for a
+    /// transaction prepare, the shard's vote), `None` only for a request
+    /// the client had already superseded.
     Reply { req_id: u64, value: Option<u64> },
     /// Wake the process to fire due timers: a replica-shard engine's, or
     /// a client session's deadline. `due` is the deadline this check was
@@ -663,9 +663,7 @@ where
         // Maintenance only with truncation, so default runs keep their
         // exact event schedule.
         let mut build = |me: NodeId, incarnation: u64| {
-            let mut e = ShardedEngine::deploy(config, ReplyMode::Immediate, incarnation, || {
-                factory(&members, me)
-            });
+            let mut e = ShardedEngine::deploy(config, incarnation, || factory(&members, me));
             if config.truncate_every.is_some() {
                 e.enable_maintenance(&members, config.truncate_every);
             }

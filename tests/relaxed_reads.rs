@@ -171,7 +171,11 @@ fn relaxed_reads_never_observe_a_partial_cross_shard_write_set() {
         if r.client == NodeId(100) {
             // The final yes vote forces the commit decision (early
             // ack) and hands back the outcome fan-out.
-            if let TxnStep::Decided { submit, .. } = coord.on_reply(r.req_id, r.value) {
+            if let TxnStep::Decided {
+                outcome: TxnOutcome::Committed,
+                submit,
+            } = coord.on_reply(r.req_id, r.value)
+            {
                 outcome = submit;
             }
         }
@@ -180,6 +184,7 @@ fn relaxed_reads_never_observe_a_partial_cross_shard_write_set() {
     let (a_frag, b_frag): (Vec<_>, Vec<_>) = outcome
         .into_iter()
         .partition(|f| f.shard == router.route_key(k_a));
+    let acks = net.replies().len();
     net.submit_fragments(NodeId(0), coord.client(), a_frag);
     net.run_to_quiescence();
     // Shard A committed: its key reads NEW. Shard B still prepared: its
@@ -198,11 +203,17 @@ fn relaxed_reads_never_observe_a_partial_cross_shard_write_set() {
     net.read_relaxed(NodeId(1), reader, 1, k_b);
     net.run_to_quiescence();
     assert_eq!(answers(&net, reader), [], "partial view served");
-    // Deliver B's outcome: the window closes with the full write set.
-    assert_eq!(
-        net.drive_txn(NodeId(0), &mut coord, b_frag),
-        TxnOutcome::Committed
-    );
+    // Deliver B's outcome: the window closes with the full write set,
+    // and both shards have acknowledged their legs.
+    net.submit_fragments(NodeId(0), coord.client(), b_frag);
+    net.run_to_quiescence();
+    for r in net.replies()[acks..]
+        .iter()
+        .filter(|r| r.client == NodeId(100))
+    {
+        coord.on_reply(r.req_id, r.value);
+    }
+    assert!(!coord.draining(), "commit fan-out did not drain");
     for n in 0..3u16 {
         assert_eq!(net.local_read(NodeId(n), k_a), Some(Some(10)));
         assert_eq!(net.local_read(NodeId(n), k_b), Some(Some(20)));
