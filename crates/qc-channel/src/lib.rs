@@ -6,10 +6,9 @@
 //! * **Message queuing** ([`spsc`]): per-pair unidirectional queues of
 //!   128-byte cache-aligned slots (seven per queue by default), with the
 //!   head pointer moved by the reader and the tail by the writer — no
-//!   locks, no system calls on the fast path (§6.1, Fig 6). The queue
-//!   counters double as the measurement hooks of the §3
+//!   locks, no system calls on the fast path (§6.1, Fig 6). The §3
 //!   transmission/propagation-delay experiments (`tab_net` in the bench
-//!   crate).
+//!   crate) time these queues directly.
 //! * **Message delivery** ([`mailbox`]): a process talking to *n* peers
 //!   polls *n* read queues, round-robin (§6.2) — the receive side of the
 //!   runtime's shared-memory transport.

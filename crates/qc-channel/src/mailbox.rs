@@ -58,17 +58,6 @@ impl<P: Copy, T> Mailbox<P, T> {
         }
         None
     }
-
-    /// Drains every currently available message into `f`, returning how
-    /// many were delivered.
-    pub fn drain(&mut self, mut f: impl FnMut(P, T)) -> usize {
-        let mut count = 0;
-        while let Some((p, v)) = self.poll() {
-            f(p, v);
-            count += 1;
-        }
-        count
-    }
 }
 
 #[cfg(test)]
@@ -98,22 +87,5 @@ mod tests {
         let (_tx, rx) = spsc::channel::<u32>(1);
         mb.add_peer(0, rx);
         assert_eq!(mb.poll(), None);
-    }
-
-    #[test]
-    fn drain_collects_everything() {
-        let mut mb: Mailbox<u8, u32> = Mailbox::new();
-        let (tx0, rx0) = spsc::channel(8);
-        let (tx1, rx1) = spsc::channel(8);
-        mb.add_peer(0, rx0);
-        mb.add_peer(1, rx1);
-        for i in 0..3 {
-            tx0.try_send(i).unwrap();
-            tx1.try_send(i).unwrap();
-        }
-        let mut got = Vec::new();
-        let n = mb.drain(|p, v| got.push((p, v)));
-        assert_eq!(n, 6);
-        assert_eq!(got.len(), 6);
     }
 }

@@ -42,10 +42,6 @@ struct Inner<T> {
     /// Next index the writer will write. Moved only by the writer.
     tail: CachePadded<AtomicUsize>,
     slots: Box<[Slot<T>]>,
-    /// Messages successfully enqueued (for the §3 measurements).
-    sends: CachePadded<AtomicUsize>,
-    /// Messages successfully dequeued.
-    recvs: CachePadded<AtomicUsize>,
 }
 
 // SAFETY: the ring transfers `T` values between exactly one producer and
@@ -97,7 +93,6 @@ impl<T> fmt::Debug for Sender<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Sender")
             .field("capacity", &(self.inner.slots.len() - 1))
-            .field("sends", &self.inner.sends.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -111,7 +106,6 @@ impl<T> fmt::Debug for Receiver<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Receiver")
             .field("capacity", &(self.inner.slots.len() - 1))
-            .field("recvs", &self.inner.recvs.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -143,8 +137,6 @@ pub fn channel<T>(slots: usize) -> (Sender<T>, Receiver<T>) {
         head: CachePadded::new(AtomicUsize::new(0)),
         tail: CachePadded::new(AtomicUsize::new(0)),
         slots,
-        sends: CachePadded::new(AtomicUsize::new(0)),
-        recvs: CachePadded::new(AtomicUsize::new(0)),
     });
     (
         Sender {
@@ -173,7 +165,6 @@ impl<T> Sender<T> {
         // reader's [head, tail) window, hence unaliased.
         unsafe { (*inner.slots[tail].val.get()).write(v) };
         inner.tail.store(next, Ordering::Release);
-        inner.sends.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -207,11 +198,6 @@ impl<T> Sender<T> {
         self.inner.slots.len() - 1
     }
 
-    /// Messages successfully enqueued so far.
-    pub fn sends(&self) -> usize {
-        self.inner.sends.load(Ordering::Relaxed)
-    }
-
     /// Whether the receiving half is still alive.
     pub fn receiver_alive(&self) -> bool {
         Arc::strong_count(&self.inner) > 1
@@ -231,7 +217,6 @@ impl<T> Receiver<T> {
         // the producer before the release store we acquired above.
         let v = unsafe { (*inner.slots[head].val.get()).assume_init_read() };
         inner.head.store((head + 1) % cap, Ordering::Release);
-        inner.recvs.fetch_add(1, Ordering::Relaxed);
         Some(v)
     }
 
@@ -255,11 +240,6 @@ impl<T> Receiver<T> {
     /// Usable slot count.
     pub fn capacity(&self) -> usize {
         self.inner.slots.len() - 1
-    }
-
-    /// Messages successfully dequeued so far.
-    pub fn recvs(&self) -> usize {
-        self.inner.recvs.load(Ordering::Relaxed)
     }
 
     /// Whether the sending half is still alive.
@@ -319,16 +299,6 @@ mod tests {
             tx.try_send(i).unwrap();
         }
         assert!(tx.is_full());
-    }
-
-    #[test]
-    fn counters_track_traffic() {
-        let (tx, rx) = channel::<u8>(4);
-        tx.try_send(1).unwrap();
-        tx.try_send(2).unwrap();
-        rx.try_recv().unwrap();
-        assert_eq!(tx.sends(), 2);
-        assert_eq!(rx.recvs(), 1);
     }
 
     #[test]

@@ -1,7 +1,6 @@
-//! Threaded deployment: one OS thread per replica, a pluggable
-//! [`Transport`] between every pair of processes, optional core pinning
-//! — the runtime equivalent of the paper's testbed (§6, §7.1), where
-//! replicas were assigned to cores with `taskset`.
+//! Threaded deployment: one OS thread per replica and a pluggable
+//! [`Transport`] between every pair of processes — the runtime
+//! equivalent of the paper's testbed (§6, §7.1).
 //!
 //! A replica thread owns a [`ShardedEngine`] (one consensus group unless
 //! [`ClusterBuilder::shards`] raises it) and does nothing but IO: poll
@@ -24,14 +23,14 @@
 //!
 //! Sharding keeps **one OS thread per core**: each replica thread hosts
 //! every shard group's member for its slot, and each group gets its own
-//! transport *topic* — a dedicated SPSC queue per direction per pair in
-//! shared memory, a tag inside the frame on TCP — so per-shard FIFO
-//! order matches the other harnesses. Clients route their requests by
-//! key hash ([`ShardRouter`]) with a per-shard target replica, so
-//! callers of [`ClientHandle::put`]/[`ClientHandle::get`] stay
-//! shard-oblivious.
+//! transport *topic*. A process pair still has one link — one SPSC
+//! queue per direction in shared memory, one connection on TCP — and
+//! the topic rides with each message, in the queue slot or inside the
+//! frame, so each group's messages stay in send order. Clients route
+//! their requests by key hash ([`ShardRouter`]) with a per-shard target
+//! replica, so callers of [`ClientHandle::put`]/[`ClientHandle::get`]
+//! stay shard-oblivious.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -44,25 +43,22 @@ use onepaxos::rsm::ApplierSnapshot;
 use onepaxos::shard::{ShardId, ShardRouter, ShardedEffects, ShardedEngine};
 use onepaxos::wire::{decode_exact, encode_to_vec, Codec};
 use onepaxos::{EngineEvent, Nanos, NodeId, Op, Protocol, TxnOutcome};
-use qc_channel::{spsc, Receiver, Sender};
 
 use crate::fault::{FaultPlan, FaultTransport};
-use crate::transport::{self, MemTransport, Peer, TcpTransport, Transport, TransportStats};
+use crate::transport::{self, MemTransport, TcpTransport, Transport, TransportStats};
 use crate::wire::Wire;
 
-/// Queue slots per direction between each pair of processes; the paper's
-/// default of seven (§6.1). Overflow is buffered at the sender, so small
-/// queues cannot deadlock the node loops.
+/// Slots per topic on the one queue per direction between a pair of
+/// processes: a link carrying `t` shard-group topics has `t` times this
+/// many, so each group keeps the paper's default of seven (§6.1).
+/// Overflow is buffered at the sender, so small queues cannot deadlock
+/// the node loops.
 pub const QUEUE_SLOTS: usize = qc_channel::DEFAULT_SLOTS;
 
 /// The transport topic carrying client↔replica traffic (client links
 /// need no per-shard split: requests are routed by the replica engines,
 /// replies carry no shard identity).
 const CLIENT_TOPIC: u16 = 0;
-
-/// The receive sides of one shared-memory process: one queue per peer
-/// per topic.
-type PeerReceivers<M> = Vec<(Peer, Receiver<Wire<M>>)>;
 
 /// The tagged effect stream of one runtime replica's engines.
 type Effects<P> = ShardedEffects<<P as Protocol>::Msg, Option<u64>>;
@@ -257,34 +253,17 @@ where
         // shutdown — which is what lets `Cluster` stay non-generic.
         let total = r + c + 1;
 
-        // Full mesh of SPSC queues: senders[i][(j, t)] sends i → j on
-        // shard-group topic t. Replica pairs get one topic per group;
-        // client and control links use the single CLIENT_TOPIC.
-        let mut senders: Vec<BTreeMap<Peer, Sender<Wire<P::Msg>>>> =
-            (0..total).map(|_| BTreeMap::new()).collect();
-        let mut receivers: Vec<PeerReceivers<P::Msg>> = (0..total).map(|_| Vec::new()).collect();
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..total {
-            for j in 0..total {
-                if i == j {
-                    continue;
-                }
-                // Client↔client (and control) links are never used.
-                if i >= r && j >= r {
-                    continue;
-                }
-                let topics = if i < r && j < r { shards } else { 1 };
-                for t in 0..topics {
-                    let (tx, rx) = spsc::channel(QUEUE_SLOTS);
-                    senders[i].insert((NodeId(j as u16), t), tx);
-                    receivers[j].push(((NodeId(i as u16), t), rx));
-                }
-            }
-        }
-        let mut endpoints = senders
-            .into_iter()
-            .zip(receivers)
-            .map(|(txs, rxs)| MemTransport::new(txs, rxs));
+        // One SPSC queue per linked ordered pair: replica pairs carry one
+        // topic per shard group, client and control links only
+        // CLIENT_TOPIC, and client↔client (and control) pairs are never
+        // linked.
+        let ids: Vec<NodeId> = (0..total).map(|i| NodeId(i as u16)).collect();
+        let mut endpoints = MemTransport::mesh(&ids, |i, j| match (i < r, j < r) {
+            (true, true) => shards,
+            (false, false) => 0,
+            _ => 1,
+        })
+        .into_iter();
 
         // The factory runs here, on the caller's thread, so it need not
         // be `Send`; only the finished queue endpoints cross over.

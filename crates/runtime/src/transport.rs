@@ -8,10 +8,10 @@
 //! # Addressing
 //!
 //! A destination is a [`Peer`] — `(NodeId, topic)`. The topic is the
-//! shard-group channel: the shared-memory transport maps each topic to
-//! its own SPSC queue pair (preserving the one-queue-per-group layout of
-//! §6.1), while TCP multiplexes all topics over one connection per
-//! process pair and carries the topic inside each frame.
+//! shard-group channel. Both transports keep one link per process pair
+//! and carry the topic with each message: in every slot of the pair's
+//! SPSC queue in shared memory (§6.1–6.2: a process polls one queue per
+//! peer), inside each frame of the pair's connection on TCP.
 //!
 //! # TCP frame layout
 //!
@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 use onepaxos::shard::splitmix64;
 use onepaxos::wire::{self, Codec, DecodeError, Reader, RecvBuf, SendQueue};
 use onepaxos::NodeId;
-use qc_channel::{Mailbox, Receiver, Sender};
+use qc_channel::{Mailbox, Sender};
 
 use crate::poll::{self, PollFd};
 use crate::wire::Wire;
@@ -64,9 +64,10 @@ pub struct TransportStats {
 /// The engines assume exactly what the paper's in-machine channels give
 /// them, no more:
 ///
-/// * **Per-peer FIFO order** — messages from one process to another on
-///   one topic arrive in send order. Order across topics or across
-///   senders is unspecified.
+/// * **Per-peer FIFO order** — messages from one process to another
+///   arrive in send order, whatever their topics: each process pair has
+///   one link, so one group's messages wait behind another's only while
+///   that link is full. Order across senders is unspecified.
 /// * **At-most-once delivery** — a transport never duplicates a
 ///   message. It may *drop* messages (a full queue whose sender exits, a
 ///   closed socket): every protocol in the tree already tolerates loss
@@ -234,97 +235,138 @@ const IDLE_NAP_CEIL: Duration = Duration::from_micros(250);
 // Shared memory
 // ---------------------------------------------------------------------
 
+/// A frame on a shared-memory link: the destination topic and the
+/// message, the in-memory twin of a TCP frame's payload.
+type MemFrame<M> = (u16, Wire<M>);
+
 /// The qc-channel transport: one lock-free SPSC queue per direction per
-/// `(peer, topic)` link — exactly the runtime's original IO layer, now
-/// behind the trait. Overflow on a full 7-slot queue is buffered at the
-/// sender so the event loop never blocks.
+/// process pair (§6.1), whose slots carry `(topic, message)`. A link
+/// gets [`QUEUE_SLOTS`](crate::QUEUE_SLOTS) slots per topic it carries,
+/// so every shard group keeps the paper's seven. Overflow on a full
+/// queue is buffered at the sender so the event loop never blocks.
 pub struct MemTransport<M> {
-    senders: BTreeMap<Peer, Sender<Wire<M>>>,
-    backlog: BTreeMap<Peer, VecDeque<Wire<M>>>,
-    mailbox: Mailbox<Peer, Wire<M>>,
+    /// Outbound links, indexed by the peer's id (`None`: no link).
+    links: Vec<Option<MemLink<M>>>,
+    /// How many links have a non-empty backlog.
+    backlogged: usize,
+    mailbox: Mailbox<NodeId, MemFrame<M>>,
+}
+
+/// One outbound shared-memory link: the queue to a peer, the number of
+/// topics it carries, and the frames waiting for a free slot.
+struct MemLink<M> {
+    tx: Sender<MemFrame<M>>,
+    topics: u16,
+    backlog: VecDeque<MemFrame<M>>,
+}
+
+impl<M> MemLink<M> {
+    /// Moves backlogged frames into the queue until it fills. Returns
+    /// whether the backlog emptied.
+    fn drain(&mut self) -> bool {
+        while let Some(frame) = self.backlog.pop_front() {
+            if let Err(qc_channel::Full(frame)) = self.tx.try_send(frame) {
+                self.backlog.push_front(frame);
+                return false;
+            }
+        }
+        true
+    }
 }
 
 impl<M> MemTransport<M> {
-    /// A connected pair of single-peer shared-memory transports with
-    /// `topics` queue pairs per direction — the deterministic harness
-    /// the seeded fault-injection tests drive without standing up a
-    /// cluster (the queue analogue of [`TcpTransport::pair`]).
+    /// A connected pair of single-peer shared-memory transports whose
+    /// one link per direction carries `topics` topics — the
+    /// deterministic harness the seeded fault-injection tests drive
+    /// without standing up a cluster (the queue analogue of
+    /// [`TcpTransport::pair`]).
     pub fn pair(a: NodeId, b: NodeId, topics: u16) -> (Self, Self) {
-        let mut a_send = BTreeMap::new();
-        let mut b_send = BTreeMap::new();
-        let mut a_recv = Vec::new();
-        let mut b_recv = Vec::new();
-        for t in 0..topics {
-            let (tx, rx) = qc_channel::spsc::channel(qc_channel::DEFAULT_SLOTS);
-            a_send.insert((b, t), tx);
-            b_recv.push(((a, t), rx));
-            let (tx, rx) = qc_channel::spsc::channel(qc_channel::DEFAULT_SLOTS);
-            b_send.insert((a, t), tx);
-            a_recv.push(((b, t), rx));
-        }
-        (Self::new(a_send, a_recv), Self::new(b_send, b_recv))
+        let [a, b] = Self::mesh(&[a, b], |_, _| topics)
+            .try_into()
+            .expect("two ends");
+        (a, b)
     }
 
-    /// Builds the transport from one process's half of the mesh.
-    pub(crate) fn new(
-        senders: BTreeMap<Peer, Sender<Wire<M>>>,
-        receivers: Vec<(Peer, Receiver<Wire<M>>)>,
-    ) -> Self {
-        let mut mailbox = Mailbox::new();
-        for (peer, rx) in receivers {
-            mailbox.add_peer(peer, rx);
+    /// One transport per process in `ids`, in that order. The ordered
+    /// pair of processes at indices `(i, j)` gets one SPSC queue
+    /// carrying `topics(i, j)` topics, [`QUEUE_SLOTS`](crate::QUEUE_SLOTS)
+    /// slots for each, or no queue if that is 0.
+    pub(crate) fn mesh(ids: &[NodeId], topics: impl Fn(usize, usize) -> u16) -> Vec<Self> {
+        let span = ids
+            .iter()
+            .map(|id| usize::from(id.0) + 1)
+            .max()
+            .unwrap_or(0);
+        let mut ends: Vec<Self> = ids
+            .iter()
+            .map(|_| MemTransport {
+                links: (0..span).map(|_| None).collect(),
+                backlogged: 0,
+                mailbox: Mailbox::new(),
+            })
+            .collect();
+        for (i, &from) in ids.iter().enumerate() {
+            for (j, &to) in ids.iter().enumerate() {
+                let topics = topics(i, j);
+                if i == j || topics == 0 {
+                    continue;
+                }
+                let (tx, rx) = qc_channel::channel(crate::QUEUE_SLOTS * usize::from(topics));
+                let backlog = VecDeque::new();
+                ends[i].links[usize::from(to.0)] = Some(MemLink {
+                    tx,
+                    topics,
+                    backlog,
+                });
+                ends[j].mailbox.add_peer(from, rx);
+            }
         }
-        MemTransport {
-            senders,
-            backlog: BTreeMap::new(),
-            mailbox,
-        }
+        ends
     }
 }
 
 impl<M> std::fmt::Debug for MemTransport<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MemTransport")
-            .field("peers", &self.senders.len())
+            .field("peers", &self.links.iter().flatten().count())
             .finish_non_exhaustive()
     }
 }
 
 impl<M: Send> Transport<M> for MemTransport<M> {
     fn send(&mut self, to: NodeId, topic: u16, msg: Wire<M>) {
-        let Some(tx) = self.senders.get(&(to, topic)) else {
-            return; // unknown peer: drop (e.g. client already gone)
+        let link = self
+            .links
+            .get_mut(usize::from(to.0))
+            .and_then(Option::as_mut);
+        // No link to that peer, or not on that topic: drop (e.g. a
+        // client already gone).
+        let Some(link) = link.filter(|link| topic < link.topics) else {
+            return;
         };
-        let back = self.backlog.entry((to, topic)).or_default();
-        if back.is_empty() {
-            if let Err(qc_channel::Full(m)) = tx.try_send(msg) {
-                back.push_back(m);
-            }
-        } else {
-            back.push_back(msg);
+        if !link.backlog.is_empty() {
+            link.backlog.push_back((topic, msg));
+        } else if let Err(qc_channel::Full(frame)) = link.tx.try_send((topic, msg)) {
+            link.backlog.push_back(frame);
+            self.backlogged += 1;
         }
     }
 
     fn flush(&mut self) -> bool {
-        let mut pending = false;
-        for (addr, q) in self.backlog.iter_mut() {
-            let Some(tx) = self.senders.get(addr) else {
-                q.clear();
-                continue;
-            };
-            while let Some(m) = q.pop_front() {
-                if let Err(qc_channel::Full(m)) = tx.try_send(m) {
-                    q.push_front(m);
-                    pending = true;
-                    break;
-                }
+        if self.backlogged == 0 {
+            return false;
+        }
+        for link in self.links.iter_mut().flatten() {
+            if !link.backlog.is_empty() && link.drain() {
+                self.backlogged -= 1;
             }
         }
-        pending
+        self.backlogged > 0
     }
 
     fn recv(&mut self) -> Option<(Peer, Wire<M>)> {
-        self.mailbox.poll()
+        let (from, (topic, msg)) = self.mailbox.poll()?;
+        Some(((from, topic), msg))
     }
 }
 

@@ -35,10 +35,7 @@ fn msg(req_id: u64) -> Wire<u64> {
 /// stats). Single-threaded, so the only nondeterminism on offer is the
 /// fault dice — which is the thing under test.
 fn run_trace(seed: u64, n: u64) -> (Vec<u64>, FaultStats) {
-    // One topic: the delivery contract orders messages per peer per
-    // topic, so a multi-topic trace could interleave differently
-    // depending on *when* held messages release — per-topic order is
-    // the deterministic observable.
+    // One topic: the fault dice are under test, not topic routing.
     let (a, mut b) = MemTransport::<u64>::pair(A, B, 1);
     let plan = FaultPlan::seeded(seed)
         .drops(150)

@@ -200,30 +200,37 @@ fn adaptive_batched_cluster_serves_clients_and_publishes_depth() {
 
 #[test]
 fn sharded_cluster_partitions_keys_and_serves_every_client() {
-    // Two consensus groups per replica slot, still one thread per slot:
-    // every key routes to its owning group, callers stay oblivious.
+    // Several consensus groups per replica slot, still one thread per
+    // slot and one shared-memory queue per process pair: every key
+    // routes to its owning group, callers stay oblivious.
     let t = one_timing();
-    let (cluster, mut clients) = ClusterBuilder::new(3, move |m: &[NodeId], me| {
-        OnePaxosNode::with_timing(cfg(m, me), t)
-    })
-    .clients(1)
-    .shards(2)
-    .spawn();
-    let c = &mut clients[0];
-    c.set_timeout(Duration::from_secs(2));
-    let mut seen = std::collections::BTreeSet::new();
-    for key in 0..12u64 {
-        seen.insert(c.shard_of(key));
-        assert_eq!(c.put(key, key * 7).expect("commit"), None, "key {key}");
+    for shards in [2u16, 4] {
+        let (cluster, mut clients) = ClusterBuilder::new(3, move |m: &[NodeId], me| {
+            OnePaxosNode::with_timing(cfg(m, me), t)
+        })
+        .clients(1)
+        .shards(shards)
+        .spawn();
+        let c = &mut clients[0];
+        c.set_timeout(Duration::from_secs(2));
+        let mut seen = std::collections::BTreeSet::new();
+        for key in 0..12u64 {
+            seen.insert(c.shard_of(key));
+            assert_eq!(c.put(key, key * 7).expect("commit"), None, "key {key}");
+        }
+        assert_eq!(
+            seen.len(),
+            usize::from(shards),
+            "12 keys must touch every group"
+        );
+        for key in 0..12u64 {
+            assert_eq!(c.get(key).expect("commit"), Some(key * 7), "key {key}");
+        }
+        // Cross-group read-your-writes held above; relaxed reads degrade
+        // to ordered reads per group and still answer.
+        assert_eq!(c.get_relaxed(NodeId(0), 3).expect("read"), Some(21));
+        cluster.shutdown();
     }
-    assert_eq!(seen.len(), 2, "12 keys must touch both groups");
-    for key in 0..12u64 {
-        assert_eq!(c.get(key).expect("commit"), Some(key * 7), "key {key}");
-    }
-    // Cross-group read-your-writes held above; relaxed reads degrade to
-    // ordered reads per group and still answer.
-    assert_eq!(c.get_relaxed(NodeId(0), 3).expect("read"), Some(21));
-    cluster.shutdown();
 }
 
 #[test]

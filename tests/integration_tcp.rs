@@ -8,6 +8,7 @@
 //! they do over shared memory — that equivalence is what proves the
 //! `Transport` abstraction (and the codec under it) honest.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use consensus_inside::onepaxos::multipaxos::{self, MultiPaxosNode};
@@ -119,7 +120,7 @@ fn concurrent_clients_make_consistent_progress_over_tcp() {
         cluster
             .metrics()
             .iter()
-            .map(|m| m.committed.load(std::sync::atomic::Ordering::Relaxed))
+            .map(|m| m.committed.load(Ordering::Relaxed))
             .collect()
     };
     let patience = std::time::Instant::now() + Duration::from_secs(2);
@@ -128,9 +129,26 @@ fn concurrent_clients_make_consistent_progress_over_tcp() {
         std::thread::sleep(Duration::from_millis(1));
         committed = read_committed();
     }
+    // On failure, say where each replica stands: applied, waiting above
+    // a gap, caught up by snapshot, and how its loop spent its turns.
+    let gauges: Vec<String> = cluster
+        .metrics()
+        .iter()
+        .map(|m| {
+            let read = |g: &AtomicU64| g.load(Ordering::Relaxed);
+            format!(
+                "applied {} gap_backlog {} snapshots_installed {} loop_turns {} idle_waits {}",
+                read(&m.applied),
+                read(&m.gap_backlog),
+                read(&m.snapshots_installed),
+                read(&m.loop_turns),
+                read(&m.idle_waits),
+            )
+        })
+        .collect();
     assert!(
         committed.iter().all(|&c| c >= 90),
-        "every replica must commit all 90+ commands: {committed:?}"
+        "every replica must commit all 90+ commands: {committed:?}; {gauges:?}"
     );
     cluster.shutdown();
 }
