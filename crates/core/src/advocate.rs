@@ -1,6 +1,7 @@
-//! What a Paxos-family replica does with a client request, written once
-//! for 1Paxos, Multi-Paxos, Mencius and Basic-Paxos. The rules were
-//! taken from 1Paxos, whose copy every other protocol now shares:
+//! What a Paxos-family replica does with a client request and with its
+//! own proposals, written once for 1Paxos, Multi-Paxos, Mencius and
+//! Basic-Paxos. The rules were taken from 1Paxos, whose copy every other
+//! protocol now shares:
 //!
 //! * **The contacted node answers.** The replica a client sent its
 //!   request to owes the answer; a leader that merely agrees a forwarded
@@ -21,6 +22,15 @@
 //! * **The decided table follows the truncation floor.** Ids decided
 //!   below the floor are dropped with it; a retry of one is agreed again
 //!   and the state machine's session table deduplicates it.
+//! * **A leader's proposal stays pinned until its slot is decided.** A
+//!   command this node proposed is pinned at its instance (1Paxos's
+//!   `proposed[]`, `registerProposals`/`getAny` of Fig 13). It is
+//!   advocated again, in a fresh instance, when another command wins
+//!   its slot, when the truncation floor passes it undecided, and when
+//!   the node stops leading — the next leader may never have seen it.
+//!   The state machine's session table deduplicates a command agreed
+//!   twice this way. 1Paxos and Multi-Paxos pin; Mencius proposes only
+//!   in its own slots, and Basic-Paxos's Synod keeps its own proposal.
 //!
 //! 2PC answers differently: its coordinator answers every command,
 //! forwarded ones included, only after every participant acknowledged
@@ -29,6 +39,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use crate::hash::{WordMap, WordSet};
+use crate::instance_log::InstanceLog;
 use crate::outbox::Outbox;
 use crate::types::{Command, Instance, Nanos, NodeId};
 
@@ -36,12 +47,14 @@ use crate::types::{Command, Instance, Nanos, NodeId};
 type CmdId = (NodeId, u64);
 
 /// One replica's client-request table: the requests it owes an answer,
-/// every decided id, and the commands it advocates — queued, or
-/// forwarded to the leader.
+/// every decided id, and the commands it advocates — queued, forwarded
+/// to the leader, or proposed and pinned at their instance.
 #[derive(Debug, Default)]
 pub(crate) struct Advocate {
     /// Commands waiting to be proposed or forwarded, in arrival order.
-    pub(crate) queue: VecDeque<Command>,
+    queue: VecDeque<Command>,
+    /// Proposals pinned at their instance until it is decided.
+    pinned: InstanceLog<Command>,
     /// Requests this node was sent and has not answered yet.
     owed: WordSet<CmdId>,
     /// Each decided id with the first instance it was decided in.
@@ -71,7 +84,9 @@ impl Advocate {
     }
 
     /// Commits `cmd` in `inst` and notes the decision: records it (the
-    /// first instance wins), clears its forward, and answers it if owed.
+    /// first instance wins), clears its forward, answers it if owed, and
+    /// unpins `inst` — queueing the pinned proposal again if another
+    /// command won the slot and it is not decided elsewhere.
     pub(crate) fn decide<M>(&mut self, inst: Instance, cmd: Command, out: &mut Outbox<M>) {
         let id = cmd.id();
         out.commit(inst, cmd);
@@ -80,6 +95,55 @@ impl Advocate {
         if self.owed.remove(&id) {
             out.reply(id.0, id.1, inst);
         }
+        if let Some(pinned) = self.pinned.remove(inst) {
+            if pinned.id() != id && !self.is_decided(pinned.id()) {
+                self.queue.push_back(pinned);
+            }
+        }
+    }
+
+    /// Queues `cmd` to be proposed or forwarded.
+    pub(crate) fn enqueue(&mut self, cmd: Command) {
+        self.queue.push_back(cmd);
+    }
+
+    /// Whether a command waits in the queue.
+    pub(crate) fn has_queued(&self) -> bool {
+        !self.queue.is_empty()
+    }
+
+    /// Takes the oldest queued command that is not decided, dropping the
+    /// decided ones queued ahead of it.
+    pub(crate) fn next_undecided(&mut self) -> Option<Command> {
+        while let Some(cmd) = self.queue.pop_front() {
+            if !self.is_decided(cmd.id()) {
+                return Some(cmd);
+            }
+        }
+        None
+    }
+
+    /// Pins `cmd`, proposed by this node, at `inst`.
+    pub(crate) fn pin(&mut self, inst: Instance, cmd: Command) {
+        self.pinned.insert(inst, cmd);
+    }
+
+    /// The pinned proposals, by instance.
+    pub(crate) fn pins(&self) -> &InstanceLog<Command> {
+        &self.pinned
+    }
+
+    /// The node stopped leading: queues every pinned proposal again, in
+    /// instance order, and keeps the pins, so a node that leads again
+    /// re-proposes each at its own instance.
+    pub(crate) fn requeue_pins(&mut self) {
+        self.queue.extend(self.pinned.values().cloned());
+    }
+
+    /// As [`Self::requeue_pins`], and forgets the pins.
+    pub(crate) fn release_pins(&mut self) {
+        self.requeue_pins();
+        self.pinned.clear();
     }
 
     /// Forwards the undecided `cmd` to `leader` and stamps the send.
@@ -104,10 +168,8 @@ impl Advocate {
         out: &mut Outbox<M>,
         msg: impl Fn(Command) -> M,
     ) {
-        for cmd in std::mem::take(&mut self.queue) {
-            if !self.is_decided(cmd.id()) {
-                self.forward(leader, cmd, now, out, &msg);
-            }
+        while let Some(cmd) = self.next_undecided() {
+            self.forward(leader, cmd, now, out, &msg);
         }
     }
 
@@ -132,13 +194,15 @@ impl Advocate {
             .extend(forwarded.into_values().map(|(cmd, _)| cmd));
     }
 
-    /// Commands queued or forwarded and not yet decided.
-    pub(crate) fn pending(&self) -> usize {
-        self.queue.len() + self.forwarded.len()
-    }
-
-    /// Drops the ids decided below the truncation floor `watermark`.
+    /// Follows the truncation floor `watermark`: queues again the pinned
+    /// proposals below it that are not decided, then drops the pins and
+    /// the decided ids below it.
     pub(crate) fn prune(&mut self, watermark: Instance) {
+        for cmd in self.pinned.drain_below(watermark) {
+            if !self.is_decided(cmd.id()) {
+                self.queue.push_back(cmd);
+            }
+        }
         self.decided.retain(|_, &mut inst| inst >= watermark);
     }
 }
@@ -155,6 +219,11 @@ mod tests {
 
     fn fresh() -> (Advocate, Outbox<Command>) {
         (Advocate::default(), Outbox::new())
+    }
+
+    /// Commands queued or forwarded and not yet decided.
+    fn pending(adv: &Advocate) -> usize {
+        adv.queue.len() + adv.forwarded.len()
     }
 
     fn replies(out: &mut Outbox<Command>) -> Vec<(u64, Instance)> {
@@ -214,9 +283,9 @@ mod tests {
             })
             .collect();
         assert_eq!(sent, vec![3, 1]);
-        assert_eq!(adv.pending(), 2);
+        assert_eq!(pending(&adv), 2);
         adv.decide(1, cmd(3), &mut out);
-        assert_eq!(adv.pending(), 1);
+        assert_eq!(pending(&adv), 1);
     }
 
     #[test]
@@ -227,7 +296,7 @@ mod tests {
         assert!(!adv.reclaim_stalled(50, 50), "not yet stalled");
         assert!(adv.reclaim_stalled(51, 50));
         assert_eq!(adv.queue, VecDeque::from([cmd(1), cmd(2)]));
-        assert_eq!(adv.pending(), 2, "taken back, still pending");
+        assert_eq!(pending(&adv), 2, "taken back, still pending");
     }
 
     #[test]
@@ -240,5 +309,65 @@ mod tests {
         assert!(adv.is_decided(cmd(2).id()));
         // A retry of the forgotten id is advocated again.
         assert_eq!(adv.request(cmd(1), &mut out), Some(cmd(1)));
+    }
+
+    #[test]
+    fn a_pin_that_loses_its_slot_is_queued_again_unless_decided() {
+        let (mut adv, mut out) = fresh();
+        for (inst, req) in [(0, 1), (1, 2), (2, 3)] {
+            adv.pin(inst, cmd(req));
+        }
+        // The pin won its slot: dropped, not advocated again.
+        adv.decide(0, cmd(1), &mut out);
+        assert!(!adv.has_queued());
+        // Lost, but decided elsewhere first: dropped.
+        adv.decide(7, cmd(3), &mut out);
+        adv.decide(2, cmd(4), &mut out);
+        assert!(!adv.has_queued());
+        // Lost and undecided: queued again.
+        adv.decide(1, cmd(5), &mut out);
+        assert_eq!(adv.queue, VecDeque::from([cmd(2)]));
+        assert!(adv.pins().is_empty());
+    }
+
+    #[test]
+    fn prune_requeues_the_undecided_pins_below_the_floor_and_drops_the_decided() {
+        let (mut adv, mut out) = fresh();
+        adv.decide(0, cmd(2), &mut out);
+        for (inst, req) in [(3, 1), (4, 2), (6, 3)] {
+            adv.pin(inst, cmd(req));
+        }
+        adv.prune(5);
+        assert_eq!(adv.queue, VecDeque::from([cmd(1)]));
+        assert_eq!(adv.pins().keys().collect::<Vec<_>>(), vec![6]);
+        assert!(!adv.is_decided(cmd(2).id()), "pruned after the pins");
+    }
+
+    #[test]
+    fn stepping_down_requeues_every_pin_and_release_also_forgets_them() {
+        let (mut adv, _) = fresh();
+        adv.pin(2, cmd(1));
+        adv.pin(0, cmd(2));
+        adv.requeue_pins();
+        assert_eq!(adv.queue, VecDeque::from([cmd(2), cmd(1)]));
+        assert_eq!(adv.pins().len(), 2, "kept for a later adoption");
+        adv.queue.clear();
+        adv.release_pins();
+        assert_eq!(adv.queue, VecDeque::from([cmd(2), cmd(1)]));
+        assert!(adv.pins().is_empty());
+    }
+
+    #[test]
+    fn next_undecided_skips_decided_ids_in_queue_order() {
+        let (mut adv, mut out) = fresh();
+        for req in [3, 1, 2, 4] {
+            adv.enqueue(cmd(req));
+        }
+        adv.decide(0, cmd(1), &mut out);
+        adv.decide(1, cmd(4), &mut out);
+        assert_eq!(adv.next_undecided(), Some(cmd(3)));
+        assert_eq!(adv.next_undecided(), Some(cmd(2)));
+        assert_eq!(adv.next_undecided(), None);
+        assert!(!adv.has_queued());
     }
 }

@@ -189,7 +189,7 @@ impl BasicPaxosNode {
         // A competing proposer's value won this instance: advocate our
         // command again in a fresh instance (drained on tick).
         if let Some(want) = self.synod.retire(inst).filter(|w| w.id() != id) {
-            self.adv.queue.push_back(want);
+            self.adv.enqueue(want);
         }
     }
 }
@@ -236,8 +236,8 @@ impl Protocol for BasicPaxosNode {
 
     fn on_timer(&mut self, timer: Timer, _now: Nanos, out: &mut Outbox<Msg>) {
         if timer == Timer::Tick {
-            // Drain queued commands (one instance each).
-            while let Some(cmd) = self.adv.queue.pop_front() {
+            // Drain queued undecided commands (one instance each).
+            while let Some(cmd) = self.adv.next_undecided() {
                 self.start_instance(cmd, out);
             }
             out.set_timer(Timer::Tick, self.tick_period);
@@ -280,7 +280,9 @@ impl Protocol for BasicPaxosNode {
         // for those instances are gone (retired on learn) unless a
         // snapshot install skipped the learns. Re-advocate any that
         // survives; the RSM session layer deduplicates.
-        self.adv.queue.extend(self.synod.truncate(watermark));
+        for cmd in self.synod.truncate(watermark) {
+            self.adv.enqueue(cmd);
+        }
         self.adv.prune(watermark);
         self.next_instance = self.next_instance.max(watermark);
     }

@@ -281,11 +281,6 @@ impl BatchConfig {
             BatchConfig::Adaptive(a) => a.max_commands,
         }
     }
-
-    /// Whether this config drives the depth adaptively.
-    pub fn is_adaptive(&self) -> bool {
-        matches!(self, BatchConfig::Adaptive(_))
-    }
 }
 
 impl Default for BatchConfig {

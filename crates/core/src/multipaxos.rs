@@ -17,9 +17,12 @@
 //! elected at ballot `(1, leader)`, modelling the steady state the paper
 //! measures; failover runs a real phase 1.
 //!
-//! The acceptor's `accepted` and the proposer's `proposed` are
-//! [`InstanceLog`](crate::instance_log)s: dense instance-indexed tables,
-//! not ordered maps.
+//! The acceptor's `accepted` is an
+//! [`InstanceLog`](crate::instance_log): a dense instance-indexed table,
+//! not an ordered map. The leader's own proposals are pinned in the
+//! crate's `Advocate`, which advocates one again when another command
+//! wins its slot, when the truncation floor passes it, and when the node
+//! steps down.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -152,11 +155,10 @@ pub struct MultiPaxosNode {
     leading: bool,
     leader: Option<NodeId>,
     next_instance: Instance,
-    proposed: InstanceLog<Command>,
-    /// Owed answers, decided ids, queued commands and forwards: a
-    /// forward not decided within the suspicion timeout means the leader
-    /// is slow even if its heartbeats still trickle in — the
-    /// demand-driven detection of §7.6.
+    /// Owed answers, decided ids, queued commands, forwards and pinned
+    /// proposals: a forward not decided within the suspicion timeout
+    /// means the leader is slow even if its heartbeats still trickle in
+    /// — the demand-driven detection of §7.6.
     adv: Advocate,
     electing: Option<Electing>,
     fd: FailureDetector,
@@ -183,7 +185,6 @@ impl MultiPaxosNode {
             leading,
             leader: Some(leader),
             next_instance: 0,
-            proposed: InstanceLog::new(),
             adv: Advocate::default(),
             electing: None,
             fd,
@@ -202,17 +203,12 @@ impl MultiPaxosNode {
         self.watermark
     }
 
-    /// Number of commands waiting for a leader.
-    pub fn queue_len(&self) -> usize {
-        self.adv.queue.len()
-    }
-
     /// Proposes the undecided `cmd` in a fresh instance (leader only).
     fn propose(&mut self, cmd: Command, out: &mut Outbox<Msg>) {
         debug_assert!(self.leading);
         let inst = self.next_instance;
         self.next_instance += 1;
-        self.proposed.insert(inst, cmd.clone());
+        self.adv.pin(inst, cmd.clone());
         let bal = self.promised;
         for peer in self.cfg.others() {
             out.send(
@@ -253,15 +249,7 @@ impl MultiPaxosNode {
     ) {
         let quorum = self.cfg.majority();
         if let Some(chosen) = self.learner.on_learn(inst, from, bal, cmd, quorum) {
-            let id = chosen.id();
             self.adv.decide(inst, chosen, out);
-            if let Some(pinned) = self.proposed.remove(inst) {
-                // Our proposal lost the slot to another leader's command:
-                // re-advocate it instead of dropping it.
-                if pinned.id() != id && !self.adv.is_decided(pinned.id()) {
-                    self.adv.queue.push_back(pinned);
-                }
-            }
             while self.learner.chosen(self.watermark).is_some() {
                 self.watermark += 1;
             }
@@ -340,7 +328,7 @@ impl MultiPaxosNode {
                     Command::noop(self.me(), self.noop_seq)
                 }
             };
-            self.proposed.insert(inst, cmd.clone());
+            self.adv.pin(inst, cmd.clone());
             for peer in self.cfg.others() {
                 out.send(
                     peer,
@@ -367,9 +355,7 @@ impl MultiPaxosNode {
         // Re-advocate proposals that were still in flight: the new leader
         // may not have seen them. The RSM session layer deduplicates the
         // cases where both copies commit.
-        let orphans: Vec<Command> = self.proposed.values().cloned().collect();
-        self.proposed.clear();
-        self.adv.queue.extend(orphans);
+        self.adv.release_pins();
     }
 
     fn leader_suspected(&self, now: Nanos) -> bool {
@@ -383,10 +369,8 @@ impl MultiPaxosNode {
     /// Proposes every queued undecided command in a fresh instance
     /// (leader only).
     fn propose_queued(&mut self, out: &mut Outbox<Msg>) {
-        for cmd in std::mem::take(&mut self.adv.queue) {
-            if !self.adv.is_decided(cmd.id()) {
-                self.propose(cmd, out);
-            }
+        while let Some(cmd) = self.adv.next_undecided() {
+            self.propose(cmd, out);
         }
     }
 }
@@ -425,7 +409,7 @@ impl Protocol for MultiPaxosNode {
                 } else {
                     // Not the leader (any more): queue; the tick will
                     // re-forward or take over.
-                    self.adv.queue.push_back(cmd);
+                    self.adv.enqueue(cmd);
                 }
             }
             Msg::Prepare { bal, from_inst } => {
@@ -505,7 +489,7 @@ impl Protocol for MultiPaxosNode {
                 if self.electing.is_none() {
                     self.start_election(out);
                 }
-            } else if !self.adv.queue.is_empty() {
+            } else if self.adv.has_queued() {
                 if self.leader_suspected(now) {
                     if self.electing.is_none() {
                         self.start_election(out);
@@ -537,12 +521,12 @@ impl Protocol for MultiPaxosNode {
                 self.adv.forward(leader, cmd, now, out, forward);
                 return;
             }
-            self.adv.queue.push_back(cmd);
+            self.adv.enqueue(cmd);
         } else {
             // "After receiving the clients' request, the non-leader node
             // tries to become leader" (§7.6, for 1Paxos; Multi-Paxos
             // behaves identically here).
-            self.adv.queue.push_back(cmd);
+            self.adv.enqueue(cmd);
             if self.electing.is_none() {
                 self.start_election(out);
             }
@@ -569,15 +553,6 @@ impl Protocol for MultiPaxosNode {
     /// gather promises: it is abandoned, and the tick restarts one from
     /// the new watermark.
     fn truncate(&mut self, watermark: Instance) {
-        // Re-advocate pinned-but-undecided proposals from truncated slots
-        // *before* pruning the dedup map that filters them.
-        let orphans: Vec<Command> = self
-            .proposed
-            .drain_below(watermark)
-            .into_iter()
-            .filter(|c| !self.adv.is_decided(c.id()))
-            .collect();
-        self.adv.queue.extend(orphans);
         self.accepted.drain_below(watermark);
         self.learner.truncate(watermark);
         self.adv.prune(watermark);

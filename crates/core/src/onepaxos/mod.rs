@@ -36,9 +36,14 @@
 //! # State
 //!
 //! Every per-instance table — the learner's `learned`, the proposer's
-//! `proposed` and `inflight`, the acceptor's `ap` — is an
+//! `inflight`, the acceptor's `ap` — is an
 //! [`InstanceLog`](crate::instance_log): instances are dense and retired
-//! from the bottom, so each is indexed rather than searched.
+//! from the bottom, so each is indexed rather than searched. The
+//! proposer's `proposed[]` (Fig 13's `registerProposals`/`getAny`) is
+//! the crate's `Advocate`'s pin table, which also owns its rules: a
+//! pinned proposal is advocated again when another command wins its
+//! slot, when the node relinquishes leadership, and when the truncation
+//! floor passes it.
 
 mod msg;
 mod utility;
@@ -137,13 +142,12 @@ pub struct OnePaxosNode {
     max_round: u32,
     /// `Aa`: the active acceptor per our view of the utility log.
     active_acceptor: Option<NodeId>,
-    /// `proposed[]`: value pinning across role switches (`getAny`,
-    /// `registerProposals`). Entries are dropped once learned.
-    proposed: InstanceLog<Command>,
     next_instance: Instance,
-    /// Owed answers, decided ids, and the commands waiting for us to
-    /// become (or be confirmed) leader or forwarded to the leader (leader
-    /// suspicion is demand-driven, §7.6).
+    /// Owed answers, decided ids, the commands waiting for us to become
+    /// (or be confirmed) leader or forwarded to the leader (leader
+    /// suspicion is demand-driven, §7.6), and `proposed[]`: the values
+    /// pinned across role switches (`getAny`, `registerProposals`),
+    /// dropped once learned.
     adv: Advocate,
     /// Outstanding accept requests (instance → send time).
     inflight: InstanceLog<Nanos>,
@@ -214,7 +218,6 @@ impl OnePaxosNode {
             pn: Ballot::ZERO,
             max_round: 0,
             active_acceptor: Some(acceptor),
-            proposed: InstanceLog::new(),
             next_instance: 0,
             adv: Advocate::default(),
             inflight: InstanceLog::new(),
@@ -272,11 +275,6 @@ impl OnePaxosNode {
         self.freshness_blocks
     }
 
-    /// Commands queued locally waiting for leadership or a leader.
-    pub fn queue_len(&self) -> usize {
-        self.adv.pending()
-    }
-
     fn me(&self) -> NodeId {
         self.cfg.me()
     }
@@ -312,7 +310,7 @@ impl OnePaxosNode {
         debug_assert!(self.i_am_leader);
         let inst = self.next_instance;
         self.next_instance += 1;
-        self.proposed.insert(inst, cmd.clone());
+        self.adv.pin(inst, cmd.clone());
         self.inflight.insert(inst, now);
         let pn = self.pn;
         let acceptor = self.active_acceptor.expect("leader has an acceptor");
@@ -320,10 +318,8 @@ impl OnePaxosNode {
     }
 
     fn drain_queue(&mut self, now: Nanos, out: &mut Outbox<Msg>) {
-        while let Some(cmd) = self.adv.queue.pop_front() {
-            if !self.adv.is_decided(cmd.id()) {
-                self.propose_cmd(cmd, now, out);
-            }
+        while let Some(cmd) = self.adv.next_undecided() {
+            self.propose_cmd(cmd, now, out);
         }
     }
 
@@ -364,9 +360,9 @@ impl OnePaxosNode {
         self.inflight.clear();
         // Re-advocate unlearned proposals: the next leader registers the
         // acceptor's `ap`, but values whose accepts never arrived anywhere
-        // would otherwise be lost. The RSM layer deduplicates.
-        let orphans: Vec<Command> = self.proposed.values().cloned().collect();
-        self.adv.queue.extend(orphans);
+        // would otherwise be lost. The RSM layer deduplicates; the pins
+        // stay for a later adoption.
+        self.adv.requeue_pins();
     }
 
     /// `registerProposals(proposals)` (Fig 13): pin values so `getAny`
@@ -377,7 +373,7 @@ impl OnePaxosNode {
     ) {
         for (inst, cmd) in proposals {
             if !self.learned.contains_key(*inst) {
-                self.proposed.insert(*inst, cmd.clone());
+                self.adv.pin(*inst, cmd.clone());
             }
         }
     }
@@ -387,7 +383,7 @@ impl OnePaxosNode {
     /// beyond everything known.
     fn repropose_unlearned(&mut self, now: Nanos, out: &mut Outbox<Msg>) {
         let max_known = [
-            self.proposed.last_key().map(|i| i + 1),
+            self.adv.pins().last_key().map(|i| i + 1),
             self.learned.last_key().map(|i| i + 1),
         ]
         .into_iter()
@@ -400,13 +396,13 @@ impl OnePaxosNode {
             if self.learned.contains_key(inst) {
                 continue;
             }
-            let cmd = match self.proposed.get(inst) {
+            let cmd = match self.adv.pins().get(inst) {
                 Some(c) => c.clone(),
                 None => {
                     // Hole: propose a no-op so the log stays contiguous.
                     self.noop_seq += 1;
                     let c = Command::noop(self.me(), self.noop_seq);
-                    self.proposed.insert(inst, c.clone());
+                    self.adv.pin(inst, c.clone());
                     c
                 }
             };
@@ -431,15 +427,7 @@ impl OnePaxosNode {
             );
             return;
         }
-        let id = cmd.id();
         self.adv.decide(inst, cmd, out);
-        if let Some(pinned) = self.proposed.remove(inst) {
-            // Our proposal lost the slot to another leader's command:
-            // re-advocate it in a fresh instance instead of dropping it.
-            if pinned.id() != id && !self.adv.is_decided(pinned.id()) {
-                self.adv.queue.push_back(pinned);
-            }
-        }
         self.inflight.remove(inst);
         while self.learned.contains_key(self.watermark) {
             self.watermark += 1;
@@ -603,8 +591,12 @@ impl OnePaxosNode {
                 else {
                     return; // no candidate (e.g. 2-node cluster): wait
                 };
-                let uncommitted: Vec<(Instance, Command)> =
-                    self.proposed.iter().map(|(i, c)| (i, c.clone())).collect();
+                let uncommitted = self
+                    .adv
+                    .pins()
+                    .iter()
+                    .map(|(i, c)| (i, c.clone()))
+                    .collect();
                 let entry = UtilityEntry::AcceptorChange {
                     by: self.me(),
                     acceptor: new_acceptor,
@@ -653,7 +645,7 @@ impl Protocol for OnePaxosNode {
                     // Misdirected: queue it; the tick re-routes it to the
                     // current leader or takes over if commands stall
                     // (never re-forward inline — avoids loops).
-                    self.adv.queue.push_back(cmd);
+                    self.adv.enqueue(cmd);
                 }
             }
             Msg::PrepareReq { pn, expect_fresh } => {
@@ -828,7 +820,7 @@ impl Protocol for OnePaxosNode {
         if !self.i_am_leader {
             if self.adv.reclaim_stalled(now, self.timing.suspect_after) {
                 self.try_takeover(now, out);
-            } else if !self.adv.queue.is_empty() {
+            } else if self.adv.has_queued() {
                 match self.utility.global_leader() {
                     Some(l) if l != self.me() && self.pending_op == PendingOp::None => {
                         self.adv.forward_queue(l, now, out, forward);
@@ -859,7 +851,7 @@ impl Protocol for OnePaxosNode {
         match self.utility.global_leader() {
             Some(l) if l != self.me() => self.adv.forward(l, cmd, now, out, forward),
             _ => {
-                self.adv.queue.push_back(cmd);
+                self.adv.enqueue(cmd);
                 self.try_takeover(now, out);
             }
         }
@@ -892,15 +884,6 @@ impl Protocol for OnePaxosNode {
     /// instances — by a leader on its next tick; the RSM session layer
     /// deduplicates any that were in fact decided there.
     fn truncate(&mut self, watermark: Instance) {
-        // Re-advocate pinned-but-unlearned proposals from truncated slots
-        // *before* pruning the dedup map that filters them.
-        let orphans: Vec<Command> = self
-            .proposed
-            .drain_below(watermark)
-            .into_iter()
-            .filter(|c| !self.adv.is_decided(c.id()))
-            .collect();
-        self.adv.queue.extend(orphans);
         self.learned.drain_below(watermark);
         self.ap.drain_below(watermark);
         self.inflight.drain_below(watermark);

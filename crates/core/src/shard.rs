@@ -235,15 +235,6 @@ impl<P: Protocol, S: StateMachine> ShardedEngine<P, S> {
         }
     }
 
-    /// Wraps a single engine as a one-shard deployment (the unsharded
-    /// special case every pre-sharding harness is now expressed in).
-    pub fn single(engine: ReplicaEngine<P, S>) -> Self {
-        ShardedEngine {
-            router: ShardRouter::new(1),
-            shards: vec![engine],
-        }
-    }
-
     /// The router shared by every node of this deployment.
     pub fn router(&self) -> ShardRouter {
         self.router

@@ -882,24 +882,31 @@ impl<P: Protocol> TestNet<P> {
         &self.snapshot_serves
     }
 
-    /// Asserts the Appendix B *consistency* property across all nodes,
-    /// per shard group: every command a node's record holds is the one
-    /// the agreement oracle saw chosen for that instance. The oracle
-    /// already panicked at the first learn that disagreed, so this reads
-    /// the oracle instead of comparing the nodes' records pairwise.
+    /// Asserts that the replicas' applied states agree, per shard group:
+    /// any two nodes at the same applied watermark hold the same
+    /// key/value state ([`KvStore::digest`]). The agreement oracle
+    /// already panicked at the first learn that disagreed (Appendix B
+    /// *consistency*); this catches state that reached a replica without
+    /// a learn — a snapshot install — and differs from its peers'.
     ///
     /// # Panics
     ///
-    /// Panics on violation, naming the node, the shard and the instance.
+    /// Panics on violation, naming both nodes, the shard and the
+    /// watermark.
     pub fn assert_consistent(&self) {
         for shard in (0..self.config.shards).map(ShardId) {
-            for node in (0..self.engines.len() as u16).map(NodeId) {
-                for (inst, cmd) in self.shard_commits(node, shard) {
-                    let chosen = self.agreement.chosen(shard, inst);
-                    assert!(
-                        chosen == Some(cmd),
-                        "{node} shard {shard} instance {inst}: learned {cmd:?}, chosen {chosen:?}"
-                    );
+            let mut seen: Vec<(Instance, u64, NodeId)> = Vec::new();
+            for (i, engine) in self.engines.iter().enumerate() {
+                let node = NodeId(i as u16);
+                let applied = engine.stats(shard).applied;
+                let digest = engine.shard(shard).state().digest();
+                match seen.iter().find(|&&(at, ..)| at == applied) {
+                    Some(&(_, first, peer)) => assert!(
+                        first == digest,
+                        "{peer} and {node} shard {shard} at applied watermark {applied}: \
+                         state digests {first:#x} and {digest:#x} differ"
+                    ),
+                    None => seen.push((applied, digest, node)),
                 }
             }
         }
@@ -1320,6 +1327,35 @@ mod tests {
         assert_eq!(s.target(ShardId(0)), NodeId(0), "one deadline moved it");
         assert_eq!(net.now(), 200_000, "after one 200 µs patience");
         assert_eq!(net.kv_get(NodeId(0), 4), Some(44));
+    }
+
+    #[test]
+    #[should_panic(expected = "n0 and n2 shard s0 at applied watermark 1")]
+    fn a_tampered_snapshot_install_fails_the_consistency_check() {
+        use crate::onepaxos::OnePaxosNode;
+        use crate::ClusterConfig;
+        let make = |m: &[NodeId], me| OnePaxosNode::new(ClusterConfig::new(m.to_vec(), me));
+        let mut net = TestNet::new(3, make);
+        net.run_to_quiescence();
+        let op = Op::Put { key: 7, value: 1 };
+        net.client_request(NodeId(0), NodeId(9), 1, op);
+        net.run_to_quiescence();
+        net.assert_consistent();
+        let (donor, stale) = (NodeId(0), NodeId(2));
+        let mut snap = net.engines[donor.index()]
+            .shard(ShardId(0))
+            .applier()
+            .snapshot();
+        assert_eq!((snap.watermark, &snap.state.map[..]), (1, &[(7, 1)][..]));
+        snap.state.map[0].1 = 2;
+        let members = [NodeId(0), NodeId(1), NodeId(2)];
+        net.reset_node(stale, || make(&members, stale));
+        let event = EngineEvent::CatchUp {
+            from: donor,
+            msg: CatchUp::Snapshot(Box::new(snap)),
+        };
+        net.step(stale, |e, now, fx| e.handle(ShardId(0), event, now, fx));
+        net.assert_consistent();
     }
 
     #[test]

@@ -74,12 +74,5 @@ pub(crate) mod utils {
                 self.step.set(step + 1);
             }
         }
-
-        /// Whether the caller should stop spinning and park instead
-        /// (part of the upstream surface; kept for drop-in parity).
-        #[allow(dead_code)]
-        pub fn is_completed(&self) -> bool {
-            self.step.get() > YIELD_LIMIT
-        }
     }
 }

@@ -770,8 +770,8 @@ fn replica_loop<P: Protocol, T: Transport<P::Msg>>(
             progressed = true;
             let now = now_ns();
             match wire {
-                Wire::Peer(msg) => {
-                    // Peer traffic arrives on its group's own topic.
+                // Peer traffic arrives on its group's own topic.
+                Wire::Peer(msg) if topic < shard_count => {
                     engine.handle(
                         ShardId(topic),
                         EngineEvent::Message { from, msg },
@@ -816,7 +816,7 @@ fn replica_loop<P: Protocol, T: Transport<P::Msg>>(
                     }
                 }
                 // A shard this node does not host.
-                Wire::SnapshotRequest { .. } | Wire::Snapshot { .. } => {}
+                Wire::Peer(_) | Wire::SnapshotRequest { .. } | Wire::Snapshot { .. } => {}
                 Wire::Shutdown => return,
             }
             dispatch_effects::<P, T>(&mut effects, &mut io, metrics);
@@ -963,11 +963,6 @@ where
     /// handle.
     pub fn set_retry_policy(&mut self, p: RetryPolicy) {
         self.session.set_policy(p);
-    }
-
-    /// The retry schedule currently in force.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.session.policy()
     }
 
     /// Severs this client's transport link to `node` (a real socket
@@ -1155,5 +1150,31 @@ where
         while self.io.flush() && Instant::now() < deadline {
             std::thread::yield_now();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use onepaxos::onepaxos::{Msg, OnePaxosNode};
+    use onepaxos::{ClusterConfig, Command};
+
+    #[test]
+    fn a_peer_frame_for_a_shard_this_replica_does_not_host_is_dropped() {
+        let (me, peer) = (NodeId(0), NodeId(1));
+        let cfg = ClusterConfig::new(vec![me, peer], me);
+        let engine =
+            ShardedEngine::deploy(EngineConfig::new(), 0, || OnePaxosNode::new(cfg.clone()));
+        let (io, mut from_peer) = MemTransport::pair(me, peer, 3);
+        let cmd = Command::noop(peer, 1);
+        from_peer.send(me, 2, Wire::Peer(Msg::Forward { cmd }));
+        from_peer.send(me, CLIENT_TOPIC, Wire::Shutdown);
+        from_peer.flush();
+        let replica = std::thread::spawn(move || {
+            replica_loop(engine, io, &NodeMetrics::default());
+        });
+        assert!(replica.join().is_ok(), "the replica thread panicked");
+        // Held until the replica exits: its own sends arrive here.
+        drop(from_peer);
     }
 }
