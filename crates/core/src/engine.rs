@@ -122,8 +122,10 @@
 //!
 //! Keeping a long-running replica bounded and caught up is a protocol
 //! decision like any other, so it lives here and not in the harnesses.
-//! [`ReplicaEngine::enable_maintenance`] (before [`EngineEvent::Start`])
-//! arms the reserved [`MAINTENANCE`] timer in the ordinary timer table,
+//! Every harness deploys its engines through
+//! [`ShardedEngine::deploy`](crate::shard::ShardedEngine::deploy), which
+//! switches maintenance on; [`EngineEvent::Start`] then arms the
+//! reserved [`MAINTENANCE`] timer in the ordinary timer table,
 //! so [`ReplicaEngine::next_deadline`] / [`ReplicaEngine::fire_due`]
 //! carry it into every harness with no clock of its own. Each firing,
 //! [`MAINT_PERIOD`] apart:
@@ -165,10 +167,10 @@
 //! machine's type, which [`EngineEffect`] does not, so it leaves there
 //! and not in the effect stream. A harness drains the queue after every
 //! step and carries each message to its peer like any other; it decides
-//! nothing about catch-up. The threaded runtime always enables
-//! maintenance; the simulator and `TestNet` only when
-//! [`EngineConfig::truncate_every`] is set, so their default runs keep
-//! an unchanged timer table and effect stream.
+//! nothing about catch-up, and whether maintenance runs is not its
+//! choice either: the runtime, the simulator and `TestNet` all run it.
+//! A bare [`ReplicaEngine::new`] runs without it, for unit tests that
+//! pin one engine's timer table and effect stream.
 //!
 //! # Example
 //!
@@ -964,7 +966,9 @@ pub struct ReplicaEngine<P: Protocol, S: StateMachine> {
     /// re-decided batch cannot fan its replies out twice.
     inflight_batches: WordSet<u64>,
     /// Background maintenance; `None` until
-    /// [`Self::enable_maintenance`] switches it on.
+    /// [`Self::enable_maintenance`] switches it on (as
+    /// [`ShardedEngine::deploy`](crate::shard::ShardedEngine::deploy)
+    /// does).
     maint: Option<Maintenance>,
     /// Catch-up messages waiting for the harness to send them
     /// ([`Self::take_catch_up`]), as `(to, message)`.
@@ -1292,7 +1296,7 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
     /// `truncate_every` is set. `members` is the group's membership;
     /// everyone but this node is a snapshot donor. Call before
     /// [`EngineEvent::Start`], which arms the [`MAINTENANCE`] timer.
-    pub fn enable_maintenance(&mut self, members: &[NodeId], truncate_every: Option<u64>) {
+    pub(crate) fn enable_maintenance(&mut self, members: &[NodeId], truncate_every: Option<u64>) {
         let me = self.node.node_id();
         self.maint = Some(Maintenance {
             peers: members.iter().copied().filter(|&p| p != me).collect(),

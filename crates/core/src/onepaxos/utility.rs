@@ -19,7 +19,8 @@
 //! the same code that runs the Basic-Paxos baseline. The utility keeps
 //! only its policy: the chosen log and the CAS outcome, the majority
 //! query, a restart after a stalled tick (the threshold grows with the
-//! node id), and a nack that only raises the round for that restart.
+//! node id and doubles with each restart of the same CAS), and a nack
+//! that only raises the round for that restart.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -88,7 +89,18 @@ struct Cas {
     /// Ticks since the start, the last counted promise or the last
     /// restart.
     stalled_ticks: u32,
+    /// Restarts of this CAS so far; each doubles its stall threshold,
+    /// up to [`MAX_BACKOFF_DOUBLINGS`].
+    restarts: u32,
 }
+
+/// How many times a stalled CAS's restart threshold may double. The
+/// base threshold (2 + node index ticks) can be shorter than one round
+/// trip on a slow interconnect; then every restart outbids the previous
+/// one before its promises arrive and contending proposers duel for
+/// ever. Doubling lets a restart outlast the round trip; the cap bounds
+/// how long a genuinely lost message can stall the switch.
+const MAX_BACKOFF_DOUBLINGS: u32 = 4;
 
 #[derive(Debug)]
 struct Query {
@@ -165,6 +177,7 @@ impl PaxosUtility {
         self.cas = Some(Cas {
             uinst,
             stalled_ticks: 0,
+            restarts: 0,
         });
         let chosen = self.synod.propose(uinst, entry, out);
         debug_assert!(chosen.is_none(), "CAS cannot finish from one promise");
@@ -195,18 +208,23 @@ impl PaxosUtility {
 
     /// Periodic maintenance: retries a stalled CAS with a higher ballot.
     /// The retry threshold grows with the node id, giving contending
-    /// proposers a deterministic priority order (duelling avoidance).
+    /// proposers a deterministic priority order (duelling avoidance),
+    /// and doubles with each restart of the same CAS, up to
+    /// [`MAX_BACKOFF_DOUBLINGS`] times, so a restart is not outbid
+    /// before its round trip completes. A fresh CAS starts again from
+    /// the base threshold.
     pub fn tick(&mut self, out: &mut Outbox<Msg>) {
-        let threshold = 2 + self.synod.cfg().me().index() as u32;
+        let base = 2 + self.synod.cfg().me().index() as u32;
         let Some(cas) = self.cas.as_mut() else {
             return;
         };
         cas.stalled_ticks += 1;
-        if cas.stalled_ticks < threshold {
+        if cas.stalled_ticks < base << cas.restarts.min(MAX_BACKOFF_DOUBLINGS) {
             return;
         }
         // Restart phase 1 for the same slot with a bigger ballot.
         cas.stalled_ticks = 0;
+        cas.restarts += 1;
         let chosen = self.synod.restart(cas.uinst, out);
         debug_assert!(chosen.is_none());
     }
@@ -519,6 +537,28 @@ mod tests {
         bus.run(&[NodeId(1)]); // node 1 is slow
         assert!(bus.events.iter().any(|(n, e)| *n == NodeId(0)
             && matches!(e, UtilityEvent::CasFinished { success: true, .. })));
+    }
+
+    #[test]
+    fn a_stalled_cas_restarts_with_a_doubling_threshold_up_to_the_cap() {
+        // Nobody answers: node 0 (base threshold 2 ticks) restarts after
+        // 2, 4, 8, 16 ticks, then every 32.
+        let mut u = PaxosUtility::with_seed(cfg(3, 0), seed());
+        let mut out = Outbox::new();
+        let want = UtilityEntry::LeaderChange {
+            leader: NodeId(0),
+            acceptor: NodeId(2),
+        };
+        u.start_cas(want, &mut out);
+        out.take();
+        let mut restarts = Vec::new();
+        for t in 1..=94 {
+            u.tick(&mut out);
+            if !out.take().is_empty() {
+                restarts.push(t);
+            }
+        }
+        assert_eq!(restarts, [2, 6, 14, 30, 62, 94]);
     }
 
     #[test]

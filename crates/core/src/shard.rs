@@ -43,8 +43,9 @@
 //! the shard that produced it, so one transport link can multiplex all S
 //! groups. [`ShardedEngine::next_deadline`] merges the per-shard timer
 //! tables for sleep-until-deadline schedulers. Background maintenance
-//! (see [`crate::engine`]) is per group too:
-//! [`ShardedEngine::enable_maintenance`] switches it on everywhere.
+//! (see [`crate::engine`]) is per group too, and
+//! [`ShardedEngine::deploy`] switches it on in every group, so every
+//! harness runs the same catch-up.
 //! Catch-up messages travel like protocol messages, shard-tagged both
 //! ways: [`ShardedEngine::take_catch_up`] yields each one a group sends,
 //! and the receiving node hands it to the same group's
@@ -363,15 +364,6 @@ impl<P: Protocol, S: StateMachine> ShardedEngine<P, S> {
         total
     }
 
-    /// Switches background maintenance on for every shard group (see
-    /// [`ReplicaEngine::enable_maintenance`]); call before
-    /// [`Self::start`].
-    pub fn enable_maintenance(&mut self, members: &[NodeId], truncate_every: Option<u64>) {
-        for e in &mut self.shards {
-            e.enable_maintenance(members, truncate_every);
-        }
-    }
-
     /// Takes the next catch-up message any shard group is sending (see
     /// [`ReplicaEngine::take_catch_up`]), as `(shard, to, message)` —
     /// for the harness to send after [`Self::start`], [`Self::fire_due`]
@@ -417,18 +409,26 @@ impl<P: Protocol, S: StateMachine> ShardedEngine<P, S> {
 impl<P: Protocol> ShardedEngine<P, crate::kv::KvStore> {
     /// One node's engines in the deployment shape `config` describes —
     /// what every harness runs: a KV replica per shard group around
-    /// `node()`, and batching as configured. Background maintenance
-    /// stays off: whether to run it is the harness's one
-    /// [`Self::enable_maintenance`] call.
+    /// `node()`, batching as configured, and background maintenance on
+    /// in every group (see [`crate::engine`]): the gap watch and the
+    /// boot probe always, agreed truncation when `config.truncate_every`
+    /// is set. `members` is the group's membership; every member but
+    /// this node is a snapshot donor.
     ///
     /// `incarnation` counts the slot's engines: 0 at boot, one more per
     /// restart. Each incarnation advocates batches in its own id range,
     /// so a restarted replica never reuses a batch id its predecessor got
     /// decided (surviving peers would drop it as a duplicate).
-    pub fn deploy(config: EngineConfig, incarnation: u64, mut node: impl FnMut() -> P) -> Self {
+    pub fn deploy(
+        config: EngineConfig,
+        members: &[NodeId],
+        incarnation: u64,
+        mut node: impl FnMut() -> P,
+    ) -> Self {
         let mut e = ShardedEngine::new(config.shards, |shard| {
             let mut e = ReplicaEngine::new(node(), crate::kv::KvStore::new()).with_shard(shard);
             e.enter_batch_epoch(incarnation);
+            e.enable_maintenance(members, config.truncate_every);
             e
         });
         e.set_batching(config.batching);
@@ -563,7 +563,7 @@ mod tests {
     fn each_incarnation_advocates_batches_above_its_epoch() {
         for k in [0, 1, 3] {
             let cfg = EngineConfig::new().batching(BatchConfig::new(2, 1_000));
-            let mut e = Sharded::deploy(cfg, k, Deciding::new);
+            let mut e = Sharded::deploy(cfg, &[NodeId(0)], k, Deciding::new);
             let mut fx = Fx::new();
             for c in [1, 2] {
                 e.submit(NodeId(c), 1, Op::Put { key: 7, value: 1 }, 0, &mut fx);

@@ -75,22 +75,6 @@ pub struct ReplyRecord {
 /// The tagged effect stream produced by a `TestNet` node's engines.
 type Effects<P> = ShardedEffects<<P as Protocol>::Msg, Option<u64>>;
 
-/// One node's engines, in incarnation `incarnation` (0 at build, one more
-/// per reset). Maintenance runs only when the config carries
-/// `truncate_every`, so default nets keep an untouched timer table.
-fn deploy<P: Protocol>(
-    config: EngineConfig,
-    members: &[NodeId],
-    incarnation: u64,
-    node: impl FnMut() -> P,
-) -> ShardedEngine<P, KvStore> {
-    let mut e = ShardedEngine::deploy(config, incarnation, node);
-    if config.truncate_every.is_some() {
-        e.enable_maintenance(members, config.truncate_every);
-    }
-    e
-}
-
 /// How long a [`TestNet::session`] waits for a reply before it re-sends:
 /// one 200 µs round of virtual time.
 const CLIENT_PATIENCE: Duration = Duration::from_micros(200);
@@ -298,7 +282,7 @@ impl<P: Protocol> TestNet<P> {
             // the harness itself, so the records survive node resets.
             engines: members
                 .iter()
-                .map(|&me| deploy(config, &members, 0, || make(&members, me)))
+                .map(|&me| ShardedEngine::deploy(config, &members, 0, || make(&members, me)))
                 .collect(),
             blocked: vec![false; members.len()],
             config,
@@ -352,7 +336,9 @@ impl<P: Protocol> TestNet<P> {
         self.now
     }
 
-    /// Total messages delivered so far.
+    /// Protocol messages delivered so far. Catch-up messages are not
+    /// counted here; [`Self::snapshot_requests`] and
+    /// [`Self::snapshot_serves`] record those.
     pub fn delivered(&self) -> u64 {
         self.delivered
     }
@@ -422,39 +408,21 @@ impl<P: Protocol> TestNet<P> {
     /// sharded net, *every* shard group's member at that node reboots
     /// (the whole core went away), each into a fresh batch epoch.
     ///
-    /// A cold reboot applies nothing until it holds the decided prefix,
-    /// and a reply leaves only after its command applies. So unless the
-    /// config sets `truncate_every` (maintenance then fetches a snapshot
-    /// across the gap) or [`Self::reset_node_warm`] hands it one, the
-    /// rebooted node never answers a client again.
+    /// The node rejoins warm, as a restarted runtime replica does: each
+    /// shard group's boot probe asks a peer for a snapshot, and unless
+    /// the test holds that catch-up (blocks the donor, drops the ask)
+    /// the snapshot is installed inside this call. The fresh engines
+    /// then apply from the donor's watermark instead of replaying
+    /// (possibly truncated) history from instance 0. A donor group that
+    /// has applied nothing sends nothing, which leaves that group cold
+    /// until its gap watch asks again.
     pub fn reset_node(&mut self, id: NodeId, mut fresh: impl FnMut() -> P) {
         let members: Vec<NodeId> = (0..self.engines.len() as u16).map(NodeId).collect();
         let incarnation = &mut self.resets[id.index()];
         *incarnation += 1;
-        self.engines[id.index()] = deploy(self.config, &members, *incarnation, &mut fresh);
+        self.engines[id.index()] =
+            ShardedEngine::deploy(self.config, &members, *incarnation, &mut fresh);
         self.start_node(id);
-    }
-
-    /// Reboots `id` like [`Self::reset_node`], then hands every shard
-    /// group a state snapshot taken from the live peer `donor`, as a
-    /// catch-up message from it — the snapshot-install catch-up path.
-    /// The fresh engines resume applying from the donor's applied
-    /// watermark instead of replaying (possibly truncated, hence
-    /// unreplayable) history from instance 0, and their protocol nodes
-    /// fast-forward their truncation floors to the same watermark. A
-    /// donor shard that has applied nothing yet contributes nothing (its
-    /// watermark-0 snapshot is rejected by the installer), which leaves
-    /// that group cold — exactly the plain reset behaviour.
-    pub fn reset_node_warm(&mut self, id: NodeId, donor: NodeId, fresh: impl FnMut() -> P) {
-        self.reset_node(id, fresh);
-        for s in (0..self.config.shards).map(ShardId) {
-            let snap = Box::new(self.engines[donor.index()].shard(s).applier().snapshot());
-            let event = EngineEvent::CatchUp {
-                from: donor,
-                msg: CatchUp::Snapshot(snap),
-            };
-            self.step(id, |e, now, fx| e.handle(s, event, now, fx));
-        }
     }
 
     /// Proposes an **agreed truncation** through shard `shard`'s own log
@@ -744,7 +712,9 @@ impl<P: Protocol> TestNet<P> {
         let Some((shard, event)) = self.pop(self.link(from, to)) else {
             return false;
         };
-        self.delivered += 1;
+        if let EngineEvent::Message { .. } = event {
+            self.delivered += 1;
+        }
         self.step(to, |e, now, fx| e.handle(shard, event, now, fx));
         true
     }
@@ -869,8 +839,7 @@ impl<P: Protocol> TestNet<P> {
     }
 
     /// Every snapshot ask the engines' maintenance sent, as
-    /// `(requester, donor)` in send order (empty unless the config set
-    /// `truncate_every`).
+    /// `(requester, donor)` in send order, boot probes included.
     pub fn snapshot_requests(&self) -> &[(NodeId, NodeId)] {
         &self.snapshot_requests
     }
@@ -1330,6 +1299,31 @@ mod tests {
     }
 
     #[test]
+    fn a_reset_node_rejoins_warm_and_answers_its_own_client() {
+        use crate::onepaxos::OnePaxosNode;
+        use crate::ClusterConfig;
+        let make = |m: &[NodeId], me| OnePaxosNode::new(ClusterConfig::new(m.to_vec(), me));
+        let (n0, n2) = (NodeId(0), NodeId(2));
+        let mut net = TestNet::new(3, make);
+        net.run_to_quiescence();
+        net.client_request(n0, NodeId(9), 1, Op::Put { key: 1, value: 10 });
+        net.run_to_quiescence();
+        let members = [NodeId(0), NodeId(1), NodeId(2)];
+        net.reset_node(n2, || make(&members, n2));
+        net.client_request(n0, NodeId(9), 2, Op::Put { key: 2, value: 20 });
+        net.run_to_quiescence();
+        net.client_request(n2, NodeId(10), 1, Op::Put { key: 3, value: 30 });
+        net.run_to_quiescence();
+        for (key, value) in [(1, 10), (2, 20), (3, 30)] {
+            assert_eq!(net.kv_get(n2, key), Some(value), "key {key} at n2");
+        }
+        assert_eq!(net.engine_stats(n2).applied, 3);
+        let answered = |r: &&ReplyRecord| r.client == NodeId(10) && r.from == n2;
+        assert_eq!(net.replies().iter().filter(answered).count(), 1);
+        net.assert_consistent();
+    }
+
+    #[test]
     #[should_panic(expected = "n0 and n2 shard s0 at applied watermark 1")]
     fn a_tampered_snapshot_install_fails_the_consistency_check() {
         use crate::onepaxos::OnePaxosNode;
@@ -1349,7 +1343,11 @@ mod tests {
         assert_eq!((snap.watermark, &snap.state.map[..]), (1, &[(7, 1)][..]));
         snap.state.map[0].1 = 2;
         let members = [NodeId(0), NodeId(1), NodeId(2)];
+        // Hold the boot probe, so the donor's real snapshot never comes.
+        net.block(donor);
         net.reset_node(stale, || make(&members, stale));
+        assert!(net.drop_one(stale, donor));
+        net.unblock(donor);
         let event = EngineEvent::CatchUp {
             from: donor,
             msg: CatchUp::Snapshot(Box::new(snap)),

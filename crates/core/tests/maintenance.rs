@@ -7,7 +7,7 @@
 use std::collections::VecDeque;
 
 use onepaxos::engine::{
-    CatchUp, EngineConfig, EngineEffect, EngineEvent, GAP_PATIENCE, MAINTENANCE, MAINT_PERIOD,
+    CatchUp, EngineConfig, EngineEffect, EngineEvent, GAP_PATIENCE, MAINT_PERIOD,
 };
 use onepaxos::kv::KvStore;
 use onepaxos::multipaxos::MultiPaxosNode;
@@ -306,10 +306,7 @@ fn a_caught_up_replica_replays_from_its_inputs() {
     let members = [N0, N1, N2];
     let config = truncating(32);
     let deploy = |me: NodeId, incarnation| {
-        let node = || onepaxos(&members, me);
-        let mut e = ShardedEngine::deploy(config, incarnation, node);
-        e.enable_maintenance(&members, config.truncate_every);
-        e
+        ShardedEngine::deploy(config, &members, incarnation, || onepaxos(&members, me))
     };
     let mut net = Recorder {
         engines: members.iter().map(|&me| deploy(me, 0)).collect(),
@@ -427,7 +424,7 @@ fn gap_requests(net: &TestNet<Relay>, from: NodeId) -> Vec<NodeId> {
 #[test]
 fn a_gap_that_closes_inside_the_window_emits_no_request() {
     for closes in [true, false] {
-        let mut net = TestNet::builder(3).config(truncating(1 << 20)).build(relay);
+        let mut net = TestNet::new(3, relay);
         net.client_request(N0, CLIENT, 0, Op::Put { key: 1, value: 10 });
         net.client_request(N2, CLIENT, 1, Op::Put { key: 1, value: 11 });
         // Node 1 learns instance 1 first: a gap.
@@ -450,7 +447,7 @@ fn a_gap_that_closes_inside_the_window_emits_no_request() {
 /// patience window and the next firing asks the next peer.
 #[test]
 fn a_donor_with_nothing_newer_is_skipped() {
-    let mut net = TestNet::builder(3).config(truncating(1 << 20)).build(relay);
+    let mut net = TestNet::new(3, relay);
     // Node 0 sequences two instances (and learns neither); node 1 loses
     // the first, node 2 learns both.
     net.client_request(N0, CLIENT, 0, Op::Put { key: 1, value: 10 });
@@ -487,9 +484,7 @@ fn a_donor_with_nothing_newer_is_skipped() {
 /// group's maintenance sends nothing else.
 #[test]
 fn fresh_cluster_boot_probes_are_all_refused_and_nothing_else_is_sent() {
-    let mut net = TestNet::builder(3)
-        .config(truncating(1_000).shards(2))
-        .build(onepaxos);
+    let mut net = TestNet::builder(3).shards(2).build(onepaxos);
     for _ in 0..20 {
         net.advance_and_settle(MAINT_PERIOD, 1);
     }
@@ -506,11 +501,13 @@ fn fresh_cluster_boot_probes_are_all_refused_and_nothing_else_is_sent() {
     assert!(net.commits(N0).is_empty());
 }
 
-/// (6) With maintenance off nothing of it exists: no timer in the table,
-/// no request, and a fixed workload replays to the delivery count and
-/// digests it produced before the policy moved into the engine.
+/// (6) Maintenance changes no protocol traffic and no state: a fixed
+/// workload on a default net replays to the delivery count and digests
+/// it produced before every net ran maintenance, and the only catch-up
+/// it sends is one boot probe per replica per shard group, which no
+/// donor answers.
 #[test]
-fn maintenance_off_leaves_the_timer_table_and_effect_stream_untouched() {
+fn maintenance_changes_no_protocol_traffic_and_no_state() {
     let mut net = TestNet::builder(3)
         .shards(2)
         .batching(BatchConfig::new(4, 20_000))
@@ -533,13 +530,16 @@ fn maintenance_off_leaves_the_timer_table_and_effect_stream_untouched() {
     }
     net.advance_and_settle(25_000, 2);
     net.assert_consistent();
-    for id in 0..3 {
-        for s in 0..2 {
-            let engine = net.sharded_engine(NodeId(id)).shard(ShardId(s));
-            assert_eq!(engine.timer_deadline(MAINTENANCE), None);
-        }
+    let probes = net.snapshot_requests();
+    for id in (0..3).map(NodeId) {
+        let sent = probes.iter().filter(|&&(from, _)| from == id).count();
+        assert_eq!(sent, 2, "{id}: one boot probe per shard group");
     }
-    assert!(net.snapshot_requests().is_empty());
+    assert!(probes.iter().all(|(from, donor)| from != donor));
+    assert!(
+        net.snapshot_serves().is_empty(),
+        "a boot probe was answered"
+    );
     assert_eq!(net.replies().len(), 240);
     let digests: Vec<u64> = (0..3)
         .map(|id| net.sharded_engine(NodeId(id)).kv_digest())
@@ -550,6 +550,7 @@ fn maintenance_off_leaves_the_timer_table_and_effect_stream_untouched() {
     );
 }
 
-/// What the workload of test (6) produced at the parent commit.
+/// What the workload of test (6) produced before maintenance ran on
+/// every net.
 const PINNED_DELIVERED: u64 = 247;
 const PINNED_DIGESTS: [u64; 3] = [9_914_935_378_405_498_902; 3];

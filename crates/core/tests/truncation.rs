@@ -4,6 +4,7 @@
 //! the unbounded-memory bug family — replicas must hold O(state) +
 //! O(clients) + O(window) memory no matter how many commands commit.
 
+use onepaxos::engine::{GAP_PATIENCE, MAINT_PERIOD};
 use onepaxos::onepaxos::OnePaxosNode;
 use onepaxos::shard::ShardId;
 use onepaxos::testnet::TestNet;
@@ -143,7 +144,7 @@ fn replica_memory_stays_flat_over_50k_ops_with_periodic_truncation() {
 fn warm_reset_rejoins_past_a_truncated_prefix() {
     // Once the prefix is truncated, a rebooted replica cannot replay
     // history from instance 0 — the snapshot install is the only way
-    // back in. reset_node_warm models exactly the runtime's restart +
+    // back in. reset_node's boot probe is exactly the runtime's restart +
     // snapshot-request boot sequence.
     let mut n = net(3);
     let mut c = Client::new(100);
@@ -154,11 +155,14 @@ fn warm_reset_rejoins_past_a_truncated_prefix() {
     let w = n.propose_truncate(LEADER, SHARD);
     n.run_to_quiescence();
 
-    // The backup reboots and installs the leader's snapshot: state and
-    // watermark jump straight to the donor's, no replay below the cut.
-    n.reset_node_warm(NodeId(2), LEADER, || {
+    // The backup reboots and installs the snapshot its boot probe
+    // fetched from the leader, the first donor in its rotation: state
+    // and watermark jump straight to the donor's, no replay below the
+    // cut.
+    n.reset_node(NodeId(2), || {
         make(&[NodeId(0), NodeId(1), NodeId(2)], NodeId(2))
     });
+    assert_eq!(n.snapshot_serves().last(), Some(&(LEADER, NodeId(2))));
     let a = n.engine(NodeId(2)).applier();
     assert!(a.applied_up_to().unwrap_or(0) + 1 > w, "not caught up");
     assert_eq!(n.state(NodeId(2)).digest(), n.state(LEADER).digest());
@@ -189,10 +193,14 @@ fn cold_reset_after_truncation_gaps_until_a_snapshot_arrives() {
     n.propose_truncate(LEADER, SHARD);
     n.run_to_quiescence();
 
-    // Cold reboot: amnesia, no snapshot.
+    // Cold reboot: amnesia, and the boot probe to the leader, the first
+    // donor in the rotation, is lost while the leader is held.
+    n.block(LEADER);
     n.reset_node(NodeId(2), || {
         make(&[NodeId(0), NodeId(1), NodeId(2)], NodeId(2))
     });
+    assert!(n.drop_one(NodeId(2), LEADER));
+    n.unblock(LEADER);
     for i in 0..20 {
         c.put(&mut n, i % 8, 3_000 + i);
     }
@@ -203,12 +211,12 @@ fn cold_reset_after_truncation_gaps_until_a_snapshot_arrives() {
         "new commits above the truncated hole must defer, got backlog 0"
     );
 
-    // The snapshot install (what the runtime requests from a peer once
-    // the gap persists) clears the backlog and converges the state.
-    n.reset_node_warm(NodeId(2), LEADER, || {
-        make(&[NodeId(0), NodeId(1), NodeId(2)], NodeId(2))
-    });
-    n.run_to_quiescence();
+    // Once the gap outlives the patience window, the gap watch asks the
+    // next donor; its snapshot clears the backlog and converges the
+    // state.
+    let installed = n.engine_stats(NodeId(2)).snapshots_installed;
+    n.advance_and_settle(MAINT_PERIOD, (GAP_PATIENCE / MAINT_PERIOD) as usize + 2);
+    assert_eq!(n.engine_stats(NodeId(2)).snapshots_installed, installed + 1);
     n.assert_consistent();
     assert_eq!(n.engine_stats(NodeId(2)).gap_backlog, 0);
     assert_eq!(n.state(NodeId(2)).digest(), n.state(LEADER).digest());

@@ -411,10 +411,10 @@ impl Launcher {
         T: Transport<P::Msg> + 'static,
     {
         let (me, members) = (self.members[i], &self.members);
-        let mut engine = ShardedEngine::deploy(self.config, incarnation, || factory(members, me));
-        // Here maintenance is on even without truncation: the gap watch
-        // and the boot probe are what let a restarted slot rejoin.
-        engine.enable_maintenance(members, self.config.truncate_every);
+        // `deploy` switches maintenance on: the gap watch and the boot
+        // probe are what let a restarted slot rejoin.
+        let engine =
+            ShardedEngine::deploy(self.config, members, incarnation, || factory(members, me));
         let faults = self.faults.as_ref().map(|plan| plan.for_node(me));
         let metrics = Arc::clone(&self.metrics[i]);
         std::thread::Builder::new()
@@ -1163,8 +1163,9 @@ mod tests {
     fn a_peer_frame_for_a_shard_this_replica_does_not_host_is_dropped() {
         let (me, peer) = (NodeId(0), NodeId(1));
         let cfg = ClusterConfig::new(vec![me, peer], me);
-        let engine =
-            ShardedEngine::deploy(EngineConfig::new(), 0, || OnePaxosNode::new(cfg.clone()));
+        let engine = ShardedEngine::deploy(EngineConfig::new(), &[me, peer], 0, || {
+            OnePaxosNode::new(cfg.clone())
+        });
         let (io, mut from_peer) = MemTransport::pair(me, peer, 3);
         let cmd = Command::noop(peer, 1);
         from_peer.send(me, 2, Wire::Peer(Msg::Forward { cmd }));

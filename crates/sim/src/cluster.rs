@@ -239,16 +239,17 @@ pub struct RunReport {
     /// ([`EngineStats::truncations`]), summed over replica-shard
     /// processes and their reset predecessors (each replica counts its
     /// own, so one agreed truncation of a 3-replica group counts up to 3
-    /// here). Zero unless [`SimBuilder::truncate_every`] is set.
+    /// here). A snapshot install advances the log base too, so a
+    /// restarted replica counts one even when
+    /// [`SimBuilder::truncate_every`] is not set.
     pub truncations: u64,
     /// State snapshots installed by lagging replicas during
     /// snapshot-install catch-up ([`EngineStats::snapshots_installed`],
-    /// summed like `truncations`). Zero unless
-    /// [`SimBuilder::truncate_every`] is set.
+    /// summed like `truncations`).
     pub snapshots_installed: u64,
     /// Every snapshot ask the engines' maintenance sent, as
     /// `(requester, donor)` replica slots in send order — boot probes
-    /// included. Empty unless [`SimBuilder::truncate_every`] is set.
+    /// included.
     pub snapshot_requests: Vec<(usize, usize)>,
 }
 
@@ -575,26 +576,25 @@ where
     /// Schedules a crash-restart of replica slot `replica` at virtual
     /// time `at`: every shard engine of the slot is replaced by a fresh
     /// one (protocol state, applied log and KV copy all lost), after
-    /// which the slot rejoins the group from nothing. Messages in flight
-    /// toward it still arrive. Once agreed truncation
-    /// ([`Self::truncate_every`]) has dropped the committed prefix, the
-    /// restarted slot can only recover through the snapshot-install
-    /// catch-up path, priced by the profile's `snapshot` cost. Like the
-    /// runtime's `restart_replica`, only restart slots whose protocol
-    /// tolerates acceptor amnesia (e.g. a 1Paxos backup).
+    /// which the slot rejoins the group as the runtime's restarted slot
+    /// does: its boot probe, or its gap watch once the probe found
+    /// nothing newer, fetches a peer snapshot, priced by the profile's
+    /// `snapshot` cost, and the slot applies the live log above it.
+    /// Messages in flight toward it still arrive. Like the runtime's
+    /// `restart_replica`, only restart slots whose protocol tolerates
+    /// acceptor amnesia (e.g. a 1Paxos backup).
     pub fn reset_replica(mut self, at: Nanos, replica: usize) -> Self {
         self.resets.push((at, replica));
         self
     }
 
     /// Enables periodic agreed log truncation
-    /// ([`EngineConfig::truncate_every`]) and with it the engines'
-    /// background maintenance, so replica memory stays bounded over
-    /// duration-mode runs: a replica sitting on a persistent apply gap
-    /// (or booting after a reset) asks a peer for a snapshot, priced by
-    /// the profile's `snapshot` cost on both sides of the transfer.
-    /// Default off — and when off, maintenance is never enabled, so no
-    /// timer or event of it exists and seeded runs replay unchanged.
+    /// ([`EngineConfig::truncate_every`]), so replica memory stays
+    /// bounded over duration-mode runs. Default off. The rest of the
+    /// engines' maintenance runs either way: a replica sitting on a
+    /// persistent apply gap (or booting after a reset) asks a peer for a
+    /// snapshot, priced by the profile's `snapshot` cost on both sides
+    /// of the transfer.
     pub fn truncate_every(mut self, every: u64) -> Self {
         self.config = self.config.truncate_every(every);
         self
@@ -660,14 +660,8 @@ where
         let config = self.config;
         let shard_count = config.shards;
         let factory = &mut self.factory;
-        // Maintenance only with truncation, so default runs keep their
-        // exact event schedule.
         let mut build = |me: NodeId, incarnation: u64| {
-            let mut e = ShardedEngine::deploy(config, incarnation, || factory(&members, me));
-            if config.truncate_every.is_some() {
-                e.enable_maintenance(&members, config.truncate_every);
-            }
-            e
+            ShardedEngine::deploy(config, &members, incarnation, || factory(&members, me))
         };
         let engines: Vec<ShardedEngine<P, KvStore>> =
             members.iter().map(|&me| build(me, 0)).collect();
@@ -2011,5 +2005,26 @@ mod tests {
         assert_eq!(later.first(), Some(&(2, first_donor(2).unwrap())));
         assert!(later.iter().all(|&(from, donor)| from == 2 && donor != 2));
         assert!(r.snapshots_installed as usize <= later.len());
+    }
+
+    #[test]
+    fn restarted_replica_rejoins_without_truncation() {
+        // The restart of `restarted_replica_catches_up_by_snapshot_install`
+        // on a default config: nothing is truncated, yet replay cannot
+        // bring the fresh slot back (its peers never re-send what they
+        // decided before it came back). It rejoins as the runtime's
+        // restarted slot does, by the snapshot its engine's maintenance
+        // fetches.
+        let r = SimBuilder::new(Profile::opteron8(), |m, me| OnePaxosNode::new(cfg(m, me)))
+            .clients(5)
+            .duration(300_000_000)
+            .reset_replica(100_000_000, 2)
+            .run();
+        assert!(r.completed > 0);
+        assert!(
+            r.snapshots_installed > 0,
+            "restarted replica never installed a snapshot"
+        );
+        assert!(r.engine_stats[2].applied > 0, "slot 2 never applied");
     }
 }
