@@ -23,7 +23,7 @@
 
 use crate::advocate::Advocate;
 use crate::config::ClusterConfig;
-use crate::outbox::{Outbox, Timer};
+use crate::outbox::Outbox;
 use crate::protocol::Protocol;
 use crate::synod::{Phase, Synod, SynodMsg};
 use crate::types::{Ballot, Command, Instance, Nanos, NodeId, Op};
@@ -140,7 +140,6 @@ pub struct BasicPaxosNode {
     /// tracked: the proposer is fixed, so a stall has nothing to
     /// trigger).
     adv: Advocate,
-    tick_period: Nanos,
 }
 
 impl BasicPaxosNode {
@@ -154,7 +153,6 @@ impl BasicPaxosNode {
             next_instance: 0,
             synod: Synod::new(cfg),
             adv: Advocate::default(),
-            tick_period: Self::DEFAULT_TICK,
         }
     }
 
@@ -202,7 +200,7 @@ impl Protocol for BasicPaxosNode {
     }
 
     fn on_start(&mut self, _now: Nanos, out: &mut Outbox<Msg>) {
-        out.set_timer(Timer::Tick, self.tick_period);
+        out.set_tick(Self::DEFAULT_TICK);
     }
 
     fn on_message(&mut self, from: NodeId, msg: Msg, _now: Nanos, out: &mut Outbox<Msg>) {
@@ -234,14 +232,12 @@ impl Protocol for BasicPaxosNode {
         }
     }
 
-    fn on_timer(&mut self, timer: Timer, _now: Nanos, out: &mut Outbox<Msg>) {
-        if timer == Timer::Tick {
-            // Drain queued undecided commands (one instance each).
-            while let Some(cmd) = self.adv.next_undecided() {
-                self.start_instance(cmd, out);
-            }
-            out.set_timer(Timer::Tick, self.tick_period);
+    fn on_tick(&mut self, _now: Nanos, out: &mut Outbox<Msg>) {
+        // Drain queued undecided commands (one instance each).
+        while let Some(cmd) = self.adv.next_undecided() {
+            self.start_instance(cmd, out);
         }
+        out.set_tick(Self::DEFAULT_TICK);
     }
 
     fn on_client_request(

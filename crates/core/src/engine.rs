@@ -11,7 +11,7 @@
 //!
 //! # The Event/Effect contract
 //!
-//! A [`ReplicaEngine`] owns one protocol node plus its timer table and
+//! A [`ReplicaEngine`] owns one protocol node plus its deadlines and
 //! the replicated-state-machine [`Applier`], and holds nothing a
 //! deployment does not need: no commit log, no record of replies. The
 //! harness feeds it [`EngineEvent`]s:
@@ -24,8 +24,8 @@
 //!   delivered (see [Maintenance](#maintenance)).
 //!
 //! Time is the harness's too: it calls [`ReplicaEngine::fire_due`] at
-//! or after [`ReplicaEngine::next_deadline`] to fire every timer that is
-//! due. It receives [`EngineEffect`]s back:
+//! or after [`ReplicaEngine::next_deadline`] to fire every deadline that
+//! is due. It receives [`EngineEffect`]s back:
 //!
 //! * [`EngineEffect::SendTo`] — transport this message to that node.
 //! * [`EngineEffect::ReplyTo`] — answer this client with the
@@ -34,7 +34,7 @@
 //!   applied by the engine; emitted for the harness's agreement oracle,
 //!   [`crate::oracle::Agreement`], and its metrics).
 //!
-//! Everything stateful in between — arm/fire ordering of timers,
+//! Everything stateful in between — arm/fire ordering of deadlines,
 //! in-order application with at-most-once execution (the [`Applier`]
 //! refuses an instance re-decided with another command), deferred
 //! replies waiting for a log gap to fill, and the §7.5 relaxed-read fast
@@ -43,12 +43,23 @@
 //!
 //! # Timers
 //!
-//! The engine keeps absolute deadlines per [`Timer`]. Re-arming a timer
-//! replaces its deadline (a size flush cancels the engine's own flush
-//! deadline); [`ReplicaEngine::next_deadline`]
-//! lets schedulers (the simulator) plan wake-ups. A timer fires at most
-//! once per arm: firing disarms it before the handler runs, so a handler
-//! re-arming the same timer starts a fresh deadline.
+//! The engine keeps three fixed deadlines, one absolute time each:
+//!
+//! * **tick** — the protocol's one timer, armed by
+//!   [`Action::SetTick`] and fired into [`Protocol::on_tick`];
+//! * **maintenance** — the engine's [Maintenance](#maintenance) round;
+//! * **flush** — the open batch's [`BatchConfig::max_delay`] deadline
+//!   (see [Batching](#batching)).
+//!
+//! A protocol arms only its tick; the other two belong to the engine,
+//! and no protocol can reach them. Re-arming a deadline replaces it (a
+//! size flush disarms the flush deadline), and
+//! [`ReplicaEngine::next_deadline`] is the earliest armed one, so a
+//! harness that sleeps until it (the simulator plans every wake-up this
+//! way) can stall neither a tick nor a partly filled batch. A deadline
+//! fires at most once per arm: firing disarms it before its handler
+//! runs, so a handler that re-arms it starts a fresh deadline. Deadlines
+//! due together fire in the order listed above.
 //!
 //! # Replies
 //!
@@ -88,12 +99,10 @@
 //! engine-side cure: client requests accumulate in the engine and travel
 //! through **one** agreement as an [`Op::Batch`] command. A batch opens on
 //! the first enqueued request, flushes when it reaches the flush depth
-//! or when [`BatchConfig::max_delay`] has passed (via the ordinary timer
-//! table, under the reserved [`BATCH_FLUSH`] timer — so
-//! [`ReplicaEngine::next_deadline`] automatically covers a partially
-//! filled batch and sleep-until-deadline harnesses cannot stall it). A flushed
-//! singleton is submitted as a plain command, so `max_delay` is the only
-//! cost batching can add to an idle system.
+//! or when [`BatchConfig::max_delay`] has passed (the flush deadline of
+//! [Timers](#timers)). A flushed singleton is submitted as a plain
+//! command, so `max_delay` is the only cost batching can add to an idle
+//! system.
 //!
 //! The flush depth itself comes in two flavours. [`BatchConfig::Fixed`]
 //! is a static knob — always flush at `max_commands`. But the optimal
@@ -125,8 +134,8 @@
 //! Every harness deploys its engines through
 //! [`ShardedEngine::deploy`](crate::shard::ShardedEngine::deploy), which
 //! switches maintenance on; [`EngineEvent::Start`] then arms the
-//! reserved [`MAINTENANCE`] timer in the ordinary timer table,
-//! so [`ReplicaEngine::next_deadline`] / [`ReplicaEngine::fire_due`]
+//! maintenance deadline (see [Timers](#timers)), so
+//! [`ReplicaEngine::next_deadline`] / [`ReplicaEngine::fire_due`]
 //! carry it into every harness with no clock of its own. Each firing,
 //! [`MAINT_PERIOD`] apart:
 //!
@@ -170,7 +179,7 @@
 //! nothing about catch-up, and whether maintenance runs is not its
 //! choice either: the runtime, the simulator and `TestNet` all run it.
 //! A bare [`ReplicaEngine::new`] runs without it, for unit tests that
-//! pin one engine's timer table and effect stream.
+//! pin one engine's deadlines and effect stream.
 //!
 //! # Example
 //!
@@ -198,22 +207,14 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use crate::hash::WordSet;
-use crate::outbox::{Action, Outbox, Timer};
+use crate::outbox::{Action, Outbox};
 use crate::protocol::Protocol;
 use crate::rsm::{Applier, ApplierSnapshot, StateMachine};
 use crate::types::{BatchPayload, Command, Instance, Nanos, NodeId, Op};
 
-/// The engine-internal timer driving batch flushes. Reserved: protocols
-/// must not arm it (they own [`Timer::Tick`] and the low `Custom` ids);
-/// the engine intercepts it before protocol dispatch.
-pub const BATCH_FLUSH: Timer = Timer::Custom(u8::MAX);
-
-/// The engine-internal timer driving background maintenance (see the
-/// [module docs](self#maintenance)). Reserved like [`BATCH_FLUSH`].
-pub const MAINTENANCE: Timer = Timer::Custom(u8::MAX - 1);
-
-/// Interval between [`MAINTENANCE`] firings: coarse, so truncation and
-/// catch-up stay background work next to the message-driven hot path.
+/// Interval between maintenance rounds (see the
+/// [module docs](self#maintenance)): coarse, so truncation and catch-up
+/// stay background work next to the message-driven hot path.
 pub const MAINT_PERIOD: Nanos = 5_000_000;
 
 /// How long an apply gap must persist before the engine treats it as
@@ -453,7 +454,7 @@ impl Default for EngineConfig {
 enum FlushTrigger {
     /// The batch reached the flush depth.
     Size,
-    /// The [`BATCH_FLUSH`] deadline fired first.
+    /// The flush deadline fired first.
     Deadline,
 }
 
@@ -471,7 +472,7 @@ pub struct EngineStats {
     pub flushed_commands: u64,
     /// Flushes triggered by reaching the flush depth.
     pub size_flushes: u64,
-    /// Flushes triggered by the [`BATCH_FLUSH`] deadline.
+    /// Flushes triggered by the [`BatchConfig::max_delay`] deadline.
     pub deadline_flushes: u64,
     /// Current flush depth: the controller's depth under
     /// [`BatchConfig::Adaptive`], `max_commands` under
@@ -932,14 +933,32 @@ struct Maintenance {
     donor_rr: usize,
 }
 
+/// One of the engine's three deadlines (see the
+/// [module docs](self#timers)), declared in the order they fire when due
+/// together.
+#[derive(Clone, Copy, Debug)]
+enum Slot {
+    /// The protocol's tick.
+    Tick,
+    /// The next maintenance round.
+    Maintenance,
+    /// The open batch's flush deadline.
+    Flush,
+}
+
+impl Slot {
+    const ALL: [Slot; 3] = [Slot::Tick, Slot::Maintenance, Slot::Flush];
+}
+
 /// One protocol node plus all of its deployment plumbing; see the
 /// [module docs](self) for the Event/Effect contract.
 #[derive(Debug)]
 pub struct ReplicaEngine<P: Protocol, S: StateMachine> {
     node: P,
     applier: Applier<S>,
-    /// Absolute deadline per armed timer.
-    timers: BTreeMap<Timer, Nanos>,
+    /// Absolute deadline per [`Slot`], indexed by `slot as usize`;
+    /// `None` while disarmed.
+    deadlines: [Option<Nanos>; 3],
     /// Replies waiting for the state machine to catch up.
     deferred: Vec<(NodeId, u64, Instance)>,
     /// Relaxed reads waiting for their key to become readable, as
@@ -984,8 +1003,6 @@ pub struct ReplicaEngine<P: Protocol, S: StateMachine> {
     /// Scratch vector [`Self::absorb`] swaps the outbox's actions into,
     /// so draining a handler's actions allocates nothing in steady state.
     action_scratch: Vec<Action<P::Msg>>,
-    /// Scratch vector [`Self::fire_due`] collects the due timers into.
-    due_scratch: Vec<Timer>,
 }
 
 impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
@@ -994,7 +1011,7 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
         ReplicaEngine {
             node,
             applier: Applier::new(state),
-            timers: BTreeMap::new(),
+            deadlines: [None; 3],
             deferred: Vec::new(),
             parked_reads: Vec::new(),
             batch: None,
@@ -1010,7 +1027,6 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
             shard: None,
             outbox: Outbox::new(),
             action_scratch: Vec::new(),
-            due_scratch: Vec::new(),
         }
     }
 
@@ -1154,7 +1170,7 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
                     // snapshot outright, so it rejoins warm even when no
                     // client traffic is flowing.
                     self.request_snapshot();
-                    self.timers.insert(MAINTENANCE, now + MAINT_PERIOD);
+                    self.deadlines[Slot::Maintenance as usize] = Some(now + MAINT_PERIOD);
                 }
             }
             EngineEvent::Message { from, msg } => match self.node.instance_of(&msg) {
@@ -1226,15 +1242,15 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
         }
     }
 
-    /// Fires every armed timer whose deadline is at or before `now`, in
-    /// [`Timer`] order; returns how many fired.
+    /// Fires every armed deadline at or before `now` — tick, then
+    /// maintenance, then flush — and returns how many fired.
     ///
     /// The due set is computed before any handler runs, so a handler
-    /// re-arming its own timer (the periodic-tick pattern) cannot make it
-    /// fire twice in one call — but each timer's armed state is
-    /// re-checked just before it fires, so a handler re-arming a
-    /// *sibling* due timer (or flushing the batch whose deadline is due)
-    /// takes effect within the same pass.
+    /// re-arming its own deadline (the periodic-tick pattern) cannot make
+    /// it fire twice in one call — but each deadline is re-checked just
+    /// before it fires, so an earlier handler that disarms or pushes out
+    /// a later due one (a maintenance truncate that size-flushes the open
+    /// batch) takes effect within the same pass.
     pub fn fire_due(
         &mut self,
         now: Nanos,
@@ -1249,42 +1265,27 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
         now: Nanos,
         effects: &mut impl EffectSink<P::Msg, S::Output>,
     ) -> usize {
-        let mut due = std::mem::take(&mut self.due_scratch);
-        due.extend(
-            self.timers
-                .iter()
-                .filter(|&(_, &at)| at <= now)
-                .map(|(&t, _)| t),
-        );
+        let is_due = |at: Option<Nanos>| at.is_some_and(|at| at <= now);
+        let due = self.deadlines.map(is_due);
         let mut fired = 0;
-        for t in due.drain(..) {
-            // Skips one an earlier handler cancelled or pushed out.
-            fired += usize::from(self.fire_one(t, now, effects));
-        }
-        self.due_scratch = due;
-        fired
-    }
-
-    fn fire_one(
-        &mut self,
-        timer: Timer,
-        now: Nanos,
-        effects: &mut impl EffectSink<P::Msg, S::Output>,
-    ) -> bool {
-        match self.timers.get(&timer) {
-            Some(&at) if at <= now => {}
-            _ => return false, // cancelled, re-armed later, or never armed
-        }
-        self.timers.remove(&timer);
-        match timer {
-            BATCH_FLUSH => self.flush_batch(FlushTrigger::Deadline, now, effects),
-            MAINTENANCE => self.maintain(now, effects),
-            _ => {
-                self.node.on_timer(timer, now, &mut self.outbox);
-                self.absorb(now, effects);
+        for (slot, was_due) in Slot::ALL.into_iter().zip(due) {
+            let armed = &mut self.deadlines[slot as usize];
+            // Skips one an earlier handler disarmed or pushed out.
+            if !was_due || !is_due(*armed) {
+                continue;
             }
+            *armed = None;
+            match slot {
+                Slot::Tick => {
+                    self.node.on_tick(now, &mut self.outbox);
+                    self.absorb(now, effects);
+                }
+                Slot::Maintenance => self.maintain(now, effects),
+                Slot::Flush => self.flush_batch(FlushTrigger::Deadline, now, effects),
+            }
+            fired += 1;
         }
-        true
+        fired
     }
 
     // ----------------------------------------------------------------
@@ -1295,7 +1296,7 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
     /// and the boot probe always, leader-driven agreed truncation when
     /// `truncate_every` is set. `members` is the group's membership;
     /// everyone but this node is a snapshot donor. Call before
-    /// [`EngineEvent::Start`], which arms the [`MAINTENANCE`] timer.
+    /// [`EngineEvent::Start`], which arms the maintenance deadline.
     pub(crate) fn enable_maintenance(&mut self, members: &[NodeId], truncate_every: Option<u64>) {
         let me = self.node.node_id();
         self.maint = Some(Maintenance {
@@ -1342,10 +1343,10 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
         self.stats.snapshots_served += 1;
     }
 
-    /// One [`MAINTENANCE`] firing: re-arm, watch the apply gap, and — as
+    /// One maintenance round: re-arm, watch the apply gap, and — as
     /// leader — propose the next agreed truncation.
     fn maintain(&mut self, now: Nanos, effects: &mut impl EffectSink<P::Msg, S::Output>) {
-        self.timers.insert(MAINTENANCE, now + MAINT_PERIOD);
+        self.deadlines[Slot::Maintenance as usize] = Some(now + MAINT_PERIOD);
         let m = self.maint.as_mut().expect("armed only when enabled");
         let truncate_every = m.truncate_every;
         if self.applier.gap_backlog() == 0 {
@@ -1397,7 +1398,7 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
             if let Some(ctl) = &mut self.ctl {
                 ctl.on_open(now, self.inflight_batches.len(), &mut self.stats);
             }
-            self.timers.insert(BATCH_FLUSH, now + cfg.max_delay());
+            self.deadlines[Slot::Flush as usize] = Some(now + cfg.max_delay());
         }
         self.stats.enqueued += 1;
         self.batch_buf.push(Command::new(client, req_id, op));
@@ -1415,7 +1416,7 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
         now: Nanos,
         effects: &mut impl EffectSink<P::Msg, S::Output>,
     ) {
-        self.timers.remove(&BATCH_FLUSH);
+        self.deadlines[Slot::Flush as usize] = None;
         self.batch_keys.clear();
         if self.batch_buf.is_empty() {
             return;
@@ -1505,8 +1506,8 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
                         self.reply(c.client, c.req_id, instance, effects);
                     }
                 }
-                Action::SetTimer { timer, after } => {
-                    self.timers.insert(timer, now + after);
+                Action::SetTick { after } => {
+                    self.deadlines[Slot::Tick as usize] = Some(now + after);
                 }
             }
         }
@@ -1579,23 +1580,11 @@ impl<P: Protocol, S: StateMachine> ReplicaEngine<P, S> {
         }
     }
 
-    // ----------------------------------------------------------------
-    // Timer table.
-    // ----------------------------------------------------------------
-
-    /// The earliest armed deadline, if any (for harness wake-up planning).
-    ///
-    /// Includes a pending batch-flush deadline: the accumulator arms the
-    /// reserved [`BATCH_FLUSH`] timer in this same table, so a harness
-    /// that sleeps until `next_deadline` can never stall a partially
-    /// filled batch.
+    /// The earliest armed deadline — tick, maintenance or batch flush —
+    /// if any (for harness wake-up planning; see the
+    /// [module docs](self#timers)).
     pub fn next_deadline(&self) -> Option<Nanos> {
-        self.timers.values().copied().min()
-    }
-
-    /// The absolute deadline `timer` is armed for, if armed.
-    pub fn timer_deadline(&self, timer: Timer) -> Option<Nanos> {
-        self.timers.get(&timer).copied()
+        self.deadlines.iter().flatten().copied().min()
     }
 
     // ----------------------------------------------------------------
@@ -1690,7 +1679,10 @@ mod tests {
         me: NodeId,
         /// Actions to emit on the next handler invocation.
         script: Vec<Action<u8>>,
-        timer_fires: Vec<(Timer, Nanos)>,
+        /// When each tick fired.
+        ticks: Vec<Nanos>,
+        /// The op of every client request the engine handed over.
+        requests: Vec<Op>,
         readable: bool,
     }
 
@@ -1699,7 +1691,8 @@ mod tests {
             Scripted {
                 me: NodeId(0),
                 script: Vec::new(),
-                timer_fires: Vec::new(),
+                ticks: Vec::new(),
+                requests: Vec::new(),
                 readable: false,
             }
         }
@@ -1724,8 +1717,8 @@ mod tests {
             }
         }
 
-        fn on_timer(&mut self, timer: Timer, now: Nanos, out: &mut Outbox<u8>) {
-            self.timer_fires.push((timer, now));
+        fn on_tick(&mut self, now: Nanos, out: &mut Outbox<u8>) {
+            self.ticks.push(now);
             for a in self.script.drain(..) {
                 out.push(a);
             }
@@ -1735,10 +1728,11 @@ mod tests {
             &mut self,
             _client: NodeId,
             _req_id: u64,
-            _op: Op,
+            op: Op,
             _now: Nanos,
             out: &mut Outbox<u8>,
         ) {
+            self.requests.push(op);
             for a in self.script.drain(..) {
                 out.push(a);
             }
@@ -1778,137 +1772,150 @@ mod tests {
         fx
     }
 
+    fn tick_after(after: Nanos) -> Action<u8> {
+        Action::SetTick { after }
+    }
+
     #[test]
     fn rearm_replaces_the_deadline() {
         let mut e = engine();
-        drive(
-            &mut e,
-            vec![Action::SetTimer {
-                timer: Timer::Tick,
-                after: 100,
-            }],
-            0,
-        );
-        assert_eq!(e.timer_deadline(Timer::Tick), Some(100));
+        drive(&mut e, vec![tick_after(100)], 0);
+        assert_eq!(e.deadlines[Slot::Tick as usize], Some(100));
         // Re-arm at a later deadline: the old one must not fire.
-        drive(
-            &mut e,
-            vec![Action::SetTimer {
-                timer: Timer::Tick,
-                after: 500,
-            }],
-            50,
-        );
-        assert_eq!(e.timer_deadline(Timer::Tick), Some(550));
+        drive(&mut e, vec![tick_after(500)], 50);
+        assert_eq!(e.deadlines[Slot::Tick as usize], Some(550));
         let mut fx = Vec::new();
         assert_eq!(e.fire_due(100, &mut fx), 0, "superseded deadline fired");
         assert_eq!(e.fire_due(550, &mut fx), 1);
-        assert_eq!(e.node().timer_fires, vec![(Timer::Tick, 550)]);
+        assert_eq!(e.node().ticks, vec![550]);
     }
 
     #[test]
     fn fired_timer_is_disarmed_and_rearm_in_handler_is_fresh() {
         let mut e = engine();
-        drive(
-            &mut e,
-            vec![Action::SetTimer {
-                timer: Timer::Tick,
-                after: 100,
-            }],
-            0,
-        );
-        // The handler re-arms the same timer; it must not re-fire in the
-        // same fire_due pass.
-        e.node_mut().script = vec![Action::SetTimer {
-            timer: Timer::Tick,
-            after: 100,
-        }];
+        drive(&mut e, vec![tick_after(100)], 0);
         let mut fx = Vec::new();
+        assert_eq!(e.fire_due(99, &mut fx), 0, "fired before its deadline");
+        // The handler re-arms the tick; it must not re-fire in the same
+        // fire_due pass.
+        e.node_mut().script = vec![tick_after(100)];
         assert_eq!(e.fire_due(1_000, &mut fx), 1);
-        assert_eq!(e.timer_deadline(Timer::Tick), Some(1_100));
+        assert_eq!(e.deadlines[Slot::Tick as usize], Some(1_100));
         // One-shot semantics: without a re-arm nothing is left.
         assert_eq!(e.fire_due(1_100, &mut fx), 1);
         assert_eq!(e.fire_due(10_000, &mut fx), 0);
-    }
-
-    #[test]
-    fn timers_fire_in_timer_order() {
-        let mut e = engine();
-        drive(
-            &mut e,
-            vec![
-                Action::SetTimer {
-                    timer: Timer::Custom(2),
-                    after: 5,
-                },
-                Action::SetTimer {
-                    timer: Timer::Tick,
-                    after: 10,
-                },
-                Action::SetTimer {
-                    timer: Timer::Custom(1),
-                    after: 7,
-                },
-            ],
-            0,
-        );
-        let mut fx = Vec::new();
-        assert_eq!(e.fire_due(100, &mut fx), 3);
-        let order: Vec<Timer> = e.node().timer_fires.iter().map(|&(t, _)| t).collect();
-        assert_eq!(order, vec![Timer::Tick, Timer::Custom(1), Timer::Custom(2)]);
-    }
-
-    #[test]
-    fn handler_re_arming_a_sibling_due_timer_takes_effect_in_the_same_pass() {
-        let mut e = engine();
-        // Tick and Custom(1) both due at 100; Tick fires first (Timer
-        // order) and its handler re-arms Custom(1) far in the future,
-        // which is re-checked just before it would fire.
-        drive(
-            &mut e,
-            vec![
-                Action::SetTimer {
-                    timer: Timer::Tick,
-                    after: 100,
-                },
-                Action::SetTimer {
-                    timer: Timer::Custom(1),
-                    after: 100,
-                },
-            ],
-            0,
-        );
-        e.node_mut().script = vec![Action::SetTimer {
-            timer: Timer::Custom(1),
-            after: 10_000,
-        }];
-        let mut fx = Vec::new();
-        assert_eq!(e.fire_due(100, &mut fx), 1, "only Tick may fire");
-        assert_eq!(e.node().timer_fires, vec![(Timer::Tick, 100)]);
-        assert_eq!(e.timer_deadline(Timer::Custom(1)), Some(10_100));
+        assert_eq!(e.node().ticks, vec![1_000, 1_100]);
+        assert_eq!(e.next_deadline(), None);
     }
 
     #[test]
     fn timer_due_ignores_stale_and_unarmed_deadlines() {
         let mut e = engine();
-        drive(
-            &mut e,
-            vec![Action::SetTimer {
-                timer: Timer::Tick,
-                after: 100,
-            }],
-            0,
-        );
+        drive(&mut e, vec![tick_after(100)], 0);
         let mut fx = Vec::new();
         // Not yet due.
         assert_eq!(e.fire_due(99, &mut fx), 0);
-        assert!(e.node().timer_fires.is_empty());
+        assert!(e.node().ticks.is_empty());
         // Due.
         assert_eq!(e.fire_due(100, &mut fx), 1);
-        assert_eq!(e.node().timer_fires.len(), 1);
+        assert_eq!(e.node().ticks, vec![100]);
         // Already fired: a later pass finds nothing armed.
         assert_eq!(e.fire_due(200, &mut fx), 0);
-        assert_eq!(e.node().timer_fires.len(), 1);
+        assert_eq!(e.node().ticks, vec![100]);
+    }
+
+    /// A single-member engine whose batches of `depth` flush after
+    /// [`MAINT_PERIOD`] and whose maintenance truncates after every
+    /// applied command, started at 0 with `on_start` emitting `start`.
+    fn maintained(depth: usize, start: Vec<Action<u8>>) -> E {
+        let mut e = engine().with_batching(BatchConfig::new(depth, MAINT_PERIOD));
+        e.enable_maintenance(&[NodeId(0)], Some(1));
+        e.node_mut().script = start;
+        e.handle(EngineEvent::Start, 0, &mut Vec::new());
+        e
+    }
+
+    /// Opens a batch at 0, so its flush falls due with maintenance.
+    fn open_batch(e: &mut E) {
+        let request = EngineEvent::ClientRequest {
+            client: NodeId(9),
+            req_id: 1,
+            op: Op::Noop,
+        };
+        e.handle(request, 0, &mut Vec::new());
+        assert_eq!(e.pending_batch(), 1);
+    }
+
+    /// The ids of the one batch the protocol was handed.
+    fn only_batch(e: &E) -> Vec<(NodeId, u64)> {
+        match &e.node().requests[..] {
+            [Op::Batch(b)] => b.iter().map(Command::id).collect(),
+            other => panic!("expected one batch, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn tick_maintenance_and_flush_fire_in_that_order() {
+        // All three fall due at MAINT_PERIOD. The tick applies a command,
+        // so maintenance proposes a truncate only if the tick ran first;
+        // the truncate joins the open batch only if maintenance ran
+        // before the flush.
+        let mut e = maintained(8, vec![tick_after(MAINT_PERIOD)]);
+        open_batch(&mut e);
+        e.node_mut().script = vec![Action::Commit {
+            instance: 0,
+            cmd: put(7, 1, 1, 10),
+        }];
+        let mut fx = Vec::new();
+        assert_eq!(e.fire_due(MAINT_PERIOD, &mut fx), 3);
+        assert_eq!(e.node().ticks, vec![MAINT_PERIOD]);
+        assert_eq!(only_batch(&e), vec![(NodeId(9), 1), (MAINT_CLIENT, 1)]);
+        assert_eq!(e.stats().deadline_flushes, 1);
+    }
+
+    #[test]
+    fn a_due_flush_disarmed_by_maintenance_neither_fires_nor_counts() {
+        // Maintenance's truncate fills the open batch to its depth of 2:
+        // the size flush disarms the flush deadline that was due in the
+        // same pass, so it is skipped and not counted.
+        let mut e = maintained(2, Vec::new());
+        let commit = Action::Commit {
+            instance: 0,
+            cmd: put(7, 1, 1, 10),
+        };
+        drive(&mut e, vec![commit], 0);
+        open_batch(&mut e);
+        let mut fx = Vec::new();
+        assert_eq!(
+            e.fire_due(MAINT_PERIOD, &mut fx),
+            1,
+            "only maintenance fires"
+        );
+        assert_eq!(only_batch(&e), vec![(NodeId(9), 1), (MAINT_CLIENT, 1)]);
+        assert_eq!(e.stats().size_flushes, 1);
+        assert_eq!(e.stats().deadline_flushes, 0);
+        assert_eq!(e.next_deadline(), Some(2 * MAINT_PERIOD));
+    }
+
+    #[test]
+    fn a_flush_armed_by_maintenance_waits_for_the_next_pass() {
+        // With no delay, the batch maintenance's truncate opens is due at
+        // once; but the due set was taken before maintenance ran.
+        let mut e = engine().with_batching(BatchConfig::new(8, 0));
+        e.enable_maintenance(&[NodeId(0)], Some(1));
+        e.handle(EngineEvent::Start, 0, &mut Vec::new());
+        let commit = Action::Commit {
+            instance: 0,
+            cmd: put(7, 1, 1, 10),
+        };
+        drive(&mut e, vec![commit], 0);
+        let mut fx = Vec::new();
+        // Only maintenance fires; the flush it armed waits a pass.
+        assert_eq!(e.fire_due(MAINT_PERIOD, &mut fx), 1);
+        assert_eq!(e.pending_batch(), 1);
+        assert_eq!(e.fire_due(MAINT_PERIOD, &mut fx), 1);
+        assert_eq!(e.pending_batch(), 0);
+        assert_eq!(e.stats().deadline_flushes, 1);
     }
 
     /// Blocking is the harness's (a slow core gets no cycles, so its
@@ -1917,18 +1924,15 @@ mod tests {
     fn blocked_engine_fires_no_timers() {
         let mut net = crate::testnet::TestNet::builder(1).build(|_, _| {
             let mut node = Scripted::new();
-            node.script = vec![Action::SetTimer {
-                timer: Timer::Tick,
-                after: 10,
-            }];
+            node.script = vec![tick_after(10)];
             node
         });
         net.block(NodeId(0));
         net.advance(1_000);
-        assert!(net.node(NodeId(0)).timer_fires.is_empty());
+        assert!(net.node(NodeId(0)).ticks.is_empty());
         net.unblock(NodeId(0));
         net.advance(0);
-        assert_eq!(net.node(NodeId(0)).timer_fires, vec![(Timer::Tick, 1_000)]);
+        assert_eq!(net.node(NodeId(0)).ticks, vec![1_000]);
     }
 
     fn put(client: u16, req: u64, key: u64, value: u64) -> Command {
@@ -2320,7 +2324,7 @@ mod tests {
             }
         }
 
-        fn on_timer(&mut self, _timer: Timer, _now: Nanos, _out: &mut Outbox<u8>) {}
+        fn on_tick(&mut self, _now: Nanos, _out: &mut Outbox<u8>) {}
 
         fn on_client_request(
             &mut self,
@@ -2411,7 +2415,7 @@ mod tests {
         // The flush deadline is a real timer: next_deadline covers it, so
         // sleep-until-next-deadline harnesses cannot stall the batch.
         assert_eq!(e.next_deadline(), Some(500));
-        assert_eq!(e.timer_deadline(BATCH_FLUSH), Some(500));
+        assert_eq!(e.deadlines[Slot::Flush as usize], Some(500));
         let mut fx = Vec::new();
         assert_eq!(e.fire_due(499, &mut fx), 0);
         assert!(fx.is_empty());
@@ -2723,22 +2727,11 @@ mod tests {
 
     #[test]
     fn next_deadline_tracks_the_earliest_timer() {
-        let mut e = engine();
+        let mut e = engine().with_batching(BatchConfig::new(8, 100));
         assert_eq!(e.next_deadline(), None);
-        drive(
-            &mut e,
-            vec![
-                Action::SetTimer {
-                    timer: Timer::Tick,
-                    after: 300,
-                },
-                Action::SetTimer {
-                    timer: Timer::Custom(0),
-                    after: 100,
-                },
-            ],
-            0,
-        );
+        drive(&mut e, vec![tick_after(300)], 0);
+        assert_eq!(e.next_deadline(), Some(300));
+        open_batch(&mut e);
         assert_eq!(e.next_deadline(), Some(100));
         let mut fx = Vec::new();
         e.fire_due(100, &mut fx);

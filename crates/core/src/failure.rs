@@ -42,11 +42,6 @@ impl FailureDetector {
         }
     }
 
-    /// The configured suspicion timeout.
-    pub fn timeout(&self) -> Nanos {
-        self.timeout
-    }
-
     /// Records that a message from `peer` was received at `now`.
     pub fn heard(&mut self, peer: NodeId, now: Nanos) {
         let e = self.last_heard.entry(peer).or_insert(now);

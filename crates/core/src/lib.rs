@@ -102,7 +102,7 @@ pub use config::ClusterConfig;
 pub use engine::{
     AdaptiveBatch, BatchConfig, EngineConfig, EngineEffect, EngineEvent, EngineStats, ReplicaEngine,
 };
-pub use outbox::{Action, Outbox, Timer};
+pub use outbox::{Action, Outbox};
 pub use protocol::Protocol;
 pub use shard::{ShardId, ShardRouter, ShardedEngine};
 pub use txn::{TxnCoordinator, TxnOutcome, TxnStatus};

@@ -32,7 +32,7 @@
 use crate::advocate::Advocate;
 use crate::config::ClusterConfig;
 use crate::instance_log::InstanceLog;
-use crate::outbox::{Outbox, Timer};
+use crate::outbox::Outbox;
 use crate::protocol::Protocol;
 use crate::synod::QuorumLearner;
 use crate::types::{Ballot, Command, Instance, Nanos, NodeId, Op};
@@ -91,7 +91,6 @@ pub struct MenciusNode {
     adv: Advocate,
     /// Skips this node has proposed (for tests/metrics).
     skips_proposed: u64,
-    tick_period: Nanos,
 }
 
 impl MenciusNode {
@@ -113,7 +112,6 @@ impl MenciusNode {
             watermark: 0,
             adv: Advocate::default(),
             skips_proposed: 0,
-            tick_period: Self::DEFAULT_TICK,
             cfg,
         }
     }
@@ -204,7 +202,7 @@ impl Protocol for MenciusNode {
     }
 
     fn on_start(&mut self, _now: Nanos, out: &mut Outbox<Msg>) {
-        out.set_timer(Timer::Tick, self.tick_period);
+        out.set_tick(Self::DEFAULT_TICK);
     }
 
     fn on_message(&mut self, from: NodeId, msg: Msg, _now: Nanos, out: &mut Outbox<Msg>) {
@@ -224,11 +222,9 @@ impl Protocol for MenciusNode {
         }
     }
 
-    fn on_timer(&mut self, timer: Timer, _now: Nanos, out: &mut Outbox<Msg>) {
-        if timer == Timer::Tick {
-            self.produce_skips(out);
-            out.set_timer(Timer::Tick, self.tick_period);
-        }
+    fn on_tick(&mut self, _now: Nanos, out: &mut Outbox<Msg>) {
+        self.produce_skips(out);
+        out.set_tick(Self::DEFAULT_TICK);
     }
 
     fn on_client_request(

@@ -30,7 +30,7 @@ use crate::advocate::Advocate;
 use crate::config::ClusterConfig;
 use crate::failure::FailureDetector;
 use crate::instance_log::InstanceLog;
-use crate::outbox::{Outbox, Timer};
+use crate::outbox::Outbox;
 use crate::protocol::Protocol;
 use crate::synod::QuorumLearner;
 use crate::types::{Ballot, Command, Instance, Nanos, NodeId, Op};
@@ -391,7 +391,7 @@ impl Protocol for MultiPaxosNode {
         for peer in self.cfg.others() {
             self.fd.reset(peer, now);
         }
-        out.set_timer(Timer::Tick, self.timing.tick);
+        out.set_tick(self.timing.tick);
     }
 
     fn on_message(&mut self, from: NodeId, msg: Msg, now: Nanos, out: &mut Outbox<Msg>) {
@@ -470,10 +470,7 @@ impl Protocol for MultiPaxosNode {
         }
     }
 
-    fn on_timer(&mut self, timer: Timer, now: Nanos, out: &mut Outbox<Msg>) {
-        if timer != Timer::Tick {
-            return;
-        }
+    fn on_tick(&mut self, now: Nanos, out: &mut Outbox<Msg>) {
         if self.leading {
             let bal = self.promised;
             for peer in self.cfg.others() {
@@ -500,7 +497,7 @@ impl Protocol for MultiPaxosNode {
                 }
             }
         }
-        out.set_timer(Timer::Tick, self.timing.tick);
+        out.set_tick(self.timing.tick);
     }
 
     fn on_client_request(

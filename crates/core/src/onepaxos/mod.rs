@@ -54,7 +54,7 @@ pub use utility::UtilityEvent;
 use crate::advocate::Advocate;
 use crate::config::ClusterConfig;
 use crate::instance_log::InstanceLog;
-use crate::outbox::{Outbox, Timer};
+use crate::outbox::Outbox;
 use crate::protocol::Protocol;
 use crate::types::{Ballot, Command, Instance, Nanos, NodeId, Op};
 
@@ -626,7 +626,7 @@ impl Protocol for OnePaxosNode {
     }
 
     fn on_start(&mut self, now: Nanos, out: &mut Outbox<Msg>) {
-        out.set_timer(Timer::Tick, self.timing.tick);
+        out.set_tick(self.timing.tick);
         if self.cfg.initial_leader() == self.me() {
             // Get adopted by the (fresh) initial acceptor.
             self.send_prepare(now, out);
@@ -772,11 +772,8 @@ impl Protocol for OnePaxosNode {
         }
     }
 
-    fn on_timer(&mut self, timer: Timer, now: Nanos, out: &mut Outbox<Msg>) {
-        if timer != Timer::Tick {
-            return;
-        }
-        out.set_timer(Timer::Tick, self.timing.tick);
+    fn on_tick(&mut self, now: Nanos, out: &mut Outbox<Msg>) {
+        out.set_tick(self.timing.tick);
         // Retry a stalled utility CAS (duelling avoidance). With ≥2 nodes
         // a retry cannot decide anything by itself, so no events surface
         // here; decisions arrive via Learn messages.

@@ -9,21 +9,6 @@
 
 use crate::types::{Command, Instance, Nanos, NodeId};
 
-/// Timers a protocol node can arm.
-///
-/// All protocols in this crate drive their failure detection from a single
-/// periodic [`Timer::Tick`]; the other variants exist for harness-level
-/// bookkeeping and tests. `Custom(u8::MAX)` is reserved for the replica
-/// engine's batch-flush deadline ([`crate::engine::BATCH_FLUSH`]) and is
-/// intercepted before protocol dispatch — protocols must not arm it.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub enum Timer {
-    /// Periodic maintenance tick (failure detection, retries).
-    Tick,
-    /// One-shot timer usable by harnesses or extensions.
-    Custom(u8),
-}
-
 /// One effect requested by a protocol handler.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Action<M> {
@@ -58,10 +43,12 @@ pub enum Action<M> {
         /// Decided command.
         cmd: Command,
     },
-    /// Arm (or re-arm) `timer` to fire `after` nanoseconds from now.
-    SetTimer {
-        /// Which timer.
-        timer: Timer,
+    /// Arm (or re-arm) the node's tick to fire `after` nanoseconds from
+    /// now. The tick is the one timer a protocol owns: it drives failure
+    /// detection and retries, and a protocol re-arms it from
+    /// [`Protocol::on_tick`](crate::Protocol::on_tick) for as long as it
+    /// has periodic work.
+    SetTick {
         /// Delay from now, in nanoseconds.
         after: Nanos,
     },
@@ -124,9 +111,9 @@ impl<M> Outbox<M> {
         self.actions.push(Action::Commit { instance, cmd });
     }
 
-    /// Arms a timer.
-    pub fn set_timer(&mut self, timer: Timer, after: Nanos) {
-        self.actions.push(Action::SetTimer { timer, after });
+    /// Arms (or re-arms) the tick.
+    pub fn set_tick(&mut self, after: Nanos) {
+        self.actions.push(Action::SetTick { after });
     }
 
     /// Number of queued actions.
@@ -186,13 +173,13 @@ mod tests {
         out.send(NodeId(1), 10);
         out.commit(0, Command::noop(NodeId(2), 1));
         out.reply(NodeId(2), 1, 0);
-        out.set_timer(Timer::Tick, 100);
+        out.set_tick(100);
         let a = out.take();
         assert_eq!(a.len(), 4);
         assert!(matches!(a[0], Action::Send { .. }));
         assert!(matches!(a[1], Action::Commit { .. }));
         assert!(matches!(a[2], Action::Reply { .. }));
-        assert!(matches!(a[3], Action::SetTimer { .. }));
+        assert!(matches!(a[3], Action::SetTick { .. }));
         assert!(out.is_empty());
     }
 
@@ -231,7 +218,7 @@ mod tests {
     fn into_iter_yields_actions() {
         let mut out: Outbox<u32> = Outbox::new();
         out.send(NodeId(3), 7);
-        out.set_timer(Timer::Tick, 1);
+        out.set_tick(1);
         let v: Vec<_> = out.into_iter().collect();
         assert_eq!(v.len(), 2);
     }

@@ -16,7 +16,7 @@
 //! acknowledged the commit (§2.2) — until then the command is not
 //! applied everywhere, which is what a 2PC answer promises.
 
-use crate::outbox::{Outbox, Timer};
+use crate::outbox::Outbox;
 use crate::types::{Instance, Nanos, NodeId, Op};
 
 /// A deterministic, event-driven agreement protocol node.
@@ -38,15 +38,18 @@ pub trait Protocol {
     /// This node's id.
     fn node_id(&self) -> NodeId;
 
-    /// Invoked once before any other handler; protocols arm their periodic
-    /// tick and perform bootstrap sends here.
+    /// Invoked once before any other handler; protocols arm their tick
+    /// ([`Outbox::set_tick`]) and perform bootstrap sends here.
     fn on_start(&mut self, now: Nanos, out: &mut Outbox<Self::Msg>);
 
     /// A message from `from` has been delivered.
     fn on_message(&mut self, from: NodeId, msg: Self::Msg, now: Nanos, out: &mut Outbox<Self::Msg>);
 
-    /// A previously armed timer fired.
-    fn on_timer(&mut self, timer: Timer, now: Nanos, out: &mut Outbox<Self::Msg>);
+    /// The tick armed by [`Outbox::set_tick`] fired. The tick is the one
+    /// timer a protocol has (§6.2's periodic handler); it fires once per
+    /// arm, so a periodic tick re-arms itself here. Every other deadline
+    /// (batch flush, maintenance) belongs to the engine.
+    fn on_tick(&mut self, now: Nanos, out: &mut Outbox<Self::Msg>);
 
     /// A client submitted operation `op` with id `(client, req_id)` to this
     /// node, which advocates the command (possibly forwarding it to the

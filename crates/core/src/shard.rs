@@ -494,7 +494,7 @@ mod tests {
     use super::*;
     use crate::engine::BatchConfig;
     use crate::kv::KvStore;
-    use crate::outbox::{Outbox, Timer};
+    use crate::outbox::Outbox;
     use crate::types::{Command, Instance};
 
     /// A protocol that instantly decides whatever it advocates (same
@@ -527,7 +527,7 @@ mod tests {
 
         fn on_message(&mut self, _from: NodeId, _msg: u8, _now: Nanos, _out: &mut Outbox<u8>) {}
 
-        fn on_timer(&mut self, _timer: Timer, _now: Nanos, _out: &mut Outbox<u8>) {}
+        fn on_tick(&mut self, _now: Nanos, _out: &mut Outbox<u8>) {}
 
         fn on_client_request(
             &mut self,

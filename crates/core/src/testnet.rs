@@ -367,7 +367,7 @@ impl<P: Protocol> TestNet<P> {
         self.engines[id.index()].shard(shard).node()
     }
 
-    /// The engine wrapping node `id`'s shard 0 (timer table, applier).
+    /// The engine wrapping node `id`'s shard 0 (deadlines, applier).
     /// Engines keep no commit or reply history; the harness records both
     /// itself, so they survive [`Self::reset_node`] ([`Self::commits`],
     /// [`Self::replies`]).
@@ -930,7 +930,7 @@ impl<P: Protocol> TestNet<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::outbox::{Outbox, Timer};
+    use crate::outbox::Outbox;
 
     /// A trivial echo protocol for exercising the harness itself.
     struct Echo {
@@ -949,7 +949,7 @@ mod tests {
         }
 
         fn on_start(&mut self, _now: Nanos, out: &mut Outbox<u64>) {
-            out.set_timer(Timer::Tick, 1_000);
+            out.set_tick(1_000);
         }
 
         fn on_message(&mut self, from: NodeId, msg: u64, _now: Nanos, out: &mut Outbox<u64>) {
@@ -964,7 +964,7 @@ mod tests {
             }
         }
 
-        fn on_timer(&mut self, _t: Timer, _now: Nanos, _out: &mut Outbox<u64>) {
+        fn on_tick(&mut self, _now: Nanos, _out: &mut Outbox<u64>) {
             self.seen += 100;
         }
 

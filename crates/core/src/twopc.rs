@@ -18,7 +18,7 @@
 use std::collections::{BTreeSet, VecDeque};
 
 use crate::config::ClusterConfig;
-use crate::outbox::{Outbox, Timer};
+use crate::outbox::Outbox;
 use crate::protocol::Protocol;
 use crate::types::{Command, Instance, Nanos, NodeId, Op};
 
@@ -113,13 +113,13 @@ pub struct TwoPcNode {
     /// Ticks to wait before starting a round after an abort. Contending
     /// coordinators back off proportionally to their node id (deterministic
     /// priority), guaranteeing progress between contenders. Unused in the
-    /// paper's single-coordinator deployments.
+    /// paper's single-coordinator deployments. The tick runs only while
+    /// this is non-zero: counting it down is the tick's one job.
     backoff_ticks: u32,
-    tick_period: Nanos,
 }
 
 impl TwoPcNode {
-    /// Default maintenance tick period (100 µs).
+    /// Backoff tick period (100 µs).
     pub const DEFAULT_TICK: Nanos = 100_000;
 
     /// Creates a participant for `cfg`; `cfg.initial_leader()` coordinates.
@@ -133,13 +133,7 @@ impl TwoPcNode {
             next_round: 0,
             locked_by: None,
             backoff_ticks: 0,
-            tick_period: Self::DEFAULT_TICK,
         }
-    }
-
-    /// The fixed coordinator.
-    pub fn coordinator(&self) -> NodeId {
-        self.coordinator
     }
 
     /// Whether the local replica copy is currently locked (i.e. we are in
@@ -262,6 +256,7 @@ impl TwoPcNode {
             self.locked_by = None;
         }
         self.backoff_ticks = self.me().index() as u32 + 1;
+        out.set_tick(Self::DEFAULT_TICK);
         // Re-advocate the command in a later round.
         self.pending.push_front(active.cmd);
     }
@@ -274,9 +269,9 @@ impl Protocol for TwoPcNode {
         self.cfg.me()
     }
 
-    fn on_start(&mut self, _now: Nanos, out: &mut Outbox<Msg>) {
-        out.set_timer(Timer::Tick, self.tick_period);
-    }
+    /// No tick at start: 2PC has no round timeouts, and its tick runs
+    /// only while an aborted round backs off.
+    fn on_start(&mut self, _now: Nanos, _out: &mut Outbox<Msg>) {}
 
     fn on_message(&mut self, from: NodeId, msg: Msg, _now: Nanos, out: &mut Outbox<Msg>) {
         match msg {
@@ -334,7 +329,7 @@ impl Protocol for TwoPcNode {
                 // re-checks every guard (active round, backoff, lock,
                 // queue) and pops at most one command, so a command
                 // arriving exactly at lock release is dispatched exactly
-                // once even though the tick path will also call this.
+                // once even though a backoff tick may also call this.
                 self.try_start_round(out);
             }
             Msg::CommitAck { round } => {
@@ -357,16 +352,18 @@ impl Protocol for TwoPcNode {
         }
     }
 
-    fn on_timer(&mut self, timer: Timer, _now: Nanos, out: &mut Outbox<Msg>) {
-        if timer == Timer::Tick {
-            // Blocking protocol: no round timeouts by design. The tick only
-            // restarts queued work after an aborted round.
-            if self.backoff_ticks > 0 {
-                self.backoff_ticks -= 1;
-            }
-            self.try_start_round(out);
-            out.set_timer(Timer::Tick, self.tick_period);
+    /// Blocking protocol: no round timeouts by design. The tick counts
+    /// down an aborted round's backoff, then restarts its command, and
+    /// stops with the backoff. Nothing else needs it: a queued command
+    /// that cannot start waits for an active round or a lock to end, and
+    /// round completion, `Commit` and `Rollback` each call
+    /// `try_start_round`.
+    fn on_tick(&mut self, _now: Nanos, out: &mut Outbox<Msg>) {
+        self.backoff_ticks = self.backoff_ticks.saturating_sub(1);
+        if self.backoff_ticks > 0 {
+            out.set_tick(Self::DEFAULT_TICK);
         }
+        self.try_start_round(out);
     }
 
     fn on_client_request(
@@ -406,6 +403,8 @@ impl Protocol for TwoPcNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{EngineEffect, EngineEvent, ReplicaEngine};
+    use crate::kv::KvStore;
     use crate::testnet::TestNet;
 
     fn net(n: u16) -> TestNet<TwoPcNode> {
@@ -533,7 +532,7 @@ mod tests {
         // locked by n0's in-flight round, so its queued command cannot
         // start. When n0's Commit releases the lock, the command must
         // start *immediately* (no tick) and be dispatched exactly once —
-        // the release handler and the tick path both call
+        // the release handler and a backoff tick both call
         // `try_start_round`, and only the pop-once queue discipline
         // keeps that single dispatch.
         let mut net = net(3);
@@ -580,6 +579,65 @@ mod tests {
             assert_eq!(hits, 1, "tick re-dispatched at node {n}");
         }
         net.assert_consistent();
+    }
+
+    fn bare_coordinator(members: Vec<NodeId>) -> ReplicaEngine<TwoPcNode, KvStore> {
+        let cfg = ClusterConfig::new(members.clone(), members[0]);
+        let mut e = ReplicaEngine::new(TwoPcNode::new(cfg), KvStore::new());
+        e.handle(EngineEvent::Start, 0, &mut Vec::new());
+        e
+    }
+
+    #[test]
+    fn an_idle_coordinator_arms_no_tick() {
+        let e = bare_coordinator(vec![NodeId(0), NodeId(1), NodeId(2)]);
+        assert_eq!(e.next_deadline(), None);
+    }
+
+    #[test]
+    fn a_nacked_round_ticks_only_while_it_backs_off() {
+        // Node 2 coordinates, so an abort backs off for 3 ticks.
+        let mut e = bare_coordinator(vec![NodeId(2), NodeId(0), NodeId(1)]);
+        let request = EngineEvent::ClientRequest {
+            client: NodeId(9),
+            req_id: 1,
+            op: Op::Noop,
+        };
+        e.handle(request, 0, &mut Vec::new());
+        assert_eq!(e.next_deadline(), None, "an open round needs no tick");
+        let nack = EngineEvent::Message {
+            from: NodeId(0),
+            msg: Msg::Nack { round: 0 },
+        };
+        e.handle(nack, 10, &mut Vec::new());
+        assert_eq!(e.node().backoff_ticks, 3);
+        assert_eq!(e.node().queue_len(), 1);
+        let tick = TwoPcNode::DEFAULT_TICK;
+        assert_eq!(e.next_deadline(), Some(10 + tick));
+        for k in 1..=3 {
+            let at = 10 + k * tick;
+            let mut fx = Vec::new();
+            assert_eq!(e.fire_due(at, &mut fx), 1);
+            assert_eq!(e.node().backoff_ticks, 3 - k as u32);
+            let prepares: Vec<_> = fx
+                .iter()
+                .filter_map(|f| match f {
+                    EngineEffect::SendTo {
+                        to,
+                        msg: Msg::Prepare { round, .. },
+                    } => Some((*to, *round)),
+                    _ => None,
+                })
+                .collect();
+            if k < 3 {
+                assert!(prepares.is_empty(), "round restarted during backoff");
+                assert_eq!(e.next_deadline(), Some(at + tick));
+            } else {
+                assert_eq!(prepares, vec![(NodeId(0), 1), (NodeId(1), 1)]);
+                assert_eq!(e.node().queue_len(), 0);
+                assert_eq!(e.next_deadline(), None, "the tick stops with the backoff");
+            }
+        }
     }
 
     #[test]

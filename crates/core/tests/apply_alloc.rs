@@ -20,7 +20,7 @@ use onepaxos::kv::KvStore;
 use onepaxos::rsm::Applier;
 use onepaxos::{
     BatchConfig, Command, EngineEvent, Instance, Nanos, NodeId, Op, Outbox, Protocol,
-    ReplicaEngine, ShardRouter, Timer,
+    ReplicaEngine, ShardRouter,
 };
 
 /// System allocator wrapped with per-thread allocation counting.
@@ -184,7 +184,7 @@ impl Protocol for Sink {
 
     fn on_message(&mut self, _: NodeId, _: (), _: Nanos, _: &mut Outbox<()>) {}
 
-    fn on_timer(&mut self, _: Timer, _: Nanos, _: &mut Outbox<()>) {}
+    fn on_tick(&mut self, _: Nanos, _: &mut Outbox<()>) {}
 
     fn on_client_request(&mut self, _: NodeId, _: u64, _: Op, _: Nanos, _: &mut Outbox<()>) {}
 

@@ -5,9 +5,7 @@
 
 use onepaxos::multipaxos::MultiPaxosNode;
 use onepaxos::testnet::TestNet;
-use onepaxos::{
-    Action, ClusterConfig, Command, Instance, Nanos, NodeId, Op, Outbox, Protocol, Timer,
-};
+use onepaxos::{Action, ClusterConfig, Command, Instance, Nanos, NodeId, Op, Outbox, Protocol};
 
 /// The instance whose learn is forged.
 const FORGED: Instance = 1;
@@ -55,8 +53,8 @@ impl<P: Protocol> Protocol for Forger<P> {
         self.rewrite(out);
     }
 
-    fn on_timer(&mut self, timer: Timer, now: Nanos, out: &mut Outbox<P::Msg>) {
-        self.inner.on_timer(timer, now, out);
+    fn on_tick(&mut self, now: Nanos, out: &mut Outbox<P::Msg>) {
+        self.inner.on_tick(now, out);
         self.rewrite(out);
     }
 

@@ -1,7 +1,7 @@
 //! The background maintenance policy, tested where it lives: in the
 //! sans-IO engine, driven through `TestNet` in virtual time. No harness
 //! call proposes a truncation or requests a snapshot here — the engines'
-//! own `MAINTENANCE` timer does, carried by `TestNet::advance` exactly
+//! own maintenance deadline does, carried by `TestNet::advance` exactly
 //! as the runtime loop and the simulator carry it.
 
 use std::collections::VecDeque;
@@ -15,7 +15,7 @@ use onepaxos::onepaxos::OnePaxosNode;
 use onepaxos::shard::{ShardId, ShardedEngine};
 use onepaxos::testnet::TestNet;
 use onepaxos::{
-    BatchConfig, ClusterConfig, Command, Instance, Nanos, NodeId, Op, Outbox, Protocol, Timer,
+    BatchConfig, ClusterConfig, Command, Instance, Nanos, NodeId, Op, Outbox, Protocol,
 };
 
 const N0: NodeId = NodeId(0);
@@ -389,7 +389,7 @@ impl Protocol for Relay {
         out.commit(msg.0, msg.1);
     }
 
-    fn on_timer(&mut self, _timer: Timer, _now: Nanos, _out: &mut Outbox<Self::Msg>) {}
+    fn on_tick(&mut self, _now: Nanos, _out: &mut Outbox<Self::Msg>) {}
 
     fn on_client_request(
         &mut self,
