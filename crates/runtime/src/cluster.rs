@@ -19,7 +19,9 @@
 //! ([`TcpTransport`], every message an `onepaxos::wire` frame). Both,
 //! and [`Cluster::restart_replica`], start replica threads through the
 //! same private launcher and differ only in the transport factory they
-//! hand it.
+//! hand it. The mesh links replicas and clients and nothing else:
+//! [`Cluster::shutdown`] sends no message, it sets each replica slot's
+//! stop flag, which the replica loop reads once per turn.
 //!
 //! Sharding keeps **one OS thread per core**: each replica thread hosts
 //! every shard group's member for its slot, and each group gets its own
@@ -31,7 +33,7 @@
 //! replica, so callers of [`ClientHandle::put`]/[`ClientHandle::get`]
 //! stay shard-oblivious.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -244,20 +246,17 @@ where
 
     /// Spawns the replica threads over qc-channel shared memory and
     /// returns the cluster handle plus one [`ClientHandle`] per
-    /// requested client.
+    /// requested client. Replicas take ids `0..r` and clients the ids
+    /// after them; a replica polls one queue per peer replica and per
+    /// client.
     pub fn spawn(mut self) -> (Cluster, Vec<ClientHandle<P::Msg>>) {
         let launcher = Launcher::new(&self);
         let (r, c, shards) = (self.replicas, self.clients, self.config.shards);
-        // Endpoints: r replicas, c clients, plus one control endpoint
-        // (the cluster handle itself) that exists only to fan out
-        // shutdown — which is what lets `Cluster` stay non-generic.
-        let total = r + c + 1;
 
         // One SPSC queue per linked ordered pair: replica pairs carry one
-        // topic per shard group, client and control links only
-        // CLIENT_TOPIC, and client↔client (and control) pairs are never
-        // linked.
-        let ids: Vec<NodeId> = (0..total).map(|i| NodeId(i as u16)).collect();
+        // topic per shard group, client links only CLIENT_TOPIC, and
+        // client↔client pairs are never linked.
+        let ids: Vec<NodeId> = (0..r + c).map(|i| NodeId(i as u16)).collect();
         let mut endpoints = MemTransport::mesh(&ids, |i, j| match (i < r, j < r) {
             (true, true) => shards,
             (false, false) => 0,
@@ -279,8 +278,7 @@ where
                 ClientHandle::with_transport(NodeId(j as u16), launcher.members.clone(), io, shards)
             })
             .collect();
-        let control = endpoints.next().expect("control slot");
-        (launcher.into_cluster(threads, control, None), clients)
+        (launcher.into_cluster(threads, None), clients)
     }
 
     /// Spawns the replica threads over loopback TCP sockets — the same
@@ -290,8 +288,8 @@ where
     ///
     /// Connection layout: each replica binds one listener; replica `i`
     /// dials every lower-numbered replica (so each pair shares exactly
-    /// one connection), clients and the control endpoint dial every
-    /// replica. Shard-group topics are multiplexed over the pair's
+    /// one connection), and every client dials every replica.
+    /// Shard-group topics are multiplexed over the pair's
     /// single connection, tagged inside each frame.
     ///
     /// # Errors
@@ -315,14 +313,14 @@ where
 
         // Boot: a pre-bound listener plus a deterministic blocking
         // handshake — replica `i` dials every lower slot and accepts
-        // every higher replica, every client, and control.
+        // every higher replica and every client.
         let threads = listeners
             .into_iter()
             .enumerate()
             .map(|(i, listener)| {
                 let me = launcher.members[i];
                 let lower = replica_addrs[..i].to_vec();
-                let expect_accepts = (r - 1 - i) + c + 1;
+                let expect_accepts = (r - 1 - i) + c;
                 launcher.launch(i, 0, &mut self.factory, move || {
                     transport::replica_transport::<P::Msg>(me, listener, &lower, expect_accepts)
                         .expect("tcp replica setup")
@@ -341,8 +339,6 @@ where
                 shards,
             ));
         }
-        let control =
-            transport::client_transport::<P::Msg>(NodeId((r + c) as u16), &replica_addrs)?;
 
         // Restart (`Cluster::restart_replica`): fresh engines from the
         // factory — which moves in here, so restarts can mint them long
@@ -360,10 +356,7 @@ where
                     .expect("tcp replica setup")
             })
         });
-        Ok((
-            launcher.into_cluster(threads, control, Some(respawn)),
-            clients,
-        ))
+        Ok((launcher.into_cluster(threads, Some(respawn)), clients))
     }
 }
 
@@ -379,6 +372,10 @@ struct Launcher {
     members: Vec<NodeId>,
     config: EngineConfig,
     metrics: Vec<Arc<NodeMetrics>>,
+    /// Each slot's stop flag, handed to every incarnation of the slot:
+    /// [`Cluster::shutdown`] sets it and the replica loop ends at its
+    /// next turn.
+    stops: Vec<Arc<AtomicBool>>,
     faults: Option<FaultPlan>,
 }
 
@@ -389,6 +386,7 @@ impl Launcher {
             members: (0..b.replicas as u16).map(NodeId).collect(),
             config: b.config,
             metrics: (0..b.replicas).map(|_| Arc::default()).collect(),
+            stops: (0..b.replicas).map(|_| Arc::default()).collect(),
             faults: b.faults.clone(),
         }
     }
@@ -417,55 +415,26 @@ impl Launcher {
             ShardedEngine::deploy(self.config, members, incarnation, || factory(members, me));
         let faults = self.faults.as_ref().map(|plan| plan.for_node(me));
         let metrics = Arc::clone(&self.metrics[i]);
+        let stop = Arc::clone(&self.stops[i]);
         std::thread::Builder::new()
             .name(format!("replica-{me}"))
             .spawn(move || {
                 let io = make_io();
                 match faults {
-                    Some(plan) => replica_loop(engine, FaultTransport::new(io, plan), &metrics),
-                    None => replica_loop(engine, io, &metrics),
+                    Some(plan) => {
+                        replica_loop(engine, FaultTransport::new(io, plan), &metrics, &stop)
+                    }
+                    None => replica_loop(engine, io, &metrics, &stop),
                 }
             })
             .expect("spawn replica thread")
     }
 
     /// Assembles the cluster handle around the started `threads`.
-    /// `control`'s transport is type-erased into the closure
-    /// [`Cluster::shutdown`] drives: one round fans [`Wire::Shutdown`]
-    /// out to every replica and briefly drains the send buffers. The
-    /// round is re-run until every replica thread is observably gone,
-    /// because over TCP a shutdown frame is droppable like any other —
-    /// the canonical case being a control link that went stale-dead
-    /// across a replica restart, where the first send is lost with the
-    /// reaped connection and the *retry* rides the redial to the live
-    /// replica.
-    fn into_cluster<M, T>(
-        self,
-        threads: Vec<JoinHandle<()>>,
-        mut control: T,
-        respawn: Option<Respawn>,
-    ) -> Cluster
-    where
-        M: Send + 'static,
-        T: Transport<M> + 'static,
-    {
-        let members = self.members.clone();
-        let fan_shutdown = Box::new(move || {
-            for &m in &members {
-                control.send(m, CLIENT_TOPIC, Wire::Shutdown);
-            }
-            // Bounded drain: push redials along and flush what can flush —
-            // a permanently-gone peer keeps its backoff entry pending, so
-            // "still busy" must not hold a round open forever.
-            let deadline = Instant::now() + Duration::from_millis(100);
-            while control.flush() && Instant::now() < deadline {
-                std::thread::yield_now();
-            }
-        });
+    fn into_cluster(self, threads: Vec<JoinHandle<()>>, respawn: Option<Respawn>) -> Cluster {
         Cluster {
             threads: threads.into_iter().map(Some).collect(),
             launcher: self,
-            fan_shutdown,
             respawn,
         }
     }
@@ -474,13 +443,9 @@ impl Launcher {
 /// A running cluster of replica threads.
 pub struct Cluster {
     threads: Vec<Option<JoinHandle<()>>>,
-    /// Owns the per-replica metrics blocks and starts replacement
-    /// incarnations.
+    /// Owns the per-replica metrics blocks and stop flags, and starts
+    /// replacement incarnations.
     launcher: Launcher,
-    /// The control endpoint's shutdown fan-out, type-erased so `Cluster`
-    /// needs no message-type parameter and callers simply write
-    /// `cluster.shutdown()`. Each call runs one send-and-drain round.
-    fan_shutdown: Box<dyn FnMut() + Send>,
     /// Re-spawns replica slot `i` after it stopped (TCP deployments
     /// only): rebinds the slot's listener address and rejoins through
     /// the reconnect lifecycle. `None` on shared-memory clusters, whose
@@ -514,11 +479,11 @@ impl Cluster {
 
     /// Whether replica slot `i`'s thread has exited (true after a
     /// processed [`ClientHandle::stop_replica`], and trivially true for
-    /// a slot already taken by a restart in progress). A shutdown
-    /// request travels the wire and may be dropped across a reconnect
-    /// gap like any other frame, so callers re-send the stop until this
-    /// reports true before calling [`Cluster::restart_replica`] —
-    /// joining a live thread blocks forever.
+    /// a slot already taken by a restart in progress). A stop request
+    /// travels the wire and may be dropped across a reconnect gap like
+    /// any other frame, so callers re-send the stop until this reports
+    /// true before calling [`Cluster::restart_replica`] — joining a live
+    /// thread blocks forever.
     pub fn replica_finished(&self, i: usize) -> bool {
         self.threads[i].as_ref().is_none_or(|h| h.is_finished())
     }
@@ -559,21 +524,14 @@ impl Cluster {
         self.threads[i] = Some(respawn(&self.launcher, i));
     }
 
-    /// Asks every replica to shut down (over the cluster's own control
-    /// link — no client handle needed) and joins the replica threads.
-    /// The shutdown fan-out is re-sent until every thread is observably
-    /// gone (bounded at ten seconds): over TCP the request is a frame
-    /// like any other and may be lost across a reconnect gap, so a
-    /// single round is not enough once replicas have been restarted.
-    pub fn shutdown(mut self) {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            (self.fan_shutdown)();
-            let all_done = (0..self.threads.len()).all(|i| self.replica_finished(i));
-            if all_done || Instant::now() >= deadline {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(20));
+    /// Stops every replica and joins the replica threads: each slot's
+    /// stop flag is set, and its loop ends at its next turn — an idle
+    /// replica's turn ends by its engines' next deadline at the latest,
+    /// and maintenance keeps one armed a few milliseconds ahead. No
+    /// message is sent, so nothing is lost across a reconnect gap.
+    pub fn shutdown(self) {
+        for stop in &self.launcher.stops {
+            stop.store(true, Ordering::Relaxed);
         }
         for t in self.threads.into_iter().flatten() {
             let _ = t.join();
@@ -713,10 +671,14 @@ fn send_catch_up<P: Protocol, T: Transport<P::Msg>>(
 
 /// Drives one replica slot: the engines own timers, commits, the KV
 /// replicas and client replies; this loop owns only the transport IO.
+/// It ends when `stop` is set ([`Cluster::shutdown`]), read once per
+/// turn, or when a [`Wire::Shutdown`] arrives
+/// ([`ClientHandle::stop_replica`]).
 fn replica_loop<P: Protocol, T: Transport<P::Msg>>(
     mut engine: ShardedEngine<P, KvStore>,
     mut io: T,
     metrics: &NodeMetrics,
+    stop: &AtomicBool,
 ) {
     let start = Instant::now();
     let now_ns = || start.elapsed().as_nanos() as Nanos;
@@ -741,7 +703,7 @@ fn replica_loop<P: Protocol, T: Transport<P::Msg>>(
     let mut loop_turns = metrics.loop_turns.load(Ordering::Relaxed);
     let mut idle_waits = metrics.idle_waits.load(Ordering::Relaxed);
     let mut last_io = io.stats();
-    loop {
+    while !stop.load(Ordering::Relaxed) {
         loop_turns += 1;
         let mut progressed = io.flush();
         // Failure counters move outside the request path (a link dying
@@ -763,7 +725,7 @@ fn replica_loop<P: Protocol, T: Transport<P::Msg>>(
         // bounded batch of the decoded messages without further IO.
         io.pump();
         for _ in 0..64 {
-            let Some(((from, topic), wire)) = io.recv_ready() else {
+            let Some(((from, topic), wire)) = io.recv() else {
                 break;
             };
             metrics.received.fetch_add(1, Ordering::Relaxed);
@@ -1172,10 +1134,36 @@ mod tests {
         from_peer.send(me, CLIENT_TOPIC, Wire::Shutdown);
         from_peer.flush();
         let replica = std::thread::spawn(move || {
-            replica_loop(engine, io, &NodeMetrics::default());
+            replica_loop(engine, io, &NodeMetrics::default(), &AtomicBool::new(false));
         });
         assert!(replica.join().is_ok(), "the replica thread panicked");
         // Held until the replica exits: its own sends arrive here.
         drop(from_peer);
+    }
+
+    #[test]
+    fn a_replica_loop_ends_when_its_stop_flag_is_set() {
+        let (me, peer) = (NodeId(0), NodeId(1));
+        let cfg = ClusterConfig::new(vec![me, peer], me);
+        let engine = ShardedEngine::deploy(EngineConfig::new(), &[me, peer], 0, || {
+            OnePaxosNode::new(cfg.clone())
+        });
+        let (io, peer_end) = MemTransport::pair(me, peer, 1);
+        let stop = Arc::new(AtomicBool::new(false));
+        let replica = std::thread::spawn({
+            let stop = Arc::clone(&stop);
+            move || replica_loop(engine, io, &NodeMetrics::default(), &stop)
+        });
+        // Long enough for the loop to run out its spin budget and idle.
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!replica.is_finished(), "the loop ended before its stop");
+        stop.store(true, Ordering::Relaxed);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !replica.is_finished() {
+            assert!(Instant::now() < deadline, "the loop ignored its stop flag");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(replica.join().is_ok(), "the replica thread panicked");
+        drop(peer_end);
     }
 }

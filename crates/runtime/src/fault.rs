@@ -267,7 +267,6 @@ impl<M: Send, T: Transport<M>> Transport<M> for FaultTransport<M, T> {
     }
 
     fn recv(&mut self) -> Option<(Peer, Wire<M>)> {
-        self.advance();
         while let Some(((from, topic), msg)) = self.inner.recv() {
             if self.partitioned(from) {
                 self.stats.partitioned += 1;
@@ -281,17 +280,6 @@ impl<M: Send, T: Transport<M>> Transport<M> for FaultTransport<M, T> {
     fn pump(&mut self) {
         self.advance();
         self.inner.pump();
-    }
-
-    fn recv_ready(&mut self) -> Option<(Peer, Wire<M>)> {
-        while let Some(((from, topic), msg)) = self.inner.recv_ready() {
-            if self.partitioned(from) {
-                self.stats.partitioned += 1;
-                continue;
-            }
-            return Some(((from, topic), msg));
-        }
-        None
     }
 
     /// Forwards to the inner transport's policy, with `until` pulled in

@@ -44,7 +44,9 @@ pub enum Wire<M> {
         /// State-machine output (previous/read value).
         value: Option<u64>,
     },
-    /// Orderly shutdown of the receiving process.
+    /// Stops the receiving replica: fault injection a client carries
+    /// ([`ClientHandle::stop_replica`](crate::ClientHandle::stop_replica)).
+    /// A cluster stops its replicas through their stop flags instead.
     Shutdown,
     /// A lagging replica asking a peer for a state snapshot of one shard
     /// group — the catch-up path once agreed truncation has dropped the

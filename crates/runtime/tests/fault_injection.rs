@@ -161,7 +161,7 @@ fn scheduled_conn_kills_exercise_reconnect() {
         next += 1;
         dialer.flush();
         acceptor.pump();
-        while let Some((_, Wire::Request { .. })) = acceptor.recv_ready() {
+        while let Some((_, Wire::Request { .. })) = acceptor.recv() {
             delivered += 1;
         }
         if dialer.fault_stats().kills >= 2 && at_second_kill.is_none() {

@@ -48,7 +48,7 @@ fn drive_until_delivered(
         tx.pump();
         rx.pump();
         rx.flush();
-        while let Some(((_, t), wire)) = rx.recv_ready() {
+        while let Some(((_, t), wire)) = rx.recv() {
             if let Wire::Request { req_id, .. } = wire {
                 if t == topic && req_id >= floor {
                     return req_id;

@@ -48,7 +48,7 @@ fn allocs() -> u64 {
 }
 
 /// One request/reply round trip across the pair, exercising the full
-/// production hot path: coalesced vectored send, pump/recv_ready sweep
+/// production hot path: coalesced vectored send, pump/recv sweep
 /// on the server side, and the parked `recv_from_deadline` wait on the
 /// client side.
 fn round_trip(client: &mut TcpTransport<u64>, server: &mut TcpTransport<u64>, req_id: u64) {
@@ -71,7 +71,7 @@ fn round_trip(client: &mut TcpTransport<u64>, server: &mut TcpTransport<u64>, re
     let deadline = Instant::now() + Duration::from_secs(5);
     let req = loop {
         server.pump();
-        if let Some((_, m)) = server.recv_ready() {
+        if let Some((_, m)) = server.recv() {
             break m;
         }
         assert!(Instant::now() < deadline, "request never arrived");
